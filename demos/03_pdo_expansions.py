@@ -22,7 +22,9 @@ print("note the low-order terms 1/2*(1+x^2) d^-3 and -3/2*x d^-4.\n")
 
 # --- the distorted-algebra ladder pair, symbolic w --------------------------------
 
-low, high = pdo.expand_ladder_case_ii(w=None, depth=6)
+# product_identities expands the pair once and returns it with the residuals
+rep = pdo.product_identities(w=None, depth=6)
+low, high = rep["lowering"], rep["raising"]
 s2 = pdo.SymbolicScalar.sqrt2()
 print("sqrt2 * lowering operator (w symbolic), top orders:")
 for line in low.scale(s2).render().splitlines()[:4]:
@@ -37,7 +39,6 @@ print("\nmatches the reduced reference through d^-2:",
 
 # --- product identities ------------------------------------------------------------
 
-rep = pdo.product_identities(w=None, depth=6)
 print("\nlowering * raising - [ (1/2)(-d^2+x^2+2w-3) - phi' ]  == 0:", rep["a1_a1dag_ok"])
 print("raising * lowering - [ (1/2)(-d^2+x^2+2w-5) - phi' ]  == 0:", rep["a1dag_a1_ok"])
 print(f"(both residuals vanish identically through order d^{rep['valid_floor']})")

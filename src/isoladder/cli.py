@@ -263,11 +263,11 @@ def cmd_order(config: RunConfig) -> int:
 def cmd_pdo(config: RunConfig) -> int:
     w = Fraction(str(config.w))
     checks = []
-    low, high = pdo.expand_ladder_case_ii(w=w, depth=6)
+    rep = pdo.product_identities(w=w, depth=6)
+    low, high = rep["lowering"], rep["raising"]
     ref_low, ref_high = pdo.case_ii_reference(w=w)
     checks.append(("lowering_reference_through_d-2", pdo.series_agree_through(low, ref_low, -2)))
     checks.append(("raising_reference_through_d-2", pdo.series_agree_through(high, ref_high, -2)))
-    rep = pdo.product_identities(w=w, depth=6)
     checks.append(("lowering_raising_product_identity", rep["a1_a1dag_ok"]))
     checks.append(("raising_lowering_product_identity", rep["a1dag_a1_ok"]))
     prefactor, bracket = pdo.inv_sqrt_one_plus_h(8)

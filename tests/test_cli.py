@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from isoladder.cli import ConfigError, build_config, main, make_parser, to_csv, to_json
+
+
+PDO_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "pdo_series.json"
 
 
 def run_cli(args, capsys):
@@ -153,6 +157,15 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert all(chk["verdict"] == "PASS" for chk in doc["checks"])
+
+    @pytest.mark.parametrize("w", ["0.25", "3.5", "5.0"])
+    def test_pdo_series_match_benchmark_golden(self, w, capsys):
+        golden = json.loads(PDO_GOLDEN.read_text(encoding="utf-8"))[w]
+        code, out, _ = run_cli(["pdo", "--w", w], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["lowering_series"] == golden["lowering_series"]
+        assert doc["raising_series"] == golden["raising_series"]
 
     def test_out_directory(self, tmp_path, capsys):
         code, out, _ = run_cli(

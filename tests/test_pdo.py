@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoladder.pdo import (
+    DEFAULT_DEPTH,
     CoeffPoly,
     PDOSeries,
     SymbolicScalar,
@@ -326,8 +327,165 @@ class TestRendering:
         assert top == ["d^1: 1", "d^0: 1*x", "d^-1: -1*phi^2 + -2*x*phi"]
 
 
+class TestGoldenText:
+    def test_case_ii_expansions(self):
+        low, high = expand_ladder_case_ii(w=None, depth=6)
+        assert tuple(low.render().split("\n")) == GOLDEN_LOWERING_W_SYMBOLIC_DEPTH6
+        assert tuple(high.render().split("\n")) == GOLDEN_RAISING_W_SYMBOLIC_DEPTH6
+
+    def test_inv_sqrt_bracket(self):
+        _, bracket = inv_sqrt_one_plus_h(8)
+        assert tuple(bracket.render().split("\n")) == GOLDEN_INV_SQRT_BRACKET_DEPTH8
+
+    def test_product_identities(self):
+        rep = product_identities(w=None, depth=6)
+        assert rep["a1_a1dag_residual"].render() == GOLDEN_PRODUCT_RESIDUAL
+        assert rep["a1dag_a1_residual"].render() == GOLDEN_PRODUCT_RESIDUAL
+        assert rep["valid_floor"] == GOLDEN_PRODUCT_VALID_FLOOR
+        # the pair the products were built from is returned with them
+        assert tuple(rep["lowering"].render().split("\n")) == GOLDEN_LOWERING_W_SYMBOLIC_DEPTH6
+        assert tuple(rep["raising"].render().split("\n")) == GOLDEN_RAISING_W_SYMBOLIC_DEPTH6
+
+
+# Small random operands for the flat multiplication kernel: scalars mixing i,
+# sqrt2 and half-powers of w, coefficients built from x and phi monomials.
+_scalars = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-2, 3), st.just(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    min_size=1,
+    max_size=2,
+).map(SymbolicScalar)
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), _scalars, min_size=1, max_size=2
+).map(CoeffPoly)
+
+
+def _series(orders, floor=-DEFAULT_DEPTH, exact=True):
+    return st.dictionaries(orders, _polys, min_size=1, max_size=3).map(
+        lambda terms: PDOSeries(terms, floor=floor, exact=exact)
+    )
+
+
+_exact_series = _series(st.integers(-2, 2))
+
+
+class TestFlatKernelProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(_polys, _polys)
+    def test_diff_is_a_derivation(self, p, q):
+        assert (p * q).diff() == p.diff() * q + p * q.diff()
+
+    @settings(max_examples=25, deadline=None)
+    @given(_exact_series, _exact_series, _exact_series)
+    def test_associativity(self, a, b, c):
+        left = series_multiply(series_multiply(a, b), c)
+        right = series_multiply(a, series_multiply(b, c))
+        assert series_agree_through(left, right, max(left.floor, right.floor))
+        if min(min(a.terms), min(b.terms), min(c.terms)) >= 0:
+            # differential operators: nothing is dropped, so the products are whole
+            assert left.exact and right.exact
+            assert left.terms == right.terms
+
+    @settings(max_examples=25, deadline=None)
+    @given(_exact_series, st.booleans())
+    def test_one_is_two_sided_identity(self, a, exact):
+        a = PDOSeries(a.terms, floor=a.floor, exact=exact)
+        one = PDOSeries.one(floor=a.floor)
+        for prod in (series_multiply(one, a), series_multiply(a, one)):
+            assert prod.terms == a.terms
+            assert (prod.floor, prod.exact) == (a.floor, a.exact)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_exact_series, _exact_series, _exact_series)
+    def test_distributes_over_addition(self, a, b, c):
+        pairs = (
+            (series_multiply(a, b + c), series_multiply(a, b) + series_multiply(a, c)),
+            (series_multiply(a + b, c), series_multiply(a, c) + series_multiply(b, c)),
+        )
+        for lhs, rhs in pairs:
+            assert series_agree_through(lhs, rhs, max(lhs.floor, rhs.floor))
+
+    @settings(max_examples=25, deadline=None)
+    @given(_series(st.integers(-4, 2)), _series(st.integers(-7, -5)), _exact_series)
+    def test_truncated_operand_flags(self, kept, tail, b):
+        # `kept` is an operator whose orders below -4 were dropped; `tail` is
+        # one possible dropped part.  The product's floor is the documented
+        # one, it is never exact, and no retained order depends on the tail.
+        trunc = PDOSeries(kept.terms, floor=-4, exact=False)
+        whole = PDOSeries({**tail.terms, **kept.terms}, floor=-10, exact=True)
+        b_deep = PDOSeries(b.terms, floor=-10, exact=True)
+        reach = max(b.max_order, 0)
+        for prod, full in (
+            (series_multiply(trunc, b), series_multiply(whole, b_deep)),
+            (series_multiply(b, trunc), series_multiply(b_deep, whole)),
+        ):
+            assert prod.floor == max(min(trunc.floor, b.floor), trunc.floor + reach)
+            assert not prod.exact
+            assert series_agree_through(prod, full, prod.floor)
+
+    def test_symbolic_w_substitutes_to_rational_expansion(self):
+        w = Fraction(7, 2)
+        symbolic = expand_ladder_case_ii(w=None, depth=6)
+        rational = expand_ladder_case_ii(w=w, depth=6)
+        for sym, rat in zip(symbolic, rational):
+            bound = sym.substitute(w=w)
+            assert (bound.floor, bound.exact) == (rat.floor, rat.exact)
+            assert set(bound.terms) == set(rat.terms)
+            for k in rat.terms:
+                assert bound.coefficient(k) == rat.coefficient(k)
+
+
 def test_a_series_against_b_series():
     diff = b_series(-6) - a_series(-6)
     # b - a = phi / sqrt2
     assert diff.coefficient(0) == PHI * SymbolicScalar({(0, 1, 0, 0): Fraction(1, 2)})
     assert not diff.coefficient(1)
+
+
+# Canonical render() text of the depth-6 symbolic-w expansions, the (1+H)^{-1/2}
+# bracket and the product-identity residuals, one tuple entry per line.  It was
+# captured from the Leibniz-sum implementation that rebuilt SymbolicScalar and
+# CoeffPoly objects on every operation; the flat kernel must reproduce it
+# byte for byte.
+GOLDEN_LOWERING_W_SYMBOLIC_DEPTH6 = (
+    "d^1: 1/2*sqrt2",
+    "d^0: 1/2*sqrt2*x",
+    "d^-1: (1*sqrt2 + -1/2*sqrt2*w) + -1/2*sqrt2*phi^2 + -1*sqrt2*x*phi",
+    "d^-2: 1*sqrt2*phi + -1/2*sqrt2*phi^3 + (1*sqrt2 + -1/2*sqrt2*w)*x + -3/2*sqrt2*x*phi^2 + -1*sqrt2*x^2*phi",
+    "d^-3: (-2*sqrt2 + 3/2*sqrt2*w + -1/4*sqrt2*w^(4/2)) + (5/2*sqrt2 + -1/2*sqrt2*w)*phi^2 + -1*sqrt2*phi^4 + (5*sqrt2 + -1*sqrt2*w)*x*phi + -4*sqrt2*x*phi^3 + (1*sqrt2 + -1/2*sqrt2*w)*x^2 + -9/2*sqrt2*x^2*phi^2 + -1*sqrt2*x^3*phi",
+    "d^-4: (-5*sqrt2 + 1*sqrt2*w)*phi + (17/2*sqrt2 + -3/2*sqrt2*w)*phi^3 + -3*sqrt2*phi^5 + (-4*sqrt2 + 5/2*sqrt2*w + -1/4*sqrt2*w^(4/2))*x + (49/2*sqrt2 + -11/2*sqrt2*w)*x*phi^2 + -15*sqrt2*x*phi^4 + (16*sqrt2 + -5*sqrt2*w)*x^2*phi + -49/2*sqrt2*x^2*phi^3 + (1*sqrt2 + -1/2*sqrt2*w)*x^3 + -27/2*sqrt2*x^3*phi^2 + -1*sqrt2*x^4*phi",
+    "d^-5: (7*sqrt2 + -13/2*sqrt2*w + 2*sqrt2*w^(4/2) + -1/4*sqrt2*w^(6/2)) + (-65/2*sqrt2 + 11*sqrt2*w + -3/4*sqrt2*w^(4/2))*phi^2 + (38*sqrt2 + -6*sqrt2*w)*phi^4 + -12*sqrt2*phi^6 + (-53*sqrt2 + 22*sqrt2*w + -3/2*sqrt2*w^(4/2))*x*phi + (146*sqrt2 + -28*sqrt2*w)*x*phi^3 + -72*sqrt2*x*phi^5 + (-8*sqrt2 + 5*sqrt2*w + -1/2*sqrt2*w^(4/2))*x^2 + (163*sqrt2 + -41*sqrt2*w)*x^2*phi^2 + -154*sqrt2*x^2*phi^4 + (46*sqrt2 + -18*sqrt2*w)*x^3*phi + -136*sqrt2*x^3*phi^3 + (1*sqrt2 + -1/2*sqrt2*w)*x^4 + -81/2*sqrt2*x^4*phi^2 + -1*sqrt2*x^5*phi",
+    "d^-6: (61*sqrt2 + -30*sqrt2*w + 7/2*sqrt2*w^(4/2))*phi + (-437/2*sqrt2 + 65*sqrt2*w + -15/4*sqrt2*w^(4/2))*phi^3 + (210*sqrt2 + -30*sqrt2*w)*phi^5 + -60*sqrt2*phi^7 + (27*sqrt2 + -41/2*sqrt2*w + 4*sqrt2*w^(4/2) + -1/4*sqrt2*w^(6/2))*x + (-1127/2*sqrt2 + 205*sqrt2*w + -49/4*sqrt2*w^(4/2))*x*phi^2 + (1010*sqrt2 + -170*sqrt2*w)*x*phi^4 + -420*sqrt2*x*phi^6 + (-311*sqrt2 + 152*sqrt2*w + -19/2*sqrt2*w^(4/2))*x^2*phi + (1609*sqrt2 + -335*sqrt2*w)*x^2*phi^3 + -1110*sqrt2*x^2*phi^5 + (-12*sqrt2 + 7*sqrt2*w + -1/2*sqrt2*w^(4/2))*x^3 + (923*sqrt2 + -259*sqrt2*w)*x^3*phi^2 + -1350*sqrt2*x^3*phi^4 + (131*sqrt2 + -58*sqrt2*w)*x^4*phi + -1441/2*sqrt2*x^4*phi^3 + (1*sqrt2 + -1/2*sqrt2*w)*x^5 + -243/2*sqrt2*x^5*phi^2 + -1*sqrt2*x^6*phi",
+    "d^-7: (-43*sqrt2 + 87/2*sqrt2*w + -65/4*sqrt2*w^(4/2) + 13/4*sqrt2*w^(6/2) + -5/16*sqrt2*w^(8/2)) + (1381/2*sqrt2 + -627/2*sqrt2*w + 149/4*sqrt2*w^(4/2) + -5/4*sqrt2*w^(6/2))*phi^2 + (-1687*sqrt2 + 450*sqrt2*w + -45/2*sqrt2*w^(4/2))*phi^4 + (1380*sqrt2 + -180*sqrt2*w)*phi^6 + -360*sqrt2*phi^8 + (913*sqrt2 + -527*sqrt2*w + 133/2*sqrt2*w^(4/2) + -5/2*sqrt2*w^(6/2))*x*phi + (-5954*sqrt2 + 1870*sqrt2*w + -96*sqrt2*w^(4/2))*x*phi^3 + (7980*sqrt2 + -1200*sqrt2*w)*x*phi^5 + -2880*sqrt2*x*phi^7 + (69*sqrt2 + -99/2*sqrt2*w + 9*sqrt2*w^(4/2) + -3/4*sqrt2*w^(6/2))*x^2 + (-11975/2*sqrt2 + 2331*sqrt2*w + -497/4*sqrt2*w^(4/2))*x^2*phi^2 + (16558*sqrt2 + -2970*sqrt2*w)*x^2*phi^4 + -9060*sqrt2*x^2*phi^6 + (-1491*sqrt2 + 782*sqrt2*w + -89/2*sqrt2*w^(4/2))*x^3*phi + (14550*sqrt2 + -3284*sqrt2*w)*x^3*phi^3 + -14040*sqrt2*x^3*phi^5 + (-18*sqrt2 + 21/2*sqrt2*w + -3/4*sqrt2*w^(4/2))*x^4 + (9635/2*sqrt2 + -2995/2*sqrt2*w)*x^4*phi^2 + -10891*sqrt2*x^4*phi^4 + (379*sqrt2 + -179*sqrt2*w)*x^5*phi + -3724*sqrt2*x^5*phi^3 + (1*sqrt2 + -1/2*sqrt2*w)*x^6 + -729/2*sqrt2*x^6*phi^2 + -1*sqrt2*x^7*phi",
+    "d^-8: (-1081*sqrt2 + 719*sqrt2*w + -265/2*sqrt2*w^(4/2) + 17/2*sqrt2*w^(6/2))*phi + (15597/2*sqrt2 + -6181/2*sqrt2*w + 1253/4*sqrt2*w^(4/2) + -35/4*sqrt2*w^(6/2))*phi^3 + (-14721*sqrt2 + 3570*sqrt2*w + -315/2*sqrt2*w^(4/2))*phi^5 + (10500*sqrt2 + -1260*sqrt2*w)*phi^7 + -2520*sqrt2*phi^9 + (-217*sqrt2 + 381/2*sqrt2*w + -221/4*sqrt2*w^(4/2) + 31/4*sqrt2*w^(6/2) + -5/16*sqrt2*w^(8/2))*x + (35069/2*sqrt2 + -16593/2*sqrt2*w + 3533/4*sqrt2*w^(4/2) + -111/4*sqrt2*w^(6/2))*x*phi^2 + (-66073*sqrt2 + 18410*sqrt2*w + -1659/2*sqrt2*w^(4/2))*x*phi^4 + (70980*sqrt2 + -9660*sqrt2*w)*x*phi^6 + -22680*sqrt2*x*phi^8 + (7834*sqrt2 + -4721*sqrt2*w + 548*sqrt2*w^(4/2) + -41/2*sqrt2*w^(6/2))*x^2*phi + (-194207/2*sqrt2 + 32151*sqrt2*w + -5957/4*sqrt2*w^(4/2))*x^2*phi^3 + (181734*sqrt2 + -28770*sqrt2*w)*x^2*phi^5 + -82740*sqrt2*x^2*phi^7 + (153*sqrt2 + -207/2*sqrt2*w + 15*sqrt2*w^(4/2) + -3/4*sqrt2*w^(6/2))*x^3 + (-101289/2*sqrt2 + 20965*sqrt2*w + -4043/4*sqrt2*w^(4/2))*x^3*phi^2 + (216650*sqrt2 + -41398*sqrt2*w)*x^3*phi^4 + -155820*sqrt2*x^3*phi^6 + (-6466*sqrt2 + 3489*sqrt2*w + -361/2*sqrt2*w^(4/2))*x^4*phi + (235939/2*sqrt2 + -57617/2*sqrt2*w)*x^4*phi^3 + -159033*sqrt2*x^4*phi^5 + (-24*sqrt2 + 27/2*sqrt2*w + -3/4*sqrt2*w^(4/2))*x^5 + (48175/2*sqrt2 + -16433/2*sqrt2*w)*x^5*phi^2 + -83685*sqrt2*x^5*phi^4 + (1114*sqrt2 + -543*sqrt2*w)*x^6*phi + -37969/2*sqrt2*x^6*phi^3 + (1*sqrt2 + -1/2*sqrt2*w)*x^7 + -2187/2*sqrt2*x^7*phi^2 + -1*sqrt2*x^8*phi",
+    "d^-9: (331*sqrt2 + -739/2*sqrt2*w + 163*sqrt2*w^(4/2) + -40*sqrt2*w^(6/2) + 45/8*sqrt2*w^(8/2) + -7/16*sqrt2*w^(10/2)) + (-41371/2*sqrt2 + 11398*sqrt2*w + -1802*sqrt2*w^(4/2) + 110*sqrt2*w^(6/2) + -35/16*sqrt2*w^(8/2))*phi^2 + (93052*sqrt2 + -33012*sqrt2*w + 2926*sqrt2*w^(4/2) + -70*sqrt2*w^(6/2))*phi^4 + (-143304*sqrt2 + 31920*sqrt2*w + -1260*sqrt2*w^(4/2))*phi^6 + (90720*sqrt2 + -10080*sqrt2*w)*phi^8 + -20160*sqrt2*phi^10 + (-21539*sqrt2 + 14748*sqrt2*w + -2584*sqrt2*w^(4/2) + 188*sqrt2*w^(6/2) + -35/8*sqrt2*w^(8/2))*x*phi + (296500*sqrt2 + -121504*sqrt2*w + 11154*sqrt2*w^(4/2) + -292*sqrt2*w^(6/2))*x*phi^3 + (-781536*sqrt2 + 196560*sqrt2*w + -7896*sqrt2*w^(4/2))*x*phi^5 + (702240*sqrt2 + -87360*sqrt2*w)*x*phi^7 + -201600*sqrt2*x*phi^9 + (-772*sqrt2 + 618*sqrt2*w + -149*sqrt2*w^(4/2) + 19*sqrt2*w^(6/2) + -5/4*sqrt2*w^(8/2))*x^2 + (259934*sqrt2 + -127670*sqrt2*w + 12339*sqrt2*w^(4/2) + -365*sqrt2*w^(6/2))*x^2*phi^2 + (-1517676*sqrt2 + 441560*sqrt2*w + -18130*sqrt2*w^(4/2))*x^2*phi^4 + (2140656*sqrt2 + -304080*sqrt2*w)*x^2*phi^6 + -836640*sqrt2*x^2*phi^8 + (52220*sqrt2 + -31740*sqrt2*w + 3374*sqrt2*w^(4/2) + -122*sqrt2*w^(6/2))*x^3*phi + (-1236744*sqrt2 + 430808*sqrt2*w + -18208*sqrt2*w^(4/2))*x^3*phi^3 + (3233328*sqrt2 + -538944*sqrt2*w)*x^3*phi^5 + -1854720*sqrt2*x^3*phi^7 + (282*sqrt2 + -183*sqrt2*w + 24*sqrt2*w^(4/2) + -3/2*sqrt2*w^(6/2))*x^4 + (-376227*sqrt2 + 164330*sqrt2*w + -14489/2*sqrt2*w^(4/2))*x^4*phi^2 + (2488980*sqrt2 + -506436*sqrt2*w)*x^4*phi^4 + -2350152*sqrt2*x^4*phi^6 + (-26430*sqrt2 + 14388*sqrt2*w + -681*sqrt2*w^(4/2))*x^5*phi + (895212*sqrt2 + -235944*sqrt2*w)*x^5*phi^3 + -1682352*sqrt2*x^5*phi^5 + (-32*sqrt2 + 18*sqrt2*w + -1*sqrt2*w^(4/2))*x^6 + (117886*sqrt2 + -43634*sqrt2*w)*x^6*phi^2 + -623764*sqrt2*x^6*phi^4 + (3308*sqrt2 + -1636*sqrt2*w)*x^7*phi + -96016*sqrt2*x^7*phi^3 + (1*sqrt2 + -1/2*sqrt2*w)*x^8 + -6561/2*sqrt2*x^8*phi^2 + -1*sqrt2*x^9*phi",
+    "(orders >= -9)",
+)
+
+GOLDEN_RAISING_W_SYMBOLIC_DEPTH6 = (
+    "d^1: -1/2*sqrt2",
+    "d^0: 1/2*sqrt2*x",
+    "d^-1: (-1*sqrt2 + 1/2*sqrt2*w) + 1/2*sqrt2*phi^2 + 1*sqrt2*x*phi",
+    "d^-2: 1/2*sqrt2*phi^3 + (1*sqrt2 + -1/2*sqrt2*w)*x + 3/2*sqrt2*x*phi^2 + 1*sqrt2*x^2*phi",
+    "d^-3: (-1/2*sqrt2*w + 1/4*sqrt2*w^(4/2)) + (-3/2*sqrt2 + 1/2*sqrt2*w)*phi^2 + 1*sqrt2*phi^4 + (-3*sqrt2 + 1*sqrt2*w)*x*phi + 4*sqrt2*x*phi^3 + (-1*sqrt2 + 1/2*sqrt2*w)*x^2 + 9/2*sqrt2*x^2*phi^2 + 1*sqrt2*x^3*phi",
+    "d^-4: (4*sqrt2 + -2*sqrt2*w)*phi + (-11/2*sqrt2 + 3/2*sqrt2*w)*phi^3 + 3*sqrt2*phi^5 + (2*sqrt2 + -1/2*sqrt2*w + -1/4*sqrt2*w^(4/2))*x + (-27/2*sqrt2 + 7/2*sqrt2*w)*x*phi^2 + 15*sqrt2*x*phi^4 + (-5*sqrt2 + 1*sqrt2*w)*x^2*phi + 49/2*sqrt2*x^2*phi^3 + (1*sqrt2 + -1/2*sqrt2*w)*x^3 + 27/2*sqrt2*x^3*phi^2 + 1*sqrt2*x^4*phi",
+    "d^-5: (-3*sqrt2 + 5/2*sqrt2*w + -1*sqrt2*w^(4/2) + 1/4*sqrt2*w^(6/2)) + (33/2*sqrt2 + -9*sqrt2*w + 3/4*sqrt2*w^(4/2))*phi^2 + (-26*sqrt2 + 6*sqrt2*w)*phi^4 + 12*sqrt2*phi^6 + (17*sqrt2 + -10*sqrt2*w + 3/2*sqrt2*w^(4/2))*x*phi + (-90*sqrt2 + 20*sqrt2*w)*x*phi^3 + 72*sqrt2*x*phi^5 + (-4*sqrt2 + 1*sqrt2*w + 1/2*sqrt2*w^(4/2))*x^2 + (-81*sqrt2 + 17*sqrt2*w)*x^2*phi^2 + 154*sqrt2*x^2*phi^4 + (-10*sqrt2 + 2*sqrt2*w)*x^3*phi + 136*sqrt2*x^3*phi^3 + (-1*sqrt2 + 1/2*sqrt2*w)*x^4 + 81/2*sqrt2*x^4*phi^2 + 1*sqrt2*x^5*phi",
+    "d^-6: (-24*sqrt2 + 20*sqrt2*w + -4*sqrt2*w^(4/2))*phi + (237/2*sqrt2 + -55*sqrt2*w + 15/4*sqrt2*w^(4/2))*phi^3 + (-150*sqrt2 + 30*sqrt2*w)*phi^5 + 60*sqrt2*phi^7 + (7*sqrt2 + -1/2*sqrt2*w + -1*sqrt2*w^(4/2) + -1/4*sqrt2*w^(6/2))*x + (487/2*sqrt2 + -115*sqrt2*w + 41/4*sqrt2*w^(4/2))*x*phi^2 + (-670*sqrt2 + 130*sqrt2*w)*x*phi^4 + 420*sqrt2*x*phi^6 + (69*sqrt2 + -38*sqrt2*w + 11/2*sqrt2*w^(4/2))*x^2*phi + (-939*sqrt2 + 175*sqrt2*w)*x^2*phi^3 + 1110*sqrt2*x^2*phi^5 + (8*sqrt2 + -3*sqrt2*w + -1/2*sqrt2*w^(4/2))*x^3 + (-405*sqrt2 + 71*sqrt2*w)*x^3*phi^2 + 1350*sqrt2*x^3*phi^4 + (-14*sqrt2 + 2*sqrt2*w)*x^4*phi + 1441/2*sqrt2*x^4*phi^3 + (1*sqrt2 + -1/2*sqrt2*w)*x^5 + 243/2*sqrt2*x^5*phi^2 + 1*sqrt2*x^6*phi",
+    "d^-7: (1*sqrt2 + -21/2*sqrt2*w + 29/4*sqrt2*w^(4/2) + -7/4*sqrt2*w^(6/2) + 5/16*sqrt2*w^(8/2)) + (-627/2*sqrt2 + 427/2*sqrt2*w + -131/4*sqrt2*w^(4/2) + 5/4*sqrt2*w^(6/2))*phi^2 + (967*sqrt2 + -390*sqrt2*w + 45/2*sqrt2*w^(4/2))*phi^4 + (-1020*sqrt2 + 180*sqrt2*w)*phi^6 + 360*sqrt2*phi^8 + (-259*sqrt2 + 203*sqrt2*w + -91/2*sqrt2*w^(4/2) + 5/2*sqrt2*w^(6/2))*x*phi + (2934*sqrt2 + -1190*sqrt2*w + 84*sqrt2*w^(4/2))*x*phi^3 + (-5580*sqrt2 + 960*sqrt2*w)*x*phi^5 + 2880*sqrt2*x*phi^7 + (-33*sqrt2 + 27/2*sqrt2*w + 3/4*sqrt2*w^(6/2))*x^2 + (4351/2*sqrt2 + -917*sqrt2*w + 353/4*sqrt2*w^(4/2))*x^2*phi^2 + (-10618*sqrt2 + 1770*sqrt2*w)*x^2*phi^4 + 9060*sqrt2*x^2*phi^6 + (175*sqrt2 + -106*sqrt2*w + 41/2*sqrt2*w^(4/2))*x^3*phi + (-7982*sqrt2 + 1276*sqrt2*w)*x^3*phi^3 + 14040*sqrt2*x^3*phi^5 + (-12*sqrt2 + 9/2*sqrt2*w + 3/4*sqrt2*w^(4/2))*x^4 + (-3645/2*sqrt2 + 547/2*sqrt2*w)*x^4*phi^2 + 10891*sqrt2*x^4*phi^4 + (-21*sqrt2 + 3*sqrt2*w)*x^5*phi + 3724*sqrt2*x^5*phi^3 + (-1*sqrt2 + 1/2*sqrt2*w)*x^6 + 729/2*sqrt2*x^6*phi^2 + 1*sqrt2*x^7*phi",
+    "d^-8: (396*sqrt2 + -366*sqrt2*w + 102*sqrt2*w^(4/2) + -9*sqrt2*w^(6/2))*phi + (-7575/2*sqrt2 + 4501/2*sqrt2*w + -1127/4*sqrt2*w^(4/2) + 35/4*sqrt2*w^(6/2))*phi^3 + (8841*sqrt2 + -3150*sqrt2*w + 315/2*sqrt2*w^(4/2))*phi^5 + (-7980*sqrt2 + 1260*sqrt2*w)*phi^7 + 2520*sqrt2*phi^9 + (77*sqrt2 + -81/2*sqrt2*w + 31/4*sqrt2*w^(4/2) + -11/4*sqrt2*w^(6/2) + -5/16*sqrt2*w^(8/2))*x + (-13023/2*sqrt2 + 8229/2*sqrt2*w + -2655/4*sqrt2*w^(4/2) + 99/4*sqrt2*w^(6/2))*x*phi^2 + (35553*sqrt2 + -12670*sqrt2*w + 1491/2*sqrt2*w^(4/2))*x*phi^4 + (-51660*sqrt2 + 7980*sqrt2*w)*x*phi^6 + 22680*sqrt2*x*phi^8 + (-1273*sqrt2 + 1103*sqrt2*w + -577/2*sqrt2*w^(4/2) + 29/2*sqrt2*w^(6/2))*x^2*phi + (86743/2*sqrt2 + -15673*sqrt2*w + 4613/4*sqrt2*w^(4/2))*x^2*phi^3 + (-124194*sqrt2 + 18690*sqrt2*w)*x^2*phi^5 + 82740*sqrt2*x^2*phi^7 + (69*sqrt2 + -39/2*sqrt2*w + -6*sqrt2*w^(4/2) + -3/4*sqrt2*w^(6/2))*x^3 + (30449/2*sqrt2 + -5887*sqrt2*w + 2467/4*sqrt2*w^(4/2))*x^3*phi^2 + (-133854*sqrt2 + 19502*sqrt2*w)*x^3*phi^4 + 155820*sqrt2*x^3*phi^6 + (471*sqrt2 + -312*sqrt2*w + 129/2*sqrt2*w^(4/2))*x^4*phi + (-120705/2*sqrt2 + 16849/2*sqrt2*w)*x^4*phi^3 + 159033*sqrt2*x^4*phi^5 + (18*sqrt2 + -15/2*sqrt2*w + -3/4*sqrt2*w^(4/2))*x^5 + (-15309/2*sqrt2 + 2005/2*sqrt2*w)*x^5*phi^2 + 83685*sqrt2*x^5*phi^4 + (-27*sqrt2 + 3*sqrt2*w)*x^6*phi + 37969/2*sqrt2*x^6*phi^3 + (1*sqrt2 + -1/2*sqrt2*w)*x^7 + 2187/2*sqrt2*x^7*phi^2 + 1*sqrt2*x^8*phi",
+    "d^-9: (-107*sqrt2 + 211/2*sqrt2*w + -57*sqrt2*w^(4/2) + 20*sqrt2*w^(6/2) + -25/8*sqrt2*w^(8/2) + 7/16*sqrt2*w^(10/2)) + (16859/2*sqrt2 + -6642*sqrt2*w + 1418*sqrt2*w^(4/2) + -100*sqrt2*w^(6/2) + 35/16*sqrt2*w^(8/2))*phi^2 + (-47748*sqrt2 + 25172*sqrt2*w + -2674*sqrt2*w^(4/2) + 70*sqrt2*w^(6/2))*phi^4 + (89544*sqrt2 + -28560*sqrt2*w + 1260*sqrt2*w^(4/2))*phi^6 + (-70560*sqrt2 + 10080*sqrt2*w)*phi^8 + 20160*sqrt2*phi^10 + (4731*sqrt2 + -4820*sqrt2*w + 1524*sqrt2*w^(4/2) + -144*sqrt2*w^(6/2) + 35/8*sqrt2*w^(8/2))*x*phi + (-127172*sqrt2 + 69344*sqrt2*w + -8922*sqrt2*w^(4/2) + 268*sqrt2*w^(6/2))*x*phi^3 + (448896*sqrt2 + -142800*sqrt2*w + 7224*sqrt2*w^(4/2))*x*phi^5 + (-527520*sqrt2 + 73920*sqrt2*w)*x*phi^7 + 201600*sqrt2*x*phi^9 + (-212*sqrt2 + 18*sqrt2*w + 41*sqrt2*w^(4/2) + -1*sqrt2*w^(6/2) + 5/4*sqrt2*w^(8/2))*x^2 + (-78410*sqrt2 + 47014*sqrt2*w + -8017*sqrt2*w^(4/2) + 293*sqrt2*w^(6/2))*x^2*phi^2 + (766156*sqrt2 + -244776*sqrt2*w + 14770*sqrt2*w^(4/2))*x^2*phi^4 + (-1532496*sqrt2 + 210000*sqrt2*w)*x^2*phi^6 + 836640*sqrt2*x^2*phi^8 + (-5732*sqrt2 + 5164*sqrt2*w + -1402*sqrt2*w^(4/2) + 74*sqrt2*w^(6/2))*x^3*phi + (498328*sqrt2 + -163128*sqrt2*w + 12592*sqrt2*w^(4/2))*x^3*phi^3 + (-2155440*sqrt2 + 287616*sqrt2*w)*x^3*phi^5 + 1854720*sqrt2*x^3*phi^7 + (-162*sqrt2 + 63*sqrt2*w + 6*sqrt2*w^(4/2) + 3/2*sqrt2*w^(6/2))*x^4 + (91891*sqrt2 + -33438*sqrt2*w + 7673/2*sqrt2*w^(4/2))*x^4*phi^2 + (-1476108*sqrt2 + 190596*sqrt2*w)*x^4*phi^4 + 2350152*sqrt2*x^4*phi^6 + (1158*sqrt2 + -876*sqrt2*w + 201*sqrt2*w^(4/2))*x^5*phi + (-423324*sqrt2 + 52344*sqrt2*w)*x^5*phi^3 + 1682352*sqrt2*x^5*phi^5 + (-24*sqrt2 + 10*sqrt2*w + 1*sqrt2*w^(4/2))*x^6 + (-30618*sqrt2 + 3554*sqrt2*w)*x^6*phi^2 + 623764*sqrt2*x^6*phi^4 + (-36*sqrt2 + 4*sqrt2*w)*x^7*phi + 96016*sqrt2*x^7*phi^3 + (-1*sqrt2 + 1/2*sqrt2*w)*x^8 + 6561/2*sqrt2*x^8*phi^2 + 1*sqrt2*x^9*phi",
+    "(orders >= -9)",
+)
+
+GOLDEN_INV_SQRT_BRACKET_DEPTH8 = (
+    "d^-1: 1",
+    "d^-3: 1/2 + 1/2*x^2",
+    "d^-4: -3/2*x",
+    "d^-5: 17/8 + 3/4*x^2 + 3/8*x^4",
+    "d^-6: -15/4*x + -15/4*x^3",
+    "d^-7: 115/16 + 295/16*x^2 + 15/16*x^4 + 5/16*x^6",
+    "(orders >= -8)",
+)
+
+GOLDEN_PRODUCT_RESIDUAL = "0  (orders >= -8)"
+GOLDEN_PRODUCT_VALID_FLOOR = -8
