@@ -12,62 +12,62 @@ import math
 
 import numpy as np
 
-import isoladder as il
+from isoladder import fock, isospectral as iso, numerics
 
 LAM = 2.0
 N = 64
 
 # --- the deformation function ------------------------------------------------
 
-params = il.IsospectralParams(LAM)
-grid = il.build_grid(N)
-phi = il.PhiFunction(params)
+params = iso.IsospectralParams(LAM)
+grid = numerics.build_grid(N)
+phi = iso.PhiFunction(params)
 
-print(f"phi at the origin equals 1/lambda: {il.phi_lambda(0.0, params):.6f} vs {1 / LAM:.6f}")
-print(f"Gaussian decay: phi(8) = {il.phi_lambda(8.0, params):.3e}")
+print(f"phi at the origin equals 1/lambda: {phi(0.0):.6f} vs {1 / LAM:.6f}")
+print(f"Gaussian decay: phi(8) = {phi(8.0):.3e}")
 
 # phi' is finite-differenced independently, so this is a genuine check that
 # phi' + 2 x phi + phi^2 = 0:
-print(f"Riccati residual over the grid: {il.riccati_residual(params, grid):.3e}")
+print(f"Riccati residual over the grid: {iso.riccati_residual(params, grid):.3e}")
 
 # --- the theta basis and the unitary intertwiner ------------------------------
 
-basis = il.theta_wavefunctions(params, grid, N)
+basis = iso.ThetaBasis(params, grid, N)
 gram = basis.theta @ (grid.weights[None, :] * basis.theta).T
 print(f"\ntheta orthonormality residual: {np.max(np.abs(gram[:59, :59] - np.eye(N)[:59, :59])):.3e}")
 closed = math.sqrt((LAM**2 - math.pi / 4) / math.sqrt(math.pi))
 print(f"theta_0 normalization constant {basis.theta0_norm:.12f} (closed form {closed:.12f})")
 
-u = il.u_matrix(basis)
+u = iso.u_matrix(basis)
 print(f"unitarity of U: {np.max(np.abs(u.mat.conj().T @ u.mat - np.eye(N))):.3e}")
-print(f"raw overlap-matrix defect (the psi-tail beyond truncation): {il.unitarity_defect(basis):.3e}")
+print(f"raw overlap-matrix defect (the psi-tail beyond truncation): {iso.unitarity_defect(basis):.3e}")
 
 # --- the deformed ladder pair and Hamiltonian ---------------------------------
 
-b = il.b_matrix(basis)
-a = il.annihilation_matrix(N)
+b = iso.b_matrix(basis)
+a = fock.annihilation_matrix(N)
 print(f"\nbb+ - aa+ (should vanish): {np.max(np.abs(b.mat @ b.mat.conj().T - a.mat @ a.mat.conj().T)):.3e}")
-print(f"b+ b - a+ a (should NOT vanish): {np.max(np.abs(il.h_tilde_matrix(basis).mat - np.diag(np.arange(float(N))))):.3f}")
+print(f"b+ b - a+ a (should NOT vanish): {np.max(np.abs(iso.h_tilde_matrix(basis).mat - np.diag(np.arange(float(N))))):.3f}")
 
-evals, _ = il.hermitian_eigensystem(il.h_tilde_matrix(basis))
+evals, _ = fock.hermitian_eigensystem(iso.h_tilde_matrix(basis))
 print(f"lowest 10 eigenvalues of b+ b: {np.round(evals[:10], 9)}")
 print(f"largest deviation from 0..39:  {np.max(np.abs(evals[:40] - np.arange(40.0))):.3e}")
 
 # --- the earlier lowering operator and its coherent states --------------------
 
-a_theta = il.b_dagger_a_b_matrix(basis)
+a_theta = iso.b_dagger_a_b_matrix(basis)
 print(f"\nb+ a b in the theta basis kills theta_0 and theta_1: "
       f"{np.linalg.norm(a_theta.mat[:, 0]):.1e}, {np.linalg.norm(a_theta.mat[:, 1]):.1e}")
 print(f"its superdiagonal starts (n-1) sqrt(n): {np.round(np.real(np.diag(a_theta.mat, 1))[:5], 6)}")
 
 z = 0.8 + 0.3j
-cs = il.b_dagger_a_b_cs(z, basis)
-fill = il.b_dagger_a_b_fill(N, basis.tag)
+cs = iso.b_dagger_a_b_cs(z, basis)
+fill = iso.b_dagger_a_b_fill(N, basis.tag)
 residual = np.linalg.norm(fill.mat @ cs.coeffs - z * cs.coeffs)
 print(f"annihilation-eigenstate residual at z = {z}: {residual:.3e}")
 
 alpha = 1.0 + 0.5j
-img_cs = il.unitary_image_cs(alpha, basis)
+img_cs = iso.unitary_image_cs(alpha, basis)
 a_tilde = u.mat @ a.mat @ u.mat.conj().T
 fock = u.mat @ img_cs.coeffs
 print(f"unitary-image CS residual at alpha = {alpha}: "
@@ -76,7 +76,7 @@ print(f"unitary-image CS residual at alpha = {alpha}: "
 # --- the lambda -> infinity degeneration ---------------------------------------
 
 for lam in (1e2, 1e4, 1e6):
-    big = il.theta_wavefunctions(il.IsospectralParams(lam), grid, N)
-    dev = np.max(np.abs(il.u_matrix(big).mat - np.eye(N))[:59, :59])
+    big = iso.ThetaBasis(iso.IsospectralParams(lam), grid, N)
+    dev = np.max(np.abs(iso.u_matrix(big).mat - np.eye(N))[:59, :59])
     print(f"lambda = {lam:8.0e}:  max |U - I| interior = {dev:.3e}")
 print("everything collapses onto the plain oscillator, linearly in 1/lambda.")

@@ -12,92 +12,92 @@ import math
 
 import numpy as np
 
-import isoladder as il
+from isoladder import coherent, fock, ladder
 
-TAG = il.theta_tag(2.0)
+TAG = fock.theta_tag(2.0)
 N = 64
 
 # --- eigenstates of the lowering operator -------------------------------------
 
 zeta = 1.0 + 0.5j
 print(f"eigen-residual of |zeta> at zeta = {zeta}:")
-for weights in (il.constant_weights(2.0), il.distorted_weights(0.5), il.linear_weights()):
-    low, _ = il.ladder_matrices(weights, N, TAG)
-    cs = il.cs_vector(il.CSSpec(zeta, weights, N), TAG)
+for weights in (ladder.constant_weights(2.0), ladder.distorted_weights(0.5), ladder.linear_weights()):
+    low, _ = ladder.ladder_matrices(weights, N, TAG)
+    cs = coherent.cs_vector(coherent.CSSpec(zeta, weights, N), TAG)
     moved = low.mat @ cs.coeffs
     print(f"  {weights.label():18s} norm 1{cs.norm() - 1.0:+.1e}   "
           f"residual {np.linalg.norm(moved - zeta * cs.coeffs):.3e}")
 
 # the construction refuses rather than silently truncating:
 try:
-    il.cs_vector(il.CSSpec(zeta, il.constant_weights(1.0), 12), TAG)
-except il.TruncationError as exc:
+    coherent.cs_vector(coherent.CSSpec(zeta, ladder.constant_weights(1.0), 12), TAG)
+except coherent.TruncationError as exc:
     print(f"tiny truncation refused: {exc}")
 
 # --- normalization function and radius of convergence ---------------------------
 
-print(f"\nh(t) for unit weights is e^t: h(2) = {il.normalization_h(2.0, il.constant_weights(1.0)):.12f}")
+print(f"\nh(t) for unit weights is e^t: h(2) = {coherent.normalization_h(2.0, ladder.constant_weights(1.0)):.12f}")
 w = 2.0
 print(f"h(t) for the single-weight case is w/(w-t): h(1.5) = "
-      f"{il.normalization_h(1.5, il.single_weight(w)):.12f} vs {w / (w - 1.5):.12f}")
+      f"{coherent.normalization_h(1.5, ladder.single_weight(w)):.12f} vs {w / (w - 1.5):.12f}")
 try:
-    il.normalization_h(2.5, il.single_weight(w))
-except il.DivergenceError as exc:
+    coherent.normalization_h(2.5, ladder.single_weight(w))
+except coherent.DivergenceError as exc:
     print(f"beyond the radius it refuses: {exc}")
 
 # --- order of the entire-function family -----------------------------------------
 
 print("\ngrowth classification (rho = entire-function order):")
 cases = [
-    ("constant w=2", il.constant_weights(2.0)),
-    ("distorted w=1/2", il.distorted_weights(0.5)),
-    ("linear", il.linear_weights()),
-    ("power nu=3", il.power_law_weights(3.0)),
-    ("geometric q=1.2", il.geometric_weights(1.2)),
-    ("geometric q=0.5", il.geometric_weights(0.5)),
-    ("single w=2", il.single_weight(2.0)),
+    ("constant w=2", ladder.constant_weights(2.0)),
+    ("distorted w=1/2", ladder.distorted_weights(0.5)),
+    ("linear", ladder.linear_weights()),
+    ("power nu=3", ladder.power_law_weights(3.0)),
+    ("geometric q=1.2", ladder.geometric_weights(1.2)),
+    ("geometric q=0.5", ladder.geometric_weights(0.5)),
+    ("single w=2", ladder.single_weight(2.0)),
 ]
 for label, weights in cases:
-    est = il.order_estimate(weights)
+    est = coherent.order_estimate(weights)
     if est.entire:
         print(f"  {label:18s} entire, rho = {est.rho:.4f}")
     else:
         print(f"  {label:18s} NOT entire, |zeta| radius = {est.radius:.4f}")
 
-chk = il.q_factorial(2.0, 3)
+chk = coherent.q_factorial(2.0, 3)
 print(f"\nq-factorial identity at q=2, n=3: product {chk.product_side:.0f}, "
       f"telescoped {chk.closed_side:.0f} (both 168)")
 
 # --- Bargmann transform -------------------------------------------------------------
 
-weights = il.constant_weights(1.0)
-psi = il.StateVector(np.eye(N)[1], TAG)  # theta_1 itself
-vals = il.bargmann_transform(psi, weights, [0.3, 1.0 + 1.0j, -2.0])
+weights = ladder.constant_weights(1.0)
+psi = fock.StateVector(np.eye(N)[1], TAG)  # theta_1 itself
+vals = coherent.bargmann_transform(psi, weights, [0.3, 1.0 + 1.0j, -2.0])
 print(f"theta_1 maps to the constant function 1: {np.round(vals, 12)}")
 
-cs = il.cs_vector(il.CSSpec(0.9 + 0.3j, weights, N), TAG)
+cs = coherent.cs_vector(coherent.CSSpec(0.9 + 0.3j, weights, N), TAG)
 for z in (0.5, 1.2j):
-    val = il.bargmann_transform(cs, weights, [z])[0]
-    bound = math.sqrt(il.normalization_h(abs(z) ** 2, weights))
+    val = coherent.bargmann_transform(cs, weights, [z])[0]
+    bound = math.sqrt(coherent.normalization_h(abs(z) ** 2, weights))
     print(f"|Psi({z})| = {abs(val):.6f} <= h^(1/2) bound {bound:.6f}")
 
 # --- displacement operator and generalized CS ----------------------------------------
 
-low, high = il.ladder_matrices(il.constant_weights(1.0), N, TAG)
+low, high = ladder.ladder_matrices(ladder.constant_weights(1.0), N, TAG)
 zeta = 0.7 - 0.2j
-d = il.displacement_operator(zeta, low, high)
+d = coherent.displacement_operator(zeta, low, high)
 moved = d.mat @ np.eye(N)[1]
-cs = il.cs_vector(il.CSSpec(zeta, il.constant_weights(1.0), N), TAG)
+cs = coherent.cs_vector(coherent.CSSpec(zeta, ladder.constant_weights(1.0), N), TAG)
 print(f"\nD(zeta) theta_1 vs the eigenstate construction: {np.linalg.norm(moved - cs.coeffs):.3e}")
 print(f"unitarity of D on the interior window: "
       f"{np.max(np.abs((d.mat.conj().T @ d.mat - np.eye(N))[:59, :59])):.3e}")
 
-h1 = il.h_tilde_1(low, high)
+h1 = coherent.h_tilde_1(low, high)
 print(f"a1+ a1 diagonal starts {np.round(np.real(np.diag(h1.mat))[:6], 12)} (0, 0, then 1, 2, ...)")
 print(f"|zeta> is the displaced ground state: "
       f"{np.linalg.norm((d.mat @ h1.mat @ d.mat.conj().T) @ cs.coeffs):.3e}")
 
 for n in (2, 3):
-    ladder_route, displaced_route = il.generalized_cs(zeta, n, low, high)
+    ladder_route, displaced_route = coherent.generalized_cs(zeta, n, low, high)
     dev = np.linalg.norm(ladder_route.coeffs - displaced_route.normalized().coeffs)
     print(f"generalized CS n = {n}: two constructions agree to {dev:.3e}")

@@ -5,97 +5,6 @@ constructions of shift operators, distorted Heisenberg algebras and the
 coherent states they generate, verified against each other throughout.
 """
 
-from .numerics import (
-    QuadratureGrid,
-    HermiteFunctionTable,
-    erf,
-    erfc,
-    hermite_function,
-    build_grid,
-    hermite_table,
-    inner_product,
-    grid_norm,
-)
-from .fock import (
-    BasisTag,
-    FOCK,
-    theta_tag,
-    BasisMismatchError,
-    TruncatedOperator,
-    StateVector,
-    annihilation_matrix,
-    creation_matrix,
-    number_matrix,
-    identity_matrix,
-    adjoint,
-    commutator,
-    op_norm_inf,
-    hermitian_eigensystem,
-    apply_spectral_function,
-    apply_operator,
-)
-from .isospectral import (
-    IsospectralParams,
-    ParameterError,
-    PhiFunction,
-    phi_lambda,
-    riccati_residual,
-    ThetaBasis,
-    theta_wavefunctions,
-    u_matrix,
-    u_overlap_raw,
-    unitarity_defect,
-    b_matrix,
-    b_dagger_matrix,
-    h_tilde_matrix,
-    b_dagger_a_b_matrix,
-    b_dagger_a_b_fill,
-    b_dagger_a_b_cs,
-    unitary_image_cs,
-)
-from .ladder import (
-    WeightError,
-    WeightSequence,
-    constant_weights,
-    distorted_weights,
-    linear_weights,
-    single_weight,
-    geometric_weights,
-    power_law_weights,
-    custom_weights,
-    CoefficientTable,
-    generalized_double_factorial,
-    c_coefficients_recursive,
-    c_coefficients_closed,
-    ShiftOperator,
-    shift_matrix,
-    ladder_fill,
-    ladder_matrices,
-    transport_to_theta,
-    represent_in_theta,
-    closed_form_case,
-    case_weights,
-    resolvent_inv_sqrt,
-)
-from .coherent import (
-    CSSpec,
-    OrderEstimate,
-    DivergenceError,
-    TruncationError,
-    WeightSequenceTooShort,
-    d_coefficients,
-    log_d_coefficients,
-    normalization_h,
-    cs_vector,
-    bargmann_transform,
-    order_estimate,
-    q_factorial,
-    radius_of_convergence,
-    displacement_operator,
-    generalized_cs,
-    h_tilde_1,
-)
-from . import pdo
-from . import report
+from . import numerics, fock, isospectral, ladder, coherent, pdo, report
 
 __version__ = "0.1.0"

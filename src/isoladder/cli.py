@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coherent, isospectral, ladder, pdo, report
-from .fock import FOCK, apply_operator, commutator, hermitian_eigensystem, interior_block
+from .fock import FOCK, commutator, hermitian_eigensystem
 from .numerics import build_grid
 
 __all__ = ["RunConfig", "ConfigError", "main"]
@@ -149,7 +149,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     N = config.trunc
     params = isospectral.IsospectralParams(config.lam)
     grid = build_grid(N)
-    basis = isospectral.theta_wavefunctions(params, grid, N)
+    basis = isospectral.ThetaBasis(params, grid, N)
     u = isospectral.u_matrix(basis)
     h_tilde = isospectral.h_tilde_matrix(basis)
     evals, _ = hermitian_eigensystem(h_tilde)
@@ -186,32 +186,13 @@ def cmd_commutator(config: RunConfig) -> int:
     weights = config.weights()
     params = isospectral.IsospectralParams(config.lam)
     grid = build_grid(N)
-    basis = isospectral.theta_wavefunctions(params, grid, N)
+    basis = isospectral.ThetaBasis(params, grid, N)
     u = isospectral.u_matrix(basis)
-    target = np.zeros(N)
-    target[1:] = weights.weight_array(N - 1)
-
-    def block(comm_mat):
-        inner = interior_block(comm_mat)
-        k = inner.shape[0]
-        tgt = target[:k]
-        scale = np.maximum(1.0, np.abs(tgt))
-        diag = np.real(np.diag(inner))
-        resid = float(np.max(np.abs(diag - tgt) / scale))
-        off = float(np.max(np.abs(inner - np.diag(np.diag(inner)))))
-        return {
-            "diagonal": [float(v) for v in diag],
-            "target": [float(v) for v in tgt],
-            "residual": resid,
-            "offdiagonal_max": off,
-        }
-
     low, high = ladder.ladder_matrices(weights, N, FOCK)
-    fock_block = block(commutator(low, high).mat)
-    low_t = ladder.transport_to_theta(low, u, basis.tag)
-    high_t = ladder.transport_to_theta(high, u, basis.tag)
-    comm_theta = ladder.represent_in_theta(commutator(low_t, high_t), u, basis.tag)
-    theta_block = block(comm_theta.mat)
+    fock_block = report._commutator_diagonal(commutator(low, high).mat, weights)
+    theta_block = report._commutator_diagonal(
+        report._theta_route_commutator(low, high, u, basis.tag), weights
+    )
     ok = fock_block["residual"] < 1e-12 and theta_block["residual"] < 1e-6
     text = to_json({
         "weights": weights.label(),
@@ -231,10 +212,7 @@ def cmd_coherent(config: RunConfig) -> int:
     sizes = sorted({48, 64, 96, config.trunc})
     rows = []
     for N in sizes:
-        low, _ = ladder.ladder_matrices(weights, N, FOCK)
-        cs = coherent.cs_vector(coherent.CSSpec(zeta, weights, N), FOCK)
-        moved = apply_operator(low, cs)
-        rows.append({"N": N, "residual": float(np.linalg.norm(moved.coeffs - zeta * cs.coeffs))})
+        rows.append({"N": N, "residual": report._cs_residual(weights, zeta, N, FOCK)})
     ok = rows[-1]["residual"] < 1e-6
     text = to_json({
         "weights": weights.label(),
@@ -271,10 +249,7 @@ def cmd_pdo(config: RunConfig) -> int:
     checks.append(("lowering_raising_product_identity", rep["a1_a1dag_ok"]))
     checks.append(("raising_lowering_product_identity", rep["a1dag_a1_ok"]))
     prefactor, bracket = pdo.inv_sqrt_one_plus_h(8)
-    want_m3 = (pdo.CoeffPoly.x(2) + pdo.CoeffPoly.scalar(pdo.SymbolicScalar.rational(1))) * Fraction(1, 2)
-    want_m4 = pdo.CoeffPoly.x() * Fraction(-3, 2)
-    checks.append(("inv_sqrt_bracket_d-3", bracket.coefficient(-3) == want_m3))
-    checks.append(("inv_sqrt_bracket_d-4", bracket.coefficient(-4) == want_m4))
+    checks += report._inv_sqrt_bracket_checks(bracket)
     ok = all(flag for _, flag in checks)
     text = to_json({
         "w": config.w,

@@ -6,8 +6,10 @@ function order / radius-of-convergence estimation from the growth of the
 partial-sum products; and, for unit weights, the unitary displacement
 operator and the Perelomov-type generalized coherent states.
 
-All W products are accumulated as sums of logarithms so q > 1 sequences
-survive out to n = 10^4 without overflow.
+One weighted-shift routine, _shift_eigenvector, builds these states and the
+two coherent-state families of isospectral, all under one tail guard.  All
+W products are accumulated as sums of logarithms so q > 1 sequences survive
+out to n = 10^4 without overflow.
 """
 
 from __future__ import annotations
@@ -151,21 +153,26 @@ def normalization_h(t: float, weights: WeightSequence, rel_tol: float = 1e-12) -
                 return total
 
 
-def cs_vector(spec: CSSpec, tag) -> StateVector:
-    """h^{-1/2} sum_n d_n^{1/2} zeta^n theta_{n+1} as a theta-tagged vector.
+def _shift_eigenvector(log_d: np.ndarray, zeta: complex, start: int,
+                       h: float | None = None) -> np.ndarray:
+    """Normalized eigenvector, eigenvalue zeta, of a one-superdiagonal weighted shift.
 
-    Refuses (TruncationError) when the dropped tail d_N |zeta|^{2N} exceeds
-    1e-24 of h rather than silently truncating.
+    The shift maps basis vector start + n to sqrt(W_n) times vector
+    start + n - 1; log_d[n] = -log(W_1 ... W_n) for n = 0 .. N, and the
+    result has length N with h^{-1/2} d_n^{1/2} zeta^n at index start + n.
+    h = sum_n d_n |zeta|^{2n} is the squared norm of the untruncated vector;
+    when it is not given it is summed over n = 0 .. N, which suffices for
+    weights W_n that grow without bound.  Refuses (TruncationError) when the
+    dropped tail d_N |zeta|^{2N} exceeds 1e-24 of h rather than silently
+    truncating.
     """
-    N = spec.N
-    zeta = complex(spec.zeta)
+    N = len(log_d) - 1
+    zeta = complex(zeta)
     t = abs(zeta) ** 2
-    h = normalization_h(t, spec.weights)
-    logd = log_d_coefficients(spec.weights, N + 1)
-    if len(logd) < N + 1:
-        logd = np.concatenate((logd, np.full(N + 1 - len(logd), -math.inf)))
+    if h is None:
+        h = math.fsum(math.exp(v) for v in log_d + np.arange(N + 1) * math.log(t)) if t else 1.0
     if t > 0:
-        log_tail = logd[N] + N * math.log(t)
+        log_tail = log_d[N] + N * math.log(t)
         if log_tail - math.log(h) >= math.log(1e-24):
             raise TruncationError(
                 f"dropped tail exp({log_tail - math.log(h):.1f}) of h exceeds 1e-24; "
@@ -173,13 +180,26 @@ def cs_vector(spec: CSSpec, tag) -> StateVector:
             )
     coeffs = np.zeros(N, dtype=complex)
     pref = 1.0 / math.sqrt(h)
-    for n in range(N - 1):
+    for n in range(N - start):
         if zeta == 0 and n > 0:
             break
-        mag = math.exp(0.5 * logd[n] + (n * math.log(abs(zeta)) if n else 0.0))
+        mag = math.exp(0.5 * log_d[n] + (n * math.log(abs(zeta)) if n else 0.0))
         phase = (zeta / abs(zeta)) ** n if n else 1.0
-        coeffs[n + 1] = pref * mag * phase
-    return StateVector(coeffs, tag)
+        coeffs[start + n] = pref * mag * phase
+    return coeffs
+
+
+def cs_vector(spec: CSSpec, tag) -> StateVector:
+    """h^{-1/2} sum_n d_n^{1/2} zeta^n theta_{n+1} as a theta-tagged vector.
+
+    Built by _shift_eigenvector, which refuses a dropped tail beyond 1e-24 of h.
+    """
+    N = spec.N
+    h = normalization_h(abs(complex(spec.zeta)) ** 2, spec.weights)
+    logd = log_d_coefficients(spec.weights, N + 1)
+    if len(logd) < N + 1:
+        logd = np.concatenate((logd, np.full(N + 1 - len(logd), -math.inf)))
+    return StateVector(_shift_eigenvector(logd, spec.zeta, 1, h), tag)
 
 
 def bargmann_transform(psi: StateVector, weights: WeightSequence, samples) -> list:

@@ -5,12 +5,16 @@ ladder pair into b = (x + d + phi)/sqrt(2), b^dagger = (x - d + phi)/sqrt(2).
 This module builds the theta eigenbasis of b^dagger b in position space, the
 unitary intertwiner U between the Fock and theta families, the matrices of
 b, b^dagger, b^dagger b and the earlier lowering operator b^dagger a b, and
-the two coherent-state families attached to them.
+the two coherent-state families attached to them.  Both families are built
+by the same weighted-shift eigenvector routine as coherent.cs_vector, with
+the same 1e-24 relative tail guard.
 
 The overlap matrix <psi_m, theta_n> computed at finite truncation is not
 exactly unitary (theta_n keeps a small psi-tail beyond the truncation), so
 u_matrix returns its symmetric Lowdin orthonormalization; the raw overlaps
 and their unitarity defect stay available for diagnostics.
+
+phi's denominator takes numerics.erf over a whole grid in one call.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coherent import _shift_eigenvector
 from .fock import (
     FOCK,
     StateVector,
@@ -35,10 +40,8 @@ __all__ = [
     "ParameterError",
     "IsospectralParams",
     "PhiFunction",
-    "phi_lambda",
     "riccati_residual",
     "ThetaBasis",
-    "theta_wavefunctions",
     "u_matrix",
     "u_overlap_raw",
     "unitarity_defect",
@@ -72,12 +75,6 @@ class IsospectralParams:
             )
 
 
-def _erf_values(x):
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return erf(float(x))
-    return np.array([erf(float(t)) for t in np.asarray(x)])
-
-
 @dataclass(frozen=True)
 class PhiFunction:
     """phi(x) = exp(-x^2) / (lambda + (sqrt(pi)/2) erf(x)) and its exact derivative."""
@@ -85,7 +82,7 @@ class PhiFunction:
     params: IsospectralParams
 
     def denominator(self, x):
-        return self.params.lam + (SQRT_PI / 2.0) * _erf_values(x)
+        return self.params.lam + (SQRT_PI / 2.0) * erf(x)
 
     def value(self, x):
         x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
@@ -98,11 +95,6 @@ class PhiFunction:
         return -2.0 * x * p - p * p
 
     __call__ = value
-
-
-def phi_lambda(x: float, p: IsospectralParams) -> float:
-    """phi evaluated at one point; denominator bounded away from zero by the guard."""
-    return float(PhiFunction(p).value(float(x)))
 
 
 def riccati_residual(
@@ -144,7 +136,7 @@ class ThetaBasis:
         self.phi_fn = PhiFunction(params)
 
         x = grid.points
-        self.psi = hermite_table(grid, N - 1).values
+        self.psi = hermite_table(x, N - 1)
         self.g_values = self.phi_fn.denominator(x)
         self.phi_values = np.exp(-x * x) / self.g_values
         self.phi_prime_values = -2.0 * x * self.phi_values - self.phi_values**2
@@ -161,19 +153,11 @@ class ThetaBasis:
         self._raw_overlap = None
         self._u = None
 
-    def theta_state(self, n: int) -> np.ndarray:
-        return self.theta[n]
-
     def _overlaps(self) -> np.ndarray:
         if self._raw_overlap is None:
             w = self.grid.weights
             self._raw_overlap = self.psi @ (w[None, :] * self.theta).T
         return self._raw_overlap
-
-
-def theta_wavefunctions(p: IsospectralParams, grid: QuadratureGrid, N: int) -> ThetaBasis:
-    """Build the theta table; see ThetaBasis."""
-    return ThetaBasis(p, grid, N)
 
 
 def u_overlap_raw(basis: ThetaBasis) -> TruncatedOperator:
@@ -242,39 +226,24 @@ def b_dagger_a_b_fill(N: int, tag) -> TruncatedOperator:
 def b_dagger_a_b_cs(z: complex, basis: ThetaBasis, N: int | None = None) -> StateVector:
     """Normalized eigenstate of b^dagger a b built on theta_1.
 
-    Coefficients proportional to z^n / (n! sqrt((n+1)!)) on theta_{n+1}.
+    The operator maps theta_{n+1} to n sqrt(n+1) theta_n, a weighted shift with
+    W_n = n^2 (n+1): coefficients proportional to z^n / (n! sqrt((n+1)!)) on
+    theta_{n+1}.
     """
     N = basis.N if N is None else int(N)
-    z = complex(z)
-    tail = abs(z) ** N * math.exp(-math.lgamma(N + 1) - 0.5 * math.lgamma(N + 2))
-    if tail >= 1e-14:
-        raise ValueError(f"truncation tail {tail:.3e} >= 1e-14; increase N for |z| = {abs(z):.3g}")
-    coeffs = np.zeros(N, dtype=complex)
-    for n in range(N - 1):
-        log_mag = n * math.log(abs(z)) if z != 0 else (-math.inf if n else 0.0)
-        log_scale = -math.lgamma(n + 1) - 0.5 * math.lgamma(n + 2)
-        phase = z**n / abs(z) ** n if z != 0 and n else 1.0
-        coeffs[n + 1] = phase * math.exp(log_mag + log_scale)
-    vec = StateVector(coeffs, basis.tag)
-    return vec.normalized()
+    n = np.arange(1.0, N + 1)
+    log_d = np.concatenate(([0.0], -np.cumsum(np.log(n * n * (n + 1.0)))))
+    return StateVector(_shift_eigenvector(log_d, z, 1), basis.tag)
 
 
 def unitary_image_cs(alpha: complex, basis: ThetaBasis, N: int | None = None) -> StateVector:
-    """exp(-|alpha|^2/2) sum_n alpha^n / sqrt(n!) theta_n: the unitary image U|alpha>."""
+    """exp(-|alpha|^2/2) sum_n alpha^n / sqrt(n!) theta_n: the unitary image U|alpha>.
+
+    On the theta indices U a U^dagger is the weighted shift with W_n = n.
+    """
     N = basis.N if N is None else int(N)
-    alpha = complex(alpha)
-    tail = math.exp(-0.5 * abs(alpha) ** 2) * abs(alpha) ** N * math.exp(-0.5 * math.lgamma(N + 1))
-    if tail >= 1e-14:
-        raise ValueError(f"truncation tail {tail:.3e} >= 1e-14; increase N for |alpha| = {abs(alpha):.3g}")
-    coeffs = np.zeros(N, dtype=complex)
-    pref = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(N):
-        if alpha == 0:
-            coeffs[n] = pref if n == 0 else 0.0
-        else:
-            phase = alpha**n / abs(alpha) ** n if n else 1.0
-            coeffs[n] = pref * phase * math.exp(n * math.log(abs(alpha)) - 0.5 * math.lgamma(n + 1))
-    return StateVector(coeffs, basis.tag)
+    log_d = np.concatenate(([0.0], -np.cumsum(np.log(np.arange(1.0, N + 1)))))
+    return StateVector(_shift_eigenvector(log_d, alpha, 0), basis.tag)
 
 
 def theta_curvature_table(basis: ThetaBasis) -> np.ndarray:

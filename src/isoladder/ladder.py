@@ -36,7 +36,6 @@ __all__ = [
     "power_law_weights",
     "custom_weights",
     "CoefficientTable",
-    "generalized_double_factorial",
     "c_coefficients_recursive",
     "c_coefficients_closed",
     "ShiftOperator",
@@ -177,23 +176,6 @@ def power_law_weights(nu: float) -> WeightSequence:
 
 def custom_weights(values) -> WeightSequence:
     return WeightSequence("custom", values=tuple(float(v) for v in values))
-
-
-def generalized_double_factorial(W: list, n: int) -> float:
-    """Product W_n * W_{n-2} * W_{n-4} * ... down to index >= 1; empty product = 1.
-
-    W is the list of partial sums with W[k-1] = W_k.
-    """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    if n > len(W):
-        raise IndexError(f"need partial sums up to {n}, have {len(W)}")
-    out = 1.0
-    k = n
-    while k >= 1:
-        out *= W[k - 1]
-        k -= 2
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Special functions and quadrature primitives for position-space work.
 
 Everything in this module is pure and deterministic: fixed composite-trapezoid
-grids, a self-contained error function (power series plus continued-fraction
-complement), and the numerically stable Hermite-function recurrence.  No
-adaptivity anywhere, so results are reproducible run to run.
+grids, the error function (the standard library's, elementwise over arrays),
+and the numerically stable Hermite-function recurrence.  No adaptivity
+anywhere, so results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -18,91 +18,25 @@ SQRT_PI = math.sqrt(math.pi)
 __all__ = [
     "SQRT_PI",
     "QuadratureGrid",
-    "HermiteFunctionTable",
     "erf",
-    "erfc",
-    "hermite_function",
     "build_grid",
-    "hermite_values",
     "hermite_table",
-    "inner_product",
     "grid_norm",
 ]
 
 
-def _erf_series(x: float) -> float:
-    # All-positive rearrangement erf(x) = (2/sqrt(pi)) e^{-x^2} sum_k (2x^2)^k x / (2k+1)!!
-    # -- no alternating-sign cancellation, full double precision up to |x| ~ 3.
-    x2 = 2.0 * x * x
-    term = x
-    total = term
-    for k in range(1, 600):
-        term *= x2 / (2 * k + 1)
-        total += term
-        if term < 1e-18 * total:
-            break
-    return (2.0 / SQRT_PI) * math.exp(-x * x) * total
+def erf(x):
+    """Error function (2/sqrt(pi)) * integral of exp(-t^2) from 0 to x, by math.erf.
 
-
-def _erfc_cf(x: float) -> float:
-    # Modified Lentz evaluation of erfc(x) = e^{-x^2}/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    # Used for x > 3 where the series would lose accuracy.
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
-    d = 0.0
-    for n in range(1, 400):
-        a_n = 0.5 * n
-        d = x + a_n * d
-        if abs(d) < tiny:
-            d = tiny
-        c = x + a_n / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x * x) / (SQRT_PI * f)
-
-
-def erf(x: float) -> float:
-    """Error function (2/sqrt(pi)) * integral of exp(-t^2) from 0 to x.
-
-    Odd in x by construction, absolute error below 1e-12 everywhere.
+    x is a number (the result is a float) or an array (the result has its
+    shape); non-finite input raises ValueError.
     """
-    if not math.isfinite(x):
+    values = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(values)):
         raise ValueError(f"erf requires finite x, got {x!r}")
-    ax = abs(x)
-    value = _erf_series(ax) if ax <= 3.0 else 1.0 - _erfc_cf(ax)
-    return -value if x < 0.0 else value
-
-
-def erfc(x: float) -> float:
-    """Complement 1 - erf(x), accurate also in the far tail."""
-    if not math.isfinite(x):
-        raise ValueError(f"erfc requires finite x, got {x!r}")
-    if x > 3.0:
-        return _erfc_cf(x)
-    return 1.0 - erf(x)
-
-
-def hermite_function(n: int, x: float) -> float:
-    """Normalized oscillator eigenfunction psi_n(x).
-
-    Uses the stable three-term recurrence
-    psi_{n+1} = x sqrt(2/(n+1)) psi_n - sqrt(n/(n+1)) psi_{n-1}.
-    """
-    if n < 0:
-        raise ValueError(f"hermite_function index must be >= 0, got {n}")
-    p0 = math.pi ** -0.25 * math.exp(-0.5 * x * x)
-    if n == 0:
-        return p0
-    p1 = math.sqrt(2.0) * x * p0
-    for k in range(1, n):
-        p0, p1 = p1, x * math.sqrt(2.0 / (k + 1)) * p1 - math.sqrt(k / (k + 1.0)) * p0
-    return p1
+    if values.ndim == 0:
+        return math.erf(values)
+    return np.fromiter(map(math.erf, values.flat), float, values.size).reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -144,16 +78,12 @@ def build_grid(N: int, nodes: int | None = None) -> QuadratureGrid:
     return QuadratureGrid(points=x, weights=w, half_width=half_width, node_count=count)
 
 
-@dataclass(frozen=True)
-class HermiteFunctionTable:
-    """psi_n(x_j) for 0 <= n <= max_index over the grid points."""
+def hermite_table(points: np.ndarray, max_index: int) -> np.ndarray:
+    """psi_0 .. psi_{max_index} on the points, by the stable recurrence.
 
-    max_index: int
-    values: np.ndarray  # shape (max_index + 1, node_count)
-
-
-def hermite_values(points: np.ndarray, max_index: int) -> np.ndarray:
-    """psi_0 .. psi_{max_index} on arbitrary points, vectorized recurrence."""
+    psi_{n+1} = x sqrt(2/(n+1)) psi_n - sqrt(n/(n+1)) psi_{n-1}; row n of the
+    result holds psi_n.
+    """
     if max_index < 0:
         raise ValueError(f"max_index must be >= 0, got {max_index}")
     x = np.asarray(points, dtype=float)
@@ -164,22 +94,6 @@ def hermite_values(points: np.ndarray, max_index: int) -> np.ndarray:
     for n in range(1, max_index):
         table[n + 1] = x * math.sqrt(2.0 / (n + 1)) * table[n] - math.sqrt(n / (n + 1.0)) * table[n - 1]
     return table
-
-
-def hermite_table(grid: QuadratureGrid, max_index: int) -> HermiteFunctionTable:
-    """Tabulate psi_0 .. psi_{max_index} on the grid by the stable recurrence."""
-    return HermiteFunctionTable(max_index=max_index, values=hermite_values(grid.points, max_index))
-
-
-def inner_product(f: np.ndarray, g: np.ndarray, grid: QuadratureGrid) -> float:
-    """Quadrature inner product sum_j w_j f(x_j) g(x_j) (no conjugation)."""
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != (grid.node_count,) or g.shape != (grid.node_count,):
-        raise ValueError(
-            f"sample length mismatch: f {f.shape}, g {g.shape}, grid has {grid.node_count} nodes"
-        )
-    return float(np.sum(grid.weights * f * g))
 
 
 def grid_norm(f: np.ndarray, grid: QuadratureGrid) -> float:

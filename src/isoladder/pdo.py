@@ -36,8 +36,6 @@ __all__ = [
     "series_invert",
     "series_sqrt",
     "d_power",
-    "x_poly",
-    "phi_poly",
     "a_series",
     "a_dagger_series",
     "b_series",
@@ -592,28 +590,38 @@ def _leading_scalar(series: PDOSeries):
     return m, lead.terms[(0, 0)]
 
 
+def _match_orders(residual, x: PDOSeries, shift: int, scale: SymbolicScalar,
+                  depth: int, iterations: int, what: str) -> PDOSeries:
+    """Refine x order by order until residual(x) vanishes through order depth.
+
+    Each step puts the top residual coefficient, times scale, on x at that
+    order minus shift (the order at which it cancels the residual).
+    """
+    last_top = None
+    for _ in range(iterations):
+        err = residual(x)
+        if not err.terms:
+            return x
+        e = err.max_order
+        if last_top is not None and e >= last_top:
+            raise RuntimeError(f"{what} failed to make progress")
+        last_top = e
+        if e - shift < depth:
+            return x
+        new_terms = dict(x.terms)
+        new_terms[e - shift] = new_terms.get(e - shift, CoeffPoly()) + err.terms[e] * scale
+        x = PDOSeries(new_terms, floor=depth, exact=False)
+    raise RuntimeError(f"{what} did not converge")
+
+
 def series_invert(a: PDOSeries, depth: int) -> PDOSeries:
     """B with A B = 1 through the retained orders, by order-by-order matching."""
     m, lead = _leading_scalar(a)
     inv_lead = lead.inverse()
     b = PDOSeries({-m: CoeffPoly.scalar(inv_lead)}, floor=depth, exact=False)
     one = PDOSeries.one(floor=depth)
-    last_top = None
-    for _ in range(4 * (abs(m) + abs(depth)) + 16):
-        err = one - series_multiply(a, b)
-        if not err.terms:
-            return b
-        e = err.max_order
-        if last_top is not None and e >= last_top:
-            raise RuntimeError("inversion failed to make progress")
-        last_top = e
-        if e - m < depth:
-            return b
-        correction = err.terms[e] * inv_lead
-        new_terms = dict(b.terms)
-        new_terms[e - m] = new_terms.get(e - m, CoeffPoly()) + correction
-        b = PDOSeries(new_terms, floor=depth, exact=False)
-    raise RuntimeError("inversion did not converge")
+    return _match_orders(lambda x: one - series_multiply(a, x), b, m, inv_lead,
+                         depth, 4 * (abs(m) + abs(depth)) + 16, "inversion")
 
 
 def series_sqrt(a: PDOSeries, depth: int) -> PDOSeries:
@@ -624,36 +632,13 @@ def series_sqrt(a: PDOSeries, depth: int) -> PDOSeries:
         raise ValueError(f"leading order {m2} is odd; no series square root")
     m = m2 // 2
     q0 = lead.sqrt()
-    half_inv = (q0 * 2).inverse()
     q = PDOSeries({m: CoeffPoly.scalar(q0)}, floor=depth, exact=False)
-    last_top = None
-    for _ in range(4 * (abs(m2) + abs(depth)) + 16):
-        err = a - series_multiply(q, q)
-        if not err.terms:
-            return q
-        e = err.max_order
-        if last_top is not None and e >= last_top:
-            raise RuntimeError("square root failed to make progress")
-        last_top = e
-        if e - m < depth:
-            return q
-        correction = err.terms[e] * half_inv
-        new_terms = dict(q.terms)
-        new_terms[e - m] = new_terms.get(e - m, CoeffPoly()) + correction
-        q = PDOSeries(new_terms, floor=depth, exact=False)
-    raise RuntimeError("square root did not converge")
+    return _match_orders(lambda x: a - series_multiply(x, x), q, m, (q0 * 2).inverse(),
+                         depth, 4 * (abs(m2) + abs(depth)) + 16, "square root")
 
 
 def d_power(order: int, floor: int = -DEFAULT_DEPTH) -> PDOSeries:
     return PDOSeries.monomial(order, _P_ONE, floor=floor)
-
-
-def x_poly(power: int = 1, floor: int = -DEFAULT_DEPTH) -> PDOSeries:
-    return PDOSeries.monomial(0, CoeffPoly.x(power), floor=floor)
-
-
-def phi_poly(power: int = 1, floor: int = -DEFAULT_DEPTH) -> PDOSeries:
-    return PDOSeries.monomial(0, CoeffPoly.phi(power), floor=floor)
 
 
 def a_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:

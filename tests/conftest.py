@@ -1,6 +1,6 @@
 import pytest
 
-from isoladder.isospectral import IsospectralParams, theta_wavefunctions
+from isoladder.isospectral import IsospectralParams, ThetaBasis
 from isoladder.numerics import build_grid
 
 
@@ -11,4 +11,4 @@ def grid64():
 
 @pytest.fixture(scope="session")
 def basis64(grid64):
-    return theta_wavefunctions(IsospectralParams(2.0), grid64, 64)
+    return ThetaBasis(IsospectralParams(2.0), grid64, 64)

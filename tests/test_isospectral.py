@@ -13,6 +13,7 @@ from isoladder.isospectral import (
     IsospectralParams,
     ParameterError,
     PhiFunction,
+    ThetaBasis,
     b_dagger_a_b_matrix,
     b_dagger_matrix,
     b_matrix,
@@ -20,15 +21,14 @@ from isoladder.isospectral import (
     b_dagger_a_b_fill,
     h_tilde_matrix,
     unitary_image_cs,
-    phi_lambda,
     riccati_residual,
     theta_curvature_table,
-    theta_wavefunctions,
     u_matrix,
     u_overlap_raw,
     unitarity_defect,
 )
-from isoladder.numerics import SQRT_PI, build_grid, grid_norm, hermite_values, inner_product
+from isoladder.coherent import TruncationError
+from isoladder.numerics import SQRT_PI, build_grid, grid_norm, hermite_table
 
 
 def simpson_integral_0_to_1(f, n=2001):
@@ -52,15 +52,15 @@ class TestParams:
 class TestPhi:
     def test_value_at_origin(self):
         for lam in (1.0, 2.0, -3.0):
-            assert phi_lambda(0.0, IsospectralParams(lam)) == pytest.approx(1.0 / lam)
+            assert PhiFunction(IsospectralParams(lam))(0.0) == pytest.approx(1.0 / lam)
 
     def test_gaussian_decay(self):
-        assert phi_lambda(8.0, IsospectralParams(2.0)) < 1e-27
+        assert PhiFunction(IsospectralParams(2.0))(8.0) < 1e-27
 
     def test_value_at_one_vs_quadrature_oracle(self):
         integral = simpson_integral_0_to_1(lambda y: np.exp(-(y**2)))
         expected = math.exp(-1.0) / (2.0 + integral)
-        assert abs(phi_lambda(1.0, IsospectralParams(2.0)) - expected) < 1e-6
+        assert abs(PhiFunction(IsospectralParams(2.0))(1.0) - expected) < 1e-6
         assert expected == pytest.approx(0.133929, abs=1e-6)
 
     def test_sign_symmetry(self, grid64):
@@ -85,7 +85,7 @@ class TestRiccati:
 
 class TestThetaBasis:
     def test_large_lambda_reduces_to_oscillator(self, grid64):
-        basis = theta_wavefunctions(IsospectralParams(1e6), grid64, 64)
+        basis = ThetaBasis(IsospectralParams(1e6), grid64, 64)
         dev = float(np.max(np.abs(basis.theta - basis.psi)))
         assert dev < 1e-5
 
@@ -112,7 +112,7 @@ class TestThetaBasis:
 
     @pytest.mark.parametrize("lam", [1.0, 2.0, 10.0])
     def test_gram_orthonormality(self, lam, grid64):
-        basis = theta_wavefunctions(IsospectralParams(lam), grid64, 64)
+        basis = ThetaBasis(IsospectralParams(lam), grid64, 64)
         gram = basis.theta @ (grid64.weights[None, :] * basis.theta).T
         dev = np.max(np.abs(gram[:59, :59] - np.eye(64)[:59, :59]))
         assert dev < 1e-8
@@ -121,8 +121,8 @@ class TestThetaBasis:
         # position-space b+ psi_{n-1} with finite-difference derivative, all n <= N-5
         h = 1e-5
         x = basis64.grid.points
-        up = hermite_values(x + h, 58)
-        down = hermite_values(x - h, 58)
+        up = hermite_table(x + h, 58)
+        down = hermite_table(x - h, 58)
         for n in range(1, 60):
             deriv = (up[n - 1] - down[n - 1]) / (2 * h)
             action = (x * basis64.psi[n - 1] - deriv + basis64.phi_values * basis64.psi[n - 1]) / math.sqrt(2.0)
@@ -131,11 +131,11 @@ class TestThetaBasis:
 
     def test_rejects_small_basis(self, grid64):
         with pytest.raises(ValueError):
-            theta_wavefunctions(IsospectralParams(2.0), grid64, 1)
+            ThetaBasis(IsospectralParams(2.0), grid64, 1)
 
     def test_negative_lambda_family(self, grid64):
         # the branch lambda < -sqrt(pi)/2 is admissible and behaves identically
-        basis = theta_wavefunctions(IsospectralParams(-2.0), grid64, 64)
+        basis = ThetaBasis(IsospectralParams(-2.0), grid64, 64)
         gram = basis.theta @ (grid64.weights[None, :] * basis.theta).T
         assert np.max(np.abs(gram[:59, :59] - np.eye(64)[:59, :59])) < 1e-8
         evals, _ = hermitian_eigensystem(h_tilde_matrix(basis))
@@ -156,19 +156,19 @@ class TestUMatrix:
         vals = []
         for nodes in (2000, 8000):
             grid = build_grid(64, nodes=nodes)
-            basis = theta_wavefunctions(p, grid, 64)
+            basis = ThetaBasis(p, grid, 64)
             vals.append(u_matrix(basis).mat[0, 0])
         assert abs(vals[0] - vals[1]) < 1e-9
 
     def test_u00_matches_raw_overlap_in_deep_interior(self, basis64):
         raw = u_overlap_raw(basis64).mat[0, 0]
         polar = u_matrix(basis64).mat[0, 0]
-        overlap = inner_product(basis64.psi[0], basis64.theta[0], basis64.grid)
+        overlap = np.sum(basis64.grid.weights * basis64.psi[0] * basis64.theta[0])
         assert raw == pytest.approx(overlap, abs=1e-13)
         assert polar == pytest.approx(overlap, abs=1e-7)
 
     def test_large_lambda_u_is_identity(self, grid64):
-        basis = theta_wavefunctions(IsospectralParams(1e6), grid64, 64)
+        basis = ThetaBasis(IsospectralParams(1e6), grid64, 64)
         u = u_matrix(basis)
         assert interior_max_abs(u.mat - np.eye(64)) < 1e-5
 
@@ -205,7 +205,7 @@ class TestHTilde:
         assert np.max(np.abs(evals[:40] - np.arange(40.0))) < 1e-6
 
     def test_large_lambda_limit(self, grid64):
-        basis = theta_wavefunctions(IsospectralParams(1e6), grid64, 64)
+        basis = ThetaBasis(IsospectralParams(1e6), grid64, 64)
         ht = h_tilde_matrix(basis)
         assert interior_max_abs(ht.mat - np.diag(np.arange(64.0))) < 1e-4
 
@@ -223,7 +223,7 @@ class TestHTilde:
         # residuals shrink at least linearly in 1/lambda over 1e2, 1e4, 1e6
         devs = []
         for lam in (1e2, 1e4, 1e6):
-            basis = theta_wavefunctions(IsospectralParams(lam), grid64, 64)
+            basis = ThetaBasis(IsospectralParams(lam), grid64, 64)
             devs.append(interior_max_abs(u_matrix(basis).mat - np.eye(64)))
         assert devs[1] < 2.0 * devs[0] / 100.0
         assert devs[2] < 2.0 * devs[1] / 100.0
@@ -275,6 +275,16 @@ class TestCompositeLoweringCS:
         with pytest.raises(ValueError):
             b_dagger_a_b_cs(80.0, basis64, N=8)
 
+    def test_tail_guard_is_relative_1e24(self, basis64):
+        # the dropped term d_N |z|^{2N} = |z|^16 / ((8!)^2 9!) sits above 1e-24 of
+        # h (h < 2 here) but below 1e-14
+        z, N = 0.35, 8
+        tail = abs(z) ** (2 * N) / (math.factorial(N) ** 2 * math.factorial(N + 1))
+        assert 2e-24 < tail < 1e-14
+        with pytest.raises(TruncationError):
+            b_dagger_a_b_cs(z, basis64, N=N)
+        assert b_dagger_a_b_cs(z, basis64, N=12).norm() == pytest.approx(1.0, abs=1e-14)
+
 
 class TestUnitaryImageCS:
     def test_zero_is_theta0(self, basis64):
@@ -301,3 +311,17 @@ class TestUnitaryImageCS:
 
     def test_unit_norm(self, basis64):
         assert unitary_image_cs(1.2 - 0.7j, basis64).norm() == pytest.approx(1.0, abs=1e-10)
+
+    def test_tail_guard_is_relative_1e24(self, basis64):
+        # the dropped term |alpha|^{2N} / N! sits above 1e-24 of h = exp(|alpha|^2) but below 1e-14
+        alpha, N = 0.08 + 0.0j, 8
+        tail = abs(alpha) ** (2 * N) / math.factorial(N)
+        assert 1e-24 * math.exp(abs(alpha) ** 2) < tail < 1e-14
+        with pytest.raises(TruncationError):
+            unitary_image_cs(alpha, basis64, N=N)
+        assert unitary_image_cs(alpha, basis64, N=12).norm() == pytest.approx(1.0, abs=1e-14)
+
+    def test_large_alpha_refused_not_zeroed(self, basis64):
+        # exp(-|alpha|^2/2) underflows here; the state must still be refused, not returned as zero
+        with pytest.raises(TruncationError):
+            unitary_image_cs(30.0, basis64, N=16)

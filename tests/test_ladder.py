@@ -25,7 +25,6 @@ from isoladder.ladder import (
     constant_weights,
     custom_weights,
     distorted_weights,
-    generalized_double_factorial,
     geometric_weights,
     ladder_fill,
     ladder_matrices,
@@ -66,23 +65,26 @@ class TestWeightSequence:
 
 
 class TestGeneralizedDoubleFactorial:
+    """The W_n!! = W_n W_{n-2} ... products inside c_n = ((n-1)!!/n!!) (W_n!!/W_{n-1}!!)."""
+
     def test_reduces_to_integer_double_factorial(self):
-        W = list(np.arange(1.0, 10.0))  # w = 1 so W_k = k
-        assert generalized_double_factorial(W, 6) == 48.0
+        # w = 1 so W_k = k: W_6!! = 48 = 6!!, W_5!! = 15 = 5!!, and c_6 = 1
+        c = c_coefficients_closed(constant_weights(1.0), 7).c
+        assert c[6] == pytest.approx((15.0 / 48.0) * (48.0 / 15.0), rel=1e-13)
 
     def test_single_factor(self):
-        assert generalized_double_factorial([4.0], 1) == 4.0
+        assert c_coefficients_closed(custom_weights([4.0]), 2).c[1] == pytest.approx(4.0, rel=1e-14)
 
     def test_linear_weights_n3(self):
-        W = [1.0, 3.0, 6.0]  # W_k = k(k+1)/2
-        assert generalized_double_factorial(W, 3) == 6.0
+        # W = 1, 3, 6: c_3 = (2!!/3!!) (W_3 W_1 / W_2) = (2/3)(6/3)
+        assert c_coefficients_closed(linear_weights(), 4).c[3] == pytest.approx(4.0 / 3.0, rel=1e-13)
 
     def test_empty_product(self):
-        assert generalized_double_factorial([], 0) == 1.0
+        assert list(c_coefficients_closed(linear_weights(), 1).c) == [1.0]
 
     def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            generalized_double_factorial([1.0], 3)
+        with pytest.raises(WeightError):
+            c_coefficients_closed(custom_weights([1.0]), 3)
 
 
 class TestCoefficients:
