@@ -25,7 +25,7 @@ print("note the low-order terms 1/2*(1+x^2) d^-3 and -3/2*x d^-4.\n")
 # product_identities expands the pair once and returns it with the residuals
 rep = pdo.product_identities(w=None, depth=6)
 low, high = rep["lowering"], rep["raising"]
-s2 = pdo.SymbolicScalar.sqrt2()
+s2 = pdo.CoeffPoly.sqrt2()
 print("sqrt2 * lowering operator (w symbolic), top orders:")
 for line in low.scale(s2).render().splitlines()[:4]:
     print(" ", line)

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import coherent, isospectral, ladder, pdo, report
 from .fock import FOCK, commutator, hermitian_eigensystem
-from .numerics import build_grid
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -147,17 +146,13 @@ def _emit(config: RunConfig, name: str, text: str):
 
 def cmd_spectrum(config: RunConfig) -> int:
     N = config.trunc
-    params = isospectral.IsospectralParams(config.lam)
-    grid = build_grid(N)
-    basis = isospectral.ThetaBasis(params, grid, N)
-    u = isospectral.u_matrix(basis)
-    h_tilde = isospectral.h_tilde_matrix(basis)
-    evals, _ = hermitian_eigensystem(h_tilde)
-    gram = basis.theta @ (grid.weights[None, :] * basis.theta).T
+    ctx = report._Context(config.lam, N)
+    evals, _ = hermitian_eigensystem(ctx.h_tilde)
+    gram = ctx.basis.theta @ (ctx.grid.weights[None, :] * ctx.basis.theta).T
     interior = max(N - 5, 1)
     rows = []
     ok = True
-    u_dev_mat = np.abs(u.mat - np.eye(N))
+    u_dev_mat = np.abs(ctx.u.mat - np.eye(N))
     for n in range(min(40, interior)):
         deviation = abs(float(evals[n]) - n)
         orth = float(np.max(np.abs(gram[n, :interior] - np.eye(N)[n, :interior])))
@@ -184,14 +179,11 @@ def cmd_spectrum(config: RunConfig) -> int:
 def cmd_commutator(config: RunConfig) -> int:
     N = config.trunc
     weights = config.weights()
-    params = isospectral.IsospectralParams(config.lam)
-    grid = build_grid(N)
-    basis = isospectral.ThetaBasis(params, grid, N)
-    u = isospectral.u_matrix(basis)
+    ctx = report._Context(config.lam, N)
     low, high = ladder.ladder_matrices(weights, N, FOCK)
     fock_block = report._commutator_diagonal(commutator(low, high).mat, weights)
     theta_block = report._commutator_diagonal(
-        report._theta_route_commutator(low, high, u, basis.tag), weights
+        report._theta_route_commutator(low, high, ctx.u, ctx.basis.tag), weights
     )
     ok = fock_block["residual"] < 1e-12 and theta_block["residual"] < 1e-6
     text = to_json({

@@ -66,7 +66,7 @@ class DivergenceError(ValueError):
 
 
 class TruncationError(ValueError):
-    """Dropped tail would exceed the 1e-24 relative guard."""
+    """The first dropped coefficient term would exceed 1e-24 of h."""
 
 
 class WeightSequenceTooShort(ValueError):
@@ -110,6 +110,13 @@ def d_coefficients(weights: WeightSequence, N: int) -> np.ndarray:
     return np.exp(log_d_coefficients(weights, N))
 
 
+def _check_convergence(t: float, weights: WeightSequence) -> None:
+    """DivergenceError when t sits at or beyond the squared radius of convergence."""
+    radius = radius_of_convergence(weights)
+    if math.isfinite(radius) and t >= radius * radius * (1.0 - 1e-12):
+        raise DivergenceError(t, radius)
+
+
 def normalization_h(t: float, weights: WeightSequence, rel_tol: float = 1e-12) -> float:
     """h(t) = sum_n d_n t^n with a certified geometric tail bound below rel_tol.
 
@@ -118,9 +125,7 @@ def normalization_h(t: float, weights: WeightSequence, rel_tol: float = 1e-12) -
     """
     if t < 0:
         raise ValueError(f"h is defined for t >= 0, got {t}")
-    radius = radius_of_convergence(weights)
-    if math.isfinite(radius) and t >= radius * radius * (1.0 - 1e-12):
-        raise DivergenceError(t, radius)
+    _check_convergence(t, weights)
     if t == 0.0:
         return 1.0
     total = 1.0
@@ -153,34 +158,33 @@ def normalization_h(t: float, weights: WeightSequence, rel_tol: float = 1e-12) -
                 return total
 
 
-def _shift_eigenvector(log_d: np.ndarray, zeta: complex, start: int,
-                       h: float | None = None) -> np.ndarray:
+def _shift_eigenvector(log_d: np.ndarray, zeta: complex, start: int) -> np.ndarray:
     """Normalized eigenvector, eigenvalue zeta, of a one-superdiagonal weighted shift.
 
     The shift maps basis vector start + n to sqrt(W_n) times vector
     start + n - 1; log_d[n] = -log(W_1 ... W_n) for n = 0 .. N, and the
-    result has length N with h^{-1/2} d_n^{1/2} zeta^n at index start + n.
-    h = sum_n d_n |zeta|^{2n} is the squared norm of the untruncated vector;
-    when it is not given it is summed over n = 0 .. N, which suffices for
-    weights W_n that grow without bound.  Refuses (TruncationError) when the
-    dropped tail d_N |zeta|^{2N} exceeds 1e-24 of h rather than silently
-    truncating.
+    result has length N with h^{-1/2} d_n^{1/2} zeta^n at index start + n
+    for the kept n = 0 .. N - start - 1.  h is the fsum of the kept terms
+    d_n |zeta|^{2n}, so the vector has unit norm.  Refuses (TruncationError)
+    when the first dropped term, n = N - start, exceeds 1e-24 of h rather
+    than silently truncating.
     """
     N = len(log_d) - 1
+    kept = N - start
     zeta = complex(zeta)
     t = abs(zeta) ** 2
-    if h is None:
-        h = math.fsum(math.exp(v) for v in log_d + np.arange(N + 1) * math.log(t)) if t else 1.0
+    h = 1.0
     if t > 0:
-        log_tail = log_d[N] + N * math.log(t)
-        if log_tail - math.log(h) >= math.log(1e-24):
+        log_terms = log_d[: kept + 1] + np.arange(kept + 1) * math.log(t)
+        h = math.fsum(math.exp(v) for v in log_terms[:kept])
+        if log_terms[kept] - math.log(h) >= math.log(1e-24):
             raise TruncationError(
-                f"dropped tail exp({log_tail - math.log(h):.1f}) of h exceeds 1e-24; "
+                f"first dropped term exp({log_terms[kept] - math.log(h):.1f}) of h exceeds 1e-24; "
                 f"increase N beyond {N} for |zeta| = {abs(zeta):g}"
             )
     coeffs = np.zeros(N, dtype=complex)
     pref = 1.0 / math.sqrt(h)
-    for n in range(N - start):
+    for n in range(kept):
         if zeta == 0 and n > 0:
             break
         mag = math.exp(0.5 * log_d[n] + (n * math.log(abs(zeta)) if n else 0.0))
@@ -192,14 +196,15 @@ def _shift_eigenvector(log_d: np.ndarray, zeta: complex, start: int,
 def cs_vector(spec: CSSpec, tag) -> StateVector:
     """h^{-1/2} sum_n d_n^{1/2} zeta^n theta_{n+1} as a theta-tagged vector.
 
-    Built by _shift_eigenvector, which refuses a dropped tail beyond 1e-24 of h.
+    Built by _shift_eigenvector, which refuses a first dropped term beyond
+    1e-24 of h; DivergenceError when |zeta| is at or beyond the radius.
     """
     N = spec.N
-    h = normalization_h(abs(complex(spec.zeta)) ** 2, spec.weights)
+    _check_convergence(abs(complex(spec.zeta)) ** 2, spec.weights)
     logd = log_d_coefficients(spec.weights, N + 1)
     if len(logd) < N + 1:
         logd = np.concatenate((logd, np.full(N + 1 - len(logd), -math.inf)))
-    return StateVector(_shift_eigenvector(logd, spec.zeta, 1, h), tag)
+    return StateVector(_shift_eigenvector(logd, spec.zeta, 1), tag)
 
 
 def bargmann_transform(psi: StateVector, weights: WeightSequence, samples) -> list:

@@ -111,9 +111,6 @@ class TruncatedOperator:
 
     __rmul__ = __mul__
 
-    def retag(self, basis: BasisTag) -> "TruncatedOperator":
-        return TruncatedOperator(self.mat, basis)
-
 
 @dataclass(frozen=True)
 class StateVector:

@@ -77,7 +77,7 @@ class IsospectralParams:
 
 @dataclass(frozen=True)
 class PhiFunction:
-    """phi(x) = exp(-x^2) / (lambda + (sqrt(pi)/2) erf(x)) and its exact derivative."""
+    """phi(x) = exp(-x^2) / (lambda + (sqrt(pi)/2) erf(x))."""
 
     params: IsospectralParams
 
@@ -87,12 +87,6 @@ class PhiFunction:
     def value(self, x):
         x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
         return np.exp(-(x**2)) / self.denominator(x)
-
-    def prime(self, x):
-        # Riccati identity, exact for the true solution: phi' = -2 x phi - phi^2
-        x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-        p = self.value(x)
-        return -2.0 * x * p - p * p
 
     __call__ = value
 

@@ -19,6 +19,7 @@ from .fock import (
     FOCK,
     BasisTag,
     TruncatedOperator,
+    _require_hermitian,
     adjoint,
     annihilation_matrix,
     apply_spectral_function,
@@ -375,9 +376,7 @@ def resolvent_inv_sqrt(x: TruncatedOperator, nodes: int = 200) -> TruncatedOpera
     independent of the spectral-calculus square root.
     """
     m = x.mat
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
-        raise ValueError("resolvent square root needs a Hermitian matrix")
+    _require_hermitian(m)
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:

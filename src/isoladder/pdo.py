@@ -2,21 +2,23 @@
 
 Finite sums sum_k p_k(x, phi) d^k with integer orders k_max >= k >= floor,
 where d^{-1} is the antiderivative with d^{-1}(f .) = sum (-1)^n f^(n) d^{-1-n}.
-Coefficients are polynomials in the two generators x and phi over an exact
-scalar field (rationals extended by i, sqrt2 and half-powers of the symbols
-w and q); differentiation reduces phi' through the Riccati relation
+Coefficients are polynomials in the two generators x and phi over the exact
+field of rationals extended by i, sqrt2 and half-powers of the symbol w;
+differentiation reduces phi' through the Riccati relation
 phi' = -2 x phi - phi^2, so no symbol beyond {x, phi} ever appears.
+
+One coefficient type, CoeffPoly, holds a flat dict keyed
+(x_deg, phi_deg, i, sqrt2, w_half) of exact rationals; a scalar is a
+CoeffPoly whose terms all have x and phi degree 0.  Products and
+derivatives work on that dict directly.
 
 Every series carries a floor (orders below it are dropped) and an exactness
 flag; multiplication computes the floor through which the product is valid
 given the operands' dropped tails, so "residual is identically zero through
 retained orders" is an honest statement.
 
-series_multiply turns each operand coefficient into one flat dict, keyed
-(x_deg, phi_deg, i, sqrt2, w_half, q_half), of integer numerators over a
-common denominator; it takes the Leibniz derivatives and sums on that form
-and builds the objects once at the end.  Rebuilding immutable objects on
-every + and * of the sum was nearly all of the cost of the exact checks.
+series_multiply scales each operand's coefficients to integer numerators
+over one common denominator, so its Leibniz sums run on integers only.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from fractions import Fraction
 
 __all__ = [
     "DEFAULT_DEPTH",
-    "SymbolicScalar",
     "CoeffPoly",
     "PDOSeries",
     "compose_dinv_f",
@@ -50,37 +51,47 @@ __all__ = [
 
 DEFAULT_DEPTH = 6
 
-# scalar basis keys: (i_parity, sqrt2_parity, w_half_exponent, q_half_exponent)
-_ONE_KEY = (0, 0, 0, 0)
+# coefficient keys: (x_deg, phi_deg, i_parity, sqrt2_parity, w_half_exponent)
+_ONE_KEY = (0, 0, 0, 0, 0)
 
 
 def _mul_keys(k1, k2):
-    """Product of two basis keys: (key, integer factor) with i^2 = -1 and sqrt2^2 = 2.
-
-    The last four entries of a key are (i, sqrt2, w_half, q_half); any
-    leading entries (the x and phi degrees of a flat coefficient) add.
-    """
-    key = list(map(operator.add, k1, k2))
+    """Product of two keys: (key, integer factor) with i^2 = -1 and sqrt2^2 = 2."""
+    a, b, i, r, wh = map(operator.add, k1, k2)
     m = 1
-    if key[-4] >= 2:
-        key[-4] -= 2
+    if i >= 2:
+        i -= 2
         m = -1
-    if key[-3] >= 2:
-        key[-3] -= 2
+    if r >= 2:
+        r -= 2
         m *= 2
-    return tuple(key), m
+    return (a, b, i, r, wh), m
 
 
-class SymbolicScalar:
-    """Exact scalar: sum of terms rational * i^a * sqrt2^b * w^(c/2) * q^(e/2)."""
+def _accumulate(acc: dict, p: dict, q: dict, c) -> None:
+    """acc += c * p * q on coefficient term dicts."""
+    for k1, n1 in p.items():
+        n1 *= c
+        for k2, n2 in q.items():
+            key, m = _mul_keys(k1, k2)
+            acc[key] = acc.get(key, 0) + n1 * n2 * m
+
+
+class CoeffPoly:
+    """Polynomial in x and phi over Q(i, sqrt2, w^(1/2)).
+
+    terms maps (x_deg, phi_deg, i, sqrt2, w_half) to an exact rational (an
+    int or a Fraction); the term is value * x^x_deg * phi^phi_deg * i^i *
+    sqrt2^sqrt2 * w^(w_half/2).  Zero values are never stored.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {
-            key: frac if type(frac) is Fraction else Fraction(frac)
-            for key, frac in (terms or {}).items()
-            if frac
+            key: v if type(v) in (int, Fraction) else Fraction(v)
+            for key, v in (terms or {}).items()
+            if v
         }
 
     @classmethod
@@ -89,79 +100,94 @@ class SymbolicScalar:
 
     @classmethod
     def i_unit(cls):
-        return cls({(1, 0, 0, 0): Fraction(1)})
+        return cls({(0, 0, 1, 0, 0): Fraction(1)})
 
     @classmethod
     def sqrt2(cls):
-        return cls({(0, 1, 0, 0): Fraction(1)})
+        return cls({(0, 0, 0, 1, 0): Fraction(1)})
 
     @classmethod
     def w_power(cls, half_exponent: int):
-        return cls({(0, 0, half_exponent, 0): Fraction(1)})
+        return cls({(0, 0, 0, 0, half_exponent): Fraction(1)})
 
     @classmethod
-    def q_power(cls, half_exponent: int):
-        return cls({(0, 0, 0, half_exponent): Fraction(1)})
+    def x(cls, power=1):
+        return cls({(power, 0, 0, 0, 0): Fraction(1)})
+
+    @classmethod
+    def phi(cls, power=1):
+        return cls({(0, power, 0, 0, 0): Fraction(1)})
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, SymbolicScalar):
+        if not isinstance(other, CoeffPoly):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return SymbolicScalar(out)
+            out[k] = out.get(k, 0) + v
+        return CoeffPoly(out)
 
     def __neg__(self):
-        return SymbolicScalar({k: -v for k, v in self.terms.items()})
+        return CoeffPoly({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = SymbolicScalar.rational(other)
-        out = {}
-        for k1, f1 in self.terms.items():
-            for k2, f2 in other.terms.items():
-                key, m = _mul_keys(k1, k2)
-                out[key] = out.get(key, Fraction(0)) + f1 * f2 * m
-        return SymbolicScalar(out)
+            other = CoeffPoly.rational(other)
+        elif not isinstance(other, CoeffPoly):
+            return NotImplemented
+        acc = {}
+        _accumulate(acc, self.terms, other.terms, 1)
+        return CoeffPoly(acc)
 
     __rmul__ = __mul__
 
-    def is_monomial(self):
-        return len(self.terms) == 1
+    def diff(self):
+        """d/dx with the Riccati reduction phi' = -2 x phi - phi^2."""
+        out = {}
+        for key, n in self.terms.items():
+            a, b, rest = key[0], key[1], key[2:]
+            if a:
+                k = (a - 1, b) + rest
+                out[k] = out.get(k, 0) + n * a
+            if b:
+                k = (a + 1, b) + rest
+                out[k] = out.get(k, 0) - 2 * b * n
+                k = (a, b + 1) + rest
+                out[k] = out.get(k, 0) - b * n
+        return CoeffPoly(out)
+
+    def _single_scalar(self, what: str):
+        """(i, sqrt2, w_half, value) of the only term, which must have degree 0."""
+        if len(self.terms) != 1 or next(iter(self.terms))[:2] != (0, 0):
+            raise ValueError(f"can only {what} a single scalar term, got {self.render()}")
+        ((_, _, i, r, wh), f), = self.terms.items()
+        return i, r, wh, f
 
     def inverse(self):
-        """Inverse of a single-term scalar."""
-        if not self.is_monomial():
-            raise ValueError(f"can only invert monomial scalars, got {self.render()}")
-        ((i, r, wh, qh), f), = self.terms.items()
-        f = 1 / f
+        """Inverse of a single scalar term."""
+        i, r, wh, f = self._single_scalar("invert")
+        f = 1 / Fraction(f)
         if i:
             f = -f  # 1/i = -i
         if r:
             f = f / 2  # 1/sqrt2 = sqrt2/2
-        return SymbolicScalar({(i, r, -wh, -qh): f})
+        return CoeffPoly({(0, 0, i, r, -wh): f})
 
     def sqrt(self):
-        """Square root of a single-term scalar, when it stays inside the field."""
-        if not self.is_monomial():
-            raise ValueError(f"can only take sqrt of monomial scalars, got {self.render()}")
-        ((i, r, wh, qh), f), = self.terms.items()
+        """Square root of a single scalar term, when it stays inside the field."""
+        i, r, wh, f = self._single_scalar("take the square root of")
         if i or r:
             raise ValueError(f"sqrt of {self.render()} leaves the scalar field")
-        if wh % 2 or qh % 2:
-            raise ValueError(f"sqrt of {self.render()} needs quarter-powers of w or q")
+        if wh % 2:
+            raise ValueError(f"sqrt of {self.render()} needs quarter-powers of w")
         i_out = 0
         if f < 0:
             i_out = 1
@@ -180,155 +206,55 @@ class SymbolicScalar:
             raise ValueError(f"{self.render()} has no exact square root in the field")
         half, rem = divmod(pow2, 2)
         frac = Fraction(rn, rd) * Fraction(2) ** half
-        return SymbolicScalar({(i_out, rem, wh // 2, qh // 2): frac})
+        return CoeffPoly({(0, 0, i_out, rem, wh // 2): frac})
 
-    def substitute(self, w=None, q=None):
-        """Bind w and/or q to exact rationals (integer powers only)."""
+    def substitute_phi_zero(self):
+        return CoeffPoly({k: v for k, v in self.terms.items() if k[1] == 0})
+
+    def substitute(self, w):
+        """Bind w to an exact rational (integer powers only)."""
+        w = Fraction(w)
         out = {}
-        for (i, r, wh, qh), f in self.terms.items():
-            if w is not None and wh:
-                if wh % 2:
-                    raise ValueError("cannot bind w rationally at a half-integer power")
-                f = f * Fraction(w) ** (wh // 2)
-                wh = 0
-            if q is not None and qh:
-                if qh % 2:
-                    raise ValueError("cannot bind q rationally at a half-integer power")
-                f = f * Fraction(q) ** (qh // 2)
-                qh = 0
-            key = (i, r, wh, qh)
-            out[key] = out.get(key, Fraction(0)) + f
-        return SymbolicScalar(out)
+        for (a, b, i, r, wh), f in self.terms.items():
+            if wh % 2:
+                raise ValueError("cannot bind w rationally at a half-integer power")
+            key = (a, b, i, r, 0)
+            out[key] = out.get(key, 0) + f * w ** (wh // 2)
+        return CoeffPoly(out)
 
-    def evaluate(self, w=None, q=None) -> complex:
+    def evaluate(self, x=None, phi=None, w=None) -> complex:
+        """Numeric value; each of x, phi and w that occurs needs a value."""
+        w = None if w is None else float(w)
         total = 0j
-        for (i, r, wh, qh), f in self.terms.items():
-            v = complex(f)
-            if i:
-                v *= 1j
-            if r:
-                v *= math.sqrt(2.0)
-            if wh:
-                if w is None:
-                    raise ValueError("scalar contains w; supply a value")
-                v *= float(w) ** (wh / 2.0)
-            if qh:
-                if q is None:
-                    raise ValueError("scalar contains q; supply a value")
-                v *= float(q) ** (qh / 2.0)
+        for (a, b, i, r, wh), f in self.terms.items():
+            v = complex(f) * 1j**i * math.sqrt(2.0) ** r
+            for name, value, power in (("x", x, a), ("phi", phi, b), ("w", w, wh / 2)):
+                if power:
+                    if value is None:
+                        raise ValueError(f"coefficient contains {name}; supply a value")
+                    v *= value**power
             total += v
         return total
 
     def render(self) -> str:
+        """Monomials sorted by (x-deg, phi-deg), each with its scalar, bracketed
+        when it has more than one term."""
         if not self.terms:
             return "0"
-        pieces = []
+        groups: dict = {}
         for key in sorted(self.terms):
-            i, r, wh, qh = key
-            f = self.terms[key]
-            bits = [str(f)]
+            i, r, wh = key[2:]
+            bits = [str(self.terms[key])]
             if i:
                 bits.append("i")
             if r:
                 bits.append("sqrt2")
             if wh:
                 bits.append("w" if wh == 2 else f"w^({wh}/2)")
-            if qh:
-                bits.append("q" if qh == 2 else f"q^({qh}/2)")
-            pieces.append("*".join(bits))
-        return pieces[0] if len(pieces) == 1 else "(" + " + ".join(pieces) + ")"
-
-
-_S_ONE = SymbolicScalar.rational(1)
-_S_HALF = SymbolicScalar.rational(1, 2)
-_S_INV_SQRT2 = SymbolicScalar({(0, 1, 0, 0): Fraction(1, 2)})  # sqrt2/2 = 1/sqrt2
-
-
-class CoeffPoly:
-    """Polynomial in the generators x and phi with SymbolicScalar coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for key, s in (terms or {}).items():
-            if not isinstance(s, SymbolicScalar):
-                s = SymbolicScalar.rational(s)
-            if s:
-                self.terms[key] = s
-
-    @classmethod
-    def scalar(cls, s):
-        return cls({(0, 0): s})
-
-    @classmethod
-    def x(cls, power=1):
-        return cls({(power, 0): _S_ONE})
-
-    @classmethod
-    def phi(cls, power=1):
-        return cls({(0, power): _S_ONE})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, CoeffPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((k, frozenset(v.terms.items())) for k, v in self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, SymbolicScalar()) + v
-        return CoeffPoly(out)
-
-    def __neg__(self):
-        return CoeffPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, SymbolicScalar)):
-            s = other if isinstance(other, SymbolicScalar) else SymbolicScalar.rational(other)
-            return CoeffPoly({k: v * s for k, v in self.terms.items()})
-        out = {}
-        for (a1, b1), s1 in self.terms.items():
-            for (a2, b2), s2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, SymbolicScalar()) + s1 * s2
-        return CoeffPoly(out)
-
-    __rmul__ = __mul__
-
-    def diff(self):
-        """d/dx with the Riccati reduction phi' = -2 x phi - phi^2."""
-        den, (flat,) = _flatten([self])
-        return _poly_from_flat(_flat_diff(flat), den)
-
-    def substitute_phi_zero(self):
-        return CoeffPoly({k: v for k, v in self.terms.items() if k[1] == 0})
-
-    def substitute(self, w=None, q=None):
-        return CoeffPoly({k: v.substitute(w=w, q=q) for k, v in self.terms.items()})
-
-    def evaluate(self, x, phi, w=None, q=None) -> complex:
-        total = 0j
-        for (a, b), s in self.terms.items():
-            total += s.evaluate(w=w, q=q) * (x**a) * (phi**b)
-        return total
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
+            groups.setdefault(key[:2], []).append("*".join(bits))
         pieces = []
-        for a, b in sorted(self.terms):
-            s = self.terms[(a, b)]
-            bits = [s.render()]
+        for (a, b), scalars in groups.items():
+            bits = [scalars[0] if len(scalars) == 1 else "(" + " + ".join(scalars) + ")"]
             if a:
                 bits.append("x" if a == 1 else f"x^{a}")
             if b:
@@ -337,7 +263,10 @@ class CoeffPoly:
         return " + ".join(pieces)
 
 
-_P_ONE = CoeffPoly.scalar(_S_ONE)
+_P_ONE = CoeffPoly.rational(1)
+_INV_SQRT2 = CoeffPoly({(0, 0, 0, 1, 0): Fraction(1, 2)})  # sqrt2/2 = 1/sqrt2
+# phi' = -2 x phi - phi^2, the Riccati relation
+_PHI_PRIME = CoeffPoly({(1, 1, 0, 0, 0): Fraction(-2), (0, 2, 0, 0, 0): Fraction(-1)})
 
 
 class PDOSeries:
@@ -356,7 +285,7 @@ class PDOSeries:
         self.terms = {}
         for k, p in (terms or {}).items():
             if not isinstance(p, CoeffPoly):
-                p = CoeffPoly.scalar(SymbolicScalar.rational(p))
+                p = CoeffPoly.rational(p)
             if not p:
                 continue
             if k < self.floor:
@@ -367,10 +296,6 @@ class PDOSeries:
     @classmethod
     def monomial(cls, order, poly, floor=-DEFAULT_DEPTH):
         return cls({order: poly}, floor=floor, exact=True)
-
-    @classmethod
-    def zero(cls, floor=-DEFAULT_DEPTH):
-        return cls({}, floor=floor, exact=True)
 
     @classmethod
     def one(cls, floor=-DEFAULT_DEPTH):
@@ -384,8 +309,7 @@ class PDOSeries:
         return self.terms.get(order, CoeffPoly())
 
     def scale(self, s) -> "PDOSeries":
-        if not isinstance(s, SymbolicScalar):
-            s = SymbolicScalar.rational(s)
+        """s times the series, s a rational or a CoeffPoly (multiplied from the left)."""
         return PDOSeries({k: p * s for k, p in self.terms.items()}, self.floor, self.exact)
 
     def __add__(self, other):
@@ -402,12 +326,12 @@ class PDOSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, SymbolicScalar)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return series_multiply(self, other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, SymbolicScalar)):
+        if isinstance(other, (int, Fraction, CoeffPoly)):
             return self.scale(other)
         return NotImplemented
 
@@ -416,11 +340,8 @@ class PDOSeries:
             {k: p.substitute_phi_zero() for k, p in self.terms.items()}, self.floor, self.exact
         )
 
-    def substitute(self, w=None, q=None):
-        return PDOSeries({k: p.substitute(w=w, q=q) for k, p in self.terms.items()}, self.floor, self.exact)
-
-    def is_zero_through_floor(self) -> bool:
-        return not self.terms
+    def substitute(self, w):
+        return PDOSeries({k: p.substitute(w) for k, p in self.terms.items()}, self.floor, self.exact)
 
     def render(self) -> str:
         """Canonical text: descending orders, monomials sorted by (x-deg, phi-deg)."""
@@ -443,51 +364,14 @@ def _combine_add(a: PDOSeries, b: PDOSeries):
     return max(a.floor, b.floor), False
 
 
-def _flatten(polys) -> tuple[int, list[dict]]:
-    """Flat forms of coefficients: integer numerators over one common denominator.
-
-    Each coefficient becomes {(x_deg, phi_deg, i, sqrt2, w_half, q_half): int}.
-    """
-    flats = [
-        {xy + key: f for xy, s in poly.terms.items() for key, f in s.terms.items()}
-        for poly in polys
+def _flatten(polys) -> tuple[int, list[CoeffPoly]]:
+    """The coefficients as integer numerators over their least common denominator."""
+    polys = list(polys)
+    den = math.lcm(*(f.denominator for p in polys for f in p.terms.values()))
+    return den, [
+        CoeffPoly({k: f.numerator * (den // f.denominator) for k, f in p.terms.items()})
+        for p in polys
     ]
-    den = math.lcm(*(f.denominator for flat in flats for f in flat.values()))
-    return den, [{k: f.numerator * (den // f.denominator) for k, f in flat.items()} for flat in flats]
-
-
-def _flat_diff(flat: dict) -> dict:
-    """d/dx of a flat coefficient; phi' = -2 x phi - phi^2 keeps it in {x, phi}."""
-    out = {}
-    for key, n in flat.items():
-        a, b, rest = key[0], key[1], key[2:]
-        if a:
-            k = (a - 1, b) + rest
-            out[k] = out.get(k, 0) + n * a
-        if b:
-            k = (a + 1, b) + rest
-            out[k] = out.get(k, 0) - 2 * b * n
-            k = (a, b + 1) + rest
-            out[k] = out.get(k, 0) - b * n
-    return {k: n for k, n in out.items() if n}
-
-
-def _flat_accumulate(acc: dict, p: dict, q: dict, c: int) -> None:
-    """acc += c * p * q on flat coefficients."""
-    for k1, n1 in p.items():
-        n1 *= c
-        for k2, n2 in q.items():
-            key, m = _mul_keys(k1, k2)
-            acc[key] = acc.get(key, 0) + n1 * n2 * m
-
-
-def _poly_from_flat(flat: dict, den: int) -> CoeffPoly:
-    """CoeffPoly from a flat coefficient over the denominator den, zeros dropped."""
-    grouped: dict = {}
-    for key, n in flat.items():
-        if n:
-            grouped.setdefault(key[:2], {})[key[2:]] = Fraction(n, den)
-    return CoeffPoly({xy: SymbolicScalar(terms) for xy, terms in grouped.items()})
 
 
 def series_multiply(a: PDOSeries, b: PDOSeries) -> PDOSeries:
@@ -504,7 +388,7 @@ def series_multiply(a: PDOSeries, b: PDOSeries) -> PDOSeries:
     # every product term is an integer over a_den * b_den
     a_den, a_flats = _flatten(a.terms.values())
     b_den, b_flats = _flatten(b.terms.values())
-    left = list(zip(a.terms, a_flats))
+    left = [(k, p.terms) for k, p in zip(a.terms, a_flats)]
     acc: dict[int, dict] = {}
 
     for l, q_flat in zip(b.terms, b_flats):
@@ -513,10 +397,10 @@ def series_multiply(a: PDOSeries, b: PDOSeries) -> PDOSeries:
 
         def deriv(j):
             while len(derivs) <= j:
-                derivs.append(_flat_diff(derivs[-1]))
+                derivs.append(derivs[-1].diff())
             return derivs[j]
 
-        for k, p_flat in left:
+        for k, p_terms in left:
             if k >= 0:
                 for j in range(0, k + 1):
                     dq = deriv(j)
@@ -525,7 +409,7 @@ def series_multiply(a: PDOSeries, b: PDOSeries) -> PDOSeries:
                     order = k - j + l
                     if order < out_floor:
                         continue
-                    _flat_accumulate(acc.setdefault(order, {}), p_flat, dq, math.comb(k, j))
+                    _accumulate(acc.setdefault(order, {}), p_terms, dq.terms, math.comb(k, j))
             else:
                 r = -k
                 j = 0
@@ -539,10 +423,11 @@ def series_multiply(a: PDOSeries, b: PDOSeries) -> PDOSeries:
                     if not dq:
                         break
                     coeff = (-1) ** j * math.comb(j + r - 1, j)
-                    _flat_accumulate(acc.setdefault(order, {}), p_flat, dq, coeff)
+                    _accumulate(acc.setdefault(order, {}), p_terms, dq.terms, coeff)
                     j += 1
     den = a_den * b_den
-    return PDOSeries({k: _poly_from_flat(flat, den) for k, flat in acc.items()}, floor=out_floor, exact=exact)
+    out = {k: CoeffPoly({key: Fraction(n, den) for key, n in flat.items()}) for k, flat in acc.items()}
+    return PDOSeries(out, floor=out_floor, exact=exact)
 
 
 def compose_dinv_f(f: CoeffPoly, depth: int) -> PDOSeries:
@@ -580,17 +465,14 @@ def commute_dinvr_f(r: int, f: CoeffPoly, depth: int) -> PDOSeries:
     return PDOSeries(terms, floor=-r - depth, exact=not g)
 
 
-def _leading_scalar(series: PDOSeries):
+def _leading_term(series: PDOSeries) -> tuple[int, CoeffPoly]:
     m = series.max_order
     if m is None:
         raise ValueError("series is zero")
-    lead = series.terms[m]
-    if set(lead.terms) != {(0, 0)}:
-        raise ValueError(f"leading coefficient must be scalar, got {lead.render()}")
-    return m, lead.terms[(0, 0)]
+    return m, series.terms[m]
 
 
-def _match_orders(residual, x: PDOSeries, shift: int, scale: SymbolicScalar,
+def _match_orders(residual, x: PDOSeries, shift: int, scale: CoeffPoly,
                   depth: int, iterations: int, what: str) -> PDOSeries:
     """Refine x order by order until residual(x) vanishes through order depth.
 
@@ -616,9 +498,9 @@ def _match_orders(residual, x: PDOSeries, shift: int, scale: SymbolicScalar,
 
 def series_invert(a: PDOSeries, depth: int) -> PDOSeries:
     """B with A B = 1 through the retained orders, by order-by-order matching."""
-    m, lead = _leading_scalar(a)
+    m, lead = _leading_term(a)
     inv_lead = lead.inverse()
-    b = PDOSeries({-m: CoeffPoly.scalar(inv_lead)}, floor=depth, exact=False)
+    b = PDOSeries({-m: inv_lead}, floor=depth, exact=False)
     one = PDOSeries.one(floor=depth)
     return _match_orders(lambda x: one - series_multiply(a, x), b, m, inv_lead,
                          depth, 4 * (abs(m) + abs(depth)) + 16, "inversion")
@@ -627,12 +509,12 @@ def series_invert(a: PDOSeries, depth: int) -> PDOSeries:
 def series_sqrt(a: PDOSeries, depth: int) -> PDOSeries:
     """Q with Q Q = A through the retained orders; branch from the exact
     scalar square root of the leading coefficient."""
-    m2, lead = _leading_scalar(a)
+    m2, lead = _leading_term(a)
     if m2 % 2:
         raise ValueError(f"leading order {m2} is odd; no series square root")
     m = m2 // 2
     q0 = lead.sqrt()
-    q = PDOSeries({m: CoeffPoly.scalar(q0)}, floor=depth, exact=False)
+    q = PDOSeries({m: q0}, floor=depth, exact=False)
     return _match_orders(lambda x: a - series_multiply(x, x), q, m, (q0 * 2).inverse(),
                          depth, 4 * (abs(m2) + abs(depth)) + 16, "square root")
 
@@ -643,33 +525,33 @@ def d_power(order: int, floor: int = -DEFAULT_DEPTH) -> PDOSeries:
 
 def a_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:
     """a = (x + d)/sqrt2."""
-    return PDOSeries({0: CoeffPoly.x(), 1: _P_ONE}, floor=floor, exact=True).scale(_S_INV_SQRT2)
+    return PDOSeries({0: CoeffPoly.x(), 1: _P_ONE}, floor=floor, exact=True).scale(_INV_SQRT2)
 
 
 def a_dagger_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:
     """a^dagger = (x - d)/sqrt2."""
-    return PDOSeries({0: CoeffPoly.x(), 1: -_P_ONE}, floor=floor, exact=True).scale(_S_INV_SQRT2)
+    return PDOSeries({0: CoeffPoly.x(), 1: -_P_ONE}, floor=floor, exact=True).scale(_INV_SQRT2)
 
 
 def b_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:
     """b = (x + d + phi)/sqrt2."""
     return PDOSeries(
         {0: CoeffPoly.x() + CoeffPoly.phi(), 1: _P_ONE}, floor=floor, exact=True
-    ).scale(_S_INV_SQRT2)
+    ).scale(_INV_SQRT2)
 
 
 def b_dagger_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:
     """b^dagger = (x - d + phi)/sqrt2."""
     return PDOSeries(
         {0: CoeffPoly.x() + CoeffPoly.phi(), 1: -_P_ONE}, floor=floor, exact=True
-    ).scale(_S_INV_SQRT2)
+    ).scale(_INV_SQRT2)
 
 
 def h_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:
     """H = (x^2 - d^2 - 1)/2."""
     return PDOSeries(
         {0: CoeffPoly.x(2) - _P_ONE, 2: -_P_ONE}, floor=floor, exact=True
-    ).scale(_S_HALF)
+    ).scale(Fraction(1, 2))
 
 
 def inv_sqrt_one_plus_h(depth: int = DEFAULT_DEPTH):
@@ -681,14 +563,14 @@ def inv_sqrt_one_plus_h(depth: int = DEFAULT_DEPTH):
     floor = -abs(depth)
     core = PDOSeries({2: _P_ONE, 0: -(CoeffPoly.x(2) + _P_ONE)}, floor=floor - 2, exact=True)
     bracket = series_sqrt(series_invert(core, floor - 1), floor)
-    prefactor = SymbolicScalar({(1, 1, 0, 0): Fraction(-1)})  # -sqrt2 i
+    prefactor = CoeffPoly({(0, 0, 1, 1, 0): Fraction(-1)})  # -sqrt2 i
     return prefactor, bracket
 
 
 def _w_scalar(w):
     if w is None:
-        return SymbolicScalar.w_power(2)
-    return SymbolicScalar.rational(Fraction(w))
+        return CoeffPoly.w_power(2)
+    return CoeffPoly.rational(Fraction(w))
 
 
 def expand_ladder_case_ii(w=None, depth: int = DEFAULT_DEPTH):
@@ -702,16 +584,13 @@ def expand_ladder_case_ii(w=None, depth: int = DEFAULT_DEPTH):
     if depth < 4:
         raise ValueError("depth < 4 cannot reach the d^{-2} reference terms")
     floor = -(abs(depth) + 6)
-    ws = _w_scalar(w)
-    x2 = CoeffPoly.x(2)
-    h_plus_1 = PDOSeries({0: x2 + _P_ONE, 2: -_P_ONE}, floor=floor, exact=True).scale(_S_HALF)
-    h_plus_2 = PDOSeries({0: x2 + _P_ONE * 3, 2: -_P_ONE}, floor=floor, exact=True).scale(_S_HALF)
-    h_plus_w = (
-        PDOSeries({0: x2 - _P_ONE, 2: -_P_ONE}, floor=floor, exact=True).scale(_S_HALF)
-        + PDOSeries({0: CoeffPoly.scalar(ws)}, floor=floor, exact=True)
-    )
-    inv_h1 = series_invert(h_plus_1, floor)
-    ratio = series_multiply(h_plus_w, series_invert(h_plus_2, floor))
+    h = h_series(floor)
+
+    def h_plus(c):
+        return h + PDOSeries({0: c}, floor=floor, exact=True)
+
+    inv_h1 = series_invert(h_plus(1), floor)
+    ratio = series_multiply(h_plus(_w_scalar(w)), series_invert(h_plus(2), floor))
     f_of_h = series_multiply(inv_h1, series_sqrt(ratio, floor))
 
     lowering = b_dagger_series(floor) * (f_of_h * (a_series(floor) * b_series(floor)))
@@ -726,24 +605,22 @@ def case_ii_reference(w=None, depth: int = 2):
     sqrt2 a1+ = x - d + (w - 2 - phi') d^{-1} + [x(2-w) - x phi' - phi phi'] d^{-2}
     with phi' = -2 x phi - phi^2 substituted everywhere.
     """
-    ws = _w_scalar(w)
     x = CoeffPoly.x()
     phi = CoeffPoly.phi()
     two = _P_ONE * 2
-    phi_prime = x * phi * Fraction(-2) + CoeffPoly.phi(2) * Fraction(-1)
-    w_poly = CoeffPoly.scalar(ws)
+    w_poly = _w_scalar(w)
 
-    coeff_m1_low = -(w_poly - two - phi_prime)
-    coeff_m2_low = x * (two - w_poly) + phi * phi_prime + x * phi_prime + phi * 2
-    coeff_m1_up = w_poly - two - phi_prime
-    coeff_m2_up = x * (two - w_poly) - x * phi_prime - phi * phi_prime
+    coeff_m1_low = -(w_poly - two - _PHI_PRIME)
+    coeff_m2_low = x * (two - w_poly) + phi * _PHI_PRIME + x * _PHI_PRIME + phi * 2
+    coeff_m1_up = w_poly - two - _PHI_PRIME
+    coeff_m2_up = x * (two - w_poly) - x * _PHI_PRIME - phi * _PHI_PRIME
 
     floor = -abs(depth)
     lowering = PDOSeries({1: _P_ONE, 0: x, -1: coeff_m1_low, -2: coeff_m2_low}, floor=floor).scale(
-        _S_INV_SQRT2
+        _INV_SQRT2
     )
     raising = PDOSeries({1: -_P_ONE, 0: x, -1: coeff_m1_up, -2: coeff_m2_up}, floor=floor).scale(
-        _S_INV_SQRT2
+        _INV_SQRT2
     )
     return lowering, raising
 
@@ -769,12 +646,11 @@ def product_identities(w=None, depth: int = DEFAULT_DEPTH) -> dict:
     lowering, raising = expand_ladder_case_ii(w=w, depth=depth)
     ws = _w_scalar(w)
     x2 = CoeffPoly.x(2)
-    phi_prime = CoeffPoly.x() * CoeffPoly.phi() * Fraction(-2) + CoeffPoly.phi(2) * Fraction(-1)
 
     def target(shift):
-        const = CoeffPoly.scalar(ws) * 2 + _P_ONE * shift
+        const = ws * 2 + _P_ONE * shift
         return PDOSeries(
-            {2: -_P_ONE * Fraction(1, 2), 0: (x2 + const) * Fraction(1, 2) - phi_prime},
+            {2: -_P_ONE * Fraction(1, 2), 0: (x2 + const) * Fraction(1, 2) - _PHI_PRIME},
             floor=-(abs(depth) + 6),
             exact=True,
         )
@@ -801,9 +677,7 @@ def classical_limit_check(depth: int = DEFAULT_DEPTH) -> dict:
     a = a_series()
     b_to_a = (b.substitute_phi_zero() - a)
     h_from_b = series_multiply(b_dagger_series(-8), b_series(-8))
-    h_target = h_series(-8) + PDOSeries(
-        {0: CoeffPoly.x() * CoeffPoly.phi() * 2 + CoeffPoly.phi(2)}, floor=-8, exact=True
-    )
+    h_target = h_series(-8) + PDOSeries({0: -_PHI_PRIME}, floor=-8, exact=True)
     bb_residual = h_from_b - h_target
     lowering, _ = expand_ladder_case_ii(w=Fraction(1), depth=depth)
     osc = lowering.substitute_phi_zero()

@@ -32,7 +32,7 @@ from .fock import (
     number_matrix,
 )
 from .numerics import build_grid, grid_norm
-from .pdo import CoeffPoly, PDOSeries, SymbolicScalar
+from .pdo import CoeffPoly, PDOSeries
 
 __all__ = ["CriterionResult", "run_all", "ALL_CRITERIA"]
 
@@ -222,7 +222,7 @@ def criterion_06_resolvent(_: _Context, res: CriterionResult):
 def _inv_sqrt_bracket_checks(bracket: PDOSeries) -> list[tuple[str, bool]]:
     """The (1 + H)^{-1/2} bracket's d^-3 and d^-4 coefficients against (1 + x^2)/2 and -3x/2."""
     want = {
-        -3: (CoeffPoly.x(2) + CoeffPoly.scalar(SymbolicScalar.rational(1))) * Fraction(1, 2),
+        -3: (CoeffPoly.x(2) + CoeffPoly.rational(1)) * Fraction(1, 2),
         -4: CoeffPoly.x() * Fraction(-3, 2),
     }
     return [(f"inv_sqrt_bracket_d{k}", bracket.coefficient(k) == p) for k, p in want.items()]
@@ -231,8 +231,8 @@ def _inv_sqrt_bracket_checks(bracket: PDOSeries) -> list[tuple[str, bool]]:
 @_criterion("c07_pdo_identities")
 def criterion_07_pdo_golden(_: _Context, res: CriterionResult):
     # inverse-sqrt bracket, its expected coefficients, and its square
-    core = PDOSeries({2: CoeffPoly.scalar(SymbolicScalar.rational(1)),
-                      0: -(CoeffPoly.x(2) + CoeffPoly.scalar(SymbolicScalar.rational(1)))},
+    core = PDOSeries({2: CoeffPoly.rational(1),
+                      0: -(CoeffPoly.x(2) + CoeffPoly.rational(1))},
                      floor=-12, exact=True)
     inv = pdo.series_invert(core, -12)
     bracket = pdo.series_sqrt(inv, -10)

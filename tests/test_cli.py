@@ -7,6 +7,8 @@ from isoladder.cli import ConfigError, build_config, main, make_parser, to_csv, 
 
 
 PDO_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "pdo_series.json"
+# {repr(w): {"lowering_series": [...], "raising_series": [...]}} for every benchmark w
+PDO_GOLDEN_SERIES = json.loads(PDO_GOLDEN.read_text(encoding="utf-8"))
 
 
 def run_cli(args, capsys):
@@ -158,9 +160,9 @@ class TestCommands:
         doc = json.loads(out)
         assert all(chk["verdict"] == "PASS" for chk in doc["checks"])
 
-    @pytest.mark.parametrize("w", ["0.25", "3.5", "5.0"])
+    @pytest.mark.parametrize("w", sorted(PDO_GOLDEN_SERIES, key=float))
     def test_pdo_series_match_benchmark_golden(self, w, capsys):
-        golden = json.loads(PDO_GOLDEN.read_text(encoding="utf-8"))[w]
+        golden = PDO_GOLDEN_SERIES[w]
         code, out, _ = run_cli(["pdo", "--w", w], capsys)
         assert code == 0
         doc = json.loads(out)

@@ -141,6 +141,20 @@ class TestCSVector:
         with pytest.raises(TruncationError):
             cs_vector(CSSpec(1.0 + 0.5j, constant_weights(1.0), 12), TAG)
 
+    def test_guard_checks_first_dropped_term(self):
+        # the vector keeps n <= N - 2; at N = 30 the dropped n = 29 term
+        # 2^29 / 29! is 8.2e-24 of h = e^2, above the 1e-24 guard
+        with pytest.raises(TruncationError):
+            cs_vector(CSSpec(2**0.5, constant_weights(1.0), 30), TAG)
+
+    def test_normalized_by_kept_terms(self):
+        cs = cs_vector(CSSpec(2**0.5, constant_weights(1.0), 40), TAG)
+        assert abs(float(np.vdot(cs.coeffs, cs.coeffs).real) - 1.0) < 1e-15
+
+    def test_refuses_zeta_at_radius(self):
+        with pytest.raises(DivergenceError):
+            cs_vector(CSSpec(2**0.5, single_weight(2.0), 64), TAG)
+
     def test_residual_decreases_with_truncation(self):
         weights = linear_weights()
         zeta = 1.0 + 0.5j

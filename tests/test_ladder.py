@@ -323,3 +323,8 @@ class TestResolvent:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             resolvent_inv_sqrt(TruncatedOperator(np.diag([1.0, -0.5])))
+
+    def test_rejects_non_hermitian(self):
+        # positive definite symmetric part, so only the Hermitian check can refuse it
+        with pytest.raises(ValueError, match="not Hermitian"):
+            resolvent_inv_sqrt(TruncatedOperator(np.array([[2.0, 1e-6], [0.0, 2.0]])))

@@ -7,7 +7,6 @@ from isoladder.pdo import (
     DEFAULT_DEPTH,
     CoeffPoly,
     PDOSeries,
-    SymbolicScalar,
     a_series,
     b_dagger_series,
     b_series,
@@ -26,44 +25,63 @@ from isoladder.pdo import (
     series_sqrt,
 )
 
-ONE = CoeffPoly.scalar(SymbolicScalar.rational(1))
+ONE = CoeffPoly.rational(1)
 X = CoeffPoly.x()
 PHI = CoeffPoly.phi()
 
 
 class TestSymbolicScalar:
+    """Scalar (x- and phi-free) coefficients: i, sqrt2, half-powers of w."""
+
     def test_i_squares_to_minus_one(self):
-        i = SymbolicScalar.i_unit()
-        assert i * i == SymbolicScalar.rational(-1)
+        i = CoeffPoly.i_unit()
+        assert i * i == CoeffPoly.rational(-1)
 
     def test_sqrt2_squares_to_two(self):
-        r = SymbolicScalar.sqrt2()
-        assert r * r == SymbolicScalar.rational(2)
+        r = CoeffPoly.sqrt2()
+        assert r * r == CoeffPoly.rational(2)
 
     def test_inverse(self):
-        s = SymbolicScalar.rational(3, 4) * SymbolicScalar.sqrt2() * SymbolicScalar.i_unit()
-        assert s * s.inverse() == SymbolicScalar.rational(1)
+        s = CoeffPoly.rational(3, 4) * CoeffPoly.sqrt2() * CoeffPoly.i_unit()
+        assert s * s.inverse() == CoeffPoly.rational(1)
 
     def test_sqrt_of_half(self):
-        s = SymbolicScalar.rational(1, 2)
+        s = CoeffPoly.rational(1, 2)
         root = s.sqrt()
         assert root * root == s
 
     def test_sqrt_of_negative_uses_i(self):
-        root = SymbolicScalar.rational(-4).sqrt()
-        assert root * root == SymbolicScalar.rational(-4)
+        root = CoeffPoly.rational(-4).sqrt()
+        assert root * root == CoeffPoly.rational(-4)
 
     def test_substitute_w(self):
-        s = SymbolicScalar.w_power(2) * SymbolicScalar.rational(3)
-        assert s.substitute(w=Fraction(7, 2)) == SymbolicScalar.rational(21, 2)
+        s = CoeffPoly.w_power(2) * CoeffPoly.rational(3)
+        assert s.substitute(w=Fraction(7, 2)) == CoeffPoly.rational(21, 2)
 
     def test_evaluate(self):
-        s = SymbolicScalar.i_unit() * SymbolicScalar.sqrt2() * SymbolicScalar.rational(-1)
+        s = CoeffPoly.i_unit() * CoeffPoly.sqrt2() * CoeffPoly.rational(-1)
         assert s.evaluate() == pytest.approx(-1.4142135623730951j)
 
     def test_render_stable(self):
-        s = SymbolicScalar.rational(-3, 2) * SymbolicScalar.w_power(1)
+        s = CoeffPoly.rational(-3, 2) * CoeffPoly.w_power(1)
         assert s.render() == "-3/2*w^(1/2)"
+
+    @pytest.mark.parametrize("poly", [X, ONE + X, ONE + CoeffPoly.sqrt2(), ONE * 0],
+                             ids=["x", "1+x", "1+sqrt2", "zero"])
+    def test_inverse_and_sqrt_need_one_scalar_term(self, poly):
+        with pytest.raises(ValueError):
+            poly.inverse()
+        with pytest.raises(ValueError):
+            poly.sqrt()
+
+    @pytest.mark.parametrize("kwargs,missing", [
+        (dict(phi=0.5, w=2.0), "x"), (dict(x=3.0, w=2.0), "phi"), (dict(x=3.0, phi=0.5), "w"),
+    ])
+    def test_evaluate_needs_every_symbol_that_occurs(self, kwargs, missing):
+        p = X * PHI * CoeffPoly.w_power(1)
+        with pytest.raises(ValueError, match=f"contains {missing};"):
+            p.evaluate(**kwargs)
+        assert p.evaluate(x=3.0, phi=0.5, w=4.0) == pytest.approx(3.0)
 
 
 class TestCoeffPoly:
@@ -75,7 +93,7 @@ class TestCoeffPoly:
         p = X * PHI + CoeffPoly.phi(3) + CoeffPoly.x(2)
         for _ in range(6):
             p = p.diff()
-            assert all(len(key) == 2 for key in p.terms)
+            assert all(len(key) == 5 and key[0] >= 0 and key[1] >= 0 for key in p.terms)
 
     def test_product(self):
         assert (X + PHI) * (X - PHI) == CoeffPoly.x(2) - CoeffPoly.phi(2)
@@ -205,7 +223,7 @@ class TestSeriesArithmetic:
 class TestInvSqrtBracket:
     def test_prefactor_and_bracket(self):
         prefactor, bracket = inv_sqrt_one_plus_h(8)
-        assert prefactor == SymbolicScalar.rational(-1) * SymbolicScalar.sqrt2() * SymbolicScalar.i_unit()
+        assert prefactor == CoeffPoly.rational(-1) * CoeffPoly.sqrt2() * CoeffPoly.i_unit()
         assert bracket.coefficient(-1) == ONE
         assert bracket.coefficient(-3) == (CoeffPoly.x(2) + ONE) * Fraction(1, 2)
         assert bracket.coefficient(-4) == X * Fraction(-3, 2)
@@ -214,7 +232,7 @@ class TestInvSqrtBracket:
         prefactor, bracket = inv_sqrt_one_plus_h(8)
         # (1+H)^{-1} = (prefactor^2) (d^2-x^2-1)^{-1} = -2 (d^2-x^2-1)^{-1}
         sq = prefactor * prefactor
-        assert sq == SymbolicScalar.rational(-2)
+        assert sq == CoeffPoly.rational(-2)
         lhs = series_multiply(bracket, bracket).scale(sq)
         one_plus_h = h_series(-10) + PDOSeries.one(-10)
         back = series_multiply(one_plus_h, lhs) - PDOSeries.one(-10)
@@ -292,7 +310,7 @@ class TestClassicalLimit:
         rep = classical_limit_check(5)
         assert rep["b_phi0_equals_a"]
         assert rep["bdag_b_equals_h_minus_phiprime"]
-        osc = rep["case_ii_w1_phi0"].scale(SymbolicScalar.sqrt2())
+        osc = rep["case_ii_w1_phi0"].scale(CoeffPoly.sqrt2())
         # sqrt2 a1 at phi = 0, w = 1: x + d + d^{-1} + x d^{-2} + ...
         assert osc.coefficient(1) == ONE
         assert osc.coefficient(0) == X
@@ -311,7 +329,7 @@ class TestClassicalLimit:
 class TestRendering:
     def test_canonical_text(self):
         series = PDOSeries({1: ONE, 0: X + PHI}, -2, True).scale(
-            SymbolicScalar({(0, 1, 0, 0): Fraction(1, 2)})
+            CoeffPoly({(0, 0, 0, 1, 0): Fraction(1, 2)})
         )
         text = series.render()
         # monomials sorted by (x-degree, phi-degree): (0,1) phi before (1,0) x
@@ -323,7 +341,7 @@ class TestRendering:
 
     def test_golden_lowering_text(self):
         low, _ = expand_ladder_case_ii(w=Fraction(2), depth=4)
-        top = low.scale(SymbolicScalar.sqrt2()).render().splitlines()[:3]
+        top = low.scale(CoeffPoly.sqrt2()).render().splitlines()[:3]
         assert top == ["d^1: 1", "d^0: 1*x", "d^-1: -1*phi^2 + -2*x*phi"]
 
 
@@ -347,16 +365,15 @@ class TestGoldenText:
         assert tuple(rep["raising"].render().split("\n")) == GOLDEN_RAISING_W_SYMBOLIC_DEPTH6
 
 
-# Small random operands for the flat multiplication kernel: scalars mixing i,
-# sqrt2 and half-powers of w, coefficients built from x and phi monomials.
-_scalars = st.dictionaries(
-    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-2, 3), st.just(0)),
+# Small random operands for the multiplication kernel: terms keyed
+# (x_deg, phi_deg, i, sqrt2, w_half) mixing x and phi degrees 0-2, i, sqrt2
+# and w^(-2/2 .. 3/2).
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1),
+              st.integers(-2, 3)),
     st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
     min_size=1,
-    max_size=2,
-).map(SymbolicScalar)
-_polys = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2)), _scalars, min_size=1, max_size=2
+    max_size=4,
 ).map(CoeffPoly)
 
 
@@ -438,15 +455,15 @@ class TestFlatKernelProperties:
 def test_a_series_against_b_series():
     diff = b_series(-6) - a_series(-6)
     # b - a = phi / sqrt2
-    assert diff.coefficient(0) == PHI * SymbolicScalar({(0, 1, 0, 0): Fraction(1, 2)})
+    assert diff.coefficient(0) == PHI * CoeffPoly({(0, 0, 0, 1, 0): Fraction(1, 2)})
     assert not diff.coefficient(1)
 
 
 # Canonical render() text of the depth-6 symbolic-w expansions, the (1+H)^{-1/2}
 # bracket and the product-identity residuals, one tuple entry per line.  It was
-# captured from the Leibniz-sum implementation that rebuilt SymbolicScalar and
-# CoeffPoly objects on every operation; the flat kernel must reproduce it
-# byte for byte.
+# captured from the Leibniz-sum implementation that rebuilt immutable scalar
+# and polynomial objects on every operation; the integer kernel must reproduce
+# it byte for byte.
 GOLDEN_LOWERING_W_SYMBOLIC_DEPTH6 = (
     "d^1: 1/2*sqrt2",
     "d^0: 1/2*sqrt2*x",
