@@ -28,7 +28,7 @@ from .fock import (
     hermitian_eigensystem,
     interior_max_abs,
 )
-from .ladder import WeightSequence
+from .ladder import WeightSequence, constant_weights
 
 __all__ = [
     "DivergenceError",
@@ -52,6 +52,7 @@ __all__ = [
 
 _FIT_LO = 1_000
 _FIT_HI = 10_000
+_H_REL_TOL = 1e-12  # relative tail bound normalization_h certifies
 
 
 class DivergenceError(ValueError):
@@ -117,8 +118,8 @@ def _check_convergence(t: float, weights: WeightSequence) -> None:
         raise DivergenceError(t, radius)
 
 
-def normalization_h(t: float, weights: WeightSequence, rel_tol: float = 1e-12) -> float:
-    """h(t) = sum_n d_n t^n with a certified geometric tail bound below rel_tol.
+def normalization_h(t: float, weights: WeightSequence) -> float:
+    """h(t) = sum_n d_n t^n with a certified geometric tail bound below 1e-12 relative.
 
     Raises DivergenceError when t sits at or beyond the squared radius of
     convergence for bounded weight sums.
@@ -154,7 +155,7 @@ def normalization_h(t: float, weights: WeightSequence, rel_tol: float = 1e-12) -
         ratio_next = t / W[n] if W[n] > 0 else math.inf
         if ratio_next < 1.0:
             tail_bound = term * ratio_next / (1.0 - ratio_next)
-            if tail_bound < rel_tol * total:
+            if tail_bound < _H_REL_TOL * total:
                 return total
 
 
@@ -403,8 +404,6 @@ def generalized_cs(zeta: complex, n: int, lowering: TruncatedOperator,
 
     Returns (ladder_route, displaced_route); they agree up to normalization.
     """
-    from .ladder import constant_weights  # local: avoids import cycle at module load
-
     N = lowering.dim
     if n < 2:
         raise ValueError(f"generalized CS start at n = 2, got {n}")

@@ -3,7 +3,7 @@
 Dense complex N x N matrices tagged with the orthonormal family that indexes
 them (the oscillator Fock states, or the theta states of one lambda).  All
 identities involving truncated operators are only asserted on the interior
-window n <= N - margin; the default margin is 5, enough to isolate edge
+window n < N - INTERIOR_MARGIN; the margin of 5 is enough to isolate edge
 corruption for the banded operators used here.
 """
 
@@ -178,16 +178,16 @@ def op_norm_inf(x: TruncatedOperator) -> float:
     return float(np.max(np.sum(np.abs(x.mat), axis=1)))
 
 
-def interior_block(mat: np.ndarray, margin: int = INTERIOR_MARGIN) -> np.ndarray:
+def interior_block(mat: np.ndarray) -> np.ndarray:
     """Leading (N-margin) x (N-margin) block, where edge corruption cannot reach."""
-    n = mat.shape[0] - margin
+    n = mat.shape[0] - INTERIOR_MARGIN
     if n < 1:
-        raise ValueError(f"margin {margin} leaves no interior for size {mat.shape[0]}")
+        raise ValueError(f"margin {INTERIOR_MARGIN} leaves no interior for size {mat.shape[0]}")
     return mat[:n, :n]
 
 
-def interior_max_abs(mat: np.ndarray, margin: int = INTERIOR_MARGIN) -> float:
-    return float(np.max(np.abs(interior_block(mat, margin))))
+def interior_max_abs(mat: np.ndarray) -> float:
+    return float(np.max(np.abs(interior_block(mat))))
 
 
 def _require_hermitian(m: np.ndarray, rtol: float = 1e-10):

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 LAMBDA_GUARD = 1e-6
+_RICCATI_FD_STEP = 1e-5  # central-difference step of riccati_residual
 
 
 class ParameterError(ValueError):
@@ -91,12 +92,7 @@ class PhiFunction:
     __call__ = value
 
 
-def riccati_residual(
-    p: IsospectralParams,
-    grid: QuadratureGrid,
-    fd_step: float = 1e-5,
-    phi_override=None,
-) -> float:
+def riccati_residual(p: IsospectralParams, grid: QuadratureGrid, phi_override=None) -> float:
     """max over the grid of |phi' + 2 x phi + phi^2| with phi' by central differencing.
 
     The derivative is finite-differenced (never the Riccati identity itself),
@@ -105,10 +101,10 @@ def riccati_residual(
     """
     fn = phi_override if phi_override is not None else PhiFunction(p).value
     x = grid.points
-    fwd = np.asarray(fn(x + fd_step), dtype=float)
-    bwd = np.asarray(fn(x - fd_step), dtype=float)
+    fwd = np.asarray(fn(x + _RICCATI_FD_STEP), dtype=float)
+    bwd = np.asarray(fn(x - _RICCATI_FD_STEP), dtype=float)
     mid = np.asarray(fn(x), dtype=float)
-    deriv = (fwd - bwd) / (2.0 * fd_step)
+    deriv = (fwd - bwd) / (2.0 * _RICCATI_FD_STEP)
     return float(np.max(np.abs(deriv + 2.0 * x * mid + mid * mid)))
 
 
@@ -211,10 +207,8 @@ def b_dagger_a_b_matrix(basis: ThetaBasis) -> TruncatedOperator:
 
 def b_dagger_a_b_fill(N: int, tag) -> TruncatedOperator:
     """Structural matrix of the same operator: (n-1) sqrt(n) at (n-1, n)."""
-    m = np.zeros((N, N))
-    for n in range(2, N):
-        m[n - 1, n] = (n - 1) * math.sqrt(n)
-    return TruncatedOperator(m, tag)
+    n = np.arange(1.0, N)
+    return TruncatedOperator(np.diag((n - 1.0) * np.sqrt(n), 1), tag)
 
 
 def b_dagger_a_b_cs(z: complex, basis: ThetaBasis, N: int | None = None) -> StateVector:

@@ -5,7 +5,9 @@ Given real nonnegative weights {w_n}, the shift operator S = sum sqrt(c_n)
 the oscillator lowering operator by it yields the ladder pair with
 [a1, a1^dagger] = diag(0, w_1, w_2, ...).  The c_n come either from the
 recursion (the oracle) or from the closed form in terms of generalized
-double factorials of the partial sums W_n; the two must always agree.
+double factorials of the partial sums W_n; the two must always agree.  For
+the paper's five cases the weight rule also picks a closed form for a1 in b,
+a and functions of H = diag(0 .. N-1), which are diagonals.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .fock import (
     _require_hermitian,
     adjoint,
     annihilation_matrix,
-    apply_spectral_function,
-    number_matrix,
 )
 
 __all__ = [
@@ -36,10 +36,8 @@ __all__ = [
     "geometric_weights",
     "power_law_weights",
     "custom_weights",
-    "CoefficientTable",
     "c_coefficients_recursive",
     "c_coefficients_closed",
-    "ShiftOperator",
     "shift_matrix",
     "ladder_fill",
     "ladder_matrices",
@@ -48,6 +46,8 @@ __all__ = [
     "closed_form_case",
     "resolvent_inv_sqrt",
 ]
+
+_RESOLVENT_NODES = 200  # Gauss-Legendre nodes of the resolvent integral
 
 
 class WeightError(ValueError):
@@ -179,16 +179,8 @@ def custom_weights(values) -> WeightSequence:
     return WeightSequence("custom", values=tuple(float(v) for v in values))
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """c_0 .. c_{N-1} solving the partial-isometry recursion for the weights."""
-
-    c: np.ndarray
-    weights: WeightSequence
-
-
-def c_coefficients_recursive(weights: WeightSequence, N: int) -> CoefficientTable:
-    """Solve c_0 c_1 = w_1, (n+1) c_n c_{n+1} - n c_n c_{n-1} = w_{n+1} with c_0 = 1."""
+def c_coefficients_recursive(weights: WeightSequence, N: int) -> np.ndarray:
+    """c_0 .. c_{N-1} from c_0 c_1 = w_1, (n+1) c_n c_{n+1} - n c_n c_{n-1} = w_{n+1}, c_0 = 1."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     w1 = weights.weight(1)
@@ -202,62 +194,45 @@ def c_coefficients_recursive(weights: WeightSequence, N: int) -> CoefficientTabl
         if c[n] == 0.0:
             raise WeightError(f"c_{n} = 0 with w_{n+1} = {weights.weight(n + 1)}: inconsistent sequence")
         c[n + 1] = (weights.weight(n + 1) + n * c[n] * c[n - 1]) / ((n + 1) * c[n])
-    return CoefficientTable(c=c, weights=weights)
+    return c
 
 
-def c_coefficients_closed(weights: WeightSequence, N: int) -> CoefficientTable:
-    """Closed form c_n = ((n-1)!!/n!!) * (W_n!! / W_{n-1}!!) in log space.
+def c_coefficients_closed(weights: WeightSequence, N: int) -> np.ndarray:
+    """Closed form c_n = ((n-1)!!/n!!) * (W_n!! / W_{n-1}!!), telescoped.
 
     The generalized double factorial terminates at index >= 1 (empty product
-    1); the recursive table is the oracle this must match to 1e-12 relative.
+    1), so c_0 = 1, c_1 = W_1, and W_n!!/W_{n-2}!! = W_n gives
+    c_n = c_{n-2} (n-1) W_n / (n W_{n-1}): one running product per parity
+    class, from partial sums and integers only.  The recursive table is the
+    oracle this must match to 1e-12 relative.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    if weights.weight(1) <= 0:
-        raise WeightError(f"closed form needs w_1 > 0, got {weights.weight(1)}")
     W = weights.partial_sum_array(max(N - 1, 1))
-    logW = np.log(W)
-    log_int = np.log(np.arange(1.0, max(N, 2)))  # log 1, log 2, ...
-    c = np.zeros(N)
-    c[0] = 1.0
-    for n in range(1, N):
-        # signed log sums: + for the W_n!! chain, - for W_{n-1}!!, and the integer ratio
-        terms = [logW[k - 1] for k in range(n, 0, -2)]
-        terms += [-logW[k - 1] for k in range(n - 1, 0, -2)]
-        terms += [log_int[k - 1] for k in range(n - 1, 0, -2)]
-        terms += [-log_int[k - 1] for k in range(n, 0, -2)]
-        c[n] = math.exp(math.fsum(terms))
-    return CoefficientTable(c=c, weights=weights)
+    if W[0] <= 0:
+        raise WeightError(f"closed form needs w_1 > 0, got {W[0]}")
+    n = np.arange(2.0, N)
+    ratio = (n - 1.0) * W[1:] / (n * W[:-1])
+    c = np.ones(N)
+    if N > 1:
+        c[1::2] = np.cumprod(np.concatenate(([W[0]], ratio[1::2])))
+        c[2::2] = np.cumprod(ratio[0::2])
+    return c
 
 
-@dataclass(frozen=True)
-class ShiftOperator:
-    """One-superdiagonal sqrt(c_n) matrix; S S^dagger and S^dagger S are diagonal."""
-
-    op: TruncatedOperator
-    table: CoefficientTable
-
-
-def shift_matrix(weights: WeightSequence, N: int, basis: BasisTag = FOCK) -> ShiftOperator:
-    """S = sum_n sqrt(c_n) |n><n+1| in the given basis."""
-    table = c_coefficients_recursive(weights, N)
-    if np.any(table.c < 0):
+def shift_matrix(weights: WeightSequence, N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
+    """S = sum_n sqrt(c_n) |n><n+1| in the given basis; S S^dagger and S^dagger S are diagonal."""
+    c = c_coefficients_recursive(weights, N)
+    if np.any(c < 0):
         raise WeightError("negative c_n: weights admit no real shift operator")
-    m = np.zeros((N, N))
-    for n in range(N - 1):
-        m[n, n + 1] = math.sqrt(table.c[n])
-    return ShiftOperator(op=TruncatedOperator(m, basis), table=table)
+    return TruncatedOperator(np.diag(np.sqrt(c[:-1]), 1), basis)
 
 
 def ladder_fill(weights: WeightSequence, N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
     """Direct construction a1 = sum_{n>=1} sqrt(W_n) |n><n+1|."""
     W = weights.partial_sum_array(max(N - 1, 1))
-    m = np.zeros((N, N))
-    for n in range(1, N - 1):
-        if W[n - 1] < 0:
-            raise WeightError(f"negative partial sum W_{n} = {W[n - 1]}")
-        m[n, n + 1] = math.sqrt(W[n - 1])
-    return TruncatedOperator(m, basis)
+    superdiagonal = np.sqrt(np.concatenate(([0.0], W[: N - 2])))
+    return TruncatedOperator(np.diag(superdiagonal, 1), basis)
 
 
 def ladder_matrices(weights: WeightSequence, N: int, basis: BasisTag = FOCK):
@@ -269,7 +244,7 @@ def ladder_matrices(weights: WeightSequence, N: int, basis: BasisTag = FOCK):
     """
     s = shift_matrix(weights, N, basis)
     a = annihilation_matrix(N, basis)
-    conjugated = adjoint(s.op) @ a @ s.op
+    conjugated = adjoint(s) @ a @ s
     filled = ladder_fill(weights, N, basis)
     dev = float(np.max(np.abs(conjugated.mat - filled.mat)))
     scale = max(1.0, float(np.max(np.abs(filled.mat))))
@@ -290,84 +265,52 @@ def represent_in_theta(x: TruncatedOperator, u: TruncatedOperator, tag: BasisTag
     return TruncatedOperator(u.mat.conj().T @ x.mat @ u.mat, tag)
 
 
-def _q_partial_sum_spectral(q: float):
-    # (1 - q^{t+1})/(1 - q) evaluated stably near q = 1 via expm1.
-    lq = math.log(q)
+def closed_form_case(weights: WeightSequence, b: TruncatedOperator) -> TruncatedOperator:
+    """The closed-form expression for a1 (theta side, Fock coordinates); weights.kind picks it.
 
-    def g(t: float) -> float:
-        if abs(q - 1.0) < 1e-14:
-            return t + 1.0
-        return math.expm1((t + 1.0) * lq) / math.expm1(lq)
+    case i,   constant:  w_n = w          -> sqrt(w) b+ R a R b,       R = (H+1)^{-1/2}
+    case ii,  distorted: w_1 = w, rest 1  -> b+ (H+1)^{-1} sqrt((H+w)/(H+2)) a b
+    case iii, linear:    w_n = n          -> 2^{-1/2} b+ R a b
+    case iv,  single:    w_1 = w, rest 0  -> sqrt(w) b+ (H+1)^{-1} a R b
+    case v,   geometric: w_n = q^n        -> sqrt(q) b+ (H+1)^{-1} sqrt((1-q^{H+1})/(1-q)) a R b
 
-    return g
-
-
-def closed_form_case(
-    case: str,
-    b: TruncatedOperator,
-    *,
-    w: float | None = None,
-    q: float | None = None,
-) -> TruncatedOperator:
-    """The closed-form expression for a1 (theta side, Fock coordinates) for one case.
-
-    case i:   w_n = w          -> sqrt(w) b+ R a R b,       R = (H+1)^{-1/2}
-    case ii:  w_1 = w, rest 1  -> b+ (H+1)^{-1} sqrt((H+w)/(H+2)) a b
-    case iii: w_n = n          -> 2^{-1/2} b+ R a b
-    case iv:  w_1 = w, rest 0  -> sqrt(w) b+ (H+1)^{-1} a R b
-    case v:   w_n = q^n        -> sqrt(q) b+ (H+1)^{-1} sqrt((1-q^{H+1})/(1-q)) a R b
-
-    Spectral functions are taken on H = diag(0 .. N-1); everything stays in
-    the Fock coordinate system of the underlying b matrix.
+    H = diag(0 .. N-1), so g(H) is the diagonal g(0) .. g(N-1), each entry a
+    Python float (numpy's vectorized ** and expm1 can differ in the last bit);
+    everything stays in the Fock coordinates of the underlying b matrix.
+    Power-law and custom weights have no closed form and raise ValueError.
     """
-    case = case.lower()
     N = b.dim
-    h = number_matrix(N, b.basis)
     a = annihilation_matrix(N, b.basis)
     bd = adjoint(b)
-    r = apply_spectral_function(h, lambda t: (1.0 + t) ** -0.5)
-    inv1 = apply_spectral_function(h, lambda t: 1.0 / (1.0 + t))
-    if case == "i":
-        if w is None or w < 0:
-            raise ValueError(f"case i needs w >= 0, got {w!r}")
-        return math.sqrt(w) * (bd @ r @ a @ r @ b)
-    if case == "ii":
-        if w is None or w < 0:
-            raise ValueError(f"case ii needs w >= 0, got {w!r}")
-        f = apply_spectral_function(h, lambda t: ((t + w) / (t + 2.0)) ** 0.5 / (t + 1.0))
-        return bd @ f @ a @ b
-    if case == "iii":
+
+    def of_h(g) -> TruncatedOperator:
+        return TruncatedOperator(np.diag([g(float(t)) for t in range(N)]), b.basis)
+
+    r = of_h(lambda t: (1.0 + t) ** -0.5)
+    inv1 = of_h(lambda t: 1.0 / (1.0 + t))
+    if weights.kind == "constant":
+        return math.sqrt(weights.w) * (bd @ r @ a @ r @ b)
+    if weights.kind == "distorted":
+        w = weights.w
+        return bd @ of_h(lambda t: ((t + w) / (t + 2.0)) ** 0.5 / (t + 1.0)) @ a @ b
+    if weights.kind == "linear":
         return (1.0 / math.sqrt(2.0)) * (bd @ r @ a @ b)
-    if case == "iv":
-        if w is None or w < 0:
-            raise ValueError(f"case iv needs w >= 0, got {w!r}")
-        return math.sqrt(w) * (bd @ inv1 @ a @ r @ b)
-    if case == "v":
-        if q is None or q <= 0:
-            raise ValueError(f"case v needs q > 0, got {q!r}")
-        gq = _q_partial_sum_spectral(q)
-        gmat = apply_spectral_function(h, lambda t: math.sqrt(gq(t)))
-        return math.sqrt(q) * (bd @ inv1 @ gmat @ a @ r @ b)
-    raise ValueError(f"unknown case {case!r}; expected i, ii, iii, iv or v")
+    if weights.kind == "single":
+        return math.sqrt(weights.w) * (bd @ inv1 @ a @ r @ b)
+    if weights.kind == "geometric":
+        q = weights.q
+        lq = math.log(q)
+
+        def g(t: float) -> float:
+            # (1 - q^{t+1})/(1 - q), stable near q = 1 via expm1
+            return t + 1.0 if abs(q - 1.0) < 1e-14 else math.expm1((t + 1.0) * lq) / math.expm1(lq)
+
+        return math.sqrt(q) * (bd @ inv1 @ of_h(lambda t: math.sqrt(g(t))) @ a @ r @ b)
+    raise ValueError(f"no closed form for {weights.label()}: only constant, distorted, linear, "
+                     "single and geometric weights have one")
 
 
-def case_weights(case: str, *, w: float | None = None, q: float | None = None) -> WeightSequence:
-    """The WeightSequence matching each closed-form case."""
-    case = case.lower()
-    if case == "i":
-        return constant_weights(w)
-    if case == "ii":
-        return distorted_weights(w)
-    if case == "iii":
-        return linear_weights()
-    if case == "iv":
-        return single_weight(w)
-    if case == "v":
-        return geometric_weights(q)
-    raise ValueError(f"unknown case {case!r}")
-
-
-def resolvent_inv_sqrt(x: TruncatedOperator, nodes: int = 200) -> TruncatedOperator:
+def resolvent_inv_sqrt(x: TruncatedOperator) -> TruncatedOperator:
     """X^{-1/2} from the resolvent integral (1/pi) int_0^inf xi^{-1/2} (xi + X)^{-1} dxi.
 
     Substituting xi = tan^2(theta) gives (2/pi) int_0^{pi/2} sec^2(theta)
@@ -381,7 +324,7 @@ def resolvent_inv_sqrt(x: TruncatedOperator, nodes: int = 200) -> TruncatedOpera
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise ValueError("non-positive eigenvalue detected: matrix is not positive definite")
-    t, glw = np.polynomial.legendre.leggauss(nodes)
+    t, glw = np.polynomial.legendre.leggauss(_RESOLVENT_NODES)
     theta = (np.pi / 4.0) * (t + 1.0)
     wts = glw * (np.pi / 4.0)
     N = x.dim

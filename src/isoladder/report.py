@@ -86,7 +86,7 @@ def _criterion(name: str):
 
 
 class _Context:
-    """Shared lambda/truncation-dependent objects, built once."""
+    """Shared lambda/truncation-dependent objects, built once; b and H~ on first use."""
 
     def __init__(self, lam: float, trunc: int):
         self.lam = lam
@@ -95,18 +95,25 @@ class _Context:
         self.grid = build_grid(trunc)
         self.basis = isospectral.ThetaBasis(self.params, self.grid, trunc)
         self.u = isospectral.u_matrix(self.basis)
-        self.b = isospectral.b_matrix(self.basis)
-        self.h_tilde = isospectral.h_tilde_matrix(self.basis)
+
+    @functools.cached_property
+    def b(self) -> TruncatedOperator:
+        return isospectral.b_matrix(self.basis)
+
+    @functools.cached_property
+    def h_tilde(self) -> TruncatedOperator:
+        return isospectral.h_tilde_matrix(self.basis)
 
 
-def _case_list():
+def _case_list() -> list[ladder.WeightSequence]:
+    """One weight rule per closed form (the paper's cases i-v), geometric below and above q = 1."""
     return [
-        ("i", dict(w=2.0)),
-        ("ii", dict(w=0.5)),
-        ("iii", dict()),
-        ("iv", dict(w=2.0)),
-        ("v", dict(q=0.7)),
-        ("v", dict(q=1.3)),
+        ladder.constant_weights(2.0),
+        ladder.distorted_weights(0.5),
+        ladder.linear_weights(),
+        ladder.single_weight(2.0),
+        ladder.geometric_weights(0.7),
+        ladder.geometric_weights(1.3),
     ]
 
 
@@ -131,22 +138,15 @@ def criterion_02_riccati(ctx: _Context, res: CriterionResult):
 @_criterion("c03_c_closed_form")
 def criterion_03_c_coefficients(_: _Context, res: CriterionResult):
     rng = np.random.default_rng(20240811)
-    sequences = [
-        ladder.constant_weights(2.0),
-        ladder.distorted_weights(0.5),
-        ladder.linear_weights(),
-        ladder.single_weight(2.0),
-        ladder.geometric_weights(0.7),
-    ]
-    sequences += [ladder.custom_weights(rng.uniform(0.1, 3.0, 501)) for _ in range(3)]
+    sequences = _case_list()[:5] + [ladder.custom_weights(rng.uniform(0.1, 3.0, 501)) for _ in range(3)]
     n_max = 501
     for seq in sequences:
         rec = ladder.c_coefficients_recursive(seq, n_max)
         clo = ladder.c_coefficients_closed(seq, n_max)
-        rel = float(np.max(np.abs(clo.c - rec.c) / np.abs(rec.c)))
+        rel = float(np.max(np.abs(clo - rec) / np.abs(rec)))
         res.add(f"closed_vs_recursive[{seq.label()}]", rel, 1e-12)
         n = np.arange(0, n_max - 1)
-        telescoped = (n + 1) * rec.c[:-1] * rec.c[1:]
+        telescoped = (n + 1) * rec[:-1] * rec[1:]
         W = seq.partial_sum_array(n_max - 1)
         rel_t = float(np.max(np.abs(telescoped - W) / np.abs(W)))
         res.add(f"telescoped_identity[{seq.label()}]", rel_t, 1e-12)
@@ -182,8 +182,7 @@ def _theta_route_commutator(low: TruncatedOperator, high: TruncatedOperator,
 
 @_criterion("c04_commutator_diagonal")
 def criterion_04_commutator_diag(ctx: _Context, res: CriterionResult):
-    for case, kw in _case_list():
-        weights = ladder.case_weights(case, **kw)
+    for weights in _case_list():
         lbl = weights.label()
         low, high = ladder.ladder_matrices(weights, ctx.N, FOCK)
         for part, comm, tol in (
@@ -197,15 +196,14 @@ def criterion_04_commutator_diag(ctx: _Context, res: CriterionResult):
 
 @_criterion("c05_closed_form_equivalence")
 def criterion_05_closed_forms(ctx: _Context, res: CriterionResult):
-    for case, kw in _case_list():
-        weights = ladder.case_weights(case, **kw)
-        closed = ladder.closed_form_case(case, ctx.b, **kw)
+    for weights in _case_list():
+        closed = ladder.closed_form_case(weights, ctx.b)
         fill = ladder.ladder_fill(weights, ctx.N, FOCK)
         general = ladder.transport_to_theta(fill, ctx.u, ctx.basis.tag)
         dev = interior_max_abs(closed.mat - general.mat)
         res.add(f"closed_vs_general[{weights.label()}]", dev, 1e-7)
-    q_to_1 = ladder.closed_form_case("v", ctx.b, q=1.0 + 1e-8)
-    case_i_w1 = ladder.closed_form_case("i", ctx.b, w=1.0)
+    q_to_1 = ladder.closed_form_case(ladder.geometric_weights(1.0 + 1e-8), ctx.b)
+    case_i_w1 = ladder.closed_form_case(ladder.constant_weights(1.0), ctx.b)
     res.add("q_to_1_limit_vs_case_i_w1", interior_max_abs(q_to_1.mat - case_i_w1.mat), 1e-5)
 
 
@@ -263,8 +261,7 @@ def _cs_residual(weights: ladder.WeightSequence, zeta: complex, N: int, tag) -> 
 def criterion_08_cs_eigenresidual(ctx: _Context, res: CriterionResult):
     zeta = 1.0 + 0.5j
     tag = ctx.basis.tag
-    for case, kw in (("i", dict(w=2.0)), ("ii", dict(w=0.5)), ("iii", dict())):
-        weights = ladder.case_weights(case, **kw)
+    for weights in _case_list()[:3]:
         try:
             r64 = _cs_residual(weights, zeta, max(ctx.N, 16), tag)
         except (coherent.TruncationError, coherent.DivergenceError):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from isoladder import isospectral
 from isoladder.cli import ConfigError, build_config, main, make_parser, to_csv, to_json
 
 
@@ -123,6 +124,15 @@ class TestCommands:
         expected = [0.0] + [1.1**n for n in range(1, 4)]
         got = doc["fock"]["diagonal"][:4]
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_commutator_builds_neither_b_nor_h_tilde(self, capsys, monkeypatch):
+        # commutator reads only U and the theta basis; b (and H~ = b+ b) are built on first use
+        def refuse(basis):
+            raise AssertionError("commutator built b")
+
+        monkeypatch.setattr(isospectral, "b_matrix", refuse)
+        code, _, _ = run_cli(["commutator", "--trunc", "16"], capsys)
+        assert code == 0
 
     def test_coherent_rejects_beyond_radius(self, capsys):
         code, _, err = run_cli(

@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isoladder.fock import (
     FOCK,
@@ -20,7 +21,6 @@ from isoladder.ladder import (
     WeightError,
     c_coefficients_closed,
     c_coefficients_recursive,
-    case_weights,
     closed_form_case,
     constant_weights,
     custom_weights,
@@ -36,6 +36,16 @@ from isoladder.ladder import (
     single_weight,
     transport_to_theta,
 )
+
+# one weight rule per closed form (the paper's cases i-v), geometric below and above q = 1
+CLOSED_FORM_WEIGHTS = [
+    constant_weights(2.0),
+    distorted_weights(0.5),
+    linear_weights(),
+    single_weight(2.0),
+    geometric_weights(0.7),
+    geometric_weights(1.3),
+]
 
 
 class TestWeightSequence:
@@ -69,18 +79,18 @@ class TestGeneralizedDoubleFactorial:
 
     def test_reduces_to_integer_double_factorial(self):
         # w = 1 so W_k = k: W_6!! = 48 = 6!!, W_5!! = 15 = 5!!, and c_6 = 1
-        c = c_coefficients_closed(constant_weights(1.0), 7).c
+        c = c_coefficients_closed(constant_weights(1.0), 7)
         assert c[6] == pytest.approx((15.0 / 48.0) * (48.0 / 15.0), rel=1e-13)
 
     def test_single_factor(self):
-        assert c_coefficients_closed(custom_weights([4.0]), 2).c[1] == pytest.approx(4.0, rel=1e-14)
+        assert c_coefficients_closed(custom_weights([4.0]), 2)[1] == pytest.approx(4.0, rel=1e-14)
 
     def test_linear_weights_n3(self):
         # W = 1, 3, 6: c_3 = (2!!/3!!) (W_3 W_1 / W_2) = (2/3)(6/3)
-        assert c_coefficients_closed(linear_weights(), 4).c[3] == pytest.approx(4.0 / 3.0, rel=1e-13)
+        assert c_coefficients_closed(linear_weights(), 4)[3] == pytest.approx(4.0 / 3.0, rel=1e-13)
 
     def test_empty_product(self):
-        assert list(c_coefficients_closed(linear_weights(), 1).c) == [1.0]
+        assert list(c_coefficients_closed(linear_weights(), 1)) == [1.0]
 
     def test_out_of_range(self):
         with pytest.raises(WeightError):
@@ -89,48 +99,53 @@ class TestGeneralizedDoubleFactorial:
 
 class TestCoefficients:
     def test_unit_weights_all_one(self):
-        table = c_coefficients_recursive(constant_weights(1.0), 50)
-        assert np.allclose(table.c, 1.0, atol=1e-14)
+        assert np.allclose(c_coefficients_recursive(constant_weights(1.0), 50), 1.0, atol=1e-14)
 
     def test_c1_is_w1(self):
         for w in (0.3, 1.0, 4.5):
-            assert c_coefficients_recursive(distorted_weights(w), 4).c[1] == pytest.approx(w)
+            assert c_coefficients_recursive(distorted_weights(w), 4)[1] == pytest.approx(w)
 
     def test_distorted_w2_hand_unrolled(self):
         # c0 c1 = 2; 2 c1 c2 - c1 c0 = 1 -> c2 = 3/4; 3 c2 c3 = W3 = 4 -> c3 = 16/9
-        c = c_coefficients_recursive(distorted_weights(2.0), 4).c
+        c = c_coefficients_recursive(distorted_weights(2.0), 4)
         assert c[0] == 1.0
         assert c[1] == pytest.approx(2.0, rel=1e-14)
         assert c[2] == pytest.approx(0.75, rel=1e-14)
         assert c[3] == pytest.approx(16.0 / 9.0, rel=1e-14)
 
     def test_closed_form_base_cases(self):
-        clo = c_coefficients_closed(distorted_weights(2.0), 3).c
+        clo = c_coefficients_closed(distorted_weights(2.0), 3)
         assert clo[1] == pytest.approx(2.0, rel=1e-13)  # (0!!/1!!)(W1!!/W0!!) = W1
         assert clo[2] == pytest.approx(0.5 * 3.0 / 2.0, rel=1e-13)  # (1/2)(W2/W1)
 
-    @pytest.mark.parametrize(
-        "weights",
-        [
-            constant_weights(2.0),
-            distorted_weights(0.5),
-            linear_weights(),
-            single_weight(2.0),
-            geometric_weights(0.7),
-        ],
-        ids=lambda w: w.label(),
-    )
+    @pytest.mark.parametrize("weights", CLOSED_FORM_WEIGHTS[:5], ids=lambda w: w.label())
     def test_closed_matches_recursive(self, weights):
         rec = c_coefficients_recursive(weights, 201)
         clo = c_coefficients_closed(weights, 201)
-        assert np.max(np.abs(clo.c - rec.c) / np.abs(rec.c)) < 1e-12
+        assert np.max(np.abs(clo - rec) / np.abs(rec)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 600).flatmap(lambda N: st.tuples(st.just(N), st.lists(
+        st.floats(min_value=1e-3, max_value=1e3), min_size=max(N - 1, 1), max_size=max(N - 1, 1)))))
+    @example((1, [1e-3]))
+    @example((2, [1e3]))
+    @example((3, [1e-3, 1e3]))
+    @example((600, [1e-3, 1e3] * 300))
+    def test_closed_matches_recursive_custom(self, case):
+        # the telescoped product and the recursion share no intermediate values
+        N, values = case
+        weights = custom_weights(values)
+        rec = c_coefficients_recursive(weights, N)
+        clo = c_coefficients_closed(weights, N)
+        assert clo.shape == rec.shape == (N,)
+        assert np.max(np.abs(clo - rec) / np.abs(rec)) < 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.floats(min_value=0.05, max_value=5.0), min_size=8, max_size=40))
     def test_telescoped_identity(self, values):
         weights = custom_weights(values)
         n_max = len(values)
-        c = c_coefficients_recursive(weights, n_max).c
+        c = c_coefficients_recursive(weights, n_max)
         W = weights.partial_sum_array(n_max - 1)
         n = np.arange(n_max - 1)
         telescoped = (n + 1) * c[:-1] * c[1:]
@@ -144,7 +159,7 @@ class TestCoefficients:
 class TestShift:
     def test_exact_partial_isometry_for_unit_weights(self):
         N = 16
-        s = shift_matrix(constant_weights(1.0), N).op
+        s = shift_matrix(constant_weights(1.0), N)
         ssd = s.mat @ s.mat.conj().T
         sds = s.mat.conj().T @ s.mat
         assert np.allclose(ssd[: N - 2, : N - 2], np.eye(N - 2), atol=1e-13)
@@ -154,15 +169,16 @@ class TestShift:
 
     def test_unit_weights_closed_form(self):
         N = 24
-        s = shift_matrix(constant_weights(1.0), N).op
+        s = shift_matrix(constant_weights(1.0), N)
         closed = apply_spectral_function(number_matrix(N), lambda t: (1 + t) ** -0.5) @ annihilation_matrix(N)
         assert np.max(np.abs(s.mat - closed.mat)) < 1e-12
 
     def test_distorted_diag_matches_table(self):
         N = 12
         shifted = shift_matrix(distorted_weights(2.0), N)
-        ssd = shifted.op.mat @ shifted.op.mat.conj().T
-        assert np.allclose(np.diag(ssd)[: N - 1], shifted.table.c[: N - 1], atol=1e-13)
+        ssd = shifted.mat @ shifted.mat.conj().T
+        c = c_coefficients_recursive(distorted_weights(2.0), N)
+        assert np.allclose(np.diag(ssd)[: N - 1], c[: N - 1], atol=1e-13)
         assert np.diag(ssd)[:4] == pytest.approx([1.0, 2.0, 0.75, 16.0 / 9.0])
 
 
@@ -192,7 +208,7 @@ class TestLadderMatrices:
     def test_two_path_agreement_is_enforced(self):
         low, _ = ladder_matrices(linear_weights(), 10)
         s = shift_matrix(linear_weights(), 10)
-        conj = adjoint(s.op) @ annihilation_matrix(10) @ s.op
+        conj = adjoint(s) @ annihilation_matrix(10) @ s
         assert np.max(np.abs(conj.mat - low.mat)) < 1e-12
 
 
@@ -213,7 +229,7 @@ class TestTransport:
         # conjugating with transported S vs transporting the conjugated fill
         u = u_matrix(basis64)
         weights = distorted_weights(2.0)
-        s = shift_matrix(weights, 64).op
+        s = shift_matrix(weights, 64)
         a = annihilation_matrix(64)
         s_t = transport_to_theta(s, u, basis64.tag)
         a_t = transport_to_theta(a, u, basis64.tag)
@@ -229,38 +245,31 @@ class TestTransport:
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("case,kw", [
-        ("i", {"w": 2.0}),
-        ("ii", {"w": 0.5}),
-        ("iii", {}),
-        ("iv", {"w": 2.0}),
-        ("v", {"q": 0.7}),
-        ("v", {"q": 1.3}),
-    ])
-    def test_closed_equals_general(self, basis64, case, kw):
+    @pytest.mark.parametrize("weights", CLOSED_FORM_WEIGHTS, ids=lambda w: w.label())
+    def test_closed_equals_general(self, basis64, weights):
         b = b_matrix(basis64)
         u = u_matrix(basis64)
-        closed = closed_form_case(case, b, **kw)
-        general = transport_to_theta(ladder_fill(case_weights(case, **kw), 64), u, basis64.tag)
+        closed = closed_form_case(weights, b)
+        general = transport_to_theta(ladder_fill(weights, 64), u, basis64.tag)
         assert interior_max_abs(closed.mat - general.mat) < 1e-7
 
     def test_case_ii_w1_equals_case_i_w1(self, basis64):
         b = b_matrix(basis64)
-        one = closed_form_case("i", b, w=1.0)
-        two = closed_form_case("ii", b, w=1.0)
+        one = closed_form_case(constant_weights(1.0), b)
+        two = closed_form_case(distorted_weights(1.0), b)
         assert interior_max_abs(one.mat - two.mat) < 1e-10
 
     def test_q_to_one_limit(self, basis64):
         b = b_matrix(basis64)
-        lim = closed_form_case("v", b, q=1.0 + 1e-8)
-        ref = closed_form_case("i", b, w=1.0)
+        lim = closed_form_case(geometric_weights(1.0 + 1e-8), b)
+        ref = closed_form_case(constant_weights(1.0), b)
         assert interior_max_abs(lim.mat - ref.mat) < 1e-5
 
     def test_case_iii_commutator_is_h_tilde(self, basis64):
         # [a1, a1+] = b+ b for linear weights, checked in the theta representation
         u = u_matrix(basis64)
         b = b_matrix(basis64)
-        low = closed_form_case("iii", b)
+        low = closed_form_case(linear_weights(), b)
         comm = low @ adjoint(low) - adjoint(low) @ low
         comm_theta = represent_in_theta(comm, u, basis64.tag)
         h_theta = represent_in_theta(adjoint(b) @ b, u, basis64.tag)
@@ -271,15 +280,14 @@ class TestClosedForms:
         b = b_matrix(basis64)
         u = u_matrix(basis64)
         N = 64
-        for case, kw in [("i", {"w": 2.0}), ("ii", {"w": 0.5}), ("iii", {}), ("iv", {"w": 2.0}), ("v", {"q": 0.7})]:
-            weights = case_weights(case, **kw)
+        for weights in CLOSED_FORM_WEIGHTS[:5]:
             W = weights.partial_sum_array(N)
             mid = np.zeros((N, N))
             for n in range(N - 1):
                 mid[n, n + 1] = math.sqrt(W[n] / ((n + 1) * (n + 2)))
             sandwich = adjoint(b) @ TruncatedOperator(mid, FOCK) @ b
             general = transport_to_theta(ladder_fill(weights, N), u, basis64.tag)
-            assert interior_max_abs(sandwich.mat - general.mat) < 1e-7, case
+            assert interior_max_abs(sandwich.mat - general.mat) < 1e-7, weights.label()
 
     def test_eq_321_symmetric_form_case_i(self, basis64):
         # G(H) = w^{1/4} recovers the symmetric closed form sqrt(w) b+ R a R b
@@ -289,17 +297,15 @@ class TestClosedForms:
         r = apply_spectral_function(number_matrix(N), lambda t: (1 + t) ** -0.5)
         g = apply_spectral_function(number_matrix(N), lambda t: w**0.25)
         sym = adjoint(b) @ r @ g @ annihilation_matrix(N) @ g @ r @ b
-        ref = closed_form_case("i", b, w=w)
+        ref = closed_form_case(constant_weights(w), b)
         assert interior_max_abs(sym.mat - ref.mat) < 1e-10
 
     def test_bad_parameters(self, basis64):
+        # only the five rules of cases i-v have a closed form; the error names the rule
         b = b_matrix(basis64)
-        with pytest.raises(ValueError):
-            closed_form_case("v", b, q=-1.0)
-        with pytest.raises(ValueError):
-            closed_form_case("i", b, w=-2.0)
-        with pytest.raises(ValueError):
-            closed_form_case("vi", b)
+        for weights in (power_law_weights(2.0), custom_weights([1.0] * 70)):
+            with pytest.raises(ValueError, match=re.escape(weights.label())):
+                closed_form_case(weights, b)
 
 
 class TestResolvent:
