@@ -1,9 +1,11 @@
 """Command-line driver: spectrum/commutator/coherent/order/pdo/report.
 
-Configuration comes from defaults, then an optional flat key=value config
-file, then command-line flags (flags win).  All numeric output is formatted
-to 17 significant digits so identical configs produce byte-identical files.
-Exit codes: 0 all checks pass, 1 a check failed, 2 invalid configuration.
+Configuration comes from the RunConfig defaults, then an optional flat
+key = value config file, then command-line flags (flags win); the _OPTIONS
+table declares each option once.  All numeric output is formatted to 17
+significant digits so identical configs produce byte-identical files.
+Exit codes: 0 all checks pass, 1 a check failed, 2 invalid configuration
+(a non-finite number included).
 """
 
 from __future__ import annotations
@@ -51,38 +53,28 @@ class RunConfig:
 
     def weights(self) -> ladder.WeightSequence:
         kind = self.weights_kind
+        if kind == "linear" and self.nu is not None and self.nu != 1.0:
+            kind = "power"  # --weights linear --nu v: w_n = n^v
         try:
-            if kind == "constant":
-                return ladder.constant_weights(self.w)
-            if kind == "distorted":
-                return ladder.distorted_weights(self.w)
-            if kind == "linear":
-                if self.nu is not None and self.nu != 1.0:
-                    return ladder.power_law_weights(self.nu)
-                return ladder.linear_weights()
-            if kind == "single":
-                return ladder.single_weight(self.w)
-            if kind == "geometric":
-                return ladder.geometric_weights(self.q)
-            if kind == "custom":
-                if not self.custom:
-                    raise ConfigError("custom weights need `custom = w1,w2,...` in the config file")
-                return ladder.custom_weights(self.custom)
+            return ladder.weight_rule(kind, w=self.w, q=self.q, nu=self.nu, values=self.custom)
         except ladder.WeightError as exc:
             raise ConfigError(str(exc)) from exc
-        raise ConfigError(
-            f"unknown weights kind {kind!r}; expected constant|distorted|linear|single|geometric|custom"
-        )
 
     def validate(self):
+        for key, attr, conv, flag in _OPTIONS:
+            value = getattr(self, attr)
+            numbers = value if conv is _floats else (value,) if conv is float else ()
+            if not all(v is None or math.isfinite(v) for v in numbers):
+                raise ConfigError(f"{key!r} must be finite, got {value!r}")
+            choices = (flag or {}).get("choices")
+            if choices and value not in choices:
+                raise ConfigError(f"{key!r} must be one of {'|'.join(choices)}, got {value!r}")
         if self.trunc < 8:
             raise ConfigError(f"truncation must be >= 8, got {self.trunc}")
-        if abs(self.lam) <= math.sqrt(math.pi) / 2 + 1e-6:
-            raise ConfigError(
-                f"|lambda| must exceed sqrt(pi)/2 + 1e-6 = {math.sqrt(math.pi) / 2 + 1e-6:.7f}, got {self.lam}"
-            )
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        try:
+            isospectral.IsospectralParams(self.lam)
+        except isospectral.ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
         self.weights()
 
 
@@ -105,7 +97,7 @@ def _json_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, complex):
-        return '{"re": %s, "im": %s}' % (fmt_float(v.real), fmt_float(v.imag))
+        return '{"re": %s, "im": %s}' % (_json_value(v.real), _json_value(v.imag))
     if isinstance(v, (float, np.floating)):
         if math.isfinite(v):
             return fmt_float(v)
@@ -306,59 +298,52 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-_FILE_KEYS = {
-    "lambda": ("lam", float),
-    "trunc": ("trunc", int),
-    "weights": ("weights_kind", str),
-    "w": ("w", float),
-    "q": ("q", float),
-    "nu": ("nu", float),
-    "zeta_re": ("zeta_re", float),
-    "zeta_im": ("zeta_im", float),
-    "out": ("out", str),
-    "format": ("fmt", str),
-    "custom": ("custom", lambda s: tuple(float(v) for v in s.split(","))),
-}
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+# One row per option: its config-file key, its RunConfig attribute, the converter
+# of a file value, and the argparse keywords of its flag, `--` + key with `-` for
+# `_` (None: the option is set only in the config file).
+_OPTIONS = (
+    ("lambda", "lam", float, {"help": "family parameter (default 2)"}),
+    ("trunc", "trunc", int, {"help": "truncation size N (default 64)"}),
+    ("weights", "weights_kind", str,
+     {"choices": ["constant", "distorted", "linear", "single", "geometric", "custom"]}),
+    ("w", "w", float, {"help": "weight parameter w"}),
+    ("q", "q", float, {"help": "deformation parameter q"}),
+    ("nu", "nu", float, {"help": "power-law exponent for --weights linear"}),
+    ("zeta_re", "zeta_re", float, {}),
+    ("zeta_im", "zeta_im", float, {}),
+    ("out", "out", str, {"help": "output directory (default: stdout)"}),
+    ("format", "fmt", str, {"choices": ["csv", "json"]}),
+    ("custom", "custom", _floats, None),
+)
 
 
 def build_config(args) -> RunConfig:
     config = RunConfig()
-    if args.config:
-        for key, value in read_config_file(args.config).items():
-            if key not in _FILE_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            attr, conv = _FILE_KEYS[key]
-            try:
-                setattr(config, attr, conv(value))
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-    for attr, flag in (
-        ("lam", "lam"), ("trunc", "trunc"), ("weights_kind", "weights"),
-        ("w", "w"), ("q", "q"), ("nu", "nu"),
-        ("zeta_re", "zeta_re"), ("zeta_im", "zeta_im"),
-        ("out", "out"), ("fmt", "format"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            setattr(config, attr, value)
+    rows = {key: (attr, conv) for key, attr, conv, _ in _OPTIONS}
+    for key, value in (read_config_file(args.config) if args.config else {}).items():
+        if key not in rows:
+            raise ConfigError(f"unknown config key {key!r}")
+        attr, conv = rows[key]
+        try:
+            setattr(config, attr, conv(value))
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+    for _, attr, _, flag in _OPTIONS:
+        if flag is not None and getattr(args, attr) is not None:
+            setattr(config, attr, getattr(args, attr))
     config.validate()
     return config
 
 
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="family parameter (default 2)")
-    common.add_argument("--trunc", type=int, default=None, help="truncation size N (default 64)")
-    common.add_argument("--weights", default=None,
-                        choices=["constant", "distorted", "linear", "single", "geometric", "custom"])
-    common.add_argument("--w", type=float, default=None, help="weight parameter w")
-    common.add_argument("--q", type=float, default=None, help="deformation parameter q")
-    common.add_argument("--nu", type=float, default=None, help="power-law exponent for --weights linear")
-    common.add_argument("--zeta-re", dest="zeta_re", type=float, default=None)
-    common.add_argument("--zeta-im", dest="zeta_im", type=float, default=None)
-    common.add_argument("--out", default=None, help="output directory (default: stdout)")
-    common.add_argument("--format", dest="format", default=None, choices=["csv", "json"])
+    for key, attr, conv, flag in _OPTIONS:
+        if flag is not None:
+            common.add_argument("--" + key.replace("_", "-"), dest=attr, type=conv, default=None, **flag)
     common.add_argument("--config", default=None, help="flat key = value config file")
 
     parser = argparse.ArgumentParser(prog="isoladder",
@@ -378,7 +363,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = build_config(args)
-    except (ConfigError, isospectral.ParameterError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:

@@ -36,6 +36,7 @@ __all__ = [
     "geometric_weights",
     "power_law_weights",
     "custom_weights",
+    "weight_rule",
     "c_coefficients_recursive",
     "c_coefficients_closed",
     "shift_matrix",
@@ -54,6 +55,19 @@ class WeightError(ValueError):
     """Inadmissible or inconsistent weight sequence."""
 
 
+# kind -> the one parameter the rule reads (None: none) and the bound it must meet
+# besides being finite; "values" is the custom list, bounded entry by entry
+_PARAMETER = {
+    "constant": ("w", "> 0"),
+    "distorted": ("w", "> 0"),
+    "linear": (None, ""),
+    "single": ("w", ">= 0"),
+    "geometric": ("q", "> 0"),
+    "power": ("nu", ""),
+    "custom": ("values", ">= 0"),
+}
+
+
 @dataclass(frozen=True)
 class WeightSequence:
     """Rule generating the commutator weights w_n (n >= 1) and partial sums W_n.
@@ -70,21 +84,16 @@ class WeightSequence:
     values: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.kind not in ("constant", "distorted", "linear", "single", "geometric", "power", "custom"):
+        if self.kind not in _PARAMETER:
             raise WeightError(f"unknown weight variant {self.kind!r}")
-        if self.kind in ("constant", "distorted") and (self.w is None or self.w <= 0):
-            raise WeightError(f"{self.kind} weights need w > 0, got {self.w!r}")
-        if self.kind == "single" and (self.w is None or self.w < 0):
-            raise WeightError(f"single weight needs w >= 0, got {self.w!r}")
-        if self.kind == "geometric" and (self.q is None or self.q <= 0):
-            raise WeightError(f"geometric weights need q > 0, got {self.q!r}")
-        if self.kind == "power" and self.nu is None:
-            raise WeightError("power-law weights need nu")
-        if self.kind == "custom":
-            if not self.values:
-                raise WeightError("custom weights need a nonempty list")
-            if any(v < 0 for v in self.values):
-                raise WeightError("custom weights must be nonnegative")
+        name, bound = _PARAMETER[self.kind]
+        if name is None:
+            return
+        given = getattr(self, name)
+        values = given if name == "values" else (given,)
+        admits = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "": lambda v: True}[bound]
+        if not values or not all(v is not None and math.isfinite(v) and admits(v) for v in values):
+            raise WeightError(f"{self.kind} weights need finite {name} {bound}".rstrip() + f", got {given!r}")
 
     @property
     def max_index(self) -> int | None:
@@ -92,19 +101,12 @@ class WeightSequence:
         return len(self.values) if self.kind == "custom" else None
 
     def label(self) -> str:
-        if self.kind == "constant":
-            return f"constant(w={self.w:g})"
-        if self.kind == "distorted":
-            return f"distorted(w={self.w:g})"
-        if self.kind == "linear":
-            return "linear"
-        if self.kind == "single":
-            return f"single(w={self.w:g})"
-        if self.kind == "geometric":
-            return f"geometric(q={self.q:g})"
-        if self.kind == "power":
-            return f"power(nu={self.nu:g})"
-        return f"custom[{len(self.values)}]"
+        name = _PARAMETER[self.kind][0]
+        if name is None:
+            return self.kind
+        if name == "values":
+            return f"custom[{len(self.values)}]"
+        return f"{self.kind}({name}={getattr(self, name):g})"
 
     def weight(self, n: int) -> float:
         """w_n for n >= 1."""
@@ -149,6 +151,12 @@ class WeightSequence:
     def log_partial_sum_array(self, nmax: int) -> np.ndarray:
         """log W_n accumulated in the log domain, safe out to n = 10^4 for q > 1."""
         return np.logaddexp.accumulate(self.log_weight_array(nmax))
+
+
+def weight_rule(kind: str, **params) -> WeightSequence:
+    """The rule `kind` built from the one parameter it reads; params may carry the others too."""
+    name = _PARAMETER.get(kind, (None,))[0]  # WeightSequence refuses an unknown kind
+    return WeightSequence(kind, **({} if name is None else {name: params.get(name)}))
 
 
 def constant_weights(w: float) -> WeightSequence:

@@ -1,13 +1,16 @@
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
 
 from isoladder import isospectral
-from isoladder.cli import ConfigError, build_config, main, make_parser, to_csv, to_json
+from isoladder.cli import _OPTIONS, ConfigError, RunConfig, build_config, main, make_parser, to_csv, to_json
 
 
-PDO_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "pdo_series.json"
+ROOT = Path(__file__).resolve().parents[1]
+PDO_GOLDEN = ROOT / "perfbench" / "golden" / "pdo_series.json"
 # {repr(w): {"lowering_series": [...], "raising_series": [...]}} for every benchmark w
 PDO_GOLDEN_SERIES = json.loads(PDO_GOLDEN.read_text(encoding="utf-8"))
 
@@ -59,6 +62,39 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config(parser.parse_args(["spectrum", "--config", str(cfg)]))
 
+    # one non-default value per option that has a flag, as the config file writes it
+    FLAG_SAMPLES = {
+        "lambda": "3.5", "trunc": "32", "weights": "geometric", "w": "2.5", "q": "0.7",
+        "nu": "2", "zeta_re": "0.25", "zeta_im": "-0.5", "out": "outdir", "format": "csv",
+    }
+
+    def test_file_and_flag_give_the_same_value(self, tmp_path):
+        flagged = [(key, attr) for key, attr, _, flag in _OPTIONS if flag is not None]
+        assert sorted(key for key, _ in flagged) == sorted(self.FLAG_SAMPLES)
+        parser = make_parser()
+        for key, attr in flagged:
+            text = self.FLAG_SAMPLES[key]
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {text}\n")
+            from_file = build_config(parser.parse_args(["order", "--config", str(cfg)]))
+            from_flag = build_config(parser.parse_args(["order", "--" + key.replace("_", "-"), text]))
+            assert getattr(from_file, attr) == getattr(from_flag, attr) != getattr(RunConfig(), attr), key
+
+    @pytest.mark.parametrize("kind", ["power", "foo"])
+    def test_weights_outside_the_flag_choices_refused_in_file(self, kind, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"weights = {kind}\nnu = 2\n")
+        parser = make_parser()
+        with pytest.raises(ConfigError, match="'weights' must be one of"):
+            build_config(parser.parse_args(["order", "--config", str(cfg)]))
+
+    def test_non_finite_custom_refused(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("weights = custom\ncustom = 1, nan\n")
+        parser = make_parser()
+        with pytest.raises(ConfigError, match="'custom' must be finite"):
+            build_config(parser.parse_args(["order", "--config", str(cfg)]))
+
 
 class TestEmitters:
     def test_float_formatting_17_digits(self):
@@ -67,6 +103,7 @@ class TestEmitters:
 
     def test_complex_encoding(self):
         assert to_json(1.5 - 2.0j) == '{"re": 1.5, "im": -2}\n'
+        assert json.loads(to_json(complex(math.nan, 1.0))) == {"re": "nan", "im": 1}
 
     def test_csv_lf_endings(self):
         text = to_csv(["a", "b"], [[1, 0.5], [2, 0.25]])
@@ -133,6 +170,20 @@ class TestCommands:
         monkeypatch.setattr(isospectral, "b_matrix", refuse)
         code, _, _ = run_cli(["commutator", "--trunc", "16"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("args, key", [
+        (["order", "--weights", "constant", "--w", "inf"], "w"),
+        (["order", "--weights", "geometric", "--q", "nan"], "q"),
+        (["order", "--weights", "linear", "--nu", "inf"], "nu"),
+        (["pdo", "--w", "inf"], "w"),
+        (["coherent", "--zeta-re", "nan"], "zeta_re"),
+        (["coherent", "--zeta-im", "inf"], "zeta_im"),
+        (["spectrum", "--lambda", "nan"], "lambda"),
+    ])
+    def test_non_finite_input_exit_2(self, args, key, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert f"'{key}' must be finite" in err
 
     def test_coherent_rejects_beyond_radius(self, capsys):
         code, _, err = run_cli(
@@ -207,3 +258,14 @@ class TestReportCommand:
         code, out, _ = run_cli(["report"], capsys)
         assert code == 0
         assert json.loads(out)["all_pass"] is True
+
+
+class TestDocs:
+    def test_readme_lists_exactly_the_parser_flags(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        paragraph = readme[readme.index("Flags:"):].split("\n\n", 1)[0]
+        documented = set(re.findall(r"`(--[a-z][a-z-]*)", paragraph))
+        commands = make_parser()._subparsers._group_actions[0].choices
+        for name, sub in commands.items():
+            defined = {s for action in sub._actions for s in action.option_strings if s.startswith("--")}
+            assert documented == defined - {"--help"}, name

@@ -35,6 +35,7 @@ from isoladder.ladder import (
     shift_matrix,
     single_weight,
     transport_to_theta,
+    weight_rule,
 )
 
 # one weight rule per closed form (the paper's cases i-v), geometric below and above q = 1
@@ -57,6 +58,16 @@ class TestWeightSequence:
         assert geometric_weights(0.5).weight(3) == 0.125
         assert power_law_weights(2.0).weight(3) == 9.0
         assert custom_weights([1.0, 2.5]).weight(2) == 2.5
+        labels = [
+            (constant_weights(2.0), "constant(w=2)"),
+            (distorted_weights(0.5), "distorted(w=0.5)"),
+            (linear_weights(), "linear"),
+            (single_weight(2.0), "single(w=2)"),
+            (geometric_weights(0.7), "geometric(q=0.7)"),
+            (power_law_weights(2.0), "power(nu=2)"),
+            (custom_weights([1.0, 0.5, 2.0]), "custom[3]"),
+        ]
+        assert [weights.label() for weights, _ in labels] == [label for _, label in labels]
 
     def test_partial_sums(self):
         w = linear_weights()
@@ -72,6 +83,22 @@ class TestWeightSequence:
             custom_weights([1.0, -0.5])
         with pytest.raises(WeightError):
             custom_weights([1.0]).weight(2)
+        for make, value in [
+            (constant_weights, math.inf), (distorted_weights, math.nan), (single_weight, math.inf),
+            (geometric_weights, math.nan), (power_law_weights, math.inf),
+            (custom_weights, [1.0, math.nan]),
+        ]:
+            with pytest.raises(WeightError, match="need finite"):
+                make(value)
+
+    def test_weight_rule_reads_only_its_parameter(self):
+        params = {"w": 2.0, "q": 0.7, "nu": 2.0, "values": (1.0, 0.5, 2.0)}
+        assert [weight_rule(kind, **params) for kind in ("constant", "geometric", "power", "custom", "linear")] == [
+            constant_weights(2.0), geometric_weights(0.7), power_law_weights(2.0),
+            custom_weights([1.0, 0.5, 2.0]), linear_weights(),
+        ]
+        with pytest.raises(WeightError, match="unknown weight variant"):
+            weight_rule("foo", **params)
 
 
 class TestGeneralizedDoubleFactorial:
