@@ -173,8 +173,8 @@ def cmd_commutator(config: RunConfig) -> int:
     weights = config.weights()
     ctx = report._Context(config.lam, N)
     low, high = ladder.ladder_matrices(weights, N, FOCK)
-    fock_block = report._commutator_diagonal(commutator(low, high).mat, weights)
-    theta_block = report._commutator_diagonal(
+    fock_block = ladder.commutator_diagonal(commutator(low, high).mat, weights)
+    theta_block = ladder.commutator_diagonal(
         report._theta_route_commutator(low, high, ctx.u, ctx.basis.tag), weights
     )
     ok = fock_block["residual"] < 1e-12 and theta_block["residual"] < 1e-6

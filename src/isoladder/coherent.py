@@ -9,7 +9,8 @@ operator and the Perelomov-type generalized coherent states.
 One weighted-shift routine, _shift_eigenvector, builds these states and the
 two coherent-state families of isospectral, all under one tail guard.  All
 W products are accumulated as sums of logarithms so q > 1 sequences survive
-out to n = 10^4 without overflow.
+out to n = 10^4 without overflow.  The growth questions (bounded? radius?
+order?) read that 10^4-term log W_n once per call, from _growth_window.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from .fock import (
     apply_operator,
     commutator,
     hermitian_eigensystem,
-    interior_max_abs,
 )
-from .ladder import WeightSequence, constant_weights
+from .ladder import WeightError, WeightSequence, commutator_diagonal, constant_weights
 
 __all__ = [
     "DivergenceError",
@@ -237,26 +237,40 @@ class OrderEstimate:
 
     def __post_init__(self):
         if self.entire:
-            if self.rho is None or self.rho < 0 or math.isfinite(self.radius):
+            if self.rho is None or not self.rho >= 0 or math.isfinite(self.radius):
                 raise ValueError("entire estimate needs rho >= 0 and infinite radius")
         else:
             if self.rho is not None or not math.isfinite(self.radius) or self.radius <= 0:
                 raise ValueError("non-entire estimate needs a finite positive radius")
 
 
-def _probe_length(weights: WeightSequence) -> int:
+def _growth_window(weights: WeightSequence) -> tuple[np.ndarray, float]:
+    """log W_1 .. log W_n over the growth window and the radius read from it.
+
+    n is 10^4, or the length of a custom list (at least 16); the radius is
+    the one radius_of_convergence describes.  An all-zero prefix makes the
+    growth from n/2 to n NaN, which reads as unbounded.
+    """
     nmax = weights.max_index if weights.max_index is not None else _FIT_HI
     if nmax < 16:
         raise WeightSequenceTooShort(
             f"need at least 16 weights to classify growth, have {nmax}"
         )
-    return min(nmax, _FIT_HI)
-
-
-def _bounded_weight_sums(weights: WeightSequence) -> bool:
-    n = _probe_length(weights)
-    logW = weights.log_partial_sum_array(n)
-    return bool(logW[n - 1] - logW[n // 2 - 1] < 1e-9)
+    logW = weights.log_partial_sum_array(min(nmax, _FIT_HI))
+    n = len(logW)
+    # Python floats: -inf - -inf is NaN without a numpy RuntimeWarning
+    if not float(logW[n - 1]) - float(logW[n // 2 - 1]) < 1e-9:
+        return logW, math.inf
+    w_q = math.exp(logW[n // 4 - 1])
+    w_h = math.exp(logW[n // 2 - 1])
+    w_f = math.exp(logW[n - 1])
+    d1 = w_h - w_q
+    d2 = w_f - w_h
+    limit = w_f
+    if d1 > 0 and 0 < d2 < d1:
+        r = d2 / d1
+        limit = w_f + d2 * r / (1.0 - r)
+    return logW, math.sqrt(limit)
 
 
 def order_estimate(weights: WeightSequence) -> OrderEstimate:
@@ -266,19 +280,21 @@ def order_estimate(weights: WeightSequence) -> OrderEstimate:
     least squares of log(W_1...W_n) on {n^2, n log n, n, 1} over
     n in [1e3, 1e4]; a practically significant n^2 term means order 0
     (Gaussian-type coefficient decay), else rho = 2 / (n log n coefficient).
+    WeightError when w_1 = 0: every d_n past d_0 is then infinite.
     """
-    if _bounded_weight_sums(weights):
-        radius = radius_of_convergence(weights)
+    logW, radius = _growth_window(weights)
+    if logW[0] == -math.inf:
+        raise WeightError("order estimate needs w_1 > 0, got 0.0")
+    if math.isfinite(radius):
         diag = {"bounded_weight_sums": True}
         if weights.kind == "geometric" and weights.q < 1:
             # the bare sqrt(q) convention is recorded alongside the ratio-test radius
             diag["alternative_sqrt_q"] = math.sqrt(weights.q)
         return OrderEstimate(entire=False, rho=None, radius=radius, diagnostics=diag)
-    if weights.max_index is not None and weights.max_index < _FIT_HI:
+    if len(logW) < _FIT_HI:
         raise WeightSequenceTooShort(
             f"order fit needs weights out to n = {_FIT_HI}, custom list has {weights.max_index}"
         )
-    logW = weights.log_partial_sum_array(_FIT_HI)
     L = np.cumsum(logW)[_FIT_LO - 1 : _FIT_HI]
     n = np.arange(_FIT_LO, _FIT_HI + 1, dtype=float)
     X = np.column_stack([n * n, n * np.log(n), n, np.ones_like(n)])
@@ -344,33 +360,19 @@ def q_factorial(q: float, n: int) -> QFactorialCheck:
 def radius_of_convergence(weights: WeightSequence) -> float:
     """Ratio-test radius in |zeta|: sqrt(lim W_n), infinity when unbounded.
 
-    The limit is estimated at n = 10^4 with an Aitken/Richardson consistency
-    step over n = 2500, 5000, 10000.
+    The limit is estimated at the end n of the growth window (10^4 unless a
+    custom list is shorter) with an Aitken/Richardson consistency step over
+    n/4, n/2 and n.
     """
-    if not _bounded_weight_sums(weights):
-        return math.inf
-    n = _probe_length(weights)
-    logW = weights.log_partial_sum_array(n)
-    w_q = math.exp(logW[n // 4 - 1])
-    w_h = math.exp(logW[n // 2 - 1])
-    w_f = math.exp(logW[n - 1])
-    d1 = w_h - w_q
-    d2 = w_f - w_h
-    limit = w_f
-    if d1 > 0 and 0 < d2 < d1:
-        r = d2 / d1
-        limit = w_f + d2 * r / (1.0 - r)
-    return math.sqrt(limit)
+    return _growth_window(weights)[1]
 
 
 def _check_unit_weight_pair(lowering: TruncatedOperator, raising: TruncatedOperator):
     if float(np.max(np.abs(raising.mat - lowering.mat.conj().T))) > 1e-10:
         raise ValueError("ladder pair is not mutually adjoint: displacement argument "
                          "would not be anti-Hermitian")
-    comm = commutator(lowering, raising)
-    target = np.ones(lowering.dim)
-    target[0] = 0.0
-    dev = interior_max_abs(comm.mat - np.diag(target))
+    check = commutator_diagonal(commutator(lowering, raising).mat, constant_weights(1.0))
+    dev = max(check["residual"], check["offdiagonal_max"])
     if dev > 1e-8:
         raise ValueError(f"displacement requires the unit-weight algebra; commutator "
                          f"deviates by {dev:.3e}")

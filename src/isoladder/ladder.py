@@ -24,6 +24,7 @@ from .fock import (
     _require_hermitian,
     adjoint,
     annihilation_matrix,
+    interior_block,
 )
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "shift_matrix",
     "ladder_fill",
     "ladder_matrices",
+    "commutator_diagonal",
     "transport_to_theta",
     "represent_in_theta",
     "closed_form_case",
@@ -55,16 +57,19 @@ class WeightError(ValueError):
     """Inadmissible or inconsistent weight sequence."""
 
 
-# kind -> the one parameter the rule reads (None: none) and the bound it must meet
-# besides being finite; "values" is the custom list, bounded entry by entry
-_PARAMETER = {
-    "constant": ("w", "> 0"),
-    "distorted": ("w", "> 0"),
-    "linear": (None, ""),
-    "single": ("w", ">= 0"),
-    "geometric": ("q", "> 0"),
-    "power": ("nu", ""),
-    "custom": ("values", ">= 0"),
+# kind -> the one parameter the rule reads (None: none), the bound it must meet
+# besides being finite ("values" is the custom list, bounded entry by entry), and
+# w_1 .. w_m from m and that parameter: the one place each rule's formula lives.
+# Geometric and power take Python's pow entry by entry, because numpy's differs
+# from it in the last bit.
+_RULES = {
+    "constant": ("w", "> 0", lambda m, w: np.full(m, float(w))),
+    "distorted": ("w", "> 0", lambda m, w: np.where(np.arange(m) == 0, float(w), 1.0)),
+    "linear": (None, "", lambda m, _: np.arange(1.0, m + 1)),
+    "single": ("w", ">= 0", lambda m, w: np.where(np.arange(m) == 0, float(w), 0.0)),
+    "geometric": ("q", "> 0", lambda m, q: np.array([float(q) ** n for n in range(1, m + 1)])),
+    "power": ("nu", "", lambda m, nu: np.array([float(n) ** float(nu) for n in range(1, m + 1)])),
+    "custom": ("values", ">= 0", lambda m, values: np.array(values[:m], dtype=float)),
 }
 
 
@@ -84,9 +89,9 @@ class WeightSequence:
     values: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.kind not in _PARAMETER:
+        if self.kind not in _RULES:
             raise WeightError(f"unknown weight variant {self.kind!r}")
-        name, bound = _PARAMETER[self.kind]
+        name, bound, _ = _RULES[self.kind]
         if name is None:
             return
         given = getattr(self, name)
@@ -101,7 +106,7 @@ class WeightSequence:
         return len(self.values) if self.kind == "custom" else None
 
     def label(self) -> str:
-        name = _PARAMETER[self.kind][0]
+        name = _RULES[self.kind][0]
         if name is None:
             return self.kind
         if name == "values":
@@ -112,24 +117,15 @@ class WeightSequence:
         """w_n for n >= 1."""
         if n < 1:
             raise WeightError(f"weights are indexed from 1, got {n}")
-        if self.kind == "constant":
-            return float(self.w)
-        if self.kind == "distorted":
-            return float(self.w) if n == 1 else 1.0
-        if self.kind == "linear":
-            return float(n)
-        if self.kind == "single":
-            return float(self.w) if n == 1 else 0.0
-        if self.kind == "geometric":
-            return float(self.q) ** n
-        if self.kind == "power":
-            return float(n) ** float(self.nu)
-        if n > len(self.values):
-            raise WeightError(f"custom weight index {n} out of range (have {len(self.values)})")
-        return float(self.values[n - 1])
+        return float(self.weight_array(n)[-1])
 
     def weight_array(self, nmax: int) -> np.ndarray:
-        return np.array([self.weight(n) for n in range(1, nmax + 1)])
+        """w_1 .. w_nmax from the rule's formula in _RULES."""
+        name, _, formula = _RULES[self.kind]
+        if self.kind == "custom" and nmax > len(self.values):
+            raise WeightError(f"custom weight index {len(self.values) + 1} out of range "
+                              f"(have {len(self.values)})")
+        return formula(nmax, None if name is None else getattr(self, name))
 
     def partial_sum_array(self, nmax: int) -> np.ndarray:
         """W_n = w_1 + ... + w_n for n = 1 .. nmax."""
@@ -155,7 +151,7 @@ class WeightSequence:
 
 def weight_rule(kind: str, **params) -> WeightSequence:
     """The rule `kind` built from the one parameter it reads; params may carry the others too."""
-    name = _PARAMETER.get(kind, (None,))[0]  # WeightSequence refuses an unknown kind
+    name = _RULES.get(kind, (None,))[0]  # WeightSequence refuses an unknown kind
     return WeightSequence(kind, **({} if name is None else {name: params.get(name)}))
 
 
@@ -191,17 +187,17 @@ def c_coefficients_recursive(weights: WeightSequence, N: int) -> np.ndarray:
     """c_0 .. c_{N-1} from c_0 c_1 = w_1, (n+1) c_n c_{n+1} - n c_n c_{n-1} = w_{n+1}, c_0 = 1."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    w1 = weights.weight(1)
-    if w1 <= 0:
-        raise WeightError(f"recursion needs w_1 > 0, got {w1}")
+    w = weights.weight_array(max(N - 1, 1))
+    if w[0] <= 0:
+        raise WeightError(f"recursion needs w_1 > 0, got {w[0]}")
     c = np.zeros(N)
     c[0] = 1.0
     if N > 1:
-        c[1] = w1
+        c[1] = w[0]
     for n in range(1, N - 1):
         if c[n] == 0.0:
-            raise WeightError(f"c_{n} = 0 with w_{n+1} = {weights.weight(n + 1)}: inconsistent sequence")
-        c[n + 1] = (weights.weight(n + 1) + n * c[n] * c[n - 1]) / ((n + 1) * c[n])
+            raise WeightError(f"c_{n} = 0 with w_{n+1} = {w[n]}: inconsistent sequence")
+        c[n + 1] = (w[n] + n * c[n] * c[n - 1]) / ((n + 1) * c[n])
     return c
 
 
@@ -259,6 +255,26 @@ def ladder_matrices(weights: WeightSequence, N: int, basis: BasisTag = FOCK):
     if dev > 1e-12 * scale:
         raise WeightError(f"conjugation and direct fill disagree by {dev:.3e}")
     return filled, adjoint(filled)
+
+
+def commutator_diagonal(comm: np.ndarray, weights: WeightSequence) -> dict:
+    """Interior diagonal of a ladder commutator against diag(0, w_1, w_2, ...).
+
+    residual is max |diagonal - target| / max(1, |target|); offdiagonal_max
+    is the largest off-diagonal modulus, unscaled.
+    """
+    n = comm.shape[0]
+    target = np.zeros(n)
+    target[1:] = weights.weight_array(n - 1)
+    inner = interior_block(comm)
+    tgt = target[: inner.shape[0]]
+    diag = np.real(np.diag(inner))
+    return {
+        "diagonal": [float(v) for v in diag],
+        "target": [float(v) for v in tgt],
+        "residual": float(np.max(np.abs(diag - tgt) / np.maximum(1.0, np.abs(tgt)))),
+        "offdiagonal_max": float(np.max(np.abs(inner - np.diag(np.diag(inner))))),
+    }
 
 
 def transport_to_theta(x: TruncatedOperator, u: TruncatedOperator, tag: BasisTag) -> TruncatedOperator:

@@ -202,6 +202,25 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["pass"] is True
 
+    @pytest.mark.parametrize("args, code, residuals", [
+        (["--weights", "geometric", "--q", "0.7", "--trunc", "128"], 0, [math.inf, math.inf, 1e-12, 1e-15]),
+        (["--weights", "single", "--w", "2", "--trunc", "128"], 0, [math.inf, math.inf, math.inf, 1e-12]),
+        (["--weights", "single", "--w", "2"], 1, [math.inf, math.inf, math.inf]),
+    ])
+    def test_coherent_records_refused_sizes(self, args, code, residuals, capsys):
+        # the tail guard refuses the small sizes; the verdict reads the largest one
+        got, out, err = run_cli(["coherent", *args], capsys)
+        assert got == code and err == ""
+        rows = json.loads(out)["residual_vs_truncation"]
+        assert [row["N"] for row in rows] == [48, 64, 96, 128][: len(residuals)]
+        for row, bound in zip(rows, residuals):
+            assert row["residual"] == "inf" if math.isinf(bound) else row["residual"] < bound
+
+    def test_order_refuses_zero_first_weight(self, capsys):
+        code, out, err = run_cli(["order", "--weights", "single", "--w", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: order estimate needs w_1 > 0, got 0.0\n"
+
     def test_order_case_iii(self, capsys):
         code, out, _ = run_cli(["order", "--weights", "linear"], capsys)
         assert code == 0

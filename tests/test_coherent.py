@@ -6,6 +6,7 @@ import pytest
 from isoladder.coherent import (
     CSSpec,
     DivergenceError,
+    OrderEstimate,
     TruncationError,
     bargmann_transform,
     cs_vector,
@@ -27,7 +28,10 @@ from isoladder.fock import (
     theta_tag,
 )
 from isoladder.ladder import (
+    WeightError,
+    WeightSequence,
     constant_weights,
+    custom_weights,
     distorted_weights,
     geometric_weights,
     ladder_matrices,
@@ -244,6 +248,60 @@ class TestOrderEstimate:
         est = order_estimate(single_weight(2.0))
         assert not est.entire
         assert est.radius == pytest.approx(math.sqrt(2.0), abs=1e-3)
+
+
+class TestZeroFirstWeight:
+    """w_1 = 0: W_n = 0 on a prefix, so every d_n past d_0 is infinite."""
+
+    def test_cs_is_theta1_and_radius_infinite(self):
+        cs = cs_vector(CSSpec(0.5 + 0.2j, single_weight(0.0), 16), TAG)
+        assert np.array_equal(cs.coeffs, np.eye(16)[1])
+        assert radius_of_convergence(single_weight(0.0)) == math.inf
+
+    @pytest.mark.parametrize("weights", [
+        single_weight(0.0),
+        custom_weights([0.0] + [1.0] * 10_000),
+        custom_weights([0.0, 1.0] + [0.0] * 62),
+    ], ids=["single", "growing", "bounded"])
+    def test_order_estimate_refuses(self, weights):
+        with pytest.raises(WeightError, match="w_1 > 0"):
+            order_estimate(weights)
+
+    def test_nan_order_refused(self):
+        with pytest.raises(ValueError, match="rho >= 0"):
+            OrderEstimate(entire=True, rho=math.nan, radius=math.inf)
+
+
+class TestOneGrowthPass:
+    """Each growth question reads log W_n over the 10^4 window once, and no scalar w_n."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        lengths = []
+        log_partial_sums = WeightSequence.log_partial_sum_array
+
+        def counted(self, nmax):
+            lengths.append(nmax)
+            return log_partial_sums(self, nmax)
+
+        def refuse(self, n):
+            raise AssertionError(f"scalar weight({n}) called")
+
+        monkeypatch.setattr(WeightSequence, "log_partial_sum_array", counted)
+        monkeypatch.setattr(WeightSequence, "weight", refuse)
+        return lengths
+
+    @pytest.mark.parametrize("weights", [constant_weights(2.0), single_weight(2.0), geometric_weights(0.5)],
+                             ids=lambda w: w.label())
+    def test_order_estimate_and_radius(self, weights, passes):
+        order_estimate(weights)
+        assert passes == [10_000]
+        radius_of_convergence(weights)
+        assert passes == [10_000, 10_000]
+
+    def test_cs_vector(self, passes):
+        cs_vector(CSSpec(0.5 + 0.2j, single_weight(2.0), 32), TAG)
+        assert passes == [10_000, 32]
 
 
 class TestQFactorial:

@@ -69,6 +69,24 @@ class TestWeightSequence:
         ]
         assert [weights.label() for weights, _ in labels] == [label for _, label in labels]
 
+    @pytest.mark.parametrize("weights, nmax, formula", [
+        (constant_weights(2.0), 10_000, lambda n: 2.0),
+        (distorted_weights(0.5), 10_000, lambda n: 0.5 if n == 1 else 1.0),
+        (linear_weights(), 10_000, lambda n: float(n)),
+        (single_weight(2.0), 10_000, lambda n: 2.0 if n == 1 else 0.0),
+        (custom_weights(np.random.default_rng(7).uniform(0.0, 3.0, 10_000)), 10_000, None),
+        (geometric_weights(0.7), 512, lambda n: 0.7**n),
+        (geometric_weights(1.3), 512, lambda n: 1.3**n),
+        (power_law_weights(0.5), 512, lambda n: float(n) ** 0.5),
+        (power_law_weights(1.7), 512, lambda n: float(n) ** 1.7),
+    ], ids=lambda v: v.label() if hasattr(v, "label") else None)
+    def test_weight_array_is_the_per_entry_formula(self, weights, nmax, formula):
+        # bit for bit, including the geometric and power entries numpy's pow would round differently
+        formula = formula or (lambda n: weights.values[n - 1])
+        oracle = np.array([formula(n) for n in range(1, nmax + 1)])
+        assert np.array_equal(weights.weight_array(nmax), oracle)
+        assert weights.weight(nmax) == oracle[-1]
+
     def test_partial_sums(self):
         w = linear_weights()
         assert w.partial_sum(4) == 10.0
