@@ -125,11 +125,11 @@ def to_csv(header: list, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(config: RunConfig, name: str, text: str):
+def _emit(config: RunConfig, filename: str, text: str):
     if config.out:
         path = Path(config.out)
         path.mkdir(parents=True, exist_ok=True)
-        target = path / f"{name}.{config.fmt}"
+        target = path / filename
         target.write_bytes(text.encode("utf-8"))
         print(str(target))
     else:
@@ -164,7 +164,7 @@ def cmd_spectrum(config: RunConfig) -> int:
             ],
             "pass": ok,
         })
-    _emit(config, "spectrum", text)
+    _emit(config, f"spectrum.{config.fmt}", text)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -186,7 +186,7 @@ def cmd_commutator(config: RunConfig) -> int:
         "theta": theta_block,
         "pass": ok,
     })
-    _emit(config, "commutator", text)
+    _emit(config, "commutator.json", text)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -204,7 +204,7 @@ def cmd_coherent(config: RunConfig) -> int:
         "residual_vs_truncation": rows,
         "pass": ok,
     })
-    _emit(config, "coherent", text)
+    _emit(config, "coherent.json", text)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -218,18 +218,16 @@ def cmd_order(config: RunConfig) -> int:
         "radius": est.radius,
         "diagnostics": {k: v for k, v in sorted(est.diagnostics.items())},
     })
-    _emit(config, "order", text)
+    _emit(config, "order.json", text)
     return EXIT_OK
 
 
 def cmd_pdo(config: RunConfig) -> int:
+    ladder.distorted_weights(config.w)  # the rule expanded here, whatever --weights names
     w = Fraction(str(config.w))
-    checks = []
     rep = pdo.product_identities(w=w, depth=6)
     low, high = rep["lowering"], rep["raising"]
-    ref_low, ref_high = pdo.case_ii_reference(w=w)
-    checks.append(("lowering_reference_through_d-2", pdo.series_agree_through(low, ref_low, -2)))
-    checks.append(("raising_reference_through_d-2", pdo.series_agree_through(high, ref_high, -2)))
+    checks = report._ladder_reference_checks(low, high, w)
     checks.append(("lowering_raising_product_identity", rep["a1_a1dag_ok"]))
     checks.append(("raising_lowering_product_identity", rep["a1dag_a1_ok"]))
     prefactor, bracket = pdo.inv_sqrt_one_plus_h(8)
@@ -243,7 +241,7 @@ def cmd_pdo(config: RunConfig) -> int:
         "raising_series": high.render().split("\n"),
         "pass": ok,
     })
-    _emit(config, "pdo", text)
+    _emit(config, "pdo.json", text)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -270,7 +268,7 @@ def cmd_report(config: RunConfig) -> int:
         "criteria": entries,
         "all_pass": all_pass,
     })
-    _emit(config, "report", text)
+    _emit(config, "report.json", text)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 

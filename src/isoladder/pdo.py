@@ -17,8 +17,10 @@ flag; multiplication computes the floor through which the product is valid
 given the operands' dropped tails, so "residual is identically zero through
 retained orders" is an honest statement.
 
-series_multiply scales each operand's coefficients to integer numerators
-over one common denominator, so its Leibniz sums run on integers only.
+series_multiply applies one Leibniz rule, d^k f = sum_j C(k, j) f^(j) d^(k-j)
+with the generalized binomial C(k, j), for every integer order k.  It scales
+each operand's coefficients to integer numerators over one common
+denominator, so its Leibniz sums run on integers only.
 """
 
 from __future__ import annotations
@@ -188,25 +190,13 @@ class CoeffPoly:
             raise ValueError(f"sqrt of {self.render()} leaves the scalar field")
         if wh % 2:
             raise ValueError(f"sqrt of {self.render()} needs quarter-powers of w")
-        i_out = 0
-        if f < 0:
-            i_out = 1
-            f = -f
-        num, den = f.numerator, f.denominator
-        pow2 = 0
-        while num % 2 == 0:
-            num //= 2
-            pow2 += 1
-        while den % 2 == 0:
-            den //= 2
-            pow2 -= 1
-        rn = math.isqrt(num)
-        rd = math.isqrt(den)
-        if rn * rn != num or rd * rd != den:
-            raise ValueError(f"{self.render()} has no exact square root in the field")
-        half, rem = divmod(pow2, 2)
-        frac = Fraction(rn, rd) * Fraction(2) ** half
-        return CoeffPoly({(0, 0, i_out, rem, wh // 2): frac})
+        # |f| or |f|/2 is a rational square, the latter times sqrt2
+        i_out, f = int(f < 0), abs(Fraction(f))
+        for r_out, g in ((0, f), (1, f / 2)):
+            rn, rd = math.isqrt(g.numerator), math.isqrt(g.denominator)
+            if rn * rn == g.numerator and rd * rd == g.denominator:
+                return CoeffPoly({(0, 0, i_out, r_out, wh // 2): Fraction(rn, rd)})
+        raise ValueError(f"{self.render()} has no exact square root in the field")
 
     def substitute_phi_zero(self):
         return CoeffPoly({k: v for k, v in self.terms.items() if k[1] == 0})
@@ -375,8 +365,7 @@ def _flatten(polys) -> tuple[int, list[CoeffPoly]]:
 
 
 def series_multiply(a: PDOSeries, b: PDOSeries) -> PDOSeries:
-    """Product with d^n f = sum_j C(n, j) f^(j) d^(n-j) for n >= 0 and the
-    iterated-antiderivative rule d^{-r} f = sum_j (-1)^j C(j+r-1, j) f^(j) d^{-r-j}."""
+    """Product with d^n f = sum_j C(n, j) f^(j) d^(n-j), C the generalized binomial."""
     base = min(a.floor, b.floor)
     candidates = [base]
     if not a.exact and b.terms:
@@ -401,30 +390,19 @@ def series_multiply(a: PDOSeries, b: PDOSeries) -> PDOSeries:
             return derivs[j]
 
         for k, p_terms in left:
-            if k >= 0:
-                for j in range(0, k + 1):
-                    dq = deriv(j)
-                    if not dq:
-                        break
-                    order = k - j + l
-                    if order < out_floor:
-                        continue
-                    _accumulate(acc.setdefault(order, {}), p_terms, dq.terms, math.comb(k, j))
-            else:
-                r = -k
-                j = 0
-                while True:
-                    order = k - j + l
-                    if order < out_floor:
-                        if deriv(j):
-                            exact = False
-                        break
-                    dq = deriv(j)
-                    if not dq:
-                        break
-                    coeff = (-1) ** j * math.comb(j + r - 1, j)
-                    _accumulate(acc.setdefault(order, {}), p_terms, dq.terms, coeff)
-                    j += 1
+            # generalized binomial C(k, j); for k >= 0 it reaches 0 after j = k
+            c, j = 1, 0
+            while c:
+                dq = deriv(j)
+                if not dq:
+                    break
+                order = k - j + l
+                if order < out_floor:
+                    exact = False  # a nonzero term falls below the floor
+                    break
+                _accumulate(acc.setdefault(order, {}), p_terms, dq.terms, c)
+                c = c * (k - j) // (j + 1)
+                j += 1
     den = a_den * b_den
     out = {k: CoeffPoly({key: Fraction(n, den) for key, n in flat.items()}) for k, flat in acc.items()}
     return PDOSeries(out, floor=out_floor, exact=exact)

@@ -239,6 +239,23 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert all(chk["verdict"] == "PASS" for chk in doc["checks"])
+        assert [chk["name"] for chk in doc["checks"]] == [
+            "lowering_reference_through_d-2",
+            "raising_reference_through_d-2",
+            "lowering_raising_product_identity",
+            "raising_lowering_product_identity",
+            "inv_sqrt_bracket_d-3",
+            "inv_sqrt_bracket_d-4",
+        ]
+        assert doc["prefactor"] == "-1*i*sqrt2"
+        assert doc["w"] == 3.0
+
+    @pytest.mark.parametrize("args", [["--weights", "linear", "--w", "-1"], ["--weights", "single", "--w", "0"]])
+    def test_pdo_checks_w_against_the_distorted_rule(self, args, capsys):
+        # pdo expands the distorted algebra (w > 0), whatever --weights names
+        code, out, err = run_cli(["pdo", *args], capsys)
+        assert code == 2 and out == ""
+        assert "distorted weights need finite w > 0" in err
 
     @pytest.mark.parametrize("w", sorted(PDO_GOLDEN_SERIES, key=float))
     def test_pdo_series_match_benchmark_golden(self, w, capsys):
@@ -250,13 +267,17 @@ class TestCommands:
         assert doc["raising_series"] == golden["raising_series"]
 
     def test_out_directory(self, tmp_path, capsys):
-        code, out, _ = run_cli(
-            ["order", "--weights", "linear", "--out", str(tmp_path)], capsys
-        )
-        assert code == 0
-        target = tmp_path / "order.json"
-        assert target.exists()
-        assert json.loads(target.read_text())["entire"] is True
+        # order writes JSON whatever --format asks, so its file is always .json
+        for fmt in ("json", "csv"):
+            out_dir = tmp_path / fmt
+            code, out, _ = run_cli(
+                ["order", "--weights", "linear", "--format", fmt, "--out", str(out_dir)], capsys
+            )
+            assert code == 0
+            target = out_dir / "order.json"
+            assert out == f"{target}\n"
+            assert sorted(out_dir.iterdir()) == [target]
+            assert json.loads(target.read_text())["entire"] is True
 
 
 class TestReportCommand:

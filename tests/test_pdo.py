@@ -54,6 +54,21 @@ class TestSymbolicScalar:
         root = CoeffPoly.rational(-4).sqrt()
         assert root * root == CoeffPoly.rational(-4)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.fractions(max_denominator=10**6).filter(bool), st.integers(0, 1), st.sampled_from([1, -1]),
+           st.integers(-2, 2))
+    def test_sqrt_round_trip(self, s, r, sign, w_power):
+        # the root of +-s^2 2^r w^w_power is |s| times i (sign < 0), sqrt2 (r = 1) and w^(w_power/2)
+        poly = CoeffPoly.rational(sign * s * s * 2**r) * CoeffPoly.w_power(2 * w_power)
+        root = poly.sqrt()
+        assert root * root == poly
+        assert root.terms == {(0, 0, int(sign < 0), r, w_power): abs(s)}
+
+    @pytest.mark.parametrize("value", [Fraction(3), Fraction(3, 2)], ids=["3", "3/2"])
+    def test_sqrt_outside_the_field(self, value):
+        with pytest.raises(ValueError, match="no exact square root"):
+            CoeffPoly.rational(value).sqrt()
+
     def test_substitute_w(self):
         s = CoeffPoly.w_power(2) * CoeffPoly.rational(3)
         assert s.substitute(w=Fraction(7, 2)) == CoeffPoly.rational(21, 2)
@@ -157,6 +172,18 @@ class TestAntiderivativeRules:
         dinv2 = series_multiply(d_power(-1, -depth - 2), d_power(-1, -depth - 2))
         operational = series_multiply(dinv2, f_series) - series_multiply(f_series, dinv2)
         assert series_agree_through(closed, operational, -depth)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("poly", [X, CoeffPoly.x(2), PHI, X * PHI], ids=["x", "x^2", "phi", "x*phi"])
+    def test_commutator_matches_leibniz_product(self, poly, r):
+        # [d^{-r}, f] = d^{-r} f - f d^{-r}, the first product by series_multiply's Leibniz rule
+        depth = 6
+        closed = commute_dinvr_f(r, poly, depth)
+        floor = closed.floor
+        operational = (series_multiply(d_power(-r, floor), PDOSeries.monomial(0, poly, floor))
+                       - PDOSeries.monomial(-r, poly, floor))
+        assert (operational.floor, operational.exact) == (floor, closed.exact)
+        assert series_agree_through(closed, operational, floor)
 
 
 class TestSeriesArithmetic:
@@ -441,15 +468,16 @@ class TestFlatKernelProperties:
             assert series_agree_through(prod, full, prod.floor)
 
     def test_symbolic_w_substitutes_to_rational_expansion(self):
-        w = Fraction(7, 2)
+        # the w that c07 samples by substituting into the symbolic expansion
         symbolic = expand_ladder_case_ii(w=None, depth=6)
-        rational = expand_ladder_case_ii(w=w, depth=6)
-        for sym, rat in zip(symbolic, rational):
-            bound = sym.substitute(w=w)
-            assert (bound.floor, bound.exact) == (rat.floor, rat.exact)
-            assert set(bound.terms) == set(rat.terms)
-            for k in rat.terms:
-                assert bound.coefficient(k) == rat.coefficient(k)
+        for w in (Fraction(1), Fraction(2), Fraction(7, 2)):
+            rational = expand_ladder_case_ii(w=w, depth=6)
+            for sym, rat in zip(symbolic, rational):
+                bound = sym.substitute(w=w)
+                assert (bound.floor, bound.exact) == (rat.floor, rat.exact)
+                assert set(bound.terms) == set(rat.terms)
+                for k in rat.terms:
+                    assert bound.coefficient(k) == rat.coefficient(k)
 
 
 def test_a_series_against_b_series():

@@ -3,6 +3,7 @@ the benchmark's tracer reads from the package."""
 
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -92,3 +93,27 @@ def test_every_benchmark_layer_metric_has_a_traced_target(monkeypatch):
     spans = set(tracing._targets(modules).values())
     wanted = set(tracing.SELF_METRICS) | set(tracing.CALL_METRICS) | set(tracing.TOTAL_METRICS)
     assert sorted(wanted - spans) == []
+
+
+class TestOneExpansionPerCheck:
+    """c07 and `isoladder pdo` each expand the case-ii ladder pair once."""
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        calls = []
+        expand = pdo.expand_ladder_case_ii
+
+        def counted(w=None, depth=pdo.DEFAULT_DEPTH):
+            calls.append(w)
+            return expand(w=w, depth=depth)
+
+        monkeypatch.setattr(pdo, "expand_ladder_case_ii", counted)
+        return calls
+
+    def test_c07(self, expansions, context):
+        assert report.criterion_07_pdo_golden(context).passed
+        assert expansions == [None]
+
+    def test_pdo_command(self, expansions, capsys):
+        assert cli.main(["pdo", "--w", "3"]) == 0
+        assert expansions == [Fraction(3)]
