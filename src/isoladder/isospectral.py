@@ -11,8 +11,9 @@ the same 1e-24 relative tail guard.
 
 The overlap matrix <psi_m, theta_n> computed at finite truncation is not
 exactly unitary (theta_n keeps a small psi-tail beyond the truncation), so
-u_matrix returns its symmetric Lowdin orthonormalization; the raw overlaps
-and their unitarity defect stay available for diagnostics.
+u_matrix returns its polar factor (symmetric Lowdin orthonormalization) by
+Newton-Schulz iteration; the raw overlaps and their unitarity defect stay
+available for diagnostics.  b and b^dagger are scaled shifts of U.
 
 phi's denominator takes numerics.erf over a whole grid in one call.
 """
@@ -164,26 +165,36 @@ def unitarity_defect(basis: ThetaBasis) -> float:
 def u_matrix(basis: ThetaBasis) -> TruncatedOperator:
     """Unitary intertwiner taking |n> to |theta_n>, as a Fock-basis matrix.
 
-    Symmetric orthonormalization (polar factor via SVD) of the quadrature
-    overlap matrix: the nearest exactly unitary matrix to the raw overlaps.
+    Polar factor of the overlap matrix X by Newton-Schulz from X itself:
+    X <- X - X E / 2, E = X^T X - I, until ||E||_inf <= N eps.  ||E||_inf
+    bounds ||E||_2 for symmetric E, and the iteration converges while that is
+    below 1 and shrinking (Higham, ch. 8); otherwise ValueError, never a non-unitary U.
     """
     if basis._u is None:
-        raw = basis._overlaps()
-        left, _, right = np.linalg.svd(raw)
-        basis._u = left @ right
+        x, bound = basis._overlaps(), 1.0
+        while True:
+            e = x.T @ x - np.eye(basis.N)
+            defect = float(np.max(np.sum(np.abs(e), axis=1)))
+            if defect <= basis.N * np.finfo(float).eps:
+                break
+            if defect >= bound:
+                raise ValueError(f"polar factor: ||X^T X - I||_inf = {defect:.3e}, Newton-Schulz needs < 1")
+            x, bound = x - 0.5 * (x @ e), defect
+        basis._u = x
     return TruncatedOperator(basis._u, FOCK)
 
 
 def b_matrix(basis: ThetaBasis) -> TruncatedOperator:
-    """b = a U^dagger in the Fock basis; maps theta_{n+1} to sqrt(n+1) |n>."""
-    u = u_matrix(basis)
-    return annihilation_matrix(basis.N) @ adjoint(u)
+    """b = a U^dagger = (U a^dagger)^dagger in the Fock basis; maps theta_{n+1} to sqrt(n+1) |n>."""
+    return adjoint(b_dagger_matrix(basis))
 
 
 def b_dagger_matrix(basis: ThetaBasis) -> TruncatedOperator:
-    """b^dagger = U a^dagger in the Fock basis."""
-    u = u_matrix(basis)
-    return u @ adjoint(annihilation_matrix(basis.N))
+    """b^dagger = U a^dagger in the Fock basis: column n is sqrt(n+1) times column n+1 of U."""
+    u = u_matrix(basis).mat
+    out = np.zeros_like(u)
+    out[:, :-1] = u[:, 1:] * np.sqrt(np.arange(1.0, basis.N))
+    return TruncatedOperator(out, FOCK)
 
 
 def h_tilde_matrix(basis: ThetaBasis) -> TruncatedOperator:

@@ -47,6 +47,7 @@ __all__ = [
     "inv_sqrt_one_plus_h",
     "expand_ladder_case_ii",
     "case_ii_reference",
+    "series_agree_through",
     "product_identities",
     "classical_limit_check",
 ]
@@ -204,12 +205,13 @@ class CoeffPoly:
     def substitute(self, w):
         """Bind w to an exact rational (integer powers only)."""
         w = Fraction(w)
+        powers = {wh: w ** (wh // 2) for *_, wh in self.terms if wh and not wh % 2}
         out = {}
         for (a, b, i, r, wh), f in self.terms.items():
             if wh % 2:
                 raise ValueError("cannot bind w rationally at a half-integer power")
             key = (a, b, i, r, 0)
-            out[key] = out.get(key, 0) + f * w ** (wh // 2)
+            out[key] = out.get(key, 0) + (f * powers[wh] if wh else f)
         return CoeffPoly(out)
 
     def evaluate(self, x=None, phi=None, w=None) -> complex:

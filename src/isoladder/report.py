@@ -86,7 +86,7 @@ def _criterion(name: str):
 
 
 class _Context:
-    """Shared lambda/truncation-dependent objects, built once; b and H~ on first use."""
+    """Shared lambda/truncation-dependent objects, built once; U, b and H~ on first use."""
 
     def __init__(self, lam: float, trunc: int):
         self.lam = lam
@@ -94,7 +94,10 @@ class _Context:
         self.params = isospectral.IsospectralParams(lam)
         self.grid = build_grid(trunc)
         self.basis = isospectral.ThetaBasis(self.params, self.grid, trunc)
-        self.u = isospectral.u_matrix(self.basis)
+
+    @functools.cached_property
+    def u(self) -> TruncatedOperator:
+        return isospectral.u_matrix(self.basis)
 
     @functools.cached_property
     def b(self) -> TruncatedOperator:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from isoladder.fock import (
+    adjoint,
     annihilation_matrix,
     apply_operator,
+    creation_matrix,
     hermitian_eigensystem,
     interior_max_abs,
 )
@@ -172,6 +174,40 @@ class TestUMatrix:
         u = u_matrix(basis)
         assert interior_max_abs(u.mat - np.eye(64)) < 1e-5
 
+    def test_rank_deficient_overlaps_raise_named_defect(self):
+        # 32 nodes give a 64 x 64 overlap matrix of rank <= 32: X^T X has a zero
+        # eigenvalue, so ||X^T X - I|| >= 1 and Newton-Schulz cannot converge
+        basis = ThetaBasis(IsospectralParams(2.0), build_grid(64, nodes=32), 64)
+        with pytest.raises(ValueError, match=r"\|\|X\^T X - I\|\|_inf = \d"):
+            u_matrix(basis)
+
+
+# The accuracy gate of the band-limited grid and the Newton-Schulz polar
+# factor: the reference is the earlier pipeline, max(4000, 40N) nodes and an
+# SVD polar factor.
+BATTERY_LAMBDAS = (-3.0, -1.0, 0.8963, 2.0, 10.0, 50.0)
+NEAR_CRITICAL = SQRT_PI / 2 + 2e-6
+
+
+@pytest.mark.parametrize("N", [64, 128, 256, 512])
+@pytest.mark.parametrize("lam", BATTERY_LAMBDAS + (NEAR_CRITICAL, -NEAR_CRITICAL))
+def test_default_grid_matches_40n_svd_reference(lam, N):
+    params = IsospectralParams(lam)
+    basis = ThetaBasis(params, build_grid(N), N)
+    u = u_matrix(basis).mat
+    evals = hermitian_eigensystem(h_tilde_matrix(basis))[0][:40]
+    del basis
+
+    reference = ThetaBasis(params, build_grid(N, nodes=max(4000, 40 * N)), N)
+    left, _, right = np.linalg.svd(u_overlap_raw(reference).mat.real)
+    ref_u = left @ right
+    del reference
+    b = annihilation_matrix(N).mat @ ref_u.T
+    ref_evals = np.linalg.eigvalsh(b.T @ b)[:40]
+
+    assert np.max(np.abs(u - ref_u)) < 1e-12
+    assert np.max(np.abs(evals - ref_evals)) < 1e-12
+
 
 class TestBOperators:
     def test_bbdagger_equals_aadagger(self, basis64):
@@ -189,6 +225,11 @@ class TestBOperators:
         ht = h_tilde_matrix(basis64)
         dev = np.max(np.abs(ht.mat - np.diag(np.arange(64.0))))
         assert dev > 0.01
+
+    def test_shifts_equal_dense_products(self, basis64):
+        u = u_matrix(basis64)
+        assert np.array_equal(b_matrix(basis64).mat, (annihilation_matrix(64) @ adjoint(u)).mat)
+        assert np.array_equal(b_dagger_matrix(basis64).mat, (u @ creation_matrix(64)).mat)
 
     def test_bdagger_maps_fock_to_theta(self, basis64):
         bd = b_dagger_matrix(basis64)

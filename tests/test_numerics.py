@@ -93,6 +93,9 @@ class TestGrid:
         assert g.node_count == 4000
         assert np.allclose(g.points, -g.points[::-1])
 
+    def test_node_rule_above_the_floor(self):
+        assert build_grid(512).node_count == 4096
+
     def test_rejects_small_truncation(self):
         with pytest.raises(ValueError):
             build_grid(7)

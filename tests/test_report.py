@@ -2,6 +2,7 @@
 the benchmark's tracer reads from the package."""
 
 import importlib.util
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -72,6 +73,19 @@ def test_run_all_reports_the_normal_name_for_a_raising_criterion(monkeypatch):
     (result,) = report.run_all(lam=2.0, trunc=64)
     assert result.name == "c02_riccati_residual"
     assert result.measured == float("inf") and not result.passed
+
+
+def test_non_unitary_overlaps_fail_the_criteria_that_read_u(monkeypatch, capsys):
+    # 32 nodes give 64 x 64 overlaps of rank <= 32, so u_matrix refuses them
+    monkeypatch.setattr(report, "build_grid", lambda N: numerics.build_grid(N, nodes=32))
+    assert cli.main(["report"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    failed = {c["name"]: c["parts"] for c in doc["criteria"] if not c["pass"]}
+    assert sorted(failed) == ["c01_isospectrality", "c04_commutator_diagonal",
+                              "c05_closed_form_equivalence", "c11_lambda_to_infinity",
+                              "c12_composite_lowering"]
+    for (part,) in failed.values():
+        assert part["name"].startswith("construction_error: polar factor: ||X^T X - I||_inf = ")
 
 
 def _load_tracing(monkeypatch):
