@@ -1,10 +1,17 @@
 """Truncated Fock-space linear algebra.
 
-Dense complex N x N matrices tagged with the orthonormal family that indexes
-them (the oscillator Fock states, or the theta states of one lambda).  All
-identities involving truncated operators are only asserted on the interior
-window n < N - INTERIOR_MARGIN; the margin of 5 is enough to isolate edge
-corruption for the banded operators used here.
+Dense N x N matrices tagged with the orthonormal family that indexes them
+(the oscillator Fock states, or the theta states of one lambda).  A matrix
+keeps the dtype of its input, widened to at least float64: the shift, U, b,
+b^dagger and H~ are real for real lambda and stay float64, so their products
+and eigensystems run real LAPACK and BLAS.  An operator is complex128 only
+where a complex number enters: a complex input matrix, a complex scalar
+factor, or the coherent displacement exp(zeta a1+ - conj(zeta) a1).  State
+vectors are always complex128.
+
+All identities involving truncated operators are only asserted on the
+interior window n < N - INTERIOR_MARGIN; the margin of 5 is enough to isolate
+edge corruption for the banded operators used here.
 """
 
 from __future__ import annotations
@@ -76,13 +83,15 @@ def _check_compatible(a, b):
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense complex matrix with its basis tag and truncation size."""
+    """Dense matrix with its basis tag and truncation size: the input's dtype, at least float64."""
 
     mat: np.ndarray
     basis: BasisTag = FOCK
+    __array_ufunc__ = None  # `array * op` defers to __rmul__, which refuses it
 
     def __post_init__(self):
-        m = np.array(self.mat, dtype=complex)
+        m = np.asarray(self.mat)
+        m = np.array(m, dtype=np.result_type(m, float))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
         if m.shape[0] < 2:
@@ -107,7 +116,9 @@ class TruncatedOperator:
         return TruncatedOperator(self.mat - other.mat, self.basis)
 
     def __mul__(self, scalar) -> "TruncatedOperator":
-        return TruncatedOperator(self.mat * complex(scalar), self.basis)
+        if np.ndim(scalar):
+            raise TypeError(f"an operator scales by a scalar only, got shape {np.shape(scalar)}")
+        return TruncatedOperator(self.mat * scalar, self.basis)
 
     __rmul__ = __mul__
 
@@ -200,25 +211,22 @@ def _require_hermitian(m: np.ndarray, rtol: float = 1e-10):
 def hermitian_eigensystem(x: TruncatedOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ascending and a unitary eigenvector matrix V, X = V diag(mu) V^dagger.
 
-    Delegated to the dense symmetric eigensolver; each column's phase is fixed
-    by making its largest-magnitude component real positive, so spectral
-    functions are reproducible.
+    Delegated to the dense symmetric eigensolver (real for a float64 X); each
+    column's phase is fixed by making its largest-magnitude component real
+    positive, so spectral functions are reproducible.  Each phase is a scalar
+    conj(p)/|p|: the array form of that division differs in the last bit.
     """
     _require_hermitian(x.mat)
     evals, v = np.linalg.eigh(x.mat)
-    v = v.copy()
-    for j in range(v.shape[1]):
-        k = int(np.argmax(np.abs(v[:, j])))
-        pivot = v[k, j]
-        if pivot != 0:
-            v[:, j] *= np.conj(pivot) / abs(pivot)
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    v *= np.array([np.conj(p) / abs(p) if p != 0 else 1 for p in pivots], dtype=v.dtype)
     return evals, v
 
 
 def apply_spectral_function(x: TruncatedOperator, g: Callable[[float], float]) -> TruncatedOperator:
     """g(X) = V diag(g(mu)) V^dagger for Hermitian X."""
     evals, v = hermitian_eigensystem(x)
-    gvals = np.array([g(float(mu)) for mu in evals], dtype=complex)
+    gvals = np.array([g(float(mu)) for mu in evals])
     if not np.all(np.isfinite(gvals)):
         bad = evals[~np.isfinite(gvals)]
         raise ValueError(f"spectral function undefined at eigenvalue(s) {bad}")

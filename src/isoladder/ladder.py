@@ -352,7 +352,7 @@ def resolvent_inv_sqrt(x: TruncatedOperator) -> TruncatedOperator:
     theta = (np.pi / 4.0) * (t + 1.0)
     wts = glw * (np.pi / 4.0)
     N = x.dim
-    acc = np.zeros((N, N), dtype=complex)
+    acc = np.zeros((N, N), dtype=m.dtype)
     eye = np.eye(N)
     for th, wt in zip(theta, wts):
         tan2 = math.tan(th) ** 2

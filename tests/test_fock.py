@@ -84,6 +84,29 @@ class TestAlgebra:
         with pytest.raises(BasisMismatchError):
             apply_operator(a, StateVector(np.ones(4), theta_tag(2.0)))
 
+    def test_scalar_multiply_refuses_arrays(self):
+        op = number_matrix(8)
+        with pytest.raises(TypeError):
+            op * np.arange(8)
+        with pytest.raises(TypeError):
+            op * np.array([2.0])
+
+    def test_array_times_operator_does_not_broadcast(self):
+        with pytest.raises(TypeError):
+            np.arange(8) * number_matrix(8)
+
+    def test_dtype_follows_the_input(self):
+        op = number_matrix(8)
+        assert op.mat.dtype == np.float64
+        assert TruncatedOperator(np.eye(3, dtype=int)).mat.dtype == np.float64
+        assert TruncatedOperator(np.eye(3, dtype=np.float32)).mat.dtype == np.float64
+        assert (op * 2.5).mat.dtype == np.float64
+        assert (np.float64(2.5) * op).mat.dtype == np.float64
+        assert (op * (1 + 2j)).mat.dtype == np.complex128
+        assert TruncatedOperator(np.eye(3) + 0j).mat.dtype == np.complex128
+        assert StateVector(np.ones(3), FOCK).coeffs.dtype == np.complex128
+        assert apply_spectral_function(op, math.sqrt).mat.dtype == np.float64
+
     def test_dim_mismatch(self):
         with pytest.raises(BasisMismatchError):
             annihilation_matrix(4) @ annihilation_matrix(5)
@@ -133,6 +156,23 @@ class TestEigensystem:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eigensystem(annihilation_matrix(4))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_phase_fix_equals_per_column_loop(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(40, 40))
+        if kind == "complex":
+            m = m + 1j * rng.normal(size=(40, 40))
+        m = m + m.conj().T
+        _, v = hermitian_eigensystem(TruncatedOperator(m))
+        _, ref = np.linalg.eigh(m)
+        for j in range(ref.shape[1]):
+            pivot = ref[int(np.argmax(np.abs(ref[:, j]))), j]
+            if pivot != 0:
+                ref[:, j] *= np.conj(pivot) / abs(pivot)
+        assert v.dtype == ref.dtype
+        assert np.array_equal(v, ref)
 
 
 class TestSpectralFunction:

@@ -209,6 +209,18 @@ def test_default_grid_matches_40n_svd_reference(lam, N):
     assert np.max(np.abs(evals - ref_evals)) < 1e-12
 
 
+@pytest.mark.parametrize("N", [64, 512])
+@pytest.mark.parametrize("lam", BATTERY_LAMBDAS + (NEAR_CRITICAL, -NEAR_CRITICAL))
+def test_real_h_tilde_spectrum_matches_complex_solver(lam, N):
+    # H~ is real symmetric; the real eigensolver must give the spectrum the
+    # complex one gives for the same matrix, far inside c01's 1e-6 bound.
+    h = h_tilde_matrix(ThetaBasis(IsospectralParams(lam), build_grid(N), N))
+    assert h.mat.dtype == np.float64
+    real = hermitian_eigensystem(h)[0][:40]
+    cplx = np.linalg.eigvalsh(h.mat.astype(complex))[:40]
+    assert np.max(np.abs(real - cplx)) < 1e-12
+
+
 class TestBOperators:
     def test_bbdagger_equals_aadagger(self, basis64):
         b = b_matrix(basis64)

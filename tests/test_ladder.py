@@ -16,7 +16,8 @@ from isoladder.fock import (
     interior_max_abs,
     number_matrix,
 )
-from isoladder.isospectral import b_matrix, u_matrix
+from isoladder.coherent import displacement_operator
+from isoladder.isospectral import b_dagger_matrix, b_matrix, h_tilde_matrix, u_matrix
 from isoladder.ladder import (
     WeightError,
     c_coefficients_closed,
@@ -287,6 +288,18 @@ class TestTransport:
         x = annihilation_matrix(64)
         back = represent_in_theta(transport_to_theta(x, u, basis64.tag), u, FOCK)
         assert np.max(np.abs(back.mat - x.mat)) < 1e-12
+
+    def test_real_lambda_chain_stays_real(self, basis64):
+        u = u_matrix(basis64)
+        low, high = ladder_matrices(geometric_weights(1.1), 64)
+        low_t = transport_to_theta(low, u, basis64.tag)
+        high_t = transport_to_theta(high, u, basis64.tag)
+        chain = [u, b_matrix(basis64), b_dagger_matrix(basis64), h_tilde_matrix(basis64), low, high,
+                 low_t, high_t, commutator(low_t, high_t),
+                 represent_in_theta(commutator(low_t, high_t), u, basis64.tag)]
+        assert [op.mat.dtype for op in chain] == [np.float64] * len(chain)
+        unit_low, unit_high = ladder_matrices(constant_weights(1.0), 64)
+        assert displacement_operator(0.5 + 0.25j, unit_low, unit_high).mat.dtype == np.complex128
 
 
 class TestClosedForms:
