@@ -139,12 +139,12 @@ def _emit(config: RunConfig, filename: str, text: str):
 def cmd_spectrum(config: RunConfig) -> int:
     N = config.trunc
     ctx = report._Context(config.lam, N)
-    evals, _ = hermitian_eigensystem(ctx.h_tilde)
-    gram = ctx.basis.theta @ (ctx.grid.weights[None, :] * ctx.basis.theta).T
+    evals, _ = hermitian_eigensystem(isospectral.h_tilde_matrix(ctx))
+    gram = ctx.theta @ (ctx.grid.weights[None, :] * ctx.theta).T
     interior = max(N - 5, 1)
     rows = []
     ok = True
-    u_dev_mat = np.abs(ctx.u.mat - np.eye(N))
+    u_dev_mat = np.abs(isospectral.u_matrix(ctx).mat - np.eye(N))
     for n in range(min(40, interior)):
         deviation = abs(float(evals[n]) - n)
         orth = float(np.max(np.abs(gram[n, :interior] - np.eye(N)[n, :interior])))
@@ -175,7 +175,7 @@ def cmd_commutator(config: RunConfig) -> int:
     low, high = ladder.ladder_matrices(weights, N, FOCK)
     fock_block = ladder.commutator_diagonal(commutator(low, high).mat, weights)
     theta_block = ladder.commutator_diagonal(
-        report._theta_route_commutator(low, high, ctx.u, ctx.basis.tag), weights
+        report._theta_route_commutator(low, high, isospectral.u_matrix(ctx), ctx.tag), weights
     )
     ok = fock_block["residual"] < 1e-12 and theta_block["residual"] < 1e-6
     text = to_json({

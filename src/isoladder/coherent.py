@@ -37,7 +37,6 @@ __all__ = [
     "CSSpec",
     "OrderEstimate",
     "QFactorialCheck",
-    "d_coefficients",
     "log_d_coefficients",
     "normalization_h",
     "cs_vector",
@@ -88,7 +87,11 @@ class CSSpec:
 
 
 def log_d_coefficients(weights: WeightSequence, N: int) -> np.ndarray:
-    """log d_n for n = 0 .. N-1, d_n = (W_1 ... W_n)^{-1}; log-space throughout."""
+    """log d_n for n = 0 .. N-1, d_n = (W_1 ... W_n)^{-1}; log-space throughout.
+
+    When some W_n = 0 the family is finite: the maximal valid prefix is
+    returned (shorter than N).
+    """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     if N == 1:
@@ -100,15 +103,6 @@ def log_d_coefficients(weights: WeightSequence, N: int) -> np.ndarray:
         logW = logW[:first_bad]
     out = np.concatenate(([0.0], -np.cumsum(logW)))
     return out
-
-
-def d_coefficients(weights: WeightSequence, N: int) -> np.ndarray:
-    """d_0 = 1, d_n = (W_1 ... W_n)^{-1}.
-
-    When some W_n = 0 the family is finite: the maximal valid prefix is
-    returned (shorter than N).
-    """
-    return np.exp(log_d_coefficients(weights, N))
 
 
 def _check_convergence(t: float, weights: WeightSequence) -> None:

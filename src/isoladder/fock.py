@@ -184,9 +184,9 @@ def commutator(x: TruncatedOperator, y: TruncatedOperator) -> TruncatedOperator:
     return TruncatedOperator(x.mat @ y.mat - y.mat @ x.mat, x.basis)
 
 
-def op_norm_inf(x: TruncatedOperator) -> float:
-    """Max absolute row sum."""
-    return float(np.max(np.sum(np.abs(x.mat), axis=1)))
+def op_norm_inf(mat: np.ndarray) -> float:
+    """Max absolute row sum of a matrix."""
+    return float(np.max(np.sum(np.abs(mat), axis=1)))
 
 
 def interior_block(mat: np.ndarray) -> np.ndarray:

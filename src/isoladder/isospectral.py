@@ -9,6 +9,10 @@ the two coherent-state families attached to them.  Both families are built
 by the same weighted-shift eigenvector routine as coherent.cs_vector, with
 the same 1e-24 relative tail guard.
 
+The lambda-free Hermite table psi belongs to the grid (QuadratureGrid.psi).
+A ThetaBasis holds one lambda's phi and theta; the overlaps, U, b^dagger, b
+and H~ are built at most once per basis and kept on it (_once).
+
 The overlap matrix <psi_m, theta_n> computed at finite truncation is not
 exactly unitary (theta_n keeps a small psi-tail beyond the truncation), so
 u_matrix returns its polar factor (symmetric Lowdin orthonormalization) by
@@ -20,6 +24,7 @@ phi's denominator takes numerics.erf over a whole grid in one call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,9 +37,10 @@ from .fock import (
     TruncatedOperator,
     adjoint,
     annihilation_matrix,
+    op_norm_inf,
     theta_tag,
 )
-from .numerics import SQRT_PI, QuadratureGrid, erf, grid_norm, hermite_table
+from .numerics import SQRT_PI, QuadratureGrid, erf, grid_norm
 
 __all__ = [
     "LAMBDA_GUARD",
@@ -109,17 +115,32 @@ def riccati_residual(p: IsospectralParams, grid: QuadratureGrid, phi_override=No
     return float(np.max(np.abs(deriv + 2.0 * x * mid + mid * mid)))
 
 
+def _once(build):
+    """build(basis) on the first call for a basis; later calls return that result, kept on the basis."""
+    key = "_once_" + build.__name__
+
+    @functools.wraps(build)
+    def cached(basis):
+        memo = vars(basis)
+        if key not in memo:
+            memo[key] = build(basis)
+        return memo[key]
+
+    return cached
+
+
 class ThetaBasis:
-    """Wavefunction table of the theta family over a quadrature grid.
+    """Wavefunction table of the theta family at one lambda over a quadrature grid.
 
     theta_0 is the annihilated-by-b ground state, normalized by quadrature;
     theta_n = psi_n + phi psi_{n-1} / sqrt(2n) for n >= 1 (apply b^dagger to
-    psi_{n-1} and use (x - d) psi_{n-1} = sqrt(2n) psi_n).
+    psi_{n-1} and use (x - d) psi_{n-1} = sqrt(2n) psi_n).  psi is the first
+    N rows of the grid's Hermite table, so N may not exceed its truncation.
     """
 
     def __init__(self, params: IsospectralParams, grid: QuadratureGrid, N: int):
-        if N < 2:
-            raise ValueError(f"theta basis needs N >= 2, got {N}")
+        if not 2 <= N <= grid.truncation:
+            raise ValueError(f"theta basis needs 2 <= N <= the grid's truncation {grid.truncation}, got {N}")
         self.params = params
         self.grid = grid
         self.N = int(N)
@@ -127,7 +148,7 @@ class ThetaBasis:
         self.phi_fn = PhiFunction(params)
 
         x = grid.points
-        self.psi = hermite_table(x, N - 1)
+        self.psi = grid.psi[:N]
         self.g_values = self.phi_fn.denominator(x)
         self.phi_values = np.exp(-x * x) / self.g_values
         self.phi_prime_values = -2.0 * x * self.phi_values - self.phi_values**2
@@ -141,14 +162,9 @@ class ThetaBasis:
             theta[n] = self.psi[n] + self.phi_values * self.psi[n - 1] / math.sqrt(2.0 * n)
         self.theta = theta
 
-        self._raw_overlap = None
-        self._u = None
-
+    @_once
     def _overlaps(self) -> np.ndarray:
-        if self._raw_overlap is None:
-            w = self.grid.weights
-            self._raw_overlap = self.psi @ (w[None, :] * self.theta).T
-        return self._raw_overlap
+        return self.psi @ (self.grid.weights[None, :] * self.theta).T
 
 
 def u_overlap_raw(basis: ThetaBasis) -> TruncatedOperator:
@@ -162,33 +178,33 @@ def unitarity_defect(basis: ThetaBasis) -> float:
     return float(np.max(np.abs(raw.T @ raw - np.eye(basis.N))))
 
 
+@_once
 def u_matrix(basis: ThetaBasis) -> TruncatedOperator:
-    """Unitary intertwiner taking |n> to |theta_n>, as a Fock-basis matrix.
+    """Unitary intertwiner taking |n> to |theta_n>, as a Fock-basis matrix kept on the basis (_once).
 
     Polar factor of the overlap matrix X by Newton-Schulz from X itself:
     X <- X - X E / 2, E = X^T X - I, until ||E||_inf <= N eps.  ||E||_inf
     bounds ||E||_2 for symmetric E, and the iteration converges while that is
     below 1 and shrinking (Higham, ch. 8); otherwise ValueError, never a non-unitary U.
     """
-    if basis._u is None:
-        x, bound = basis._overlaps(), 1.0
-        while True:
-            e = x.T @ x - np.eye(basis.N)
-            defect = float(np.max(np.sum(np.abs(e), axis=1)))
-            if defect <= basis.N * np.finfo(float).eps:
-                break
-            if defect >= bound:
-                raise ValueError(f"polar factor: ||X^T X - I||_inf = {defect:.3e}, Newton-Schulz needs < 1")
-            x, bound = x - 0.5 * (x @ e), defect
-        basis._u = x
-    return TruncatedOperator(basis._u, FOCK)
+    x, bound = basis._overlaps(), 1.0
+    while True:
+        e = x.T @ x - np.eye(basis.N)
+        defect = op_norm_inf(e)
+        if defect <= basis.N * np.finfo(float).eps:
+            return TruncatedOperator(x, FOCK)
+        if defect >= bound:
+            raise ValueError(f"polar factor: ||X^T X - I||_inf = {defect:.3e}, Newton-Schulz needs < 1")
+        x, bound = x - 0.5 * (x @ e), defect
 
 
+@_once
 def b_matrix(basis: ThetaBasis) -> TruncatedOperator:
     """b = a U^dagger = (U a^dagger)^dagger in the Fock basis; maps theta_{n+1} to sqrt(n+1) |n>."""
     return adjoint(b_dagger_matrix(basis))
 
 
+@_once
 def b_dagger_matrix(basis: ThetaBasis) -> TruncatedOperator:
     """b^dagger = U a^dagger in the Fock basis: column n is sqrt(n+1) times column n+1 of U."""
     u = u_matrix(basis).mat
@@ -197,6 +213,7 @@ def b_dagger_matrix(basis: ThetaBasis) -> TruncatedOperator:
     return TruncatedOperator(out, FOCK)
 
 
+@_once
 def h_tilde_matrix(basis: ThetaBasis) -> TruncatedOperator:
     """The deformed Hamiltonian b^dagger b (Fock basis, Hermitian)."""
     b = b_matrix(basis)

@@ -113,12 +113,6 @@ class WeightSequence:
             return f"custom[{len(self.values)}]"
         return f"{self.kind}({name}={getattr(self, name):g})"
 
-    def weight(self, n: int) -> float:
-        """w_n for n >= 1."""
-        if n < 1:
-            raise WeightError(f"weights are indexed from 1, got {n}")
-        return float(self.weight_array(n)[-1])
-
     def weight_array(self, nmax: int) -> np.ndarray:
         """w_1 .. w_nmax from the rule's formula in _RULES."""
         name, _, formula = _RULES[self.kind]
@@ -130,9 +124,6 @@ class WeightSequence:
     def partial_sum_array(self, nmax: int) -> np.ndarray:
         """W_n = w_1 + ... + w_n for n = 1 .. nmax."""
         return np.cumsum(self.weight_array(nmax))
-
-    def partial_sum(self, n: int) -> float:
-        return float(self.partial_sum_array(n)[-1])
 
     def log_weight_array(self, nmax: int) -> np.ndarray:
         """log w_n, stable for large n (geometric/power handled in closed form)."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +42,13 @@ def erf(x):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Composite-trapezoid grid on [-L, L], symmetric about 0."""
+    """Composite-trapezoid grid on [-L, L], symmetric about 0, for truncation N; owns the table psi."""
 
     points: np.ndarray
     weights: np.ndarray
     half_width: float
     node_count: int
+    truncation: int
 
     def __post_init__(self):
         x = self.points
@@ -57,9 +59,16 @@ class QuadratureGrid:
         if np.max(np.abs(x + x[::-1])) > 1e-12 * self.half_width:
             raise ValueError("grid must be symmetric about 0")
 
+    @cached_property
+    def psi(self) -> np.ndarray:
+        """psi_0 .. psi_{N-1} on the points (row n holds psi_n), built once; read-only, as bases share it."""
+        table = hermite_table(self.points, self.truncation - 1)
+        table.flags.writeable = False
+        return table
+
 
 def build_grid(N: int, nodes: int | None = None) -> QuadratureGrid:
-    """Trapezoid grid sized for truncation N: L = sqrt(2N) + 8, max(4000, 8N) nodes.
+    """Trapezoid grid for truncation N: L = sqrt(2N) + 8, max(4000, 8N) nodes; it records N.
 
     The integrands are smooth and decay like Gaussians, so trapezoid sums
     converge geometrically once the spacing resolves frequency ~sqrt(2N)
@@ -78,7 +87,7 @@ def build_grid(N: int, nodes: int | None = None) -> QuadratureGrid:
     w = np.full(count, h)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return QuadratureGrid(points=x, weights=w, half_width=half_width, node_count=count)
+    return QuadratureGrid(points=x, weights=w, half_width=half_width, node_count=count, truncation=N)
 
 
 def hermite_table(points: np.ndarray, max_index: int) -> np.ndarray:

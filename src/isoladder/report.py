@@ -30,6 +30,7 @@ from .fock import (
     interior_block,
     interior_max_abs,
     number_matrix,
+    op_norm_inf,
 )
 from .numerics import build_grid, grid_norm
 from .pdo import CoeffPoly, PDOSeries
@@ -85,27 +86,11 @@ def _criterion(name: str):
     return decorate
 
 
-class _Context:
-    """Shared lambda/truncation-dependent objects, built once; U, b and H~ on first use."""
+class _Context(isospectral.ThetaBasis):
+    """The theta basis the criteria read: lambda on a grid built for the truncation."""
 
     def __init__(self, lam: float, trunc: int):
-        self.lam = lam
-        self.N = trunc
-        self.params = isospectral.IsospectralParams(lam)
-        self.grid = build_grid(trunc)
-        self.basis = isospectral.ThetaBasis(self.params, self.grid, trunc)
-
-    @functools.cached_property
-    def u(self) -> TruncatedOperator:
-        return isospectral.u_matrix(self.basis)
-
-    @functools.cached_property
-    def b(self) -> TruncatedOperator:
-        return isospectral.b_matrix(self.basis)
-
-    @functools.cached_property
-    def h_tilde(self) -> TruncatedOperator:
-        return isospectral.h_tilde_matrix(self.basis)
+        super().__init__(isospectral.IsospectralParams(lam), build_grid(trunc), trunc)
 
 
 def _case_list() -> list[ladder.WeightSequence]:
@@ -125,7 +110,7 @@ def criterion_01_isospectrality(ctx: _Context, res: CriterionResult):
     if ctx.N < 44:
         res.add("lowest_40_eigenvalues", math.inf, 1e-6)
         return
-    evals, _ = hermitian_eigensystem(ctx.h_tilde)
+    evals, _ = hermitian_eigensystem(isospectral.h_tilde_matrix(ctx))
     dev = float(np.max(np.abs(evals[:40] - np.arange(40.0))))
     res.add("lowest_40_eigenvalues_vs_0..39", dev, 1e-6)
 
@@ -165,12 +150,13 @@ def _theta_route_commutator(low: TruncatedOperator, high: TruncatedOperator,
 
 @_criterion("c04_commutator_diagonal")
 def criterion_04_commutator_diag(ctx: _Context, res: CriterionResult):
+    u = isospectral.u_matrix(ctx)
     for weights in _case_list():
         lbl = weights.label()
         low, high = ladder.ladder_matrices(weights, ctx.N, FOCK)
         for part, comm, tol in (
             ("fock_fill_diag", commutator(low, high).mat, 1e-12),
-            ("theta_route_diag", _theta_route_commutator(low, high, ctx.u, ctx.basis.tag), 1e-6),
+            ("theta_route_diag", _theta_route_commutator(low, high, u, ctx.tag), 1e-6),
         ):
             check = ladder.commutator_diagonal(comm, weights)
             off_dev = check["offdiagonal_max"] / max(1.0, float(np.max(np.abs(check["target"]))))
@@ -179,14 +165,15 @@ def criterion_04_commutator_diag(ctx: _Context, res: CriterionResult):
 
 @_criterion("c05_closed_form_equivalence")
 def criterion_05_closed_forms(ctx: _Context, res: CriterionResult):
+    u, b = isospectral.u_matrix(ctx), isospectral.b_matrix(ctx)
     for weights in _case_list():
-        closed = ladder.closed_form_case(weights, ctx.b)
+        closed = ladder.closed_form_case(weights, b)
         fill = ladder.ladder_fill(weights, ctx.N, FOCK)
-        general = ladder.transport_to_theta(fill, ctx.u, ctx.basis.tag)
+        general = ladder.transport_to_theta(fill, u, ctx.tag)
         dev = interior_max_abs(closed.mat - general.mat)
         res.add(f"closed_vs_general[{weights.label()}]", dev, 1e-7)
-    q_to_1 = ladder.closed_form_case(ladder.geometric_weights(1.0 + 1e-8), ctx.b)
-    case_i_w1 = ladder.closed_form_case(ladder.constant_weights(1.0), ctx.b)
+    q_to_1 = ladder.closed_form_case(ladder.geometric_weights(1.0 + 1e-8), b)
+    case_i_w1 = ladder.closed_form_case(ladder.constant_weights(1.0), b)
     res.add("q_to_1_limit_vs_case_i_w1", interior_max_abs(q_to_1.mat - case_i_w1.mat), 1e-5)
 
 
@@ -256,7 +243,7 @@ def _cs_residual(weights: ladder.WeightSequence, zeta: complex, N: int, tag) -> 
 @_criterion("c08_cs_eigen_residual")
 def criterion_08_cs_eigenresidual(ctx: _Context, res: CriterionResult):
     zeta = 1.0 + 0.5j
-    tag = ctx.basis.tag
+    tag = ctx.tag
     for weights in _case_list()[:3]:
         r64 = _cs_residual(weights, zeta, max(ctx.N, 16), tag)
         res.add(f"residual[{weights.label()}]", r64, 1e-6)
@@ -270,7 +257,7 @@ def criterion_08_cs_eigenresidual(ctx: _Context, res: CriterionResult):
 @_criterion("c09_perelomov_equivalence")
 def criterion_09_perelomov(ctx: _Context, res: CriterionResult):
     N = max(ctx.N, 64)
-    tag = ctx.basis.tag
+    tag = ctx.tag
     weights = ladder.constant_weights(1.0)
     low, high = ladder.ladder_matrices(weights, N, tag)
     zeta = 0.7 - 0.2j
@@ -325,10 +312,10 @@ def criterion_11_lambda_limit(ctx: _Context, res: CriterionResult):
     basis = isospectral.ThetaBasis(params, ctx.grid, N)
     u = isospectral.u_matrix(basis)
     m = interior_block(u.mat - np.eye(N))
-    res.add("u_minus_identity_interior_inf_norm", float(np.max(np.sum(np.abs(m), axis=1))), 1e-5)
+    res.add("u_minus_identity_interior_inf_norm", op_norm_inf(m), 1e-5)
     h_t = isospectral.h_tilde_matrix(basis)
     m = interior_block(h_t.mat - number_matrix(N).mat)
-    res.add("h_tilde_minus_h_interior_inf_norm", float(np.max(np.sum(np.abs(m), axis=1))), 1e-4)
+    res.add("h_tilde_minus_h_interior_inf_norm", op_norm_inf(m), 1e-4)
     psi = basis.psi
     dev = max(
         grid_norm(basis.theta[n] - psi[n], ctx.grid) for n in range(N - 5)
@@ -338,11 +325,11 @@ def criterion_11_lambda_limit(ctx: _Context, res: CriterionResult):
 
 @_criterion("c12_composite_lowering")
 def criterion_12_composite_lowering(ctx: _Context, res: CriterionResult):
-    a_theta = isospectral.b_dagger_a_b_matrix(ctx.basis)
-    fill = isospectral.b_dagger_a_b_fill(ctx.N, ctx.basis.tag)
+    a_theta = isospectral.b_dagger_a_b_matrix(ctx)
+    fill = isospectral.b_dagger_a_b_fill(ctx.N, ctx.tag)
     res.add("theta_matrix_entries", interior_max_abs(a_theta.mat - fill.mat), 1e-6)
     z = 0.8 + 0.3j
-    cs = isospectral.b_dagger_a_b_cs(z, ctx.basis)
+    cs = isospectral.b_dagger_a_b_cs(z, ctx)
     moved = apply_operator(fill, cs)
     res.add("cs_eigen_residual", float(np.linalg.norm(moved.coeffs - z * cs.coeffs)), 1e-7)
 

@@ -47,7 +47,7 @@ class TestConfig:
         cfg.write_text("weights = custom\ncustom = 1.0, 0.5, 2.0\n")
         parser = make_parser()
         config = build_config(parser.parse_args(["commutator", "--config", str(cfg)]))
-        assert config.weights().weight(2) == 0.5
+        assert config.weights().weight_array(2)[-1] == 0.5
 
     def test_invalid_lambda_named(self):
         parser = make_parser()
@@ -293,6 +293,12 @@ class TestReportCommand:
         _, out1, _ = run_cli(["report", "--trunc", "8"], capsys)
         _, out2, _ = run_cli(["report", "--trunc", "8"], capsys)
         assert out1 == out2
+
+    def test_report_unchanged_by_a_run_at_another_lambda(self, capsys):
+        _, before, _ = run_cli(["report"], capsys)
+        run_cli(["report", "--lambda=-3"], capsys)
+        _, after, _ = run_cli(["report"], capsys)
+        assert before == after
 
     def test_defaults_all_pass(self, capsys):
         code, out, _ = run_cli(["report"], capsys)

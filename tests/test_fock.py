@@ -74,7 +74,7 @@ class TestAlgebra:
         assert np.allclose(ad.mat, a.mat.T)
 
     def test_norm_of_identity(self):
-        assert op_norm_inf(identity_matrix(7)) == 1.0
+        assert op_norm_inf(identity_matrix(7).mat) == 1.0
 
     def test_tag_mismatch(self):
         a = annihilation_matrix(4)
@@ -141,7 +141,7 @@ class TestEigensystem:
         roots = np.sort(np.real(np.roots([1.0, 0.0, -6.0, 0.0, 3.0])))
         assert np.allclose(evals, roots, atol=1e-12)
         resid = np.max(np.abs(x.mat @ v - v @ np.diag(evals)))
-        assert resid < 1e-9 * op_norm_inf(x)
+        assert resid < 1e-9 * op_norm_inf(x.mat)
 
     def test_phase_convention(self):
         rng = np.random.default_rng(7)

@@ -135,6 +135,26 @@ class TestThetaBasis:
         with pytest.raises(ValueError):
             ThetaBasis(IsospectralParams(2.0), grid64, 1)
 
+    def test_rejects_basis_above_grid_truncation(self):
+        with pytest.raises(ValueError, match="needs 2 <= N <= the grid's truncation 64, got 65"):
+            ThetaBasis(IsospectralParams(2.0), build_grid(64), 65)
+
+    def test_psi_rows_come_from_the_grid_table(self, grid64):
+        assert np.array_equal(grid64.psi, hermite_table(grid64.points, 63))
+        assert not grid64.psi.flags.writeable
+        first = ThetaBasis(IsospectralParams(2.0), grid64, 64)
+        second = ThetaBasis(IsospectralParams(-3.0), grid64, 48)
+        assert first.psi.base is grid64.psi and second.psi.base is grid64.psi
+        assert np.array_equal(second.psi, grid64.psi[:48])
+
+    def test_matrices_built_once_per_basis(self, grid64):
+        first = ThetaBasis(IsospectralParams(2.0), grid64, 64)
+        second = ThetaBasis(IsospectralParams(2.0), grid64, 64)
+        for build in (u_matrix, b_dagger_matrix, b_matrix, h_tilde_matrix):
+            assert build(first) is build(first)
+            assert build(second) is not build(first)
+            assert np.array_equal(build(second).mat, build(first).mat)
+
     def test_negative_lambda_family(self, grid64):
         # the branch lambda < -sqrt(pi)/2 is admissible and behaves identically
         basis = ThetaBasis(IsospectralParams(-2.0), grid64, 64)

@@ -52,13 +52,13 @@ CLOSED_FORM_WEIGHTS = [
 
 class TestWeightSequence:
     def test_variants(self):
-        assert distorted_weights(2.0).weight(1) == 2.0
-        assert distorted_weights(2.0).weight(5) == 1.0
-        assert linear_weights().weight(7) == 7.0
-        assert single_weight(3.0).weight(2) == 0.0
-        assert geometric_weights(0.5).weight(3) == 0.125
-        assert power_law_weights(2.0).weight(3) == 9.0
-        assert custom_weights([1.0, 2.5]).weight(2) == 2.5
+        assert distorted_weights(2.0).weight_array(1)[-1] == 2.0
+        assert distorted_weights(2.0).weight_array(5)[-1] == 1.0
+        assert linear_weights().weight_array(7)[-1] == 7.0
+        assert single_weight(3.0).weight_array(2)[-1] == 0.0
+        assert geometric_weights(0.5).weight_array(3)[-1] == 0.125
+        assert power_law_weights(2.0).weight_array(3)[-1] == 9.0
+        assert custom_weights([1.0, 2.5]).weight_array(2)[-1] == 2.5
         labels = [
             (constant_weights(2.0), "constant(w=2)"),
             (distorted_weights(0.5), "distorted(w=0.5)"),
@@ -86,11 +86,10 @@ class TestWeightSequence:
         formula = formula or (lambda n: weights.values[n - 1])
         oracle = np.array([formula(n) for n in range(1, nmax + 1)])
         assert np.array_equal(weights.weight_array(nmax), oracle)
-        assert weights.weight(nmax) == oracle[-1]
 
     def test_partial_sums(self):
         w = linear_weights()
-        assert w.partial_sum(4) == 10.0
+        assert w.partial_sum_array(4)[-1] == 10.0
         assert np.allclose(w.partial_sum_array(5), [1, 3, 6, 10, 15])
 
     def test_invalid(self):
@@ -101,7 +100,7 @@ class TestWeightSequence:
         with pytest.raises(WeightError):
             custom_weights([1.0, -0.5])
         with pytest.raises(WeightError):
-            custom_weights([1.0]).weight(2)
+            custom_weights([1.0]).weight_array(2)[-1]
         for make, value in [
             (constant_weights, math.inf), (distorted_weights, math.nan), (single_weight, math.inf),
             (geometric_weights, math.nan), (power_law_weights, math.inf),

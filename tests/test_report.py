@@ -75,6 +75,27 @@ def test_run_all_reports_the_normal_name_for_a_raising_criterion(monkeypatch):
     assert result.measured == float("inf") and not result.passed
 
 
+def test_run_all_builds_one_hermite_table_and_one_b_dagger_per_basis(monkeypatch):
+    # one grid, so one table; two theta bases (lambda and c11's lambda = 1e6), so two b^dagger
+    tables, b_daggers = [], []
+    hermite_table, b_dagger_matrix = numerics.hermite_table, isospectral.b_dagger_matrix
+
+    def counted_table(points, max_index):
+        tables.append(max_index)
+        return hermite_table(points, max_index)
+
+    def counted_b_dagger(basis):
+        b_daggers.append((basis, b_dagger_matrix(basis)))
+        return b_daggers[-1][1]
+
+    monkeypatch.setattr(numerics, "hermite_table", counted_table)
+    monkeypatch.setattr(isospectral, "b_dagger_matrix", counted_b_dagger)
+    report.run_all(2.0, 64)
+    assert tables == [63]
+    assert len({id(basis) for basis, _ in b_daggers}) == 2
+    assert len({id(op) for _, op in b_daggers}) == 2
+
+
 def test_non_unitary_overlaps_fail_the_criteria_that_read_u(monkeypatch, capsys):
     # 32 nodes give 64 x 64 overlaps of rank <= 32, so u_matrix refuses them
     monkeypatch.setattr(report, "build_grid", lambda N: numerics.build_grid(N, nodes=32))
