@@ -140,12 +140,12 @@ def cmd_spectrum(config: RunConfig) -> int:
     N = config.trunc
     ctx = report._Context(config.lam, N)
     evals, _ = hermitian_eigensystem(isospectral.h_tilde_matrix(ctx))
-    gram = ctx.theta @ (ctx.grid.weights[None, :] * ctx.theta).T
     interior = max(N - 5, 1)
+    gram = ctx.theta[: min(40, interior)] @ (ctx.grid.weights[None, :] * ctx.theta).T
     rows = []
     ok = True
     u_dev_mat = np.abs(isospectral.u_matrix(ctx).mat - np.eye(N))
-    for n in range(min(40, interior)):
+    for n in range(len(gram)):
         deviation = abs(float(evals[n]) - n)
         orth = float(np.max(np.abs(gram[n, :interior] - np.eye(N)[n, :interior])))
         u_dev = float(np.max(u_dev_mat[n, :interior]))

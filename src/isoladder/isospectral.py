@@ -153,18 +153,31 @@ class ThetaBasis:
         self.phi_values = np.exp(-x * x) / self.g_values
         self.phi_prime_values = -2.0 * x * self.phi_values - self.phi_values**2
 
-        theta = np.zeros((N, grid.node_count))
+        theta = np.empty((N, grid.node_count))
         raw0 = np.exp(-0.5 * x * x) / self.g_values
         norm0 = grid_norm(raw0, grid)
         theta[0] = raw0 / norm0
         self.theta0_norm = 1.0 / norm0  # the N_0 multiplying e^{-x^2/2}/g
-        for n in range(1, N):
-            theta[n] = self.psi[n] + self.phi_values * self.psi[n - 1] / math.sqrt(2.0 * n)
+        np.multiply(self.phi_values, self.psi[:-1], out=theta[1:])
+        theta[1:] /= np.sqrt(2.0 * np.arange(1, N))[:, None]
+        theta[1:] += self.psi[1:]
         self.theta = theta
 
     @_once
     def _overlaps(self) -> np.ndarray:
-        return self.psi @ (self.grid.weights[None, :] * self.theta).T
+        """<psi_m, theta_n>: the trapezoid sum folded on the grid's exact mirror, as psi_m(-x) = (-1)^m psi_m(x).
+
+        Even rows take w (theta(x) + theta(-x)) over x >= 0, odd rows the difference, in one buffer; an
+        odd count's centre is its own mirror, so it enters at half weight twice, in the even rows only.
+        """
+        count, half = self.grid.node_count, self.grid.node_count // 2
+        right, left = self.theta[:, half:], self.theta[:, (count - 1) // 2::-1]
+        w = self.grid.weights[half:].copy()
+        w[: count % 2] *= 0.5
+        out, fold = np.empty((self.N, self.N)), np.empty_like(right)
+        out[0::2] = self.psi[0::2, half:] @ np.multiply(np.add(right, left, out=fold), w, out=fold).T
+        out[1::2] = self.psi[1::2, half:] @ np.multiply(np.subtract(right, left, out=fold), w, out=fold).T
+        return out
 
 
 def u_overlap_raw(basis: ThetaBasis) -> TruncatedOperator:

@@ -1,9 +1,9 @@
 """Special functions and quadrature primitives for position-space work.
 
 Everything in this module is pure and deterministic: fixed composite-trapezoid
-grids, the error function (the standard library's, elementwise over arrays),
-and the numerically stable Hermite-function recurrence.  No adaptivity
-anywhere, so results are reproducible run to run.
+grids mirrored exactly about 0, the error function (the standard library's,
+elementwise over arrays), and the numerically stable Hermite-function
+recurrence.  No adaptivity anywhere, so results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def erf(x):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Composite-trapezoid grid on [-L, L], symmetric about 0, for truncation N; owns the table psi."""
+    """Composite-trapezoid grid on [-L, L], mirrored exactly about 0, for truncation N; owns the table psi."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -56,8 +56,8 @@ class QuadratureGrid:
             raise ValueError("grid points must be strictly increasing")
         if np.any(self.weights <= 0):
             raise ValueError("grid weights must be strictly positive")
-        if np.max(np.abs(x + x[::-1])) > 1e-12 * self.half_width:
-            raise ValueError("grid must be symmetric about 0")
+        if not (np.array_equal(x, -x[::-1]) and np.array_equal(self.weights, self.weights[::-1])):
+            raise ValueError("grid points and weights must mirror exactly about 0")
 
     @cached_property
     def psi(self) -> np.ndarray:
@@ -74,7 +74,8 @@ def build_grid(N: int, nodes: int | None = None) -> QuadratureGrid:
     converge geometrically once the spacing resolves frequency ~sqrt(2N)
     (Trefethen & Weideman, SIAM Rev. 56, 2014); 8N nodes do.  The 4000 floor
     resolves phi's steep front near |lambda| = sqrt(pi)/2 at small N.  An
-    explicit node count may be supplied for refinement studies; N >= 8.
+    explicit node count may be supplied for refinement studies; N >= 8.  The
+    x >= 0 half is negated for the other, so the grid mirrors exactly about 0.
     """
     if N < 8:
         raise ValueError(f"build_grid requires N >= 8, got {N}")
@@ -82,8 +83,9 @@ def build_grid(N: int, nodes: int | None = None) -> QuadratureGrid:
     count = int(nodes) if nodes is not None else max(4000, 8 * N)
     if count < 2:
         raise ValueError("node count must be >= 2")
-    x = np.linspace(-half_width, half_width, count)
-    h = x[1] - x[0]
+    h = 2.0 * half_width / (count - 1)
+    right = np.linspace(0.0 if count % 2 else 0.5 * h, half_width, (count + 1) // 2)
+    x = np.concatenate((-right[count % 2:][::-1], right))
     w = np.full(count, h)
     w[0] *= 0.5
     w[-1] *= 0.5

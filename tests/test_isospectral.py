@@ -164,6 +164,37 @@ class TestThetaBasis:
         assert np.max(np.abs(evals[:40] - np.arange(40.0))) < 1e-6
 
 
+def full_grid_overlaps(basis):
+    # the direct trapezoid sum over every node, the reference for the parity-split overlaps
+    return basis.psi @ (basis.grid.weights[None, :] * basis.theta).T
+
+
+def theta_by_rows(basis):
+    # one row at a time, in the operation order ThetaBasis keeps vectorized
+    theta = np.zeros_like(basis.theta)
+    theta[0] = basis.theta[0]
+    for n in range(1, basis.N):
+        theta[n] = basis.psi[n] + basis.phi_values * basis.psi[n - 1] / math.sqrt(2.0 * n)
+    return theta
+
+
+class TestParitySplit:
+    @pytest.mark.parametrize("N, nodes", [(64, None), (512, None), (64, 4001)])
+    @pytest.mark.parametrize("lam", [2.0, -3.0, SQRT_PI / 2 + 2e-6])
+    def test_overlaps_match_full_grid_sum(self, lam, N, nodes):
+        basis = ThetaBasis(IsospectralParams(lam), build_grid(N, nodes=nodes), N)
+        # both sums have at most node_count terms, each rounded at most 3 times before summing, so each
+        # differs from the exact sum by at most gamma_K sum_i w |psi_m theta_n|, K = node_count + 3
+        k = (basis.grid.node_count + 3) * np.finfo(float).eps / 2
+        bound = 2.0 * k / (1.0 - k) * (np.abs(basis.psi) @ (basis.grid.weights * np.abs(basis.theta)).T)
+        assert np.all(np.abs(basis._overlaps() - full_grid_overlaps(basis)) <= bound)
+
+    @pytest.mark.parametrize("N, nodes", [(64, None), (512, None), (64, 4001)])
+    def test_theta_equals_per_row_loop(self, N, nodes):
+        basis = ThetaBasis(IsospectralParams(2.0), build_grid(N, nodes=nodes), N)
+        assert np.array_equal(basis.theta, theta_by_rows(basis))
+
+
 class TestUMatrix:
     def test_exactly_unitary_after_polar(self, basis64):
         u = u_matrix(basis64)

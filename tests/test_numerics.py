@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from isoladder.numerics import SQRT_PI, build_grid, erf, grid_norm, hermite_table
+from isoladder.numerics import SQRT_PI, QuadratureGrid, build_grid, erf, grid_norm, hermite_table
 
 
 def erf_taylor_oracle(x, terms=30):
@@ -92,6 +92,31 @@ class TestGrid:
         assert abs(g.half_width - (math.sqrt(128.0) + 8.0)) < 1e-12
         assert g.node_count == 4000
         assert np.allclose(g.points, -g.points[::-1])
+
+    @pytest.mark.parametrize("N, nodes", [(16, None), (64, None), (512, None), (64, 32), (64, 33),
+                                          (64, 4001), (64, 8000), (8, 2), (8, 3)])
+    def test_grid_mirrors_exactly(self, N, nodes):
+        # the parity-split overlaps pair x with -x, so the mirror must be exact, not to a tolerance
+        g = build_grid(N, nodes=nodes)
+        assert np.array_equal(g.points, -g.points[::-1])
+        assert np.array_equal(g.weights, g.weights[::-1])
+        if g.node_count % 2:
+            centre = g.points[g.node_count // 2]
+            assert centre == 0.0 and not np.signbit(centre)
+
+    @pytest.mark.parametrize("field", ["points", "weights"])
+    def test_grid_off_by_one_ulp_raises(self, field):
+        g = build_grid(16)
+        values = {"points": g.points.copy(), "weights": g.weights.copy()}
+        values[field][-1] = np.nextafter(values[field][-1], np.inf)
+        with pytest.raises(ValueError, match="mirror exactly"):
+            QuadratureGrid(half_width=g.half_width, node_count=g.node_count, truncation=16, **values)
+
+    @pytest.mark.parametrize("nodes", [None, 4001])
+    def test_psi_parity_is_exact(self, nodes):
+        g = build_grid(64, nodes=nodes)
+        sign = (-1.0) ** np.arange(64)[:, None]
+        assert np.array_equal(g.psi[:, ::-1], sign * g.psi)
 
     def test_node_rule_above_the_floor(self):
         assert build_grid(512).node_count == 4096
