@@ -141,16 +141,14 @@ def cmd_spectrum(config: RunConfig) -> int:
     ctx = report._Context(config.lam, N)
     evals, _ = hermitian_eigensystem(isospectral.h_tilde_matrix(ctx))
     interior = max(N - 5, 1)
-    gram = ctx.theta[: min(40, interior)] @ (ctx.grid.weights[None, :] * ctx.theta).T
-    rows = []
-    ok = True
-    u_dev_mat = np.abs(isospectral.u_matrix(ctx).mat - np.eye(N))
-    for n in range(len(gram)):
-        deviation = abs(float(evals[n]) - n)
-        orth = float(np.max(np.abs(gram[n, :interior] - np.eye(N)[n, :interior])))
-        u_dev = float(np.max(u_dev_mat[n, :interior]))
-        ok = ok and deviation < 1e-6 and orth < 1e-8
-        rows.append([n, float(evals[n]), deviation, orth, u_dev])
+    count = min(40, interior)
+    eye = np.eye(count, interior)
+    gram = ctx.theta[:count] @ (ctx.grid.weights[None, :] * ctx.theta).T
+    orths = np.max(np.abs(gram[:, :interior] - eye), axis=1)
+    u_devs = np.max(np.abs(isospectral.u_matrix(ctx).mat[:count, :interior] - eye), axis=1)
+    rows = [[n, float(evals[n]), abs(float(evals[n]) - n), float(orths[n]), float(u_devs[n])]
+            for n in range(count)]
+    ok = all(deviation < 1e-6 and orth < 1e-8 for _, _, deviation, orth, _ in rows)
     if config.fmt == "csv":
         text = to_csv(["n", "eigenvalue", "deviation", "orthonormality_residual", "u_row_dev"], rows)
     else:

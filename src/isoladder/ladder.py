@@ -230,19 +230,29 @@ def ladder_fill(weights: WeightSequence, N: int, basis: BasisTag = FOCK) -> Trun
     return TruncatedOperator(np.diag(superdiagonal, 1), basis)
 
 
+def _conjugated_band(weights: WeightSequence, N: int, basis: BasisTag = FOCK) -> np.ndarray:
+    """The superdiagonal of S^dagger a S, its only nonzero band: (sqrt(c_{n-1}) sqrt(n)) sqrt(c_n) at (n, n+1).
+
+    Each entry of the dense product (S^dagger a) S is one such product plus exact zeros, so this is it bit for bit.
+    """
+    root_c = np.diag(shift_matrix(weights, N, basis).mat, 1)
+    root_n = np.diag(annihilation_matrix(N, basis).mat, 1)
+    return np.concatenate(([0.0], root_c[:-1] * root_n[:-1] * root_c[1:]))
+
+
 def ladder_matrices(weights: WeightSequence, N: int, basis: BasisTag = FOCK):
     """The ladder pair (a1, a1^dagger) for the weights, built two ways.
 
     The conjugation route S^dagger a S and the direct sqrt(W_n) fill must
     agree entrywise to 1e-12; construction fails loudly if they do not.
-    Both members annihilate index 0 structurally.
+    Both are zero off the superdiagonal, so they are compared there.  Both
+    members annihilate index 0 structurally.
     """
-    s = shift_matrix(weights, N, basis)
-    a = annihilation_matrix(N, basis)
-    conjugated = adjoint(s) @ a @ s
+    conjugated = _conjugated_band(weights, N, basis)
     filled = ladder_fill(weights, N, basis)
-    dev = float(np.max(np.abs(conjugated.mat - filled.mat)))
-    scale = max(1.0, float(np.max(np.abs(filled.mat))))
+    band = np.diag(filled.mat, 1)
+    dev = float(np.max(np.abs(conjugated - band)))
+    scale = max(1.0, float(np.max(np.abs(band))))
     if dev > 1e-12 * scale:
         raise WeightError(f"conjugation and direct fill disagree by {dev:.3e}")
     return filled, adjoint(filled)

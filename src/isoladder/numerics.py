@@ -4,17 +4,24 @@ Everything in this module is pure and deterministic: fixed composite-trapezoid
 grids mirrored exactly about 0, the error function (the standard library's,
 elementwise over arrays), and the numerically stable Hermite-function
 recurrence.  No adaptivity anywhere, so results are reproducible run to run.
+
+The grid and its Hermite table depend only on (N, nodes), so build_grid keeps
+the last grid it built and hands the same read-only object to every caller
+that asks for it again: a lambda sweep at one N builds one table.  The table
+zeroes its entries below 2^-500, the tails whose products would otherwise be
+subnormal and run on the CPU's slow path (see hermite_table).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 SQRT_PI = math.sqrt(math.pi)
+_PSI_FLOOR = 2.0**-500  # hermite_table's zero floor
 
 __all__ = [
     "SQRT_PI",
@@ -67,8 +74,14 @@ class QuadratureGrid:
         return table
 
 
+@lru_cache(maxsize=1)
 def build_grid(N: int, nodes: int | None = None) -> QuadratureGrid:
     """Trapezoid grid for truncation N: L = sqrt(2N) + 8, max(4000, 8N) nodes; it records N.
+
+    The last grid built is kept and returned again for the same (N, nodes), so
+    its Hermite table (floored at 2^-500, see hermite_table) is built once for
+    any number of lambdas; building another grid frees it.  Callers share it,
+    so points and weights are read-only.
 
     The integrands are smooth and decay like Gaussians, so trapezoid sums
     converge geometrically once the spacing resolves frequency ~sqrt(2N)
@@ -89,14 +102,25 @@ def build_grid(N: int, nodes: int | None = None) -> QuadratureGrid:
     w = np.full(count, h)
     w[0] *= 0.5
     w[-1] *= 0.5
+    x.flags.writeable = w.flags.writeable = False
     return QuadratureGrid(points=x, weights=w, half_width=half_width, node_count=count, truncation=N)
 
 
 def hermite_table(points: np.ndarray, max_index: int) -> np.ndarray:
-    """psi_0 .. psi_{max_index} on the points, by the stable recurrence.
+    """psi_0 .. psi_{max_index} on the points, by the stable recurrence, with |psi| < 2^-500 set to 0.
 
     psi_{n+1} = x sqrt(2/(n+1)) psi_n - sqrt(n/(n+1)) psi_{n-1}; row n of the
-    result holds psi_n.
+    result holds psi_n.  The floor is applied after the recurrence, so every
+    kept entry is the recurrence's value bit for bit.  It keeps the overlap
+    GEMMs off the subnormal slow path: two kept entries times a weight
+    (> 2^-7 at N = 512) are above 2^-1007, still normal (> 2^-1022).  What it
+    drops is negligible: a zeroed entry enters <psi_m, theta_n> through psi_m,
+    psi_n or psi_{n-1} (theta_n = psi_n + phi psi_{n-1}/sqrt(2n)), with
+    |psi| < 1 and |phi| < 8 for every admissible lambda, so each node moves
+    the sum by less than 18 w 2^-500.  The weights sum to 2L, 80 at N = 512,
+    so an overlap moves by less than 2^-488 (~1e-147), while the smallest
+    N = 512 overlap is ~4e-31.  Up to N = 160 no entry on the default grid is
+    that small, so the floor changes nothing there.
     """
     if max_index < 0:
         raise ValueError(f"max_index must be >= 0, got {max_index}")
@@ -107,6 +131,7 @@ def hermite_table(points: np.ndarray, max_index: int) -> np.ndarray:
         table[1] = math.sqrt(2.0) * x * table[0]
     for n in range(1, max_index):
         table[n + 1] = x * math.sqrt(2.0 / (n + 1)) * table[n] - math.sqrt(n / (n + 1.0)) * table[n - 1]
+    table[np.abs(table) < _PSI_FLOOR] = 0.0
     return table
 
 

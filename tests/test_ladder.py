@@ -18,8 +18,10 @@ from isoladder.fock import (
 )
 from isoladder.coherent import displacement_operator
 from isoladder.isospectral import b_dagger_matrix, b_matrix, h_tilde_matrix, u_matrix
+from isoladder import ladder
 from isoladder.ladder import (
     WeightError,
+    _conjugated_band,
     c_coefficients_closed,
     c_coefficients_recursive,
     closed_form_case,
@@ -255,6 +257,29 @@ class TestLadderMatrices:
         s = shift_matrix(linear_weights(), 10)
         conj = adjoint(s) @ annihilation_matrix(10) @ s
         assert np.max(np.abs(conj.mat - low.mat)) < 1e-12
+
+    @pytest.mark.parametrize("N", [8, 64, 512])
+    @pytest.mark.parametrize("weights", CLOSED_FORM_WEIGHTS + [power_law_weights(0.5), power_law_weights(1.7)],
+                             ids=lambda w: w.label())
+    def test_conjugated_band_is_the_dense_product(self, weights, N):
+        # the check compares on the band, so the band must be S^dagger a S bit for bit, and all of it
+        s = shift_matrix(weights, N)
+        dense = (adjoint(s) @ annihilation_matrix(N) @ s).mat
+        band = _conjugated_band(weights, N)
+        assert np.array_equal(np.diag(dense, 1), band)
+        assert np.array_equal(dense, np.diag(band, 1))
+
+    def test_perturbed_fill_fails_the_two_path_check(self, monkeypatch):
+        fill = ladder.ladder_fill
+
+        def perturbed(weights, N, basis=FOCK):
+            mat = fill(weights, N, basis).mat.copy()
+            mat[3, 4] *= 1.0 + 1e-9
+            return TruncatedOperator(mat, basis)
+
+        monkeypatch.setattr(ladder, "ladder_fill", perturbed)
+        with pytest.raises(WeightError, match=r"conjugation and direct fill disagree by \d"):
+            ladder_matrices(linear_weights(), 16)
 
 
 class TestTransport:

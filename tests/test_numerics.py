@@ -1,9 +1,12 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from isoladder import numerics
+from isoladder.isospectral import IsospectralParams, ThetaBasis
 from isoladder.numerics import SQRT_PI, QuadratureGrid, build_grid, erf, grid_norm, hermite_table
 
 
@@ -157,3 +160,74 @@ class TestGrid:
         g = build_grid(16)
         t = hermite_table(g.points, 2)
         assert abs(grid_norm(t[2], g) - 1.0) < 1e-10
+
+
+class TestGridMemo:
+    def test_same_truncation_returns_the_same_grid(self):
+        assert build_grid(64) is build_grid(64)
+
+    @pytest.mark.parametrize("field", ["points", "weights"])
+    def test_shared_arrays_are_read_only(self, field):
+        values = getattr(build_grid(64), field)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
+    def test_a_second_grid_frees_the_first(self):
+        first = weakref.ref(build_grid(64, nodes=40 * 64))
+        assert first() is not None
+        build_grid(64)
+        assert first() is None
+
+    def test_bases_at_two_lambdas_share_one_table(self, monkeypatch):
+        build_grid.cache_clear()
+        tables = []
+        table = numerics.hermite_table
+        monkeypatch.setattr(numerics, "hermite_table", lambda points, n: tables.append(n) or table(points, n))
+        bases = [ThetaBasis(IsospectralParams(lam), build_grid(64), 64) for lam in (2.0, -3.0)]
+        assert tables == [63]
+        assert bases[0].grid is bases[1].grid
+
+
+def unfloored_hermite_table(points, max_index):
+    # the recurrence of hermite_table without its 2^-500 floor
+    x = np.asarray(points, dtype=float)
+    table = np.zeros((max_index + 1, x.size))
+    table[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if max_index >= 1:
+        table[1] = math.sqrt(2.0) * x * table[0]
+    for n in range(1, max_index):
+        table[n + 1] = x * math.sqrt(2.0 / (n + 1)) * table[n] - math.sqrt(n / (n + 1.0)) * table[n - 1]
+    return table
+
+
+FLOOR = 2.0**-500
+
+
+class TestHermiteFloor:
+    def test_no_entry_below_the_floor_but_zero(self):
+        table = build_grid(512).psi
+        assert not np.any((table != 0.0) & (np.abs(table) < FLOOR))
+
+    def test_kept_entries_are_the_recurrence_bit_for_bit(self):
+        grid = build_grid(512)
+        raw = unfloored_hermite_table(grid.points, 511)
+        assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < FLOOR)) > 0  # the floor bites at N = 512
+        kept = grid.psi != 0.0
+        assert np.array_equal(grid.psi[kept], raw[kept])
+        assert np.array_equal(grid.psi, np.where(np.abs(raw) < FLOOR, 0.0, raw))
+
+    @pytest.mark.parametrize("N", [64, 160])
+    def test_floor_changes_nothing_up_to_160(self, N):
+        grid = build_grid(N)
+        assert np.array_equal(grid.psi, unfloored_hermite_table(grid.points, N - 1))
+
+    @pytest.mark.parametrize("lam", [2.0, -3.0, SQRT_PI / 2 + 2e-6])
+    def test_overlaps_match_the_unfloored_table_at_512(self, lam):
+        grid = build_grid(512)
+        unfloored = QuadratureGrid(points=grid.points, weights=grid.weights, half_width=grid.half_width,
+                                   node_count=grid.node_count, truncation=512)
+        vars(unfloored)["psi"] = unfloored_hermite_table(grid.points, 511)
+        params = IsospectralParams(lam)
+        floored = ThetaBasis(params, grid, 512)._overlaps()
+        assert np.array_equal(floored, ThetaBasis(params, unfloored, 512)._overlaps())
