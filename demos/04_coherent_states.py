@@ -23,14 +23,14 @@ zeta = 1.0 + 0.5j
 print(f"eigen-residual of |zeta> at zeta = {zeta}:")
 for weights in (ladder.constant_weights(2.0), ladder.distorted_weights(0.5), ladder.linear_weights()):
     low, _ = ladder.ladder_matrices(weights, N, TAG)
-    cs = coherent.cs_vector(coherent.CSSpec(zeta, weights, N), TAG)
+    cs = coherent.cs_vector(zeta, weights, N, TAG)
     moved = low.mat @ cs.coeffs
     print(f"  {weights.label():18s} norm 1{cs.norm() - 1.0:+.1e}   "
           f"residual {np.linalg.norm(moved - zeta * cs.coeffs):.3e}")
 
 # the construction refuses rather than silently truncating:
 try:
-    coherent.cs_vector(coherent.CSSpec(zeta, ladder.constant_weights(1.0), 12), TAG)
+    coherent.cs_vector(zeta, ladder.constant_weights(1.0), 12, TAG)
 except coherent.TruncationError as exc:
     print(f"tiny truncation refused: {exc}")
 
@@ -75,7 +75,7 @@ psi = fock.StateVector(np.eye(N)[1], TAG)  # theta_1 itself
 vals = coherent.bargmann_transform(psi, weights, [0.3, 1.0 + 1.0j, -2.0])
 print(f"theta_1 maps to the constant function 1: {np.round(vals, 12)}")
 
-cs = coherent.cs_vector(coherent.CSSpec(0.9 + 0.3j, weights, N), TAG)
+cs = coherent.cs_vector(0.9 + 0.3j, weights, N, TAG)
 for z in (0.5, 1.2j):
     val = coherent.bargmann_transform(cs, weights, [z])[0]
     bound = math.sqrt(coherent.normalization_h(abs(z) ** 2, weights))
@@ -87,7 +87,7 @@ low, high = ladder.ladder_matrices(ladder.constant_weights(1.0), N, TAG)
 zeta = 0.7 - 0.2j
 d = coherent.displacement_operator(zeta, low, high)
 moved = d.mat @ np.eye(N)[1]
-cs = coherent.cs_vector(coherent.CSSpec(zeta, ladder.constant_weights(1.0), N), TAG)
+cs = coherent.cs_vector(zeta, ladder.constant_weights(1.0), N, TAG)
 print(f"\nD(zeta) theta_1 vs the eigenstate construction: {np.linalg.norm(moved - cs.coeffs):.3e}")
 print(f"unitarity of D on the interior window: "
       f"{np.max(np.abs((d.mat.conj().T @ d.mat - np.eye(N))[:59, :59])):.3e}")

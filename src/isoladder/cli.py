@@ -175,7 +175,7 @@ def cmd_commutator(config: RunConfig) -> int:
     theta_block = ladder.commutator_diagonal(
         report._theta_route_commutator(low, high, isospectral.u_matrix(ctx), ctx.tag), weights
     )
-    ok = fock_block["residual"] < 1e-12 and theta_block["residual"] < 1e-6
+    ok = ladder._commutator_deviation(fock_block) < 1e-12 and ladder._commutator_deviation(theta_block) < 1e-6
     text = to_json({
         "weights": weights.label(),
         "lambda": config.lam,

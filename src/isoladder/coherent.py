@@ -28,13 +28,19 @@ from .fock import (
     commutator,
     hermitian_eigensystem,
 )
-from .ladder import WeightError, WeightSequence, commutator_diagonal, constant_weights
+from .ladder import (
+    WeightError,
+    WeightSequence,
+    _commutator_deviation,
+    commutator_diagonal,
+    constant_weights,
+    geometric_weights,
+)
 
 __all__ = [
     "DivergenceError",
     "TruncationError",
     "WeightSequenceTooShort",
-    "CSSpec",
     "OrderEstimate",
     "QFactorialCheck",
     "log_d_coefficients",
@@ -71,19 +77,6 @@ class TruncationError(ValueError):
 
 class WeightSequenceTooShort(ValueError):
     """A finite custom list is too short for the requested growth analysis."""
-
-
-@dataclass(frozen=True)
-class CSSpec:
-    """Eigenvalue zeta, weight rule and truncation for one coherent state."""
-
-    zeta: complex
-    weights: WeightSequence
-    N: int
-
-    def __post_init__(self):
-        if self.N < 4:
-            raise ValueError(f"truncation N must be >= 4, got {self.N}")
 
 
 def log_d_coefficients(weights: WeightSequence, N: int) -> np.ndarray:
@@ -188,18 +181,19 @@ def _shift_eigenvector(log_d: np.ndarray, zeta: complex, start: int) -> np.ndarr
     return coeffs
 
 
-def cs_vector(spec: CSSpec, tag) -> StateVector:
-    """h^{-1/2} sum_n d_n^{1/2} zeta^n theta_{n+1} as a theta-tagged vector.
+def cs_vector(zeta: complex, weights: WeightSequence, N: int, tag) -> StateVector:
+    """h^{-1/2} sum_n d_n^{1/2} zeta^n theta_{n+1} as a tagged vector of length N >= 4.
 
     Built by _shift_eigenvector, which refuses a first dropped term beyond
     1e-24 of h; DivergenceError when |zeta| is at or beyond the radius.
     """
-    N = spec.N
-    _check_convergence(abs(complex(spec.zeta)) ** 2, spec.weights)
-    logd = log_d_coefficients(spec.weights, N + 1)
+    if N < 4:
+        raise ValueError(f"truncation N must be >= 4, got {N}")
+    _check_convergence(abs(complex(zeta)) ** 2, weights)
+    logd = log_d_coefficients(weights, N + 1)
     if len(logd) < N + 1:
         logd = np.concatenate((logd, np.full(N + 1 - len(logd), -math.inf)))
-    return StateVector(_shift_eigenvector(logd, spec.zeta, 1), tag)
+    return StateVector(_shift_eigenvector(logd, zeta, 1), tag)
 
 
 def bargmann_transform(psi: StateVector, weights: WeightSequence, samples) -> list:
@@ -320,8 +314,10 @@ class QFactorialCheck:
 def q_factorial(q: float, n: int) -> QFactorialCheck:
     """W_1 ... W_n for W_k = q + ... + q^k, against q^n (q-1)^{1-n} (q^2-1)...(q^n-1).
 
-    Both sides are accumulated in log space (q > 1 overflows double precision
-    near n ~ 10^3 otherwise); at q = 1 both sides are n!.
+    Both sides are in log space (q > 1 overflows double precision near
+    n ~ 10^3 otherwise): the product is -log d_n of the geometric weights
+    (log_d_coefficients), the closed side is summed here.  At q = 1 both
+    sides are n!.
     """
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
@@ -340,9 +336,7 @@ def q_factorial(q: float, n: int) -> QFactorialCheck:
         down = math.exp(k * lq) if k * lq > -700 else 0.0
         return math.log1p(-down)
 
-    log_product = 0.0
-    for k in range(1, n + 1):
-        log_product += lq + log_abs_qk_minus_1(k) - math.log(abs(q - 1.0))
+    log_product = float(-log_d_coefficients(geometric_weights(q), n + 1)[n])
     log_closed = n * lq + (1 - n) * math.log(abs(q - 1.0))
     for k in range(2, n + 1):
         log_closed += log_abs_qk_minus_1(k)
@@ -366,7 +360,7 @@ def _check_unit_weight_pair(lowering: TruncatedOperator, raising: TruncatedOpera
         raise ValueError("ladder pair is not mutually adjoint: displacement argument "
                          "would not be anti-Hermitian")
     check = commutator_diagonal(commutator(lowering, raising).mat, constant_weights(1.0))
-    dev = max(check["residual"], check["offdiagonal_max"])
+    dev = _commutator_deviation(check)
     if dev > 1e-8:
         raise ValueError(f"displacement requires the unit-weight algebra; commutator "
                          f"deviates by {dev:.3e}")
@@ -406,7 +400,7 @@ def generalized_cs(zeta: complex, n: int, lowering: TruncatedOperator,
     if n > N - 10:
         raise ValueError(f"n = {n} too close to the truncation edge N = {N}")
     d = displacement_operator(zeta, lowering, raising)
-    base = cs_vector(CSSpec(zeta, constant_weights(1.0), N), lowering.basis)
+    base = cs_vector(zeta, constant_weights(1.0), N, lowering.basis)
     transported = d @ raising @ adjoint(d)
     state = base
     for _ in range(n - 1):

@@ -30,7 +30,6 @@ __all__ = [
     "TruncatedOperator",
     "StateVector",
     "annihilation_matrix",
-    "creation_matrix",
     "number_matrix",
     "identity_matrix",
     "adjoint",
@@ -153,25 +152,15 @@ class StateVector:
 
 def annihilation_matrix(N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
     """Superdiagonal sqrt(1) .. sqrt(N-1): the standard lowering operator."""
-    if N < 2:
-        raise ValueError(f"annihilation_matrix requires N >= 2, got {N}")
     return TruncatedOperator(np.diag(np.sqrt(np.arange(1.0, N)), 1), basis)
-
-
-def creation_matrix(N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
-    return adjoint(annihilation_matrix(N, basis))
 
 
 def number_matrix(N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
     """diag(0, 1, ..., N-1)."""
-    if N < 2:
-        raise ValueError(f"number_matrix requires N >= 2, got {N}")
     return TruncatedOperator(np.diag(np.arange(float(N))), basis)
 
 
 def identity_matrix(N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
-    if N < 2:
-        raise ValueError(f"identity_matrix requires N >= 2, got {N}")
     return TruncatedOperator(np.eye(N), basis)
 
 

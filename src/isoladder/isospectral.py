@@ -16,8 +16,8 @@ and H~ are built at most once per basis and kept on it (_once).
 The overlap matrix <psi_m, theta_n> computed at finite truncation is not
 exactly unitary (theta_n keeps a small psi-tail beyond the truncation), so
 u_matrix returns its polar factor (symmetric Lowdin orthonormalization) by
-Newton-Schulz iteration; the raw overlaps and their unitarity defect stay
-available for diagnostics.  b and b^dagger are scaled shifts of U.
+Newton-Schulz iteration; unitarity_defect reports how far the raw overlaps
+are from unitary.  b and b^dagger are scaled shifts of U.
 
 phi's denominator takes numerics.erf over a whole grid in one call.
 """
@@ -50,7 +50,6 @@ __all__ = [
     "riccati_residual",
     "ThetaBasis",
     "u_matrix",
-    "u_overlap_raw",
     "unitarity_defect",
     "b_matrix",
     "b_dagger_matrix",
@@ -178,11 +177,6 @@ class ThetaBasis:
         out[0::2] = self.psi[0::2, half:] @ np.multiply(np.add(right, left, out=fold), w, out=fold).T
         out[1::2] = self.psi[1::2, half:] @ np.multiply(np.subtract(right, left, out=fold), w, out=fold).T
         return out
-
-
-def u_overlap_raw(basis: ThetaBasis) -> TruncatedOperator:
-    """Raw quadrature overlaps U~[m, n] = <psi_m, theta_n>, Fock tag."""
-    return TruncatedOperator(basis._overlaps(), FOCK)
 
 
 def unitarity_defect(basis: ThetaBasis) -> float:

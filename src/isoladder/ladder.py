@@ -278,6 +278,11 @@ def commutator_diagonal(comm: np.ndarray, weights: WeightSequence) -> dict:
     }
 
 
+def _commutator_deviation(check: dict) -> float:
+    """What a commutator_diagonal check is judged by: max(residual, offdiagonal_max / max(1, max |target|))."""
+    return max(check["residual"], check["offdiagonal_max"] / max(1.0, max(map(abs, check["target"]))))
+
+
 def transport_to_theta(x: TruncatedOperator, u: TruncatedOperator, tag: BasisTag) -> TruncatedOperator:
     """U X U^dagger: the operator carried over to the theta side, retagged."""
     if x.basis.kind != "fock" or u.basis.kind != "fock":

@@ -5,9 +5,9 @@ grids mirrored exactly about 0, the error function (the standard library's,
 elementwise over arrays), and the numerically stable Hermite-function
 recurrence.  No adaptivity anywhere, so results are reproducible run to run.
 
-The grid and its Hermite table depend only on (N, nodes), so build_grid keeps
-the last grid it built and hands the same read-only object to every caller
-that asks for it again: a lambda sweep at one N builds one table.  The table
+The grid and its Hermite table depend only on N and the node count, so
+build_grid keeps the last grid it built and hands it to every caller that asks
+for it again, read-only: a lambda sweep at one N builds one table.  The table
 zeroes its entries below 2^-500, the tails whose products would otherwise be
 subnormal and run on the CPU's slow path (see hermite_table).
 """
@@ -74,14 +74,13 @@ class QuadratureGrid:
         return table
 
 
-@lru_cache(maxsize=1)
 def build_grid(N: int, nodes: int | None = None) -> QuadratureGrid:
     """Trapezoid grid for truncation N: L = sqrt(2N) + 8, max(4000, 8N) nodes; it records N.
 
-    The last grid built is kept and returned again for the same (N, nodes), so
-    its Hermite table (floored at 2^-500, see hermite_table) is built once for
-    any number of lambdas; building another grid frees it.  Callers share it,
-    so points and weights are read-only.
+    The last grid built is kept and returned again for the same N and node
+    count, however given, so its Hermite table (floored at 2^-500, see
+    hermite_table) is built once for any number of lambdas; building another
+    grid frees it.  Callers share it, so points and weights are read-only.
 
     The integrands are smooth and decay like Gaussians, so trapezoid sums
     converge geometrically once the spacing resolves frequency ~sqrt(2N)
@@ -92,10 +91,16 @@ def build_grid(N: int, nodes: int | None = None) -> QuadratureGrid:
     """
     if N < 8:
         raise ValueError(f"build_grid requires N >= 8, got {N}")
-    half_width = math.sqrt(2.0 * N) + 8.0
     count = int(nodes) if nodes is not None else max(4000, 8 * N)
     if count < 2:
         raise ValueError("node count must be >= 2")
+    return _build_grid(N, count)
+
+
+@lru_cache(maxsize=1)
+def _build_grid(N: int, count: int) -> QuadratureGrid:
+    """build_grid's one-entry memo, keyed by the resolved (N, count)."""
+    half_width = math.sqrt(2.0 * N) + 8.0
     h = 2.0 * half_width / (count - 1)
     right = np.linspace(0.0 if count % 2 else 0.5 * h, half_width, (count + 1) // 2)
     x = np.concatenate((-right[count % 2:][::-1], right))

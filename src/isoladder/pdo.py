@@ -33,12 +33,9 @@ __all__ = [
     "DEFAULT_DEPTH",
     "CoeffPoly",
     "PDOSeries",
-    "compose_dinv_f",
-    "commute_dinvr_f",
     "series_multiply",
     "series_invert",
     "series_sqrt",
-    "d_power",
     "a_series",
     "a_dagger_series",
     "b_series",
@@ -100,10 +97,6 @@ class CoeffPoly:
     @classmethod
     def rational(cls, p, q=1):
         return cls({_ONE_KEY: Fraction(p, q)})
-
-    @classmethod
-    def i_unit(cls):
-        return cls({(0, 0, 1, 0, 0): Fraction(1)})
 
     @classmethod
     def sqrt2(cls):
@@ -286,10 +279,6 @@ class PDOSeries:
             self.terms[k] = p
 
     @classmethod
-    def monomial(cls, order, poly, floor=-DEFAULT_DEPTH):
-        return cls({order: poly}, floor=floor, exact=True)
-
-    @classmethod
     def one(cls, floor=-DEFAULT_DEPTH):
         return cls({0: _P_ONE}, floor=floor, exact=True)
 
@@ -410,41 +399,6 @@ def series_multiply(a: PDOSeries, b: PDOSeries) -> PDOSeries:
     return PDOSeries(out, floor=out_floor, exact=exact)
 
 
-def compose_dinv_f(f: CoeffPoly, depth: int) -> PDOSeries:
-    """d^{-1}(f .) = sum_{n=0}^{depth-1} (-1)^n f^(n) d^{-1-n}."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    terms = {}
-    g = f
-    for n in range(depth):
-        if not g:
-            return PDOSeries(terms, floor=-depth, exact=True)
-        terms[-1 - n] = g * Fraction((-1) ** n)
-        g = g.diff()
-    return PDOSeries(terms, floor=-depth, exact=not g)
-
-
-def commute_dinvr_f(r: int, f: CoeffPoly, depth: int) -> PDOSeries:
-    """[d^{-r}, f] = sum_{n>=1} (-1)^n C(n+r-1, n) f^(n) d^{-n-r}.
-
-    The binomial is the one obtained by iterating the antiderivative rule
-    (at r = 1 it reduces to that rule exactly).
-    """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    terms = {}
-    g = f.diff()
-    for n in range(1, depth + 1):
-        if not g:
-            return PDOSeries(terms, floor=-r - depth, exact=True)
-        coeff = Fraction((-1) ** n * math.comb(n + r - 1, n))
-        terms[-n - r] = g * coeff
-        g = g.diff()
-    return PDOSeries(terms, floor=-r - depth, exact=not g)
-
-
 def _leading_term(series: PDOSeries) -> tuple[int, CoeffPoly]:
     m = series.max_order
     if m is None:
@@ -497,10 +451,6 @@ def series_sqrt(a: PDOSeries, depth: int) -> PDOSeries:
     q = PDOSeries({m: q0}, floor=depth, exact=False)
     return _match_orders(lambda x: a - series_multiply(x, x), q, m, (q0 * 2).inverse(),
                          depth, 4 * (abs(m2) + abs(depth)) + 16, "square root")
-
-
-def d_power(order: int, floor: int = -DEFAULT_DEPTH) -> PDOSeries:
-    return PDOSeries.monomial(order, _P_ONE, floor=floor)
 
 
 def a_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:

@@ -159,8 +159,7 @@ def criterion_04_commutator_diag(ctx: _Context, res: CriterionResult):
             ("theta_route_diag", _theta_route_commutator(low, high, u, ctx.tag), 1e-6),
         ):
             check = ladder.commutator_diagonal(comm, weights)
-            off_dev = check["offdiagonal_max"] / max(1.0, float(np.max(np.abs(check["target"]))))
-            res.add(f"{part}[{lbl}]", max(check["residual"], off_dev), tol)
+            res.add(f"{part}[{lbl}]", ladder._commutator_deviation(check), tol)
 
 
 @_criterion("c05_closed_form_equivalence")
@@ -233,7 +232,7 @@ def _cs_residual(weights: ladder.WeightSequence, zeta: complex, N: int, tag) -> 
     """|a1 cs - zeta cs| at truncation N; inf when the tail guard refuses N."""
     low, _ = ladder.ladder_matrices(weights, N, tag)
     try:
-        cs = coherent.cs_vector(coherent.CSSpec(zeta, weights, N), tag)
+        cs = coherent.cs_vector(zeta, weights, N, tag)
     except coherent.TruncationError:
         return math.inf
     moved = apply_operator(low, cs)
@@ -269,7 +268,7 @@ def criterion_09_perelomov(ctx: _Context, res: CriterionResult):
     e1 = np.zeros(N, dtype=complex)
     e1[1] = 1.0
     displaced = apply_operator(d, StateVector(e1, tag))
-    cs = coherent.cs_vector(coherent.CSSpec(zeta, weights, N), tag)
+    cs = coherent.cs_vector(zeta, weights, N, tag)
     res.add("D_theta1_vs_cs", float(np.linalg.norm(displaced.coeffs - cs.coeffs)), 1e-6)
     unit_dev = interior_max_abs((adjoint(d) @ d).mat - np.eye(N))
     res.add("DdagD_interior_unitarity", unit_dev, 1e-7)

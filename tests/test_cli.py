@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from isoladder import isospectral
+from isoladder import isospectral, report
 from isoladder.cli import _OPTIONS, ConfigError, RunConfig, build_config, main, make_parser, to_csv, to_json
 
 
@@ -161,6 +161,21 @@ class TestCommands:
         expected = [0.0] + [1.1**n for n in range(1, 4)]
         got = doc["fock"]["diagonal"][:4]
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_commutator_fails_on_an_off_diagonal_entry(self, capsys, monkeypatch):
+        # the diagonal is untouched, so only the shared verdict's off-diagonal term can fail it
+        route = report._theta_route_commutator
+
+        def skewed(*args):
+            comm = route(*args).copy()
+            comm[2, 3] += 1e-3
+            return comm
+
+        monkeypatch.setattr(report, "_theta_route_commutator", skewed)
+        code, out, _ = run_cli(["commutator", "--trunc", "16"], capsys)
+        doc = json.loads(out)
+        assert doc["theta"]["residual"] < 1e-6
+        assert code == 1 and doc["pass"] is False
 
     def test_commutator_builds_neither_b_nor_h_tilde(self, capsys, monkeypatch):
         # commutator reads only U and the theta basis; b (and H~ = b+ b) are built on first use

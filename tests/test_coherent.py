@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from isoladder.coherent import (
-    CSSpec,
     DivergenceError,
     OrderEstimate,
     TruncationError,
@@ -106,7 +105,7 @@ class TestNormalization:
 
 class TestCSVector:
     def test_zeta_zero_is_theta1(self):
-        cs = cs_vector(CSSpec(0.0, constant_weights(1.0), 32), TAG)
+        cs = cs_vector(0.0, constant_weights(1.0), 32, TAG)
         assert np.linalg.norm(cs.coeffs - np.eye(32)[1]) < 1e-14
 
     @pytest.mark.parametrize(
@@ -121,19 +120,19 @@ class TestCSVector:
         ],
     )
     def test_unit_norm(self, weights, zeta):
-        cs = cs_vector(CSSpec(zeta, weights, 64), TAG)
+        cs = cs_vector(zeta, weights, 64, TAG)
         assert cs.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_eigen_residual(self):
         weights = constant_weights(1.0)
         low, _ = ladder_matrices(weights, 64, TAG)
-        cs = cs_vector(CSSpec(1.0 + 0.5j, weights, 64), TAG)
+        cs = cs_vector(1.0 + 0.5j, weights, 64, TAG)
         moved = apply_operator(low, cs)
         assert np.linalg.norm(moved.coeffs - (1.0 + 0.5j) * cs.coeffs) < 1e-6
 
     def test_unit_weight_coefficients_are_standard(self):
         zeta = 1.0 + 0.5j
-        cs = cs_vector(CSSpec(zeta, constant_weights(1.0), 64), TAG)
+        cs = cs_vector(zeta, constant_weights(1.0), 64, TAG)
         t = abs(zeta) ** 2
         for n in (0, 1, 2, 7):
             expected = math.exp(-t / 2.0) * zeta**n / math.sqrt(math.factorial(n))
@@ -141,21 +140,26 @@ class TestCSVector:
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
-            cs_vector(CSSpec(1.0 + 0.5j, constant_weights(1.0), 12), TAG)
+            cs_vector(1.0 + 0.5j, constant_weights(1.0), 12, TAG)
 
     def test_guard_checks_first_dropped_term(self):
         # the vector keeps n <= N - 2; at N = 30 the dropped n = 29 term
         # 2^29 / 29! is 8.2e-24 of h = e^2, above the 1e-24 guard
         with pytest.raises(TruncationError):
-            cs_vector(CSSpec(2**0.5, constant_weights(1.0), 30), TAG)
+            cs_vector(2**0.5, constant_weights(1.0), 30, TAG)
 
     def test_normalized_by_kept_terms(self):
-        cs = cs_vector(CSSpec(2**0.5, constant_weights(1.0), 40), TAG)
+        cs = cs_vector(2**0.5, constant_weights(1.0), 40, TAG)
         assert abs(float(np.vdot(cs.coeffs, cs.coeffs).real) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("N", [3, 2])
+    def test_refuses_truncation_below_four(self, N):
+        with pytest.raises(ValueError, match="N must be >= 4"):
+            cs_vector(0.5, constant_weights(1.0), N, TAG)
 
     def test_refuses_zeta_at_radius(self):
         with pytest.raises(DivergenceError):
-            cs_vector(CSSpec(2**0.5, single_weight(2.0), 64), TAG)
+            cs_vector(2**0.5, single_weight(2.0), 64, TAG)
 
     def test_residual_decreases_with_truncation(self):
         weights = linear_weights()
@@ -163,7 +167,7 @@ class TestCSVector:
         res = {}
         for N in (48, 96):
             low, _ = ladder_matrices(weights, N, TAG)
-            cs = cs_vector(CSSpec(zeta, weights, N), TAG)
+            cs = cs_vector(zeta, weights, N, TAG)
             moved = apply_operator(low, cs)
             res[N] = np.linalg.norm(moved.coeffs - zeta * cs.coeffs)
         assert res[96] < max(res[48], 1e-12)  # monotone, or both at rounding floor
@@ -177,7 +181,7 @@ class TestBargmann:
 
     def test_growth_bound(self):
         weights = distorted_weights(0.5)
-        cs = cs_vector(CSSpec(0.9 + 0.3j, weights, 48), TAG)
+        cs = cs_vector(0.9 + 0.3j, weights, 48, TAG)
         samples = [0.5, 1.2j, 1.0 - 0.8j]
         vals = bargmann_transform(cs, weights, samples)
         for z, v in zip(samples, vals):
@@ -189,7 +193,7 @@ class TestBargmann:
         # Psi(z) = sum_n d_n^{1/2} <theta_{n+1}|Psi> z^n with <theta_{n+1}|cs> = h^{-1/2} d_n^{1/2} zeta0^n
         weights = constant_weights(1.0)
         zeta0 = 0.7 + 0.2j
-        cs = cs_vector(CSSpec(zeta0, weights, 48), TAG)
+        cs = cs_vector(zeta0, weights, 48, TAG)
         d = np.exp(log_d_coefficients(weights, 47))
         h0 = normalization_h(abs(zeta0) ** 2, weights)
         samples = [0.0, 0.4, -0.9j, 1.1 + 0.3j, -1.0 - 1.0j]
@@ -252,7 +256,7 @@ class TestZeroFirstWeight:
     """w_1 = 0: W_n = 0 on a prefix, so every d_n past d_0 is infinite."""
 
     def test_cs_is_theta1_and_radius_infinite(self):
-        cs = cs_vector(CSSpec(0.5 + 0.2j, single_weight(0.0), 16), TAG)
+        cs = cs_vector(0.5 + 0.2j, single_weight(0.0), 16, TAG)
         assert np.array_equal(cs.coeffs, np.eye(16)[1])
         assert radius_of_convergence(single_weight(0.0)) == math.inf
 
@@ -294,7 +298,7 @@ class TestOneGrowthPass:
         assert passes == [10_000, 10_000]
 
     def test_cs_vector(self, passes):
-        cs_vector(CSSpec(0.5 + 0.2j, single_weight(2.0), 32), TAG)
+        cs_vector(0.5 + 0.2j, single_weight(2.0), 32, TAG)
         assert passes == [10_000, 32]
 
 
@@ -312,6 +316,21 @@ class TestQFactorial:
     def test_q_half_n10(self):
         chk = q_factorial(0.5, 10)
         assert chk.relative_difference < 1e-12
+
+    @pytest.mark.parametrize("q,n,tol", [
+        (2.0, 3, 0.0), (1.5, 2000, 0.0),
+        (0.5, 10, 2e-11), (1.3, 500, 2e-11), (0.9, 1000, 2e-11), (1 + 1e-6, 50, 2e-11),
+    ])
+    def test_log_product_matches_the_term_by_term_sum(self, q, n, tol):
+        # reference: the sum over k of log(q |q^k - 1| / |q - 1|), |q^k - 1| stable on both sides
+        # of q = 1; tol bounds the product's relative change
+        lq = math.log(q)
+        log_product = 0.0
+        for k in range(1, n + 1):
+            log_qk_minus_1 = (k * lq + math.log1p(-math.exp(-k * lq)) if q > 1
+                              else math.log1p(-(math.exp(k * lq) if k * lq > -700 else 0.0)))
+            log_product += lq + log_qk_minus_1 - math.log(abs(q - 1.0))
+        assert abs(q_factorial(q, n).log_product - log_product) <= tol
 
     def test_large_n_log_space(self):
         chk = q_factorial(1.5, 2000)
@@ -342,7 +361,7 @@ class TestFiniteCustomLists:
         from isoladder.ladder import custom_weights
 
         weights = custom_weights([1.0] * 96)
-        cs = cs_vector(CSSpec(0.8 + 0.2j, weights, 48), TAG)
+        cs = cs_vector(0.8 + 0.2j, weights, 48, TAG)
         assert cs.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_order_fit_refuses_short_lists(self):
@@ -369,7 +388,7 @@ class TestDisplacement:
         zeta = 0.7 - 0.2j
         d = displacement_operator(zeta, *pair)
         moved = d.mat @ np.eye(64)[1]
-        cs = cs_vector(CSSpec(zeta, constant_weights(1.0), 64), TAG)
+        cs = cs_vector(zeta, constant_weights(1.0), 64, TAG)
         assert np.linalg.norm(moved - cs.coeffs) < 1e-6
 
     def test_unitarity(self, pair):
@@ -438,5 +457,5 @@ class TestHTilde1:
         d = displacement_operator(zeta, *pair)
         h1 = h_tilde_1(*pair)
         moved = d.mat @ h1.mat @ d.mat.conj().T
-        cs = cs_vector(CSSpec(zeta, constant_weights(1.0), 64), TAG)
+        cs = cs_vector(zeta, constant_weights(1.0), 64, TAG)
         assert np.linalg.norm(moved @ cs.coeffs) < 1e-6

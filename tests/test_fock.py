@@ -14,7 +14,6 @@ from isoladder.fock import (
     apply_operator,
     apply_spectral_function,
     commutator,
-    creation_matrix,
     hermitian_eigensystem,
     identity_matrix,
     number_matrix,
@@ -46,9 +45,17 @@ class TestConstructors:
         with pytest.raises(ValueError):
             annihilation_matrix(1)
 
+    @pytest.mark.parametrize("N", [1, 0, -1])
+    @pytest.mark.parametrize("build", [annihilation_matrix, number_matrix, identity_matrix],
+                             ids=lambda f: f.__name__)
+    def test_constructors_reject_below_two(self, build, N):
+        # TruncatedOperator refuses any matrix smaller than 2 x 2 (numpy refuses eye(-1) first)
+        with pytest.raises(ValueError):
+            build(N)
+
     def test_commutator_interior_identity(self):
         N = 12
-        c = commutator(annihilation_matrix(N), creation_matrix(N))
+        c = commutator(annihilation_matrix(N), adjoint(annihilation_matrix(N)))
         assert np.allclose(c.mat[: N - 2, : N - 2], np.eye(N)[: N - 2, : N - 2], atol=1e-12)
 
     def test_commutator_truncation_edge(self):
@@ -56,7 +63,7 @@ class TestConstructors:
         N = 6
         a = np.diag(np.sqrt(np.arange(1.0, N)), 1)
         oracle = (a @ a.conj().T - a.conj().T @ a)[N - 1, N - 1]
-        c = commutator(annihilation_matrix(N), creation_matrix(N))
+        c = commutator(annihilation_matrix(N), adjoint(annihilation_matrix(N)))
         assert c.mat[N - 1, N - 1] == pytest.approx(oracle)
         assert oracle == pytest.approx(1 - N)  # the dangling sqrt(N-1)^2 row is cut
 
@@ -136,7 +143,7 @@ class TestEigensystem:
     def test_position_like_matrix_vs_quartic_oracle(self):
         # char poly of a + a^dagger at N=4 is mu^4 - 6 mu^2 + 3
         N = 4
-        x = annihilation_matrix(N) + creation_matrix(N)
+        x = annihilation_matrix(N) + adjoint(annihilation_matrix(N))
         evals, v = hermitian_eigensystem(TruncatedOperator(x.mat))
         roots = np.sort(np.real(np.roots([1.0, 0.0, -6.0, 0.0, 3.0])))
         assert np.allclose(evals, roots, atol=1e-12)

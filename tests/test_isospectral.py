@@ -7,7 +7,6 @@ from isoladder.fock import (
     adjoint,
     annihilation_matrix,
     apply_operator,
-    creation_matrix,
     hermitian_eigensystem,
     interior_max_abs,
 )
@@ -26,7 +25,6 @@ from isoladder.isospectral import (
     riccati_residual,
     theta_curvature_table,
     u_matrix,
-    u_overlap_raw,
     unitarity_defect,
 )
 from isoladder.coherent import TruncationError
@@ -214,7 +212,7 @@ class TestUMatrix:
         assert abs(vals[0] - vals[1]) < 1e-9
 
     def test_u00_matches_raw_overlap_in_deep_interior(self, basis64):
-        raw = u_overlap_raw(basis64).mat[0, 0]
+        raw = basis64._overlaps()[0, 0]
         polar = u_matrix(basis64).mat[0, 0]
         overlap = np.sum(basis64.grid.weights * basis64.psi[0] * basis64.theta[0])
         assert raw == pytest.approx(overlap, abs=1e-13)
@@ -250,7 +248,7 @@ def test_default_grid_matches_40n_svd_reference(lam, N):
     del basis
 
     reference = ThetaBasis(params, build_grid(N, nodes=max(4000, 40 * N)), N)
-    left, _, right = np.linalg.svd(u_overlap_raw(reference).mat.real)
+    left, _, right = np.linalg.svd(reference._overlaps())
     ref_u = left @ right
     del reference
     b = annihilation_matrix(N).mat @ ref_u.T
@@ -292,7 +290,7 @@ class TestBOperators:
     def test_shifts_equal_dense_products(self, basis64):
         u = u_matrix(basis64)
         assert np.array_equal(b_matrix(basis64).mat, (annihilation_matrix(64) @ adjoint(u)).mat)
-        assert np.array_equal(b_dagger_matrix(basis64).mat, (u @ creation_matrix(64)).mat)
+        assert np.array_equal(b_dagger_matrix(basis64).mat, (u @ adjoint(annihilation_matrix(64))).mat)
 
     def test_bdagger_maps_fock_to_theta(self, basis64):
         bd = b_dagger_matrix(basis64)

@@ -252,6 +252,18 @@ class TestLadderMatrices:
             dev = np.max(np.abs(np.diag(comm)[: N - 5] - target[: N - 5]) / scale)
             assert dev < 1e-12, weights.label()
 
+    @pytest.mark.parametrize("weights", [constant_weights(1.0), geometric_weights(1.3)], ids=lambda w: w.label())
+    def test_off_diagonal_entry_fails_the_shared_verdict(self, weights):
+        # the diagonal is exact, so the residual is 0; one 1e-3 off-diagonal entry still fails
+        N = 16
+        comm = np.diag(np.concatenate(([0.0], weights.weight_array(N - 1))))
+        assert ladder._commutator_deviation(ladder.commutator_diagonal(comm, weights)) == 0.0
+        comm[2, 3] = 1e-3
+        check = ladder.commutator_diagonal(comm, weights)
+        assert check["residual"] == 0.0
+        assert ladder._commutator_deviation(check) == 1e-3 / max(1.0, max(check["target"]))
+        assert not ladder._commutator_deviation(check) < 1e-6
+
     def test_two_path_agreement_is_enforced(self):
         low, _ = ladder_matrices(linear_weights(), 10)
         s = shift_matrix(linear_weights(), 10)

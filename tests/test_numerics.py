@@ -166,6 +166,12 @@ class TestGridMemo:
     def test_same_truncation_returns_the_same_grid(self):
         assert build_grid(64) is build_grid(64)
 
+    def test_every_call_form_of_one_grid_returns_it(self):
+        # 4000 is the default count at N = 64; the memo keys on the resolved count
+        numerics._build_grid.cache_clear()
+        assert build_grid(64) is build_grid(64, None) is build_grid(64, nodes=4000)
+        assert numerics._build_grid.cache_info().misses == 1
+
     @pytest.mark.parametrize("field", ["points", "weights"])
     def test_shared_arrays_are_read_only(self, field):
         values = getattr(build_grid(64), field)
@@ -180,7 +186,7 @@ class TestGridMemo:
         assert first() is None
 
     def test_bases_at_two_lambdas_share_one_table(self, monkeypatch):
-        build_grid.cache_clear()
+        numerics._build_grid.cache_clear()
         tables = []
         table = numerics.hermite_table
         monkeypatch.setattr(numerics, "hermite_table", lambda points, n: tables.append(n) or table(points, n))

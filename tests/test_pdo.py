@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,6 @@ from isoladder.pdo import (
     b_series,
     case_ii_reference,
     classical_limit_check,
-    commute_dinvr_f,
-    compose_dinv_f,
-    d_power,
     expand_ladder_case_ii,
     h_series,
     inv_sqrt_one_plus_h,
@@ -28,21 +26,58 @@ from isoladder.pdo import (
 ONE = CoeffPoly.rational(1)
 X = CoeffPoly.x()
 PHI = CoeffPoly.phi()
+I_UNIT = CoeffPoly({(0, 0, 1, 0, 0): Fraction(1)})
+
+
+# Oracles for the antiderivative rule: series_multiply's Leibniz products are
+# checked against these closed forms.
+def compose_dinv_f(f: CoeffPoly, depth: int) -> PDOSeries:
+    """d^{-1}(f .) = sum_{n=0}^{depth-1} (-1)^n f^(n) d^{-1-n}."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    terms = {}
+    g = f
+    for n in range(depth):
+        if not g:
+            return PDOSeries(terms, floor=-depth, exact=True)
+        terms[-1 - n] = g * Fraction((-1) ** n)
+        g = g.diff()
+    return PDOSeries(terms, floor=-depth, exact=not g)
+
+
+def commute_dinvr_f(r: int, f: CoeffPoly, depth: int) -> PDOSeries:
+    """[d^{-r}, f] = sum_{n>=1} (-1)^n C(n+r-1, n) f^(n) d^{-n-r}.
+
+    The binomial is the one obtained by iterating the antiderivative rule
+    (at r = 1 it reduces to that rule exactly).
+    """
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    terms = {}
+    g = f.diff()
+    for n in range(1, depth + 1):
+        if not g:
+            return PDOSeries(terms, floor=-r - depth, exact=True)
+        coeff = Fraction((-1) ** n * math.comb(n + r - 1, n))
+        terms[-n - r] = g * coeff
+        g = g.diff()
+    return PDOSeries(terms, floor=-r - depth, exact=not g)
 
 
 class TestSymbolicScalar:
     """Scalar (x- and phi-free) coefficients: i, sqrt2, half-powers of w."""
 
     def test_i_squares_to_minus_one(self):
-        i = CoeffPoly.i_unit()
-        assert i * i == CoeffPoly.rational(-1)
+        assert I_UNIT * I_UNIT == CoeffPoly.rational(-1)
 
     def test_sqrt2_squares_to_two(self):
         r = CoeffPoly.sqrt2()
         assert r * r == CoeffPoly.rational(2)
 
     def test_inverse(self):
-        s = CoeffPoly.rational(3, 4) * CoeffPoly.sqrt2() * CoeffPoly.i_unit()
+        s = CoeffPoly.rational(3, 4) * CoeffPoly.sqrt2() * I_UNIT
         assert s * s.inverse() == CoeffPoly.rational(1)
 
     def test_sqrt_of_half(self):
@@ -74,7 +109,7 @@ class TestSymbolicScalar:
         assert s.substitute(w=Fraction(7, 2)) == CoeffPoly.rational(21, 2)
 
     def test_evaluate(self):
-        s = CoeffPoly.i_unit() * CoeffPoly.sqrt2() * CoeffPoly.rational(-1)
+        s = I_UNIT * CoeffPoly.sqrt2() * CoeffPoly.rational(-1)
         assert s.evaluate() == pytest.approx(-1.4142135623730951j)
 
     def test_render_stable(self):
@@ -160,16 +195,18 @@ class TestAntiderivativeRules:
         # [d^{-1}, f] from the closed rule vs d^{-1} f - f d^{-1} via compose
         depth = 8
         closed = commute_dinvr_f(1, poly, depth)
-        f_series = PDOSeries.monomial(0, poly, floor=-depth - 1)
-        operational = compose_dinv_f(poly, depth + 1) - series_multiply(f_series, d_power(-1, -depth - 1))
+        f_series = PDOSeries({0: poly}, floor=-depth - 1, exact=True)
+        dinv = PDOSeries({-1: ONE}, floor=-depth - 1, exact=True)
+        operational = compose_dinv_f(poly, depth + 1) - series_multiply(f_series, dinv)
         assert series_agree_through(closed, operational, -depth)
 
     @pytest.mark.parametrize("poly", [X, CoeffPoly.x(2), PHI, X * PHI], ids=["x", "x^2", "phi", "x*phi"])
     def test_commutator_r2_matches_iterated_route(self, poly):
         depth = 7
         closed = commute_dinvr_f(2, poly, depth)
-        f_series = PDOSeries.monomial(0, poly, floor=-depth - 2)
-        dinv2 = series_multiply(d_power(-1, -depth - 2), d_power(-1, -depth - 2))
+        f_series = PDOSeries({0: poly}, floor=-depth - 2, exact=True)
+        dinv = PDOSeries({-1: ONE}, floor=-depth - 2, exact=True)
+        dinv2 = series_multiply(dinv, dinv)
         operational = series_multiply(dinv2, f_series) - series_multiply(f_series, dinv2)
         assert series_agree_through(closed, operational, -depth)
 
@@ -180,15 +217,17 @@ class TestAntiderivativeRules:
         depth = 6
         closed = commute_dinvr_f(r, poly, depth)
         floor = closed.floor
-        operational = (series_multiply(d_power(-r, floor), PDOSeries.monomial(0, poly, floor))
-                       - PDOSeries.monomial(-r, poly, floor))
+        operational = (series_multiply(PDOSeries({-r: ONE}, floor=floor, exact=True),
+                                       PDOSeries({0: poly}, floor=floor, exact=True))
+                       - PDOSeries({-r: poly}, floor=floor, exact=True))
         assert (operational.floor, operational.exact) == (floor, closed.exact)
         assert series_agree_through(closed, operational, floor)
 
 
 class TestSeriesArithmetic:
     def test_d_times_dinv(self):
-        out = series_multiply(d_power(1, -8), d_power(-1, -8))
+        out = series_multiply(PDOSeries({1: ONE}, floor=-8, exact=True),
+                              PDOSeries({-1: ONE}, floor=-8, exact=True))
         assert out.coefficient(0) == ONE
         assert len(out.terms) == 1
 
@@ -206,8 +245,8 @@ class TestSeriesArithmetic:
         import random
 
         rng = random.Random(seed)
-        atoms = [d_power(1, -7), d_power(-1, -7), PDOSeries.monomial(0, X, -7),
-                 PDOSeries.monomial(0, PHI, -7), PDOSeries.monomial(-2, X * PHI, -7)]
+        atoms = [PDOSeries({k: p}, floor=-7, exact=True)
+                 for k, p in ((1, ONE), (-1, ONE), (0, X), (0, PHI), (-2, X * PHI))]
         a, b, c = (rng.choice(atoms) for _ in range(3))
         left = series_multiply(series_multiply(a, b), c)
         right = series_multiply(a, series_multiply(b, c))
@@ -215,7 +254,7 @@ class TestSeriesArithmetic:
         assert series_agree_through(left, right, floor)
 
     def test_invert_d_squared(self):
-        out = series_invert(d_power(2, -8), -8)
+        out = series_invert(PDOSeries({2: ONE}, floor=-8, exact=True), -8)
         assert out.coefficient(-2) == ONE
         assert len(out.terms) == 1
 
@@ -250,7 +289,7 @@ class TestSeriesArithmetic:
 class TestInvSqrtBracket:
     def test_prefactor_and_bracket(self):
         prefactor, bracket = inv_sqrt_one_plus_h(8)
-        assert prefactor == CoeffPoly.rational(-1) * CoeffPoly.sqrt2() * CoeffPoly.i_unit()
+        assert prefactor == CoeffPoly.rational(-1) * CoeffPoly.sqrt2() * I_UNIT
         assert bracket.coefficient(-1) == ONE
         assert bracket.coefficient(-3) == (CoeffPoly.x(2) + ONE) * Fraction(1, 2)
         assert bracket.coefficient(-4) == X * Fraction(-3, 2)

@@ -78,7 +78,7 @@ def test_run_all_reports_the_normal_name_for_a_raising_criterion(monkeypatch):
 def test_run_all_builds_one_hermite_table_and_one_b_dagger_per_basis(monkeypatch):
     # one grid, so one table; two theta bases (lambda and c11's lambda = 1e6), so two b^dagger.
     # An empty grid memo, so the table is built here and not by an earlier test.
-    numerics.build_grid.cache_clear()
+    numerics._build_grid.cache_clear()
     tables, b_daggers = [], []
     hermite_table, b_dagger_matrix = numerics.hermite_table, isospectral.b_dagger_matrix
 
