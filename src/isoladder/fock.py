@@ -80,6 +80,11 @@ def _check_compatible(a, b):
         raise BasisMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _check_truncation(N: int):
+    if N < 2:
+        raise ValueError(f"truncation size must be >= 2, got {N}")
+
+
 @dataclass(frozen=True)
 class TruncatedOperator:
     """Dense matrix with its basis tag and truncation size: the input's dtype, at least float64."""
@@ -93,8 +98,7 @@ class TruncatedOperator:
         m = np.array(m, dtype=np.result_type(m, float))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
-        if m.shape[0] < 2:
-            raise ValueError(f"truncation size must be >= 2, got {m.shape[0]}")
+        _check_truncation(m.shape[0])
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
@@ -152,15 +156,18 @@ class StateVector:
 
 def annihilation_matrix(N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
     """Superdiagonal sqrt(1) .. sqrt(N-1): the standard lowering operator."""
+    _check_truncation(N)
     return TruncatedOperator(np.diag(np.sqrt(np.arange(1.0, N)), 1), basis)
 
 
 def number_matrix(N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
     """diag(0, 1, ..., N-1)."""
+    _check_truncation(N)
     return TruncatedOperator(np.diag(np.arange(float(N))), basis)
 
 
 def identity_matrix(N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
+    _check_truncation(N)
     return TruncatedOperator(np.eye(N), basis)
 
 

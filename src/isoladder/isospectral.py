@@ -9,8 +9,10 @@ the two coherent-state families attached to them.  Both families are built
 by the same weighted-shift eigenvector routine as coherent.cs_vector, with
 the same 1e-24 relative tail guard.
 
-The lambda-free Hermite table psi belongs to the grid (QuadratureGrid.psi).
-A ThetaBasis holds one lambda's phi and theta; the overlaps, U, b^dagger, b
+The lambda-free Hermite table psi and Gram matrix G = psi W psi^T belong to
+the grid (QuadratureGrid.psi, .gram).  A ThetaBasis holds one lambda's phi and
+theta_0; its theta table is built only when something samples it, as the
+overlaps take G plus phi-weighted psi products.  The overlaps, U, b^dagger, b
 and H~ are built at most once per basis and kept on it (_once).
 
 The overlap matrix <psi_m, theta_n> computed at finite truncation is not
@@ -63,6 +65,7 @@ __all__ = [
 
 LAMBDA_GUARD = 1e-6
 _RICCATI_FD_STEP = 1e-5  # central-difference step of riccati_residual
+_NODE_CUT, _OPERAND_FLOOR = 2.0**-500, 2.0**-511  # ThetaBasis._overlaps' node cut and operand floor
 
 
 class ParameterError(ValueError):
@@ -152,31 +155,53 @@ class ThetaBasis:
         self.phi_values = np.exp(-x * x) / self.g_values
         self.phi_prime_values = -2.0 * x * self.phi_values - self.phi_values**2
 
-        theta = np.empty((N, grid.node_count))
         raw0 = np.exp(-0.5 * x * x) / self.g_values
         norm0 = grid_norm(raw0, grid)
-        theta[0] = raw0 / norm0
+        self.theta0 = raw0 / norm0
         self.theta0_norm = 1.0 / norm0  # the N_0 multiplying e^{-x^2/2}/g
+
+    @functools.cached_property
+    def theta(self) -> np.ndarray:
+        """theta_0 .. theta_{N-1} on the grid (row n holds theta_n), built on first read; the overlaps skip it."""
+        theta = np.empty((self.N, self.grid.node_count))
+        theta[0] = self.theta0
         np.multiply(self.phi_values, self.psi[:-1], out=theta[1:])
-        theta[1:] /= np.sqrt(2.0 * np.arange(1, N))[:, None]
+        theta[1:] /= np.sqrt(2.0 * np.arange(1, self.N))[:, None]
         theta[1:] += self.psi[1:]
-        self.theta = theta
+        return theta
 
     @_once
     def _overlaps(self) -> np.ndarray:
-        """<psi_m, theta_n>: the trapezoid sum folded on the grid's exact mirror, as psi_m(-x) = (-1)^m psi_m(x).
+        """<psi_m, theta_n> = G_mn + P_{m,n-1} / sqrt(2n) for n >= 1, G = grid.gram; column 0 is one GEMV.
 
-        Even rows take w (theta(x) + theta(-x)) over x >= 0, odd rows the difference, in one buffer; an
-        odd count's centre is its own mirror, so it enters at half weight twice, in the even rows only.
+        P = psi W diag(phi) psi^T is summed over x >= 0 on the exact mirror, psi_m(-x) = (-1)^m psi_m(x),
+        with w = grid.fold_weights: its even-even and odd-odd blocks weigh by w (phi(x) + phi(-x)), of
+        lambda's sign, so are +-A A^T with A = psi sqrt|w (phi(x) + phi(-x))|; the mixed blocks weigh by
+        w (phi(x) - phi(-x)), one product and its transpose.  Only nodes up to the last with
+        |w (phi(x) + phi(-x))| >= 2^-500 enter (929-965 of 2048 at N = 512), and operand entries below
+        2^-511 are zeroed, so every product is normal.  With |psi| < 1, |phi| < 8 and w < 1/32 each node
+        then moves an entry of P by less than 2^-500, and the at most 2^11 nodes at N = 512 by less than
+        2^-488 (~1e-147); the smallest N = 512 overlap is ~4e-31.
         """
-        count, half = self.grid.node_count, self.grid.node_count // 2
-        right, left = self.theta[:, half:], self.theta[:, (count - 1) // 2::-1]
-        w = self.grid.weights[half:].copy()
-        w[: count % 2] *= 0.5
-        out, fold = np.empty((self.N, self.N)), np.empty_like(right)
-        out[0::2] = self.psi[0::2, half:] @ np.multiply(np.add(right, left, out=fold), w, out=fold).T
-        out[1::2] = self.psi[1::2, half:] @ np.multiply(np.subtract(right, left, out=fold), w, out=fold).T
-        return out
+        grid, N = self.grid, self.N
+        half, w = grid.node_count // 2, grid.fold_weights
+        right, left = self.phi_values[half:], self.phi_values[half - 1 + grid.node_count % 2::-1]
+        even = w * (right + left)
+        keep = np.max(np.flatnonzero(np.abs(even) >= _NODE_CUT), initial=-1) + 1
+        psi, odd = self.psi[:, half:half + keep], (w * (right - left))[:keep]
+        a, root = _floored(psi * np.sqrt(np.abs(even[:keep]))), np.sqrt(np.abs(odd))
+        p = np.empty((N, N))
+        for parity in (0, 1):
+            p[parity::2, parity::2] = math.copysign(1.0, self.params.lam) * (a[parity::2] @ a[parity::2].T)
+        p[0::2, 1::2] = _floored(psi[0::2] * root) @ _floored(psi[1::2] * np.copysign(root, odd)).T
+        p[1::2, 0::2] = p[0::2, 1::2].T
+        return np.column_stack((self.psi @ (grid.weights * self.theta0),
+                                grid.gram[:N, 1:N] + p[:, :-1] / np.sqrt(2.0 * np.arange(1, N))))
+
+
+def _floored(operand: np.ndarray) -> np.ndarray:
+    operand[np.abs(operand) < _OPERAND_FLOOR] = 0.0
+    return operand
 
 
 def unitarity_defect(basis: ThetaBasis) -> float:

@@ -5,11 +5,12 @@ grids mirrored exactly about 0, the error function (the standard library's,
 elementwise over arrays), and the numerically stable Hermite-function
 recurrence.  No adaptivity anywhere, so results are reproducible run to run.
 
-The grid and its Hermite table depend only on N and the node count, so
-build_grid keeps the last grid it built and hands it to every caller that asks
-for it again, read-only: a lambda sweep at one N builds one table.  The table
-zeroes its entries below 2^-500, the tails whose products would otherwise be
-subnormal and run on the CPU's slow path (see hermite_table).
+The grid, its Hermite table and their Gram matrix psi W psi^T depend only on
+N and the node count, so build_grid keeps the last grid it built and hands it
+to every caller that asks for it again, read-only: a lambda sweep at one N
+builds one table and one Gram matrix.  The table zeroes its entries below
+2^-500, the tails whose products would otherwise be subnormal and run on the
+CPU's slow path (see hermite_table).
 """
 
 from __future__ import annotations
@@ -73,14 +74,32 @@ class QuadratureGrid:
         table.flags.writeable = False
         return table
 
+    @property
+    def fold_weights(self) -> np.ndarray:
+        """Weights over x >= 0 for a sum folded as f(x) + f(-x): an odd count's centre, its own mirror, at half."""
+        w = self.weights[self.node_count // 2:].copy()
+        w[: self.node_count % 2] *= 0.5
+        return w
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G = psi W psi^T as parity blocks A A^T over x >= 0, A = psi sqrt(2w), built once; read-only, shared."""
+        a = self.psi[:, self.node_count // 2:] * np.sqrt(2.0 * self.fold_weights)
+        gram = np.zeros((self.truncation, self.truncation))
+        for parity in (0, 1):
+            gram[parity::2, parity::2] = a[parity::2] @ a[parity::2].T
+        gram.flags.writeable = False
+        return gram
+
 
 def build_grid(N: int, nodes: int | None = None) -> QuadratureGrid:
     """Trapezoid grid for truncation N: L = sqrt(2N) + 8, max(4000, 8N) nodes; it records N.
 
     The last grid built is kept and returned again for the same N and node
     count, however given, so its Hermite table (floored at 2^-500, see
-    hermite_table) is built once for any number of lambdas; building another
-    grid frees it.  Callers share it, so points and weights are read-only.
+    hermite_table) and Gram matrix are built once for any number of lambdas;
+    building another grid frees them.  Callers share it, so points and
+    weights are read-only.
 
     The integrands are smooth and decay like Gaussians, so trapezoid sums
     converge geometrically once the spacing resolves frequency ~sqrt(2N)
@@ -116,16 +135,18 @@ def hermite_table(points: np.ndarray, max_index: int) -> np.ndarray:
 
     psi_{n+1} = x sqrt(2/(n+1)) psi_n - sqrt(n/(n+1)) psi_{n-1}; row n of the
     result holds psi_n.  The floor is applied after the recurrence, so every
-    kept entry is the recurrence's value bit for bit.  It keeps the overlap
-    GEMMs off the subnormal slow path: two kept entries times a weight
-    (> 2^-7 at N = 512) are above 2^-1007, still normal (> 2^-1022).  What it
-    drops is negligible: a zeroed entry enters <psi_m, theta_n> through psi_m,
-    psi_n or psi_{n-1} (theta_n = psi_n + phi psi_{n-1}/sqrt(2n)), with
-    |psi| < 1 and |phi| < 8 for every admissible lambda, so each node moves
-    the sum by less than 18 w 2^-500.  The weights sum to 2L, 80 at N = 512,
-    so an overlap moves by less than 2^-488 (~1e-147), while the smallest
-    N = 512 overlap is ~4e-31.  Up to N = 160 no entry on the default grid is
-    that small, so the floor changes nothing there.
+    kept entry is the recurrence's value bit for bit.  It keeps the Gram
+    products (QuadratureGrid.gram) off the subnormal slow path: two kept
+    entries times a weight (> 2^-7 at N = 512) are above 2^-1007, still normal
+    (> 2^-1022); the phi-weighted products of the overlaps floor their own
+    operands (ThetaBasis._overlaps).  What it drops is negligible: a zeroed
+    entry enters <psi_m, theta_n> = G_mn + P_{m,n-1}/sqrt(2n) through
+    psi_m w psi_n or psi_m w phi psi_{n-1}, with |psi| < 1 and |phi| < 8 for
+    every admissible lambda, so each node moves the sum by less than
+    18 w 2^-500.  The weights sum to 2L, 80 at N = 512, so an overlap moves by
+    less than 2^-488 (~1e-147), while the smallest N = 512 overlap is ~4e-31.
+    Up to N = 160 no entry on the default grid is that small, so the floor
+    changes nothing there.
     """
     if max_index < 0:
         raise ValueError(f"max_index must be >= 0, got {max_index}")

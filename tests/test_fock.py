@@ -49,8 +49,8 @@ class TestConstructors:
     @pytest.mark.parametrize("build", [annihilation_matrix, number_matrix, identity_matrix],
                              ids=lambda f: f.__name__)
     def test_constructors_reject_below_two(self, build, N):
-        # TruncatedOperator refuses any matrix smaller than 2 x 2 (numpy refuses eye(-1) first)
-        with pytest.raises(ValueError):
+        # each constructor refuses N < 2 itself, naming the N it was given
+        with pytest.raises(ValueError, match=rf"got {N}$"):
             build(N)
 
     def test_commutator_interior_identity(self):

@@ -178,7 +178,8 @@ def theta_by_rows(basis):
 
 class TestParitySplit:
     @pytest.mark.parametrize("N, nodes", [(64, None), (512, None), (64, 4001)])
-    @pytest.mark.parametrize("lam", [2.0, -3.0, SQRT_PI / 2 + 2e-6])
+    # the last two give phi's widest and narrowest run of nodes above the overlaps' 2^-500 cut
+    @pytest.mark.parametrize("lam", [2.0, -3.0, SQRT_PI / 2 + 2e-6, -(SQRT_PI / 2 + 2e-6), 1e6])
     def test_overlaps_match_full_grid_sum(self, lam, N, nodes):
         basis = ThetaBasis(IsospectralParams(lam), build_grid(N, nodes=nodes), N)
         # both sums have at most node_count terms, each rounded at most 3 times before summing, so each
@@ -191,6 +192,32 @@ class TestParitySplit:
     def test_theta_equals_per_row_loop(self, N, nodes):
         basis = ThetaBasis(IsospectralParams(2.0), build_grid(N, nodes=nodes), N)
         assert np.array_equal(basis.theta, theta_by_rows(basis))
+
+    def test_matrices_never_build_theta(self):
+        basis = ThetaBasis(IsospectralParams(2.0), build_grid(512), 512)
+        for build in (u_matrix, h_tilde_matrix, b_matrix):
+            build(basis)
+        assert "theta" not in vars(basis)
+        assert np.array_equal(basis.theta, theta_by_rows(basis))
+
+    def test_gram_is_built_once_per_grid_and_shared(self):
+        grid = build_grid(64, nodes=4001)
+        assert "gram" not in vars(grid)
+        ThetaBasis(IsospectralParams(2.0), grid, 64)._overlaps()
+        gram = vars(grid)["gram"]
+        ThetaBasis(IsospectralParams(-3.0), grid, 48)._overlaps()
+        assert grid.gram is gram and not gram.flags.writeable
+
+    @pytest.mark.parametrize("N, nodes", [(64, None), (512, None), (64, 4001)])
+    def test_gram_matches_full_grid_sum(self, N, nodes):
+        grid = build_grid(N, nodes=nodes)
+        direct = grid.psi @ (grid.weights * grid.psi).T
+        # as in test_overlaps_match_full_grid_sum: each side is within gamma_K sum_i w |psi_m psi_n| of exact
+        k = (grid.node_count + 3) * np.finfo(float).eps / 2
+        bound = 2.0 * k / (1.0 - k) * (np.abs(grid.psi) @ (grid.weights * np.abs(grid.psi)).T)
+        assert np.all(np.abs(grid.gram - direct) <= bound)
+        parity = np.add.outer(np.arange(N), np.arange(N)) % 2 == 1
+        assert not np.any(grid.gram[parity])
 
 
 class TestUMatrix:
@@ -222,6 +249,12 @@ class TestUMatrix:
         basis = ThetaBasis(IsospectralParams(1e6), grid64, 64)
         u = u_matrix(basis)
         assert interior_max_abs(u.mat - np.eye(64)) < 1e-5
+
+    def test_phi_below_the_node_cut_everywhere_leaves_the_gram(self, grid64):
+        # |lambda| = 1e150 puts w (phi(x) + phi(-x)) below 2^-500 at every node, so no node enters P
+        basis = ThetaBasis(IsospectralParams(1e150), grid64, 64)
+        assert np.array_equal(basis._overlaps()[:, 1:], grid64.gram[:, 1:])
+        assert interior_max_abs(u_matrix(basis).mat - np.eye(64)) < 1e-12
 
     def test_rank_deficient_overlaps_raise_named_defect(self):
         # 32 nodes give a 64 x 64 overlap matrix of rank <= 32: X^T X has a zero
