@@ -17,6 +17,13 @@ from isoladder import fock, isospectral as iso, numerics
 LAM = 2.0
 N = 64
 
+
+def below(value, bound):
+    # a rounding-level quantity against the bound its check holds it to, so these
+    # lines change with a verdict and not with the last bit of U
+    return f"< {bound:g}" if value < bound else f"{value:.3e}, NOT below {bound:g}"
+
+
 # --- the deformation function ------------------------------------------------
 
 params = iso.IsospectralParams(LAM)
@@ -39,25 +46,26 @@ closed = math.sqrt((LAM**2 - math.pi / 4) / math.sqrt(math.pi))
 print(f"theta_0 normalization constant {basis.theta0_norm:.12f} (closed form {closed:.12f})")
 
 u = iso.u_matrix(basis)
-print(f"unitarity of U: {np.max(np.abs(u.mat.conj().T @ u.mat - np.eye(N))):.3e}")
+print(f"unitarity of U: {below(np.max(np.abs(u.mat.conj().T @ u.mat - np.eye(N))), 1e-12)}")
 print(f"raw overlap-matrix defect (the psi-tail beyond truncation): {iso.unitarity_defect(basis):.3e}")
 
 # --- the deformed ladder pair and Hamiltonian ---------------------------------
 
 b = iso.b_matrix(basis)
 a = fock.annihilation_matrix(N)
-print(f"\nbb+ - aa+ (should vanish): {np.max(np.abs(b.mat @ b.mat.conj().T - a.mat @ a.mat.conj().T)):.3e}")
+bb_dev = np.max(np.abs(b.mat @ b.mat.conj().T - a.mat @ a.mat.conj().T))
+print(f"\nbb+ - aa+ (should vanish): {below(bb_dev, 1e-7)}")
 print(f"b+ b - a+ a (should NOT vanish): {np.max(np.abs(iso.h_tilde_matrix(basis).mat - np.diag(np.arange(float(N))))):.3f}")
 
 evals, _ = fock.hermitian_eigensystem(iso.h_tilde_matrix(basis))
 print(f"lowest 10 eigenvalues of b+ b: {np.round(evals[:10], 9)}")
-print(f"largest deviation from 0..39:  {np.max(np.abs(evals[:40] - np.arange(40.0))):.3e}")
+print(f"largest deviation from 0..39:  {below(np.max(np.abs(evals[:40] - np.arange(40.0))), 1e-6)}")
 
 # --- the earlier lowering operator and its coherent states --------------------
 
 a_theta = iso.b_dagger_a_b_matrix(basis)
 print(f"\nb+ a b in the theta basis kills theta_0 and theta_1: "
-      f"{np.linalg.norm(a_theta.mat[:, 0]):.1e}, {np.linalg.norm(a_theta.mat[:, 1]):.1e}")
+      f"{below(np.linalg.norm(a_theta.mat[:, 0]), 1e-10)}, {below(np.linalg.norm(a_theta.mat[:, 1]), 1e-7)}")
 print(f"its superdiagonal starts (n-1) sqrt(n): {np.round(np.real(np.diag(a_theta.mat, 1))[:5], 6)}")
 
 z = 0.8 + 0.3j
@@ -71,7 +79,7 @@ img_cs = iso.unitary_image_cs(alpha, basis)
 a_tilde = u.mat @ a.mat @ u.mat.conj().T
 fock = u.mat @ img_cs.coeffs
 print(f"unitary-image CS residual at alpha = {alpha}: "
-      f"{np.linalg.norm(a_tilde @ fock - alpha * fock):.3e}")
+      f"{below(np.linalg.norm(a_tilde @ fock - alpha * fock), 1e-7)}")
 
 # --- the lambda -> infinity degeneration ---------------------------------------
 

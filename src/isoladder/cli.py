@@ -4,8 +4,8 @@ Configuration comes from the RunConfig defaults, then an optional flat
 key = value config file, then command-line flags (flags win); the _OPTIONS
 table declares each option once.  All numeric output is formatted to 17
 significant digits so identical configs produce byte-identical files.
-Exit codes: 0 all checks pass, 1 a check failed, 2 invalid configuration
-(a non-finite number included).
+Exit codes: 0 all checks pass, 1 a check failed or a construction was refused,
+2 invalid configuration (a non-finite number included).
 """
 
 from __future__ import annotations
@@ -364,11 +364,10 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG
     try:
         return COMMANDS[args.command](config)
-    except (ConfigError, isospectral.ParameterError, ladder.WeightError,
-            coherent.DivergenceError, coherent.TruncationError,
-            coherent.WeightSequenceTooShort) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    except (ConfigError, isospectral.ParameterError, ladder.WeightError, coherent.DivergenceError,
+            coherent.TruncationError, coherent.WeightSequenceTooShort, isospectral.ConstructionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # a refused U fails the check, as in the report
+        return EXIT_CHECK_FAILED if isinstance(exc, isospectral.ConstructionError) else EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

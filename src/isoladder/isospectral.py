@@ -9,11 +9,11 @@ the two coherent-state families attached to them.  Both families are built
 by the same weighted-shift eigenvector routine as coherent.cs_vector, with
 the same 1e-24 relative tail guard.
 
-The lambda-free Hermite table psi and Gram matrix G = psi W psi^T belong to
-the grid (QuadratureGrid.psi, .gram).  A ThetaBasis holds one lambda's phi and
+The lambda-free Hermite table psi and its norm defects belong to the grid
+(QuadratureGrid.psi, .norm_defects).  A ThetaBasis holds one lambda's phi and
 theta_0; its theta table is built only when something samples it, as the
-overlaps take G plus phi-weighted psi products.  The overlaps, U, b^dagger, b
-and H~ are built at most once per basis and kept on it (_once).
+overlaps take <psi_m, psi_n> = delta_mn plus phi-weighted psi products.  The
+overlaps, U, b^dagger, b and H~ are built at most once per basis and kept on it.
 
 The overlap matrix <psi_m, theta_n> computed at finite truncation is not
 exactly unitary (theta_n keeps a small psi-tail beyond the truncation), so
@@ -47,6 +47,7 @@ from .numerics import SQRT_PI, QuadratureGrid, erf, grid_norm
 __all__ = [
     "LAMBDA_GUARD",
     "ParameterError",
+    "ConstructionError",
     "IsospectralParams",
     "PhiFunction",
     "riccati_residual",
@@ -64,25 +65,30 @@ __all__ = [
 ]
 
 LAMBDA_GUARD = 1e-6
+_LAMBDA_MAX = 2.0**500  # up to here theta_0's squared norm, ~sqrt(pi)/lambda^2, sums normal numbers
 _RICCATI_FD_STEP = 1e-5  # central-difference step of riccati_residual
 _NODE_CUT, _OPERAND_FLOOR = 2.0**-500, 2.0**-511  # ThetaBasis._overlaps' node cut and operand floor
+_GRID_DEFECT_BOUND = 1e-12  # the largest grid.norm_defects entry ThetaBasis._overlaps accepts
 
 
 class ParameterError(ValueError):
-    """Parameter outside the admissible region |lambda| > sqrt(pi)/2."""
+    """Parameter outside the admissible region sqrt(pi)/2 < |lambda| <= 2^500."""
+
+
+class ConstructionError(ValueError):
+    """U cannot be built: the grid cannot carry psi, or Newton-Schulz cannot reach the polar factor."""
 
 
 @dataclass(frozen=True)
 class IsospectralParams:
-    """The family parameter; |lambda| must clear sqrt(pi)/2 by a guard band."""
+    """The family parameter; |lambda| must clear sqrt(pi)/2 by a guard band and not exceed 2^500."""
 
     lam: float
 
     def __post_init__(self):
-        if not math.isfinite(self.lam) or abs(self.lam) <= SQRT_PI / 2 + LAMBDA_GUARD:
-            raise ParameterError(
-                f"|lambda| must exceed sqrt(pi)/2 + {LAMBDA_GUARD:g} to keep phi regular, got {self.lam!r}"
-            )
+        if not SQRT_PI / 2 + LAMBDA_GUARD < abs(self.lam) <= _LAMBDA_MAX:  # nan fails both
+            raise ParameterError(f"|lambda| must exceed sqrt(pi)/2 + {LAMBDA_GUARD:g} to keep phi regular and "
+                                 f"not exceed 2^500 to keep theta_0's norm normal, got {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -147,15 +153,14 @@ class ThetaBasis:
         self.grid = grid
         self.N = int(N)
         self.tag = theta_tag(params.lam)
-        self.phi_fn = PhiFunction(params)
 
         x = grid.points
         self.psi = grid.psi[:N]
-        self.g_values = self.phi_fn.denominator(x)
-        self.phi_values = np.exp(-x * x) / self.g_values
+        g = PhiFunction(params).denominator(x)
+        self.phi_values = np.exp(-x * x) / g
         self.phi_prime_values = -2.0 * x * self.phi_values - self.phi_values**2
 
-        raw0 = np.exp(-0.5 * x * x) / self.g_values
+        raw0 = np.exp(-0.5 * x * x) / g
         norm0 = grid_norm(raw0, grid)
         self.theta0 = raw0 / norm0
         self.theta0_norm = 1.0 / norm0  # the N_0 multiplying e^{-x^2/2}/g
@@ -172,20 +177,26 @@ class ThetaBasis:
 
     @_once
     def _overlaps(self) -> np.ndarray:
-        """<psi_m, theta_n> = G_mn + P_{m,n-1} / sqrt(2n) for n >= 1, G = grid.gram; column 0 is one GEMV.
+        """<psi_m, theta_n> = delta_mn + P_{m,n-1} / sqrt(2n) for n >= 1; column 0 is one GEMV.
 
+        delta_mn = <psi_m, psi_n> holds only on a grid that carries psi: one whose norm defect exceeds
+        1e-12, the accuracy U is held to against a 40N-node grid, is refused with a ConstructionError.
         P = psi W diag(phi) psi^T is summed over x >= 0 on the exact mirror, psi_m(-x) = (-1)^m psi_m(x),
-        with w = grid.fold_weights: its even-even and odd-odd blocks weigh by w (phi(x) + phi(-x)), of
-        lambda's sign, so are +-A A^T with A = psi sqrt|w (phi(x) + phi(-x))|; the mixed blocks weigh by
-        w (phi(x) - phi(-x)), one product and its transpose.  Only nodes up to the last with
-        |w (phi(x) + phi(-x))| >= 2^-500 enter (929-965 of 2048 at N = 512), and operand entries below
-        2^-511 are zeroed, so every product is normal.  With |psi| < 1, |phi| < 8 and w < 1/32 each node
-        then moves an entry of P by less than 2^-500, and the at most 2^11 nodes at N = 512 by less than
-        2^-488 (~1e-147); the smallest N = 512 overlap is ~4e-31.
+        with weights w (an odd count's centre, its own mirror, at half): its even-even and odd-odd blocks
+        weigh by w (phi(x) + phi(-x)), of lambda's sign, so are +-A A^T with A = psi sqrt|w (phi(x) +
+        phi(-x))|; the mixed blocks weigh by w (phi(x) - phi(-x)), one product and its transpose.  Only
+        nodes up to the last with |w (phi(x) + phi(-x))| >= 2^-500 enter (929-965 of 2048 at N = 512), and
+        operand entries below 2^-511 are zeroed, so every product is normal.  With |psi| < 1, |phi| < 8 and
+        w < 1/32 each node then moves an entry of P by less than 2^-500, and the at most 2^11 nodes at
+        N = 512 by less than 2^-488 (~1e-147); the smallest N = 512 overlap is ~4e-31.
         """
         grid, N = self.grid, self.N
-        half, w = grid.node_count // 2, grid.fold_weights
-        right, left = self.phi_values[half:], self.phi_values[half - 1 + grid.node_count % 2::-1]
+        if (defect := np.max(grid.norm_defects[:N])) > _GRID_DEFECT_BOUND:
+            raise ConstructionError(f"grid of {grid.node_count} nodes cannot carry psi_0 .. psi_{N - 1}: "
+                                    f"max_n |sum_i w_i psi_n(x_i)^2 - 1| = {defect:.3e} > {_GRID_DEFECT_BOUND:g}")
+        half, centre = divmod(grid.node_count, 2)
+        w = np.concatenate((0.5 * grid.weights[half:half + centre], grid.weights[half + centre:]))
+        right, left = self.phi_values[half:], self.phi_values[half - 1 + centre::-1]
         even = w * (right + left)
         keep = np.max(np.flatnonzero(np.abs(even) >= _NODE_CUT), initial=-1) + 1
         psi, odd = self.psi[:, half:half + keep], (w * (right - left))[:keep]
@@ -195,8 +206,10 @@ class ThetaBasis:
             p[parity::2, parity::2] = math.copysign(1.0, self.params.lam) * (a[parity::2] @ a[parity::2].T)
         p[0::2, 1::2] = _floored(psi[0::2] * root) @ _floored(psi[1::2] * np.copysign(root, odd)).T
         p[1::2, 0::2] = p[0::2, 1::2].T
-        return np.column_stack((self.psi @ (grid.weights * self.theta0),
-                                grid.gram[:N, 1:N] + p[:, :-1] / np.sqrt(2.0 * np.arange(1, N))))
+        overlaps = np.eye(N)
+        overlaps[:, 0] = self.psi @ (grid.weights * self.theta0)
+        overlaps[:, 1:] += p[:, :-1] / np.sqrt(2.0 * np.arange(1, N))
+        return overlaps
 
 
 def _floored(operand: np.ndarray) -> np.ndarray:
@@ -217,7 +230,7 @@ def u_matrix(basis: ThetaBasis) -> TruncatedOperator:
     Polar factor of the overlap matrix X by Newton-Schulz from X itself:
     X <- X - X E / 2, E = X^T X - I, until ||E||_inf <= N eps.  ||E||_inf
     bounds ||E||_2 for symmetric E, and the iteration converges while that is
-    below 1 and shrinking (Higham, ch. 8); otherwise ValueError, never a non-unitary U.
+    below 1 and shrinking (Higham, ch. 8); otherwise ConstructionError, never a non-unitary U.
     """
     x, bound = basis._overlaps(), 1.0
     while True:
@@ -226,7 +239,7 @@ def u_matrix(basis: ThetaBasis) -> TruncatedOperator:
         if defect <= basis.N * np.finfo(float).eps:
             return TruncatedOperator(x, FOCK)
         if defect >= bound:
-            raise ValueError(f"polar factor: ||X^T X - I||_inf = {defect:.3e}, Newton-Schulz needs < 1")
+            raise ConstructionError(f"polar factor: ||X^T X - I||_inf = {defect:.3e}, Newton-Schulz needs < 1")
         x, bound = x - 0.5 * (x @ e), defect
 
 

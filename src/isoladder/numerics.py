@@ -5,12 +5,12 @@ grids mirrored exactly about 0, the error function (the standard library's,
 elementwise over arrays), and the numerically stable Hermite-function
 recurrence.  No adaptivity anywhere, so results are reproducible run to run.
 
-The grid, its Hermite table and their Gram matrix psi W psi^T depend only on
-N and the node count, so build_grid keeps the last grid it built and hands it
+The grid, its Hermite table and the table's norm defects depend only on N
+and the node count, so build_grid keeps the last grid it built and hands it
 to every caller that asks for it again, read-only: a lambda sweep at one N
-builds one table and one Gram matrix.  The table zeroes its entries below
-2^-500, the tails whose products would otherwise be subnormal and run on the
-CPU's slow path (see hermite_table).
+builds one table.  The table zeroes its entries below 2^-500, the tails that
+would otherwise be subnormal and run on the CPU's slow path (see
+hermite_table).
 """
 
 from __future__ import annotations
@@ -74,22 +74,12 @@ class QuadratureGrid:
         table.flags.writeable = False
         return table
 
-    @property
-    def fold_weights(self) -> np.ndarray:
-        """Weights over x >= 0 for a sum folded as f(x) + f(-x): an odd count's centre, its own mirror, at half."""
-        w = self.weights[self.node_count // 2:].copy()
-        w[: self.node_count % 2] *= 0.5
-        return w
-
     @cached_property
-    def gram(self) -> np.ndarray:
-        """G = psi W psi^T as parity blocks A A^T over x >= 0, A = psi sqrt(2w), built once; read-only, shared."""
-        a = self.psi[:, self.node_count // 2:] * np.sqrt(2.0 * self.fold_weights)
-        gram = np.zeros((self.truncation, self.truncation))
-        for parity in (0, 1):
-            gram[parity::2, parity::2] = a[parity::2] @ a[parity::2].T
-        gram.flags.writeable = False
-        return gram
+    def norm_defects(self) -> np.ndarray:
+        """|sum_i w_i psi_n(x_i)^2 - 1| for each row n, built once; large on a grid that cannot carry psi."""
+        defects = np.abs(np.einsum("ni,i,ni->n", self.psi, self.weights, self.psi) - 1.0)
+        defects.flags.writeable = False
+        return defects
 
 
 def build_grid(N: int, nodes: int | None = None) -> QuadratureGrid:
@@ -97,7 +87,7 @@ def build_grid(N: int, nodes: int | None = None) -> QuadratureGrid:
 
     The last grid built is kept and returned again for the same N and node
     count, however given, so its Hermite table (floored at 2^-500, see
-    hermite_table) and Gram matrix are built once for any number of lambdas;
+    hermite_table) and norm defects are built once for any number of lambdas;
     building another grid frees them.  Callers share it, so points and
     weights are read-only.
 
@@ -135,18 +125,15 @@ def hermite_table(points: np.ndarray, max_index: int) -> np.ndarray:
 
     psi_{n+1} = x sqrt(2/(n+1)) psi_n - sqrt(n/(n+1)) psi_{n-1}; row n of the
     result holds psi_n.  The floor is applied after the recurrence, so every
-    kept entry is the recurrence's value bit for bit.  It keeps the Gram
-    products (QuadratureGrid.gram) off the subnormal slow path: two kept
-    entries times a weight (> 2^-7 at N = 512) are above 2^-1007, still normal
-    (> 2^-1022); the phi-weighted products of the overlaps floor their own
-    operands (ThetaBasis._overlaps).  What it drops is negligible: a zeroed
-    entry enters <psi_m, theta_n> = G_mn + P_{m,n-1}/sqrt(2n) through
-    psi_m w psi_n or psi_m w phi psi_{n-1}, with |psi| < 1 and |phi| < 8 for
-    every admissible lambda, so each node moves the sum by less than
-    18 w 2^-500.  The weights sum to 2L, 80 at N = 512, so an overlap moves by
-    less than 2^-488 (~1e-147), while the smallest N = 512 overlap is ~4e-31.
-    Up to N = 160 no entry on the default grid is that small, so the floor
-    changes nothing there.
+    kept entry is the recurrence's value bit for bit, and no subnormal entry
+    reaches what reads the table: the overlaps' P operands (which floor their
+    own products too), column 0's psi (w theta_0) and theta.  What it drops is
+    negligible: a zeroed entry enters <psi_m, theta_n> through psi_m w phi
+    psi_{n-1} or psi_m w theta_0, with |psi| < 1 and |phi|, |theta_0| < 8, so
+    each node moves it by less than 8 w 2^-500 and all of them, with weights
+    summing to 2L (80 at N = 512), by less than 2^-490 (~3e-148), while the
+    smallest N = 512 overlap is ~4e-31.  Up to N = 160 no entry on the default
+    grid is that small, so the floor changes nothing there.
     """
     if max_index < 0:
         raise ValueError(f"max_index must be >= 0, got {max_index}")

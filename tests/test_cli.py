@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from isoladder import isospectral, report
+from isoladder import isospectral, numerics, report
 from isoladder.cli import _OPTIONS, ConfigError, RunConfig, build_config, main, make_parser, to_csv, to_json
 
 
@@ -115,6 +115,21 @@ class TestCommands:
         code, _, err = run_cli(["spectrum", "--lambda", "0.5"], capsys)
         assert code == 2
         assert "sqrt(pi)/2" in err
+
+    def test_lambda_beyond_2_to_500_exit_2(self, capsys):
+        code, out, err = run_cli(["report", "--lambda", "1e200", "--trunc", "64"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: |lambda| must exceed sqrt(pi)/2") and "not exceed 2^500" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["spectrum", "commutator"])
+    def test_refused_grid_exit_1(self, command, capsys, monkeypatch):
+        # U cannot be built on 32 nodes: one error line and exit 1, as the report's construction_error
+        monkeypatch.setattr(report, "build_grid", lambda N: numerics.build_grid(N, nodes=32))
+        code, out, err = run_cli([command], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: grid of 32 nodes") and "cannot carry psi_0 .. psi_63" in err
+        assert err.count("\n") == 1
 
     def test_spectrum_csv(self, capsys):
         code, out, _ = run_cli(["spectrum", "--trunc", "24", "--format", "csv"], capsys)

@@ -22,4 +22,4 @@ def test_demo_runs(script):
     proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert proc.stdout and "NOT below" not in proc.stdout

@@ -11,6 +11,7 @@ from isoladder.fock import (
     interior_max_abs,
 )
 from isoladder.isospectral import (
+    ConstructionError,
     IsospectralParams,
     ParameterError,
     PhiFunction,
@@ -27,6 +28,7 @@ from isoladder.isospectral import (
     u_matrix,
     unitarity_defect,
 )
+from isoladder import numerics
 from isoladder.coherent import TruncationError
 from isoladder.numerics import SQRT_PI, build_grid, grid_norm, hermite_table
 
@@ -44,6 +46,13 @@ class TestParams:
     def test_forbidden_band(self, lam):
         with pytest.raises(ParameterError):
             IsospectralParams(lam)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_magnitude_capped_at_2_to_500(self, sign):
+        IsospectralParams(sign * 2.0**500)
+        for lam in (np.nextafter(2.0**500, math.inf), 1e160, 1e200):
+            with pytest.raises(ParameterError, match=r"not exceed 2\^500"):
+                IsospectralParams(sign * lam)
 
     def test_negative_admissible(self):
         IsospectralParams(-2.0)
@@ -163,8 +172,17 @@ class TestThetaBasis:
 
 
 def full_grid_overlaps(basis):
-    # the direct trapezoid sum over every node, the reference for the parity-split overlaps
+    # the direct trapezoid sum over every node, psi W theta^T, which assumes nothing of the grid
     return basis.psi @ (basis.grid.weights[None, :] * basis.theta).T
+
+
+def identity_plus_full_grid_shift(basis):
+    # column 0 and P = psi W diag(phi) psi^T summed over every node, on I's columns as the overlaps take them
+    N, w = basis.N, basis.grid.weights
+    overlaps = np.eye(N)
+    overlaps[:, 0] = basis.psi @ (w * basis.theta0)
+    overlaps[:, 1:] += (basis.psi @ (w * basis.phi_values * basis.psi).T)[:, :-1] / np.sqrt(2.0 * np.arange(1, N))
+    return overlaps
 
 
 def theta_by_rows(basis):
@@ -186,7 +204,7 @@ class TestParitySplit:
         # differs from the exact sum by at most gamma_K sum_i w |psi_m theta_n|, K = node_count + 3
         k = (basis.grid.node_count + 3) * np.finfo(float).eps / 2
         bound = 2.0 * k / (1.0 - k) * (np.abs(basis.psi) @ (basis.grid.weights * np.abs(basis.theta)).T)
-        assert np.all(np.abs(basis._overlaps() - full_grid_overlaps(basis)) <= bound)
+        assert np.all(np.abs(basis._overlaps() - identity_plus_full_grid_shift(basis)) <= bound)
 
     @pytest.mark.parametrize("N, nodes", [(64, None), (512, None), (64, 4001)])
     def test_theta_equals_per_row_loop(self, N, nodes):
@@ -200,24 +218,25 @@ class TestParitySplit:
         assert "theta" not in vars(basis)
         assert np.array_equal(basis.theta, theta_by_rows(basis))
 
-    def test_gram_is_built_once_per_grid_and_shared(self):
+    def test_norm_defects_are_built_once_per_grid_and_shared(self):
+        numerics._build_grid.cache_clear()  # a fresh grid, whatever an earlier test left in the memo
         grid = build_grid(64, nodes=4001)
-        assert "gram" not in vars(grid)
+        assert "norm_defects" not in vars(grid)
         ThetaBasis(IsospectralParams(2.0), grid, 64)._overlaps()
-        gram = vars(grid)["gram"]
+        defects = vars(grid)["norm_defects"]
         ThetaBasis(IsospectralParams(-3.0), grid, 48)._overlaps()
-        assert grid.gram is gram and not gram.flags.writeable
+        assert grid.norm_defects is defects and not defects.flags.writeable
 
     @pytest.mark.parametrize("N, nodes", [(64, None), (512, None), (64, 4001)])
     def test_gram_matches_full_grid_sum(self, N, nodes):
+        # the overlaps take psi W psi^T = I; on these grids the direct sum is I to within its own rounding,
+        # gamma_K sum_i w |psi_m psi_n| with K = node_count + 3, and so is the grid's diagonal defect
         grid = build_grid(N, nodes=nodes)
         direct = grid.psi @ (grid.weights * grid.psi).T
-        # as in test_overlaps_match_full_grid_sum: each side is within gamma_K sum_i w |psi_m psi_n| of exact
         k = (grid.node_count + 3) * np.finfo(float).eps / 2
-        bound = 2.0 * k / (1.0 - k) * (np.abs(grid.psi) @ (grid.weights * np.abs(grid.psi)).T)
-        assert np.all(np.abs(grid.gram - direct) <= bound)
-        parity = np.add.outer(np.arange(N), np.arange(N)) % 2 == 1
-        assert not np.any(grid.gram[parity])
+        bound = k / (1.0 - k) * (np.abs(grid.psi) @ (grid.weights * np.abs(grid.psi)).T)
+        assert np.all(np.abs(direct - np.eye(N)) <= bound)
+        assert np.all(grid.norm_defects <= np.diag(bound))
 
 
 class TestUMatrix:
@@ -250,17 +269,28 @@ class TestUMatrix:
         u = u_matrix(basis)
         assert interior_max_abs(u.mat - np.eye(64)) < 1e-5
 
-    def test_phi_below_the_node_cut_everywhere_leaves_the_gram(self, grid64):
+    def test_phi_below_the_node_cut_everywhere_leaves_the_identity(self, grid64):
         # |lambda| = 1e150 puts w (phi(x) + phi(-x)) below 2^-500 at every node, so no node enters P
         basis = ThetaBasis(IsospectralParams(1e150), grid64, 64)
-        assert np.array_equal(basis._overlaps()[:, 1:], grid64.gram[:, 1:])
+        assert np.array_equal(basis._overlaps()[:, 1:], np.eye(64)[:, 1:])
         assert interior_max_abs(u_matrix(basis).mat - np.eye(64)) < 1e-12
 
-    def test_rank_deficient_overlaps_raise_named_defect(self):
-        # 32 nodes give a 64 x 64 overlap matrix of rank <= 32: X^T X has a zero
+    def test_rank_deficient_overlaps_raise_named_defect(self, grid64, monkeypatch):
+        # overlaps whose last column repeats the first are singular: X^T X has a zero
         # eigenvalue, so ||X^T X - I|| >= 1 and Newton-Schulz cannot converge
-        basis = ThetaBasis(IsospectralParams(2.0), build_grid(64, nodes=32), 64)
+        overlaps = ThetaBasis(IsospectralParams(2.0), grid64, 64)._overlaps()
+        singular = np.column_stack((overlaps[:, :-1], overlaps[:, 0]))
+        monkeypatch.setattr(ThetaBasis, "_overlaps", lambda basis: singular)
         with pytest.raises(ValueError, match=r"\|\|X\^T X - I\|\|_inf = \d"):
+            u_matrix(ThetaBasis(IsospectralParams(2.0), grid64, 64))
+
+    @pytest.mark.parametrize("N, nodes", [(64, 32), (64, 80), (64, 100), (64, 136), (768, None)])
+    def test_grid_that_cannot_carry_psi_is_refused_by_name(self, N, nodes):
+        # too few nodes, or at N = 768 a default grid on which psi_0 underflows and corrupts the high
+        # rows: psi W psi^T is far from I, which the overlaps would take, so no U is built
+        basis = ThetaBasis(IsospectralParams(2.0), build_grid(N, nodes=nodes), N)
+        with pytest.raises(ConstructionError, match=rf"cannot carry psi_0 \.\. psi_{N - 1}: max_n \|sum_i w_i "
+                                             rf"psi_n\(x_i\)\^2 - 1\| = \d\.\d{{3}}e-\d\d > 1e-12"):
             u_matrix(basis)
 
 
@@ -281,7 +311,7 @@ def test_default_grid_matches_40n_svd_reference(lam, N):
     del basis
 
     reference = ThetaBasis(params, build_grid(N, nodes=max(4000, 40 * N)), N)
-    left, _, right = np.linalg.svd(reference._overlaps())
+    left, _, right = np.linalg.svd(full_grid_overlaps(reference))
     ref_u = left @ right
     del reference
     b = annihilation_matrix(N).mat @ ref_u.T

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from isoladder import cli, coherent, fock, isospectral, ladder, numerics, pdo, report
@@ -98,15 +99,33 @@ def test_run_all_builds_one_hermite_table_and_one_b_dagger_per_basis(monkeypatch
     assert len({id(op) for _, op in b_daggers}) == 2
 
 
-def test_non_unitary_overlaps_fail_the_criteria_that_read_u(monkeypatch, capsys):
-    # 32 nodes give 64 x 64 overlaps of rank <= 32, so u_matrix refuses them
-    monkeypatch.setattr(report, "build_grid", lambda N: numerics.build_grid(N, nodes=32))
+READ_U = ["c01_isospectrality", "c04_commutator_diagonal", "c05_closed_form_equivalence",
+          "c11_lambda_to_infinity", "c12_composite_lowering"]
+
+
+def _failed_parts(capsys):
     assert cli.main(["report"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    failed = {c["name"]: c["parts"] for c in doc["criteria"] if not c["pass"]}
-    assert sorted(failed) == ["c01_isospectrality", "c04_commutator_diagonal",
-                              "c05_closed_form_equivalence", "c11_lambda_to_infinity",
-                              "c12_composite_lowering"]
+    return {c["name"]: c["parts"] for c in doc["criteria"] if not c["pass"]}
+
+
+def test_a_grid_that_cannot_carry_psi_fails_the_criteria_that_read_u(monkeypatch, capsys):
+    # on 32 nodes psi W psi^T is far from I, so the overlaps refuse the grid by name
+    monkeypatch.setattr(report, "build_grid", lambda N: numerics.build_grid(N, nodes=32))
+    failed = _failed_parts(capsys)
+    assert sorted(failed) == READ_U
+    for (part,) in failed.values():
+        assert part["name"].startswith("construction_error: grid of 32 nodes cannot carry psi_0 .. psi_63: "
+                                       "max_n |sum_i w_i psi_n(x_i)^2 - 1| = ")
+
+
+def test_non_unitary_overlaps_fail_the_criteria_that_read_u(monkeypatch, capsys):
+    # overlaps whose last column repeats the first are singular, so u_matrix refuses them
+    overlaps = isospectral.ThetaBasis._overlaps
+    monkeypatch.setattr(isospectral.ThetaBasis, "_overlaps",
+                        lambda basis: np.column_stack((overlaps(basis)[:, :-1], overlaps(basis)[:, 0])))
+    failed = _failed_parts(capsys)
+    assert sorted(failed) == READ_U
     for (part,) in failed.values():
         assert part["name"].startswith("construction_error: polar factor: ||X^T X - I||_inf = ")
 
