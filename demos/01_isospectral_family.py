@@ -20,7 +20,7 @@ N = 64
 
 def below(value, bound):
     # a rounding-level quantity against the bound its check holds it to, so these
-    # lines change with a verdict and not with the last bit of U
+    # lines change with a verdict and not with the last bit of U, theta or phi
     return f"< {bound:g}" if value < bound else f"{value:.3e}, NOT below {bound:g}"
 
 
@@ -35,13 +35,13 @@ print(f"Gaussian decay: phi(8) = {phi(8.0):.3e}")
 
 # phi' is finite-differenced independently, so this is a genuine check that
 # phi' + 2 x phi + phi^2 = 0:
-print(f"Riccati residual over the grid: {iso.riccati_residual(params, grid):.3e}")
+print(f"Riccati residual over the grid: {below(iso.riccati_residual(params, grid), 1e-8)}")
 
 # --- the theta basis and the unitary intertwiner ------------------------------
 
 basis = iso.ThetaBasis(params, grid, N)
 gram = basis.theta @ (grid.weights[None, :] * basis.theta).T
-print(f"\ntheta orthonormality residual: {np.max(np.abs(gram[:59, :59] - np.eye(N)[:59, :59])):.3e}")
+print(f"\ntheta orthonormality residual: {below(np.max(np.abs(gram[:59, :59] - np.eye(N)[:59, :59])), 1e-8)}")
 closed = math.sqrt((LAM**2 - math.pi / 4) / math.sqrt(math.pi))
 print(f"theta_0 normalization constant {basis.theta0_norm:.12f} (closed form {closed:.12f})")
 

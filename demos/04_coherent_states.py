@@ -17,6 +17,13 @@ from isoladder import coherent, fock, ladder
 TAG = fock.theta_tag(2.0)
 N = 64
 
+
+def below(value, bound):
+    # a rounding-level quantity against the bound its check holds it to, so these
+    # lines change with a verdict and not with the last bit of an eigensolve
+    return f"< {bound:g}" if value < bound else f"{value:.3e}, NOT below {bound:g}"
+
+
 # --- eigenstates of the lowering operator -------------------------------------
 
 zeta = 1.0 + 0.5j
@@ -25,8 +32,8 @@ for weights in (ladder.constant_weights(2.0), ladder.distorted_weights(0.5), lad
     low, _ = ladder.ladder_matrices(weights, N, TAG)
     cs = coherent.cs_vector(zeta, weights, N, TAG)
     moved = low.mat @ cs.coeffs
-    print(f"  {weights.label():18s} norm 1{cs.norm() - 1.0:+.1e}   "
-          f"residual {np.linalg.norm(moved - zeta * cs.coeffs):.3e}")
+    print(f"  {weights.label():18s} |norm - 1| {below(abs(cs.norm() - 1.0), 1e-10)}   "
+          f"residual {below(np.linalg.norm(moved - zeta * cs.coeffs), 1e-6)}")
 
 # the construction refuses rather than silently truncating:
 try:
@@ -83,21 +90,20 @@ for z in (0.5, 1.2j):
 
 # --- displacement operator and generalized CS ----------------------------------------
 
-low, high = ladder.ladder_matrices(ladder.constant_weights(1.0), N, TAG)
 zeta = 0.7 - 0.2j
-d = coherent.displacement_operator(zeta, low, high)
+d = coherent.displacement_operator(zeta, N, TAG)
 moved = d.mat @ np.eye(N)[1]
 cs = coherent.cs_vector(zeta, ladder.constant_weights(1.0), N, TAG)
-print(f"\nD(zeta) theta_1 vs the eigenstate construction: {np.linalg.norm(moved - cs.coeffs):.3e}")
+print(f"\nD(zeta) theta_1 vs the eigenstate construction: {below(np.linalg.norm(moved - cs.coeffs), 1e-6)}")
 print(f"unitarity of D on the interior window: "
-      f"{np.max(np.abs((d.mat.conj().T @ d.mat - np.eye(N))[:59, :59])):.3e}")
+      f"{below(np.max(np.abs((d.mat.conj().T @ d.mat - np.eye(N))[:59, :59])), 1e-7)}")
 
-h1 = coherent.h_tilde_1(low, high)
+h1 = coherent.h_tilde_1(N, TAG)
 print(f"a1+ a1 diagonal starts {np.round(np.real(np.diag(h1.mat))[:6], 12)} (0, 0, then 1, 2, ...)")
 print(f"|zeta> is the displaced ground state: "
-      f"{np.linalg.norm((d.mat @ h1.mat @ d.mat.conj().T) @ cs.coeffs):.3e}")
+      f"{below(np.linalg.norm((d.mat @ h1.mat @ d.mat.conj().T) @ cs.coeffs), 1e-6)}")
 
 for n in (2, 3):
-    ladder_route, displaced_route = coherent.generalized_cs(zeta, n, low, high)
+    ladder_route, displaced_route = coherent.generalized_cs(zeta, n, d)
     dev = np.linalg.norm(ladder_route.coeffs - displaced_route.normalized().coeffs)
-    print(f"generalized CS n = {n}: two constructions agree to {dev:.3e}")
+    print(f"generalized CS n = {n}: two constructions agree to {below(dev, 1e-5)}")

@@ -4,7 +4,10 @@ Eigenstates of the lowering operator built on theta_1 with coefficients
 d_n^{1/2} zeta^n, d_n = (W_1 ... W_n)^{-1}; the Fock-Bargmann map; entire-
 function order / radius-of-convergence estimation from the growth of the
 partial-sum products; and, for unit weights, the unitary displacement
-operator and the Perelomov-type generalized coherent states.
+operator and the Perelomov-type generalized coherent states.  The
+displacement and h_tilde_1 build the unit-weight pair themselves, as it is
+the only pair they admit; generalized_cs transports by a D it is given, so
+a caller builds D once.
 
 One weighted-shift routine, _shift_eigenvector, builds these states and the
 two coherent-state families of isospectral, all under one tail guard.  All
@@ -25,16 +28,14 @@ from .fock import (
     TruncatedOperator,
     adjoint,
     apply_operator,
-    commutator,
     hermitian_eigensystem,
 )
 from .ladder import (
     WeightError,
     WeightSequence,
-    _commutator_deviation,
-    commutator_diagonal,
     constant_weights,
     geometric_weights,
+    ladder_matrices,
 )
 
 __all__ = [
@@ -355,20 +356,8 @@ def radius_of_convergence(weights: WeightSequence) -> float:
     return _growth_window(weights)[1]
 
 
-def _check_unit_weight_pair(lowering: TruncatedOperator, raising: TruncatedOperator):
-    if float(np.max(np.abs(raising.mat - lowering.mat.conj().T))) > 1e-10:
-        raise ValueError("ladder pair is not mutually adjoint: displacement argument "
-                         "would not be anti-Hermitian")
-    check = commutator_diagonal(commutator(lowering, raising).mat, constant_weights(1.0))
-    dev = _commutator_deviation(check)
-    if dev > 1e-8:
-        raise ValueError(f"displacement requires the unit-weight algebra; commutator "
-                         f"deviates by {dev:.3e}")
-
-
-def displacement_operator(zeta: complex, lowering: TruncatedOperator,
-                          raising: TruncatedOperator) -> TruncatedOperator:
-    """D = exp(zeta a1+ - conj(zeta) a1) for the unit-weight pair.
+def displacement_operator(zeta: complex, N: int, tag) -> TruncatedOperator:
+    """D = exp(zeta a1+ - conj(zeta) a1) for the unit-weight pair, built here at truncation N >= 64.
 
     The anti-Hermitian argument is exponentiated through the eigensystem of
     the Hermitian matrix i(zeta a1+ - conj(zeta) a1), so D is unitary to
@@ -377,41 +366,40 @@ def displacement_operator(zeta: complex, lowering: TruncatedOperator,
     zeta = complex(zeta)
     if abs(zeta) > 2.0:
         raise ValueError(f"|zeta| <= 2 required, got {abs(zeta):g}")
-    if lowering.dim < 64:
-        raise ValueError(f"N >= 64 required for the displacement window, got {lowering.dim}")
-    _check_unit_weight_pair(lowering, raising)
+    if N < 64:
+        raise ValueError(f"N >= 64 required for the displacement window, got {N}")
+    lowering, raising = ladder_matrices(constant_weights(1.0), N, tag)
     arg = zeta * raising.mat - np.conj(zeta) * lowering.mat
-    k = TruncatedOperator(1j * arg, lowering.basis)
+    k = TruncatedOperator(1j * arg, tag)
     evals, v = hermitian_eigensystem(k)
     d = (v * np.exp(-1j * evals)[None, :]) @ v.conj().T
-    return TruncatedOperator(d, lowering.basis)
+    return TruncatedOperator(d, tag)
 
 
-def generalized_cs(zeta: complex, n: int, lowering: TruncatedOperator,
-                   raising: TruncatedOperator):
-    """|zeta; theta_n> both ways: repeated displaced raising with per-step
-    normalization, and direct displacement of theta_n.
+def generalized_cs(zeta: complex, n: int, d: TruncatedOperator):
+    """|zeta; theta_n> both ways, for d = displacement_operator(zeta, N, tag): repeated
+    displaced raising with per-step normalization, and direct displacement of theta_n.
 
     Returns (ladder_route, displaced_route); they agree up to normalization.
     """
-    N = lowering.dim
+    N = d.dim
     if n < 2:
         raise ValueError(f"generalized CS start at n = 2, got {n}")
     if n > N - 10:
         raise ValueError(f"n = {n} too close to the truncation edge N = {N}")
-    d = displacement_operator(zeta, lowering, raising)
-    base = cs_vector(zeta, constant_weights(1.0), N, lowering.basis)
+    _, raising = ladder_matrices(constant_weights(1.0), N, d.basis)
+    base = cs_vector(zeta, constant_weights(1.0), N, d.basis)
     transported = d @ raising @ adjoint(d)
     state = base
     for _ in range(n - 1):
         state = apply_operator(transported, state).normalized()
     unit = np.zeros(N, dtype=complex)
     unit[n] = 1.0
-    displaced = apply_operator(d, StateVector(unit, lowering.basis))
+    displaced = apply_operator(d, StateVector(unit, d.basis))
     return state, displaced
 
 
-def h_tilde_1(lowering: TruncatedOperator, raising: TruncatedOperator) -> TruncatedOperator:
+def h_tilde_1(N: int, tag) -> TruncatedOperator:
     """a1+ a1 for unit weights: eigenvalues 0, 0, 1, 2, ... in the theta family."""
-    _check_unit_weight_pair(lowering, raising)
+    lowering, raising = ladder_matrices(constant_weights(1.0), N, tag)
     return raising @ lowering

@@ -30,6 +30,7 @@ __all__ = [
     "TruncatedOperator",
     "StateVector",
     "annihilation_matrix",
+    "times_annihilation",
     "number_matrix",
     "identity_matrix",
     "adjoint",
@@ -158,6 +159,17 @@ def annihilation_matrix(N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
     """Superdiagonal sqrt(1) .. sqrt(N-1): the standard lowering operator."""
     _check_truncation(N)
     return TruncatedOperator(np.diag(np.sqrt(np.arange(1.0, N)), 1), basis)
+
+
+def times_annihilation(x: np.ndarray) -> np.ndarray:
+    """x a as a column shift: column n + 1 is sqrt(n + 1) times column n of x, and column 0 is zero.
+
+    Each entry of the dense product x @ annihilation_matrix(N) is one such product plus exact zeros, so
+    this is it bit for bit.
+    """
+    out = np.zeros_like(x)
+    out[:, 1:] = x[:, :-1] * np.sqrt(np.arange(1.0, x.shape[1]))
+    return out
 
 
 def number_matrix(N: int, basis: BasisTag = FOCK) -> TruncatedOperator:

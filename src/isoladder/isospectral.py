@@ -38,9 +38,9 @@ from .fock import (
     StateVector,
     TruncatedOperator,
     adjoint,
-    annihilation_matrix,
     op_norm_inf,
     theta_tag,
+    times_annihilation,
 )
 from .numerics import SQRT_PI, QuadratureGrid, erf, grid_norm
 
@@ -269,13 +269,12 @@ def b_dagger_a_b_matrix(basis: ThetaBasis) -> TruncatedOperator:
     """The lowering operator b^dagger a b expressed in the theta basis.
 
     Its entries reproduce (n-1) sqrt(n) on the superdiagonal: it annihilates
-    both theta_0 and theta_1.
+    both theta_0 and theta_1.  b^dagger a is a column shift of b^dagger
+    (fock.times_annihilation), the dense product bit for bit.
     """
-    u = u_matrix(basis)
-    b = b_matrix(basis)
-    a = annihilation_matrix(basis.N)
-    a_fock = adjoint(b) @ a @ b
-    return TruncatedOperator(u.mat.conj().T @ a_fock.mat @ u.mat, basis.tag)
+    u = u_matrix(basis).mat
+    a_fock = times_annihilation(b_dagger_matrix(basis).mat) @ b_matrix(basis).mat
+    return TruncatedOperator(u.conj().T @ a_fock @ u, basis.tag)
 
 
 def b_dagger_a_b_fill(N: int, tag) -> TruncatedOperator:

@@ -6,8 +6,9 @@ the oscillator lowering operator by it yields the ladder pair with
 [a1, a1^dagger] = diag(0, w_1, w_2, ...).  The c_n come either from the
 recursion (the oracle) or from the closed form in terms of generalized
 double factorials of the partial sums W_n; the two must always agree.  For
-the paper's five cases the weight rule also picks a closed form for a1 in b,
-a and functions of H = diag(0 .. N-1), which are diagonals.
+the paper's five cases the weight rule also picks a row of _CLOSED_FORMS,
+a1 = s b^dagger L(H) a R(H) b with H = diag(0 .. N-1), so L and R are
+diagonals: closed_form_case applies them, and a, as column operations.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .fock import (
     TruncatedOperator,
     _require_hermitian,
     adjoint,
-    annihilation_matrix,
     interior_block,
+    times_annihilation,
 )
 
 __all__ = [
@@ -70,6 +71,27 @@ _RULES = {
     "geometric": ("q", "> 0", lambda m, q: np.array([float(q) ** n for n in range(1, m + 1)])),
     "power": ("nu", "", lambda m, nu: np.array([float(n) ** float(nu) for n in range(1, m + 1)])),
     "custom": ("values", ">= 0", lambda m, values: np.array(values[:m], dtype=float)),
+}
+
+
+_R = lambda t: (1.0 + t) ** -0.5  # R = (H+1)^{-1/2} at H's eigenvalue t
+_INV = lambda t: 1.0 / (1.0 + t)  # (H+1)^{-1}
+
+
+def _root_q_number(q: float):
+    """t -> sqrt((1 - q^{t+1})/(1 - q)), case v's factor; expm1 keeps it stable near q = 1."""
+    lq = math.log(q)
+    return lambda t: math.sqrt(t + 1.0 if abs(q - 1.0) < 1e-14 else math.expm1((t + 1.0) * lq) / math.expm1(lq))
+
+
+# kind -> the closed form a1 = s b+ L(H) a R(H) b of the paper's cases i-v, from the weights: the scale s and
+# the factor lists L and R, each factor a function of H's eigenvalue t, applied left to right.
+_CLOSED_FORMS = {
+    "constant": lambda ws: (math.sqrt(ws.w), [_R], [_R]),  # case i
+    "distorted": lambda ws: (1.0, [lambda t: ((t + ws.w) / (t + 2.0)) ** 0.5 / (t + 1.0)], []),  # case ii
+    "linear": lambda ws: (1.0 / math.sqrt(2.0), [_R], []),  # case iii
+    "single": lambda ws: (math.sqrt(ws.w), [_INV], [_R]),  # case iv
+    "geometric": lambda ws: (math.sqrt(ws.q), [_INV, _root_q_number(ws.q)], [_R]),  # case v
 }
 
 
@@ -215,29 +237,33 @@ def c_coefficients_closed(weights: WeightSequence, N: int) -> np.ndarray:
     return c
 
 
-def shift_matrix(weights: WeightSequence, N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
-    """S = sum_n sqrt(c_n) |n><n+1| in the given basis; S S^dagger and S^dagger S are diagonal."""
+def _root_c(weights: WeightSequence, N: int) -> np.ndarray:
+    """sqrt(c_0) .. sqrt(c_{N-2}), the superdiagonal of S; WeightError when some c_n < 0."""
     c = c_coefficients_recursive(weights, N)
     if np.any(c < 0):
         raise WeightError("negative c_n: weights admit no real shift operator")
-    return TruncatedOperator(np.diag(np.sqrt(c[:-1]), 1), basis)
+    return np.sqrt(c[:-1])
+
+
+def shift_matrix(weights: WeightSequence, N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
+    """S = sum_n sqrt(c_n) |n><n+1| in the given basis; S S^dagger and S^dagger S are diagonal."""
+    return TruncatedOperator(np.diag(_root_c(weights, N), 1), basis)
 
 
 def ladder_fill(weights: WeightSequence, N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
     """Direct construction a1 = sum_{n>=1} sqrt(W_n) |n><n+1|."""
     W = weights.partial_sum_array(max(N - 1, 1))
-    superdiagonal = np.sqrt(np.concatenate(([0.0], W[: N - 2])))
+    superdiagonal = np.sqrt(np.concatenate(([0.0], W)))[: N - 1]
     return TruncatedOperator(np.diag(superdiagonal, 1), basis)
 
 
-def _conjugated_band(weights: WeightSequence, N: int, basis: BasisTag = FOCK) -> np.ndarray:
+def _conjugated_band(weights: WeightSequence, N: int) -> np.ndarray:
     """The superdiagonal of S^dagger a S, its only nonzero band: (sqrt(c_{n-1}) sqrt(n)) sqrt(c_n) at (n, n+1).
 
     Each entry of the dense product (S^dagger a) S is one such product plus exact zeros, so this is it bit for bit.
     """
-    root_c = np.diag(shift_matrix(weights, N, basis).mat, 1)
-    root_n = np.diag(annihilation_matrix(N, basis).mat, 1)
-    return np.concatenate(([0.0], root_c[:-1] * root_n[:-1] * root_c[1:]))
+    root_c, root_n = _root_c(weights, N), np.sqrt(np.arange(1.0, N - 1))
+    return np.concatenate(([0.0], root_c[:-1] * root_n * root_c[1:]))
 
 
 def ladder_matrices(weights: WeightSequence, N: int, basis: BasisTag = FOCK):
@@ -248,7 +274,7 @@ def ladder_matrices(weights: WeightSequence, N: int, basis: BasisTag = FOCK):
     Both are zero off the superdiagonal, so they are compared there.  Both
     members annihilate index 0 structurally.
     """
-    conjugated = _conjugated_band(weights, N, basis)
+    conjugated = _conjugated_band(weights, N)
     filled = ladder_fill(weights, N, basis)
     band = np.diag(filled.mat, 1)
     dev = float(np.max(np.abs(conjugated - band)))
@@ -296,48 +322,27 @@ def represent_in_theta(x: TruncatedOperator, u: TruncatedOperator, tag: BasisTag
 
 
 def closed_form_case(weights: WeightSequence, b: TruncatedOperator) -> TruncatedOperator:
-    """The closed-form expression for a1 (theta side, Fock coordinates); weights.kind picks it.
+    """The closed-form expression s b+ L(H) a R(H) b for a1 (theta side, Fock coordinates), from _CLOSED_FORMS.
 
-    case i,   constant:  w_n = w          -> sqrt(w) b+ R a R b,       R = (H+1)^{-1/2}
-    case ii,  distorted: w_1 = w, rest 1  -> b+ (H+1)^{-1} sqrt((H+w)/(H+2)) a b
-    case iii, linear:    w_n = n          -> 2^{-1/2} b+ R a b
-    case iv,  single:    w_1 = w, rest 0  -> sqrt(w) b+ (H+1)^{-1} a R b
-    case v,   geometric: w_n = q^n        -> sqrt(q) b+ (H+1)^{-1} sqrt((1-q^{H+1})/(1-q)) a R b
-
-    H = diag(0 .. N-1), so g(H) is the diagonal g(0) .. g(N-1), each entry a
-    Python float (numpy's vectorized ** and expm1 can differ in the last bit);
-    everything stays in the Fock coordinates of the underlying b matrix.
-    Power-law and custom weights have no closed form and raise ValueError.
+    H = diag(0 .. N-1), so each factor g(H) of L and R is the diagonal g(0) .. g(N-1), each entry a Python
+    float (numpy's vectorized ** and expm1 can differ in the last bit).  The factors scale the columns of
+    b+ one after another, a shifts them (fock.times_annihilation), one product with b follows and s scales
+    last: the dense chain s (b+ L_1 .. a R_1 .. b) in its own left-to-right order, bit for bit, as every
+    entry of a product with a diagonal or a one-band matrix is one product plus exact zeros.  Power-law and
+    custom weights have no closed form and raise ValueError.
     """
-    N = b.dim
-    a = annihilation_matrix(N, b.basis)
-    bd = adjoint(b)
-
-    def of_h(g) -> TruncatedOperator:
-        return TruncatedOperator(np.diag([g(float(t)) for t in range(N)]), b.basis)
-
-    r = of_h(lambda t: (1.0 + t) ** -0.5)
-    inv1 = of_h(lambda t: 1.0 / (1.0 + t))
-    if weights.kind == "constant":
-        return math.sqrt(weights.w) * (bd @ r @ a @ r @ b)
-    if weights.kind == "distorted":
-        w = weights.w
-        return bd @ of_h(lambda t: ((t + w) / (t + 2.0)) ** 0.5 / (t + 1.0)) @ a @ b
-    if weights.kind == "linear":
-        return (1.0 / math.sqrt(2.0)) * (bd @ r @ a @ b)
-    if weights.kind == "single":
-        return math.sqrt(weights.w) * (bd @ inv1 @ a @ r @ b)
-    if weights.kind == "geometric":
-        q = weights.q
-        lq = math.log(q)
-
-        def g(t: float) -> float:
-            # (1 - q^{t+1})/(1 - q), stable near q = 1 via expm1
-            return t + 1.0 if abs(q - 1.0) < 1e-14 else math.expm1((t + 1.0) * lq) / math.expm1(lq)
-
-        return math.sqrt(q) * (bd @ inv1 @ of_h(lambda t: math.sqrt(g(t))) @ a @ r @ b)
-    raise ValueError(f"no closed form for {weights.label()}: only constant, distorted, linear, "
-                     "single and geometric weights have one")
+    if weights.kind not in _CLOSED_FORMS:
+        raise ValueError(f"no closed form for {weights.label()}: only constant, distorted, linear, "
+                         "single and geometric weights have one")
+    scale, left, right = _CLOSED_FORMS[weights.kind](weights)
+    h = [float(t) for t in range(b.dim)]
+    x = adjoint(b).mat
+    for g in left:
+        x = x * np.array([g(t) for t in h])
+    x = times_annihilation(x)
+    for g in right:
+        x = x * np.array([g(t) for t in h])
+    return TruncatedOperator(x @ b.mat * scale, b.basis)
 
 
 def resolvent_inv_sqrt(x: TruncatedOperator) -> TruncatedOperator:

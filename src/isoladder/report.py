@@ -257,23 +257,17 @@ def criterion_08_cs_eigenresidual(ctx: _Context, res: CriterionResult):
 def criterion_09_perelomov(ctx: _Context, res: CriterionResult):
     N = max(ctx.N, 64)
     tag = ctx.tag
-    weights = ladder.constant_weights(1.0)
-    low, high = ladder.ladder_matrices(weights, N, tag)
     zeta = 0.7 - 0.2j
-    try:
-        d = coherent.displacement_operator(zeta, low, high)
-    except ValueError:
-        res.add("displacement_construction", math.inf, 1.0)
-        return
+    d = coherent.displacement_operator(zeta, N, tag)
     e1 = np.zeros(N, dtype=complex)
     e1[1] = 1.0
     displaced = apply_operator(d, StateVector(e1, tag))
-    cs = coherent.cs_vector(zeta, weights, N, tag)
+    cs = coherent.cs_vector(zeta, ladder.constant_weights(1.0), N, tag)
     res.add("D_theta1_vs_cs", float(np.linalg.norm(displaced.coeffs - cs.coeffs)), 1e-6)
     unit_dev = interior_max_abs((adjoint(d) @ d).mat - np.eye(N))
     res.add("DdagD_interior_unitarity", unit_dev, 1e-7)
     for n in (2, 3):
-        ladder_route, displaced_route = coherent.generalized_cs(zeta, n, low, high)
+        ladder_route, displaced_route = coherent.generalized_cs(zeta, n, d)
         dev = float(np.linalg.norm(ladder_route.coeffs - displaced_route.normalized().coeffs))
         res.add(f"generalized_cs_two_path_n={n}", dev, 1e-5)
 

@@ -236,13 +236,15 @@ class TestCommands:
         (["--weights", "geometric", "--q", "0.7", "--trunc", "128"], 0, [math.inf, math.inf, 1e-12, 1e-15]),
         (["--weights", "single", "--w", "2", "--trunc", "128"], 0, [math.inf, math.inf, math.inf, 1e-12]),
         (["--weights", "single", "--w", "2"], 1, [math.inf, math.inf, math.inf]),
+        (["--weights", "constant", "--w", "2", "--trunc", "8"], 1, [math.inf, 1e-15, 1e-15, 1e-15]),
     ])
     def test_coherent_records_refused_sizes(self, args, code, residuals, capsys):
-        # the tail guard refuses the small sizes; the verdict reads the largest one
+        # the tail guard refuses the small sizes; the verdict reads the row of the requested --trunc
         got, out, err = run_cli(["coherent", *args], capsys)
         assert got == code and err == ""
         rows = json.loads(out)["residual_vs_truncation"]
-        assert [row["N"] for row in rows] == [48, 64, 96, 128][: len(residuals)]
+        trunc = int(args[args.index("--trunc") + 1]) if "--trunc" in args else 64
+        assert [row["N"] for row in rows] == sorted({48, 64, 96, trunc})
         for row, bound in zip(rows, residuals):
             assert row["residual"] == "inf" if math.isinf(bound) else row["residual"] < bound
 

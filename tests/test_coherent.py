@@ -42,11 +42,6 @@ from isoladder.ladder import (
 TAG = theta_tag(2.0)
 
 
-@pytest.fixture(scope="module")
-def pair():
-    return ladder_matrices(constant_weights(1.0), 64, TAG)
-
-
 class TestDCoefficients:
     def test_unit_weights_inverse_factorials(self):
         d = np.exp(log_d_coefficients(constant_weights(1.0), 12))
@@ -380,82 +375,74 @@ class TestFiniteCustomLists:
 
 
 class TestDisplacement:
-    def test_zero_is_identity(self, pair):
-        d = displacement_operator(0.0, *pair)
+    def test_zero_is_identity(self):
+        d = displacement_operator(0.0, 64, TAG)
         assert np.max(np.abs(d.mat - np.eye(64))) < 1e-12
 
-    def test_displaced_theta1_is_cs(self, pair):
+    def test_displaced_theta1_is_cs(self):
         zeta = 0.7 - 0.2j
-        d = displacement_operator(zeta, *pair)
+        d = displacement_operator(zeta, 64, TAG)
         moved = d.mat @ np.eye(64)[1]
         cs = cs_vector(zeta, constant_weights(1.0), 64, TAG)
         assert np.linalg.norm(moved - cs.coeffs) < 1e-6
 
-    def test_unitarity(self, pair):
-        d = displacement_operator(1.3 + 0.4j, *pair)
+    def test_unitarity(self):
+        d = displacement_operator(1.3 + 0.4j, 64, TAG)
         assert interior_max_abs((adjoint(d) @ d).mat - np.eye(64)) < 1e-7
 
-    def test_rejects_non_unit_weights(self):
-        low, high = ladder_matrices(distorted_weights(2.0), 64, TAG)
+    def test_rejects_large_zeta(self):
         with pytest.raises(ValueError):
-            displacement_operator(0.5, low, high)
-
-    def test_rejects_non_adjoint_pair(self, pair):
-        low, _ = pair
-        with pytest.raises(ValueError):
-            displacement_operator(0.5, low, low)
-
-    def test_rejects_large_zeta(self, pair):
-        with pytest.raises(ValueError):
-            displacement_operator(2.5, *pair)
+            displacement_operator(2.5, 64, TAG)
 
     def test_rejects_small_truncation(self):
-        low, high = ladder_matrices(constant_weights(1.0), 32, TAG)
         with pytest.raises(ValueError):
-            displacement_operator(0.5, low, high)
+            displacement_operator(0.5, 32, TAG)
 
 
 class TestGeneralizedCS:
-    def test_zeta_zero_gives_theta_n(self, pair):
+    def test_zeta_zero_gives_theta_n(self):
+        d = displacement_operator(0.0, 64, TAG)
         for n in (2, 3):
-            ladder_route, displaced = generalized_cs(0.0, n, *pair)
+            ladder_route, displaced = generalized_cs(0.0, n, d)
             assert np.linalg.norm(displaced.coeffs - np.eye(64)[n]) < 1e-12
             assert abs(abs(ladder_route.coeffs[n]) - 1.0) < 1e-12
 
-    def test_two_path_agreement(self, pair):
+    def test_two_path_agreement(self):
+        d = displacement_operator(0.5, 64, TAG)
         for n in (2, 3):
-            ladder_route, displaced = generalized_cs(0.5, n, *pair)
+            ladder_route, displaced = generalized_cs(0.5, n, d)
             assert np.linalg.norm(ladder_route.coeffs - displaced.normalized().coeffs) < 1e-5
 
-    def test_orthonormal_family(self, pair):
+    def test_orthonormal_family(self):
         zeta = 0.4 + 0.3j
-        states = [generalized_cs(zeta, n, *pair)[1] for n in (2, 3, 4)]
+        d = displacement_operator(zeta, 64, TAG)
+        states = [generalized_cs(zeta, n, d)[1] for n in (2, 3, 4)]
         for i, si in enumerate(states):
             for j, sj in enumerate(states):
                 overlap = np.vdot(si.coeffs, sj.coeffs)
                 assert abs(overlap - (1.0 if i == j else 0.0)) < 1e-5
 
-    def test_edge_guard(self, pair):
+    def test_edge_guard(self):
         with pytest.raises(ValueError):
-            generalized_cs(0.5, 60, *pair)
+            generalized_cs(0.5, 60, displacement_operator(0.5, 64, TAG))
 
 
 class TestHTilde1:
-    def test_spectrum_shifted_by_one(self, pair):
-        h1 = h_tilde_1(*pair)
+    def test_spectrum_shifted_by_one(self):
+        h1 = h_tilde_1(64, TAG)
         diag = np.real(np.diag(h1.mat))
         assert diag[0] == 0.0 and diag[1] == 0.0
         assert np.allclose(diag[2:59], np.arange(1.0, 58.0), atol=1e-12)
 
-    def test_unit_commutator_on_excited_block(self, pair):
-        low, high = pair
+    def test_unit_commutator_on_excited_block(self):
+        low, high = ladder_matrices(constant_weights(1.0), 64, TAG)
         comm = commutator(low, high).mat
         assert np.allclose(np.diag(comm)[1:59], 1.0, atol=1e-12)
 
-    def test_cs_is_ground_state_of_displaced_hamiltonian(self, pair):
+    def test_cs_is_ground_state_of_displaced_hamiltonian(self):
         zeta = 0.7 - 0.2j
-        d = displacement_operator(zeta, *pair)
-        h1 = h_tilde_1(*pair)
+        d = displacement_operator(zeta, 64, TAG)
+        h1 = h_tilde_1(64, TAG)
         moved = d.mat @ h1.mat @ d.mat.conj().T
         cs = cs_vector(zeta, constant_weights(1.0), 64, TAG)
         assert np.linalg.norm(moved @ cs.coeffs) < 1e-6

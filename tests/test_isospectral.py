@@ -394,6 +394,13 @@ class TestHTilde:
         assert devs[2] < 2.0 * devs[1] / 100.0
 
 
+def dense_b_dagger_a_b(basis):
+    """U^dagger (b^dagger a b) U as dense products: the oracle b_dagger_a_b_matrix must equal bit for bit."""
+    u, b = u_matrix(basis), b_matrix(basis)
+    a_fock = adjoint(b) @ annihilation_matrix(basis.N) @ b
+    return adjoint(u) @ a_fock @ u
+
+
 class TestCompositeLoweringOperator:
     def test_kills_theta0_and_theta1(self, basis64):
         a_theta = b_dagger_a_b_matrix(basis64)
@@ -414,6 +421,12 @@ class TestCompositeLoweringOperator:
         a_theta = b_dagger_a_b_matrix(basis64)
         fill = b_dagger_a_b_fill(64, basis64.tag)
         assert interior_max_abs(a_theta.mat - fill.mat) < 1e-6
+
+    @pytest.mark.parametrize("lam", [2.0, -3.0])
+    def test_is_the_dense_product(self, grid64, lam):
+        # b^dagger a as a column shift of b^dagger reproduces U^dagger (b^dagger a b) U bit for bit
+        basis = ThetaBasis(IsospectralParams(lam), grid64, 64)
+        assert np.array_equal(b_dagger_a_b_matrix(basis).mat, dense_b_dagger_a_b(basis).mat)
 
 
 class TestCompositeLoweringCS:

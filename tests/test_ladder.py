@@ -17,7 +17,14 @@ from isoladder.fock import (
     number_matrix,
 )
 from isoladder.coherent import displacement_operator
-from isoladder.isospectral import b_dagger_matrix, b_matrix, h_tilde_matrix, u_matrix
+from isoladder.isospectral import (
+    IsospectralParams,
+    ThetaBasis,
+    b_dagger_matrix,
+    b_matrix,
+    h_tilde_matrix,
+    u_matrix,
+)
 from isoladder import ladder
 from isoladder.ladder import (
     WeightError,
@@ -264,6 +271,11 @@ class TestLadderMatrices:
         assert ladder._commutator_deviation(check) == 1e-3 / max(1.0, max(check["target"]))
         assert not ladder._commutator_deviation(check) < 1e-6
 
+    def test_refuses_truncation_one(self):
+        # the band routes build no N x N matrix, and the fill still refuses N = 1 as the dense S did
+        with pytest.raises(ValueError, match="truncation size must be >= 2, got 1"):
+            ladder_matrices(linear_weights(), 1)
+
     def test_two_path_agreement_is_enforced(self):
         low, _ = ladder_matrices(linear_weights(), 10)
         s = shift_matrix(linear_weights(), 10)
@@ -334,8 +346,37 @@ class TestTransport:
                  low_t, high_t, commutator(low_t, high_t),
                  represent_in_theta(commutator(low_t, high_t), u, basis64.tag)]
         assert [op.mat.dtype for op in chain] == [np.float64] * len(chain)
-        unit_low, unit_high = ladder_matrices(constant_weights(1.0), 64)
-        assert displacement_operator(0.5 + 0.25j, unit_low, unit_high).mat.dtype == np.complex128
+        assert displacement_operator(0.5 + 0.25j, 64, FOCK).mat.dtype == np.complex128
+
+
+def dense_closed_form(weights, b):
+    """The closed forms as the dense chain s (b+ L(H) a R(H) b), each g(H) an N x N diagonal matrix and a
+    the dense lowering matrix: the oracle closed_form_case must equal bit for bit."""
+    N = b.dim
+    a = annihilation_matrix(N, b.basis)
+    bd = adjoint(b)
+
+    def of_h(g):
+        return TruncatedOperator(np.diag([g(float(t)) for t in range(N)]), b.basis)
+
+    r = of_h(lambda t: (1.0 + t) ** -0.5)
+    inv1 = of_h(lambda t: 1.0 / (1.0 + t))
+    if weights.kind == "constant":
+        return math.sqrt(weights.w) * (bd @ r @ a @ r @ b)
+    if weights.kind == "distorted":
+        w = weights.w
+        return bd @ of_h(lambda t: ((t + w) / (t + 2.0)) ** 0.5 / (t + 1.0)) @ a @ b
+    if weights.kind == "linear":
+        return (1.0 / math.sqrt(2.0)) * (bd @ r @ a @ b)
+    if weights.kind == "single":
+        return math.sqrt(weights.w) * (bd @ inv1 @ a @ r @ b)
+    assert weights.kind == "geometric"
+    q, lq = weights.q, math.log(weights.q)
+
+    def g(t):
+        return t + 1.0 if abs(q - 1.0) < 1e-14 else math.expm1((t + 1.0) * lq) / math.expm1(lq)
+
+    return math.sqrt(q) * (bd @ inv1 @ of_h(lambda t: math.sqrt(g(t))) @ a @ r @ b)
 
 
 class TestClosedForms:
@@ -393,6 +434,18 @@ class TestClosedForms:
         sym = adjoint(b) @ r @ g @ annihilation_matrix(N) @ g @ r @ b
         ref = closed_form_case(constant_weights(w), b)
         assert interior_max_abs(sym.mat - ref.mat) < 1e-10
+
+    @pytest.mark.parametrize("b_source", ["lambda=2", "lambda=-3", "random N=512"])
+    @pytest.mark.parametrize("weights", CLOSED_FORM_WEIGHTS + [geometric_weights(1.0 + 1e-8), constant_weights(1.0)],
+                             ids=lambda w: w.label())
+    def test_closed_form_is_the_dense_chain(self, grid64, weights, b_source):
+        # column scalings and a column shift in the dense chain's order reproduce it bit for bit; that is
+        # a property of the evaluation order, so any real b shows it, a random one at N = 512 included
+        if b_source == "random N=512":
+            b = TruncatedOperator(np.random.default_rng(512).standard_normal((512, 512)), FOCK)
+        else:
+            b = b_matrix(ThetaBasis(IsospectralParams(float(b_source[7:])), grid64, 64))
+        assert np.array_equal(closed_form_case(weights, b).mat, dense_closed_form(weights, b).mat)
 
     def test_bad_parameters(self, basis64):
         # only the five rules of cases i-v have a closed form; the error names the rule

@@ -28,7 +28,6 @@ PRIVATE_READS = {
     "cli -> report._inv_sqrt_bracket_checks",
     "cli -> report._ladder_reference_checks",
     "cli -> report._theta_route_commutator",
-    "coherent -> ladder._commutator_deviation",
     "isospectral -> coherent._shift_eigenvector",
     "ladder -> fock._require_hermitian",
     "report -> ladder._commutator_deviation",

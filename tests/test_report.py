@@ -99,6 +99,19 @@ def test_run_all_builds_one_hermite_table_and_one_b_dagger_per_basis(monkeypatch
     assert len({id(op) for _, op in b_daggers}) == 2
 
 
+def test_run_all_builds_one_displacement(monkeypatch):
+    # c09 transports both generalized coherent states by the D it checks
+    built, displacement_operator = [], coherent.displacement_operator
+
+    def counted(*args):
+        built.append(args)
+        return displacement_operator(*args)
+
+    monkeypatch.setattr(coherent, "displacement_operator", counted)
+    report.run_all(2.0, 64)
+    assert len(built) == 1
+
+
 READ_U = ["c01_isospectrality", "c04_commutator_diagonal", "c05_closed_form_equivalence",
           "c11_lambda_to_infinity", "c12_composite_lowering"]
 
