@@ -72,7 +72,7 @@ z = 0.8 + 0.3j
 cs = iso.b_dagger_a_b_cs(z, basis)
 fill = iso.b_dagger_a_b_fill(N, basis.tag)
 residual = np.linalg.norm(fill.mat @ cs.coeffs - z * cs.coeffs)
-print(f"annihilation-eigenstate residual at z = {z}: {residual:.3e}")
+print(f"annihilation-eigenstate residual at z = {z}: {below(residual, 1e-7)}")
 
 alpha = 1.0 + 0.5j
 img_cs = iso.unitary_image_cs(alpha, basis)

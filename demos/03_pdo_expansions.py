@@ -14,7 +14,7 @@ from isoladder import pdo
 
 # --- the bracket series for (1+H)^{-1/2} -----------------------------------------
 
-prefactor, bracket = pdo.inv_sqrt_one_plus_h(8)
+prefactor, bracket = pdo.inv_sqrt_one_plus_h()
 print("(1+H)^(-1/2) =", prefactor.render(), "* [")
 print(bracket.render())
 print("]")

@@ -7,7 +7,7 @@ partial-sum products; and, for unit weights, the unitary displacement
 operator and the Perelomov-type generalized coherent states.  The
 displacement and h_tilde_1 build the unit-weight pair themselves, as it is
 the only pair they admit; generalized_cs transports by a D it is given, so
-a caller builds D once.
+a caller builds D once, and refuses a D built for another zeta.
 
 One weighted-shift routine, _shift_eigenvector, builds these states and the
 two coherent-state families of isospectral, all under one tail guard.  All
@@ -46,7 +46,9 @@ __all__ = [
     "QFactorialCheck",
     "log_d_coefficients",
     "normalization_h",
+    "CS_RESIDUAL_BOUND",
     "cs_vector",
+    "cs_residual",
     "bargmann_transform",
     "order_estimate",
     "q_factorial",
@@ -59,6 +61,7 @@ __all__ = [
 _FIT_LO = 1_000
 _FIT_HI = 10_000
 _H_REL_TOL = 1e-12  # relative tail bound normalization_h certifies
+CS_RESIDUAL_BOUND = 1e-6  # the largest cs_residual that passes, in c08 and `isoladder coherent`
 
 
 class DivergenceError(ValueError):
@@ -195,6 +198,17 @@ def cs_vector(zeta: complex, weights: WeightSequence, N: int, tag) -> StateVecto
     if len(logd) < N + 1:
         logd = np.concatenate((logd, np.full(N + 1 - len(logd), -math.inf)))
     return StateVector(_shift_eigenvector(logd, zeta, 1), tag)
+
+
+def cs_residual(weights: WeightSequence, zeta: complex, N: int, tag) -> float:
+    """|a1 cs - zeta cs| at truncation N; inf when the tail guard refuses N."""
+    low, _ = ladder_matrices(weights, N, tag)
+    try:
+        cs = cs_vector(zeta, weights, N, tag)
+    except TruncationError:
+        return math.inf
+    moved = apply_operator(low, cs)
+    return float(np.linalg.norm(moved.coeffs - zeta * cs.coeffs))
 
 
 def bargmann_transform(psi: StateVector, weights: WeightSequence, samples) -> list:
@@ -380,7 +394,9 @@ def generalized_cs(zeta: complex, n: int, d: TruncatedOperator):
     """|zeta; theta_n> both ways, for d = displacement_operator(zeta, N, tag): repeated
     displaced raising with per-step normalization, and direct displacement of theta_n.
 
-    Returns (ladder_route, displaced_route); they agree up to normalization.
+    Returns (ladder_route, displaced_route); they agree up to normalization.  ValueError when d theta_1
+    differs from cs_vector(zeta) by more than 1e-6, c09's bound on the same difference: d was then built for
+    another zeta, read off as the ratio d[2, 1] / d[1, 1] of its first two coefficients.
     """
     N = d.dim
     if n < 2:
@@ -389,6 +405,10 @@ def generalized_cs(zeta: complex, n: int, d: TruncatedOperator):
         raise ValueError(f"n = {n} too close to the truncation edge N = {N}")
     _, raising = ladder_matrices(constant_weights(1.0), N, d.basis)
     base = cs_vector(zeta, constant_weights(1.0), N, d.basis)
+    if not (deviation := float(np.linalg.norm(d.mat[:, 1] - base.coeffs))) <= 1e-6:
+        built_for = complex(np.round(d.mat[2, 1] / d.mat[1, 1], 6)) + 0  # + 0 turns a -0 part into 0
+        raise ValueError(f"D was built for zeta = {built_for:g}, not for zeta = {complex(zeta):g}: "
+                         f"D theta_1 is {deviation:.3g} from cs_vector(zeta)")
     transported = d @ raising @ adjoint(d)
     state = base
     for _ in range(n - 1):

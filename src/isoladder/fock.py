@@ -92,7 +92,7 @@ class TruncatedOperator:
 
     mat: np.ndarray
     basis: BasisTag = FOCK
-    __array_ufunc__ = None  # `array * op` defers to __rmul__, which refuses it
+    __array_ufunc__ = None  # `array * op` and `array + op` raise TypeError instead of broadcasting
 
     def __post_init__(self):
         m = np.asarray(self.mat)
@@ -115,16 +115,6 @@ class TruncatedOperator:
         _check_compatible(self, other)
         return TruncatedOperator(self.mat + other.mat, self.basis)
 
-    def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        _check_compatible(self, other)
-        return TruncatedOperator(self.mat - other.mat, self.basis)
-
-    def __mul__(self, scalar) -> "TruncatedOperator":
-        if np.ndim(scalar):
-            raise TypeError(f"an operator scales by a scalar only, got shape {np.shape(scalar)}")
-        return TruncatedOperator(self.mat * scalar, self.basis)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -155,10 +145,10 @@ class StateVector:
         return StateVector(self.coeffs / n, self.basis)
 
 
-def annihilation_matrix(N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
+def annihilation_matrix(N: int) -> TruncatedOperator:
     """Superdiagonal sqrt(1) .. sqrt(N-1): the standard lowering operator."""
     _check_truncation(N)
-    return TruncatedOperator(np.diag(np.sqrt(np.arange(1.0, N)), 1), basis)
+    return TruncatedOperator(np.diag(np.sqrt(np.arange(1.0, N)), 1))
 
 
 def times_annihilation(x: np.ndarray) -> np.ndarray:
@@ -172,15 +162,15 @@ def times_annihilation(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def number_matrix(N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
+def number_matrix(N: int) -> TruncatedOperator:
     """diag(0, 1, ..., N-1)."""
     _check_truncation(N)
-    return TruncatedOperator(np.diag(np.arange(float(N))), basis)
+    return TruncatedOperator(np.diag(np.arange(float(N))))
 
 
-def identity_matrix(N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
+def identity_matrix(N: int) -> TruncatedOperator:
     _check_truncation(N)
-    return TruncatedOperator(np.eye(N), basis)
+    return TruncatedOperator(np.eye(N))
 
 
 def adjoint(x: TruncatedOperator) -> TruncatedOperator:
@@ -209,10 +199,10 @@ def interior_max_abs(mat: np.ndarray) -> float:
     return float(np.max(np.abs(interior_block(mat))))
 
 
-def _require_hermitian(m: np.ndarray, rtol: float = 1e-10):
+def _require_hermitian(m: np.ndarray):
     scale = max(1.0, float(np.max(np.abs(m))))
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > rtol * scale:
+    if dev > 1e-10 * scale:
         raise ValueError(f"matrix is not Hermitian: max |X - X^dagger| = {dev:.3e}")
 
 

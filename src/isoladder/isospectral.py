@@ -107,14 +107,13 @@ class PhiFunction:
     __call__ = value
 
 
-def riccati_residual(p: IsospectralParams, grid: QuadratureGrid, phi_override=None) -> float:
+def riccati_residual(p: IsospectralParams, grid: QuadratureGrid) -> float:
     """max over the grid of |phi' + 2 x phi + phi^2| with phi' by central differencing.
 
     The derivative is finite-differenced (never the Riccati identity itself),
-    so this is an independent check that phi actually solves the equation.
-    phi_override lets tests feed a perturbed candidate.
+    so this is an independent check that PhiFunction(p) actually solves the equation.
     """
-    fn = phi_override if phi_override is not None else PhiFunction(p).value
+    fn = PhiFunction(p).value
     x = grid.points
     fwd = np.asarray(fn(x + _RICCATI_FD_STEP), dtype=float)
     bwd = np.asarray(fn(x - _RICCATI_FD_STEP), dtype=float)
@@ -179,8 +178,9 @@ class ThetaBasis:
     def _overlaps(self) -> np.ndarray:
         """<psi_m, theta_n> = delta_mn + P_{m,n-1} / sqrt(2n) for n >= 1; column 0 is one GEMV.
 
-        delta_mn = <psi_m, psi_n> holds only on a grid that carries psi: one whose norm defect exceeds
-        1e-12, the accuracy U is held to against a 40N-node grid, is refused with a ConstructionError.
+        delta_mn = <psi_m, psi_n> holds only on a grid that carries psi: one whose norm defect is not at most
+        1e-12 (NaN included), the accuracy U is held to against a 40N-node grid, is refused with a
+        ConstructionError.
         P = psi W diag(phi) psi^T is summed over x >= 0 on the exact mirror, psi_m(-x) = (-1)^m psi_m(x),
         with weights w (an odd count's centre, its own mirror, at half): its even-even and odd-odd blocks
         weigh by w (phi(x) + phi(-x)), of lambda's sign, so are +-A A^T with A = psi sqrt|w (phi(x) +
@@ -191,7 +191,7 @@ class ThetaBasis:
         N = 512 by less than 2^-488 (~1e-147); the smallest N = 512 overlap is ~4e-31.
         """
         grid, N = self.grid, self.N
-        if (defect := np.max(grid.norm_defects[:N])) > _GRID_DEFECT_BOUND:
+        if not (defect := np.max(grid.norm_defects[:N])) <= _GRID_DEFECT_BOUND:  # a NaN defect is refused too
             raise ConstructionError(f"grid of {grid.node_count} nodes cannot carry psi_0 .. psi_{N - 1}: "
                                     f"max_n |sum_i w_i psi_n(x_i)^2 - 1| = {defect:.3e} > {_GRID_DEFECT_BOUND:g}")
         half, centre = divmod(grid.node_count, 2)
@@ -283,26 +283,24 @@ def b_dagger_a_b_fill(N: int, tag) -> TruncatedOperator:
     return TruncatedOperator(np.diag((n - 1.0) * np.sqrt(n), 1), tag)
 
 
-def b_dagger_a_b_cs(z: complex, basis: ThetaBasis, N: int | None = None) -> StateVector:
-    """Normalized eigenstate of b^dagger a b built on theta_1.
+def b_dagger_a_b_cs(z: complex, basis: ThetaBasis) -> StateVector:
+    """Normalized eigenstate of b^dagger a b built on theta_1, of the basis' length N.
 
     The operator maps theta_{n+1} to n sqrt(n+1) theta_n, a weighted shift with
     W_n = n^2 (n+1): coefficients proportional to z^n / (n! sqrt((n+1)!)) on
     theta_{n+1}.
     """
-    N = basis.N if N is None else int(N)
-    n = np.arange(1.0, N + 1)
+    n = np.arange(1.0, basis.N + 1)
     log_d = np.concatenate(([0.0], -np.cumsum(np.log(n * n * (n + 1.0)))))
     return StateVector(_shift_eigenvector(log_d, z, 1), basis.tag)
 
 
-def unitary_image_cs(alpha: complex, basis: ThetaBasis, N: int | None = None) -> StateVector:
-    """exp(-|alpha|^2/2) sum_n alpha^n / sqrt(n!) theta_n: the unitary image U|alpha>.
+def unitary_image_cs(alpha: complex, basis: ThetaBasis) -> StateVector:
+    """exp(-|alpha|^2/2) sum_n alpha^n / sqrt(n!) theta_n: the unitary image U|alpha>, of the basis' length N.
 
     On the theta indices U a U^dagger is the weighted shift with W_n = n.
     """
-    N = basis.N if N is None else int(N)
-    log_d = np.concatenate(([0.0], -np.cumsum(np.log(np.arange(1.0, N + 1)))))
+    log_d = np.concatenate(([0.0], -np.cumsum(np.log(np.arange(1.0, basis.N + 1)))))
     return StateVector(_shift_eigenvector(log_d, alpha, 0), basis.tag)
 
 

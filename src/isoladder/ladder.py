@@ -24,6 +24,7 @@ from .fock import (
     TruncatedOperator,
     _require_hermitian,
     adjoint,
+    commutator,
     interior_block,
     times_annihilation,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "ladder_fill",
     "ladder_matrices",
     "commutator_diagonal",
+    "commutator_parts",
     "transport_to_theta",
     "represent_in_theta",
     "closed_form_case",
@@ -245,9 +247,9 @@ def _root_c(weights: WeightSequence, N: int) -> np.ndarray:
     return np.sqrt(c[:-1])
 
 
-def shift_matrix(weights: WeightSequence, N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
-    """S = sum_n sqrt(c_n) |n><n+1| in the given basis; S S^dagger and S^dagger S are diagonal."""
-    return TruncatedOperator(np.diag(_root_c(weights, N), 1), basis)
+def shift_matrix(weights: WeightSequence, N: int) -> TruncatedOperator:
+    """S = sum_n sqrt(c_n) |n><n+1| in the Fock basis; S S^dagger and S^dagger S are diagonal."""
+    return TruncatedOperator(np.diag(_root_c(weights, N), 1))
 
 
 def ladder_fill(weights: WeightSequence, N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
@@ -307,6 +309,24 @@ def commutator_diagonal(comm: np.ndarray, weights: WeightSequence) -> dict:
 def _commutator_deviation(check: dict) -> float:
     """What a commutator_diagonal check is judged by: max(residual, offdiagonal_max / max(1, max |target|))."""
     return max(check["residual"], check["offdiagonal_max"] / max(1.0, max(map(abs, check["target"]))))
+
+
+def commutator_parts(weights: WeightSequence, N: int, u: TruncatedOperator, tag: BasisTag) -> list:
+    """The two commutator checks of one weight rule, as (label, check, deviation, bound); each passes when
+    deviation < bound.
+
+    fock_fill_diag is [a1, a1^dagger] of the ladder pair, held to 1e-12; theta_route_diag is
+    [U a1 U^dagger, U a1^dagger U^dagger] represented back on the theta indices, held to 1e-6.  check is
+    commutator_diagonal's dict and deviation is what it is judged by (_commutator_deviation).
+    """
+    low, high = ladder_matrices(weights, N, FOCK)
+    theta_route = commutator(transport_to_theta(low, u, tag), transport_to_theta(high, u, tag))
+    parts = []
+    for name, comm, bound in (("fock_fill_diag", commutator(low, high).mat, 1e-12),
+                              ("theta_route_diag", represent_in_theta(theta_route, u, tag).mat, 1e-6)):
+        check = commutator_diagonal(comm, weights)
+        parts.append((f"{name}[{weights.label()}]", check, _commutator_deviation(check), bound))
+    return parts
 
 
 def transport_to_theta(x: TruncatedOperator, u: TruncatedOperator, tag: BasisTag) -> TruncatedOperator:

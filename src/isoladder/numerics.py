@@ -9,7 +9,9 @@ The grid, its Hermite table and the table's norm defects depend only on N
 and the node count, so build_grid keeps the last grid it built and hands it
 to every caller that asks for it again, read-only: a lambda sweep at one N
 builds one table.  The table zeroes its entries below 2^-500, the tails that
-would otherwise be subnormal and run on the CPU's slow path (see
+would otherwise be subnormal and run on the CPU's slow path, and starts the
+recurrence scaled by 2^k at nodes where psi_0 itself would be subnormal or
+zero, so the default grids carry psi up to N = 1024 at least (see
 hermite_table).
 """
 
@@ -23,6 +25,7 @@ import numpy as np
 
 SQRT_PI = math.sqrt(math.pi)
 _PSI_FLOOR = 2.0**-500  # hermite_table's zero floor
+_SCALED_BELOW = 960  # hermite_table starts a node from psi_0 2^k where e^{-x^2/2} < 2^-960
 
 __all__ = [
     "SQRT_PI",
@@ -124,8 +127,13 @@ def hermite_table(points: np.ndarray, max_index: int) -> np.ndarray:
     """psi_0 .. psi_{max_index} on the points, by the stable recurrence, with |psi| < 2^-500 set to 0.
 
     psi_{n+1} = x sqrt(2/(n+1)) psi_n - sqrt(n/(n+1)) psi_{n-1}; row n of the
-    result holds psi_n.  The floor is applied after the recurrence, so every
-    kept entry is the recurrence's value bit for bit, and no subnormal entry
+    result holds psi_n.  Where e^{-x^2/2} < 2^-960 (|x| > 36.48, so from N =
+    406 on the default grid) psi_0 would start subnormal or zero and spoil the
+    high rows, which are not small there; so such a node starts from psi_0
+    2^k in [2^-960, 2^-959), and as the recurrence is linear the table is
+    scaled back by 2^-k per node after it, exactly and in place.  The floor
+    is applied last, so every kept entry of a node that starts unscaled is
+    the recurrence's value bit for bit, and no subnormal entry
     reaches what reads the table: the overlaps' P operands (which floor their
     own products too), column 0's psi (w theta_0) and theta.  What it drops is
     negligible: a zeroed entry enters <psi_m, theta_n> through psi_m w phi
@@ -138,12 +146,18 @@ def hermite_table(points: np.ndarray, max_index: int) -> np.ndarray:
     if max_index < 0:
         raise ValueError(f"max_index must be >= 0, got {max_index}")
     x = np.asarray(points, dtype=float)
+    bits = 0.5 * x * x / math.log(2.0)  # e^{-x^2/2} = 2^-bits
+    shift = np.where(bits > _SCALED_BELOW, np.ceil(bits) - _SCALED_BELOW, 0.0).astype(int)
+    scaled = shift > 0
     table = np.zeros((max_index + 1, x.size))
     table[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    table[0, scaled] = math.pi ** -0.25 * np.exp(shift[scaled] * math.log(2.0) - 0.5 * x[scaled] * x[scaled])
     if max_index >= 1:
         table[1] = math.sqrt(2.0) * x * table[0]
     for n in range(1, max_index):
         table[n + 1] = x * math.sqrt(2.0 / (n + 1)) * table[n] - math.sqrt(n / (n + 1.0)) * table[n - 1]
+    if scaled.any():
+        np.ldexp(table, -shift, out=table)  # exact, and the identity where shift is 0
     table[np.abs(table) < _PSI_FLOOR] = 0.0
     return table
 

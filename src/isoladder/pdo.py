@@ -42,9 +42,11 @@ __all__ = [
     "b_dagger_series",
     "h_series",
     "inv_sqrt_one_plus_h",
+    "inv_sqrt_bracket_checks",
     "expand_ladder_case_ii",
     "case_ii_reference",
     "series_agree_through",
+    "ladder_reference_checks",
     "product_identities",
     "classical_limit_check",
 ]
@@ -207,20 +209,6 @@ class CoeffPoly:
             out[key] = out.get(key, 0) + (f * powers[wh] if wh else f)
         return CoeffPoly(out)
 
-    def evaluate(self, x=None, phi=None, w=None) -> complex:
-        """Numeric value; each of x, phi and w that occurs needs a value."""
-        w = None if w is None else float(w)
-        total = 0j
-        for (a, b, i, r, wh), f in self.terms.items():
-            v = complex(f) * 1j**i * math.sqrt(2.0) ** r
-            for name, value, power in (("x", x, a), ("phi", phi, b), ("w", w, wh / 2)):
-                if power:
-                    if value is None:
-                        raise ValueError(f"coefficient contains {name}; supply a value")
-                    v *= value**power
-            total += v
-        return total
-
     def render(self) -> str:
         """Monomials sorted by (x-deg, phi-deg), each with its scalar, bracketed
         when it has more than one term."""
@@ -307,14 +295,7 @@ class PDOSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         return series_multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CoeffPoly)):
-            return self.scale(other)
-        return NotImplemented
 
     def substitute_phi_zero(self):
         return PDOSeries(
@@ -484,17 +465,22 @@ def h_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:
     ).scale(Fraction(1, 2))
 
 
-def inv_sqrt_one_plus_h(depth: int = DEFAULT_DEPTH):
-    """(1 + H)^{-1/2} = -sqrt2 i (d^2 - x^2 - 1)^{-1/2}.
+def inv_sqrt_one_plus_h():
+    """(1 + H)^{-1/2} = -sqrt2 i (d^2 - x^2 - 1)^{-1/2}, through d^-8.
 
     Returns (prefactor, bracket) with bracket = d^{-1} + (1/2)(1+x^2) d^{-3}
     - (3/2) x d^{-4} + ...; the product prefactor*bracket is the operator.
     """
-    floor = -abs(depth)
-    core = PDOSeries({2: _P_ONE, 0: -(CoeffPoly.x(2) + _P_ONE)}, floor=floor - 2, exact=True)
-    bracket = series_sqrt(series_invert(core, floor - 1), floor)
+    core = PDOSeries({2: _P_ONE, 0: -(CoeffPoly.x(2) + _P_ONE)}, floor=-10, exact=True)
+    bracket = series_sqrt(series_invert(core, -9), -8)
     prefactor = CoeffPoly({(0, 0, 1, 1, 0): Fraction(-1)})  # -sqrt2 i
     return prefactor, bracket
+
+
+def inv_sqrt_bracket_checks(bracket: PDOSeries) -> list[tuple[str, bool]]:
+    """The (1 + H)^{-1/2} bracket's d^-3 and d^-4 coefficients against (1 + x^2)/2 and -3x/2."""
+    want = {-3: (CoeffPoly.x(2) + _P_ONE) * Fraction(1, 2), -4: CoeffPoly.x() * Fraction(-3, 2)}
+    return [(f"inv_sqrt_bracket_d{k}", bracket.coefficient(k) == p) for k, p in want.items()]
 
 
 def _w_scalar(w):
@@ -528,7 +514,7 @@ def expand_ladder_case_ii(w=None, depth: int = DEFAULT_DEPTH):
     return lowering, raising
 
 
-def case_ii_reference(w=None, depth: int = 2):
+def case_ii_reference(w=None):
     """Hand-derived reference expansions for the distorted algebra through d^{-2}.
 
     sqrt2 a1 = x + d - (w - 2 - phi') d^{-1} + [x(2-w) + phi phi' + x phi' + 2 phi] d^{-2}
@@ -545,13 +531,8 @@ def case_ii_reference(w=None, depth: int = 2):
     coeff_m1_up = w_poly - two - _PHI_PRIME
     coeff_m2_up = x * (two - w_poly) - x * _PHI_PRIME - phi * _PHI_PRIME
 
-    floor = -abs(depth)
-    lowering = PDOSeries({1: _P_ONE, 0: x, -1: coeff_m1_low, -2: coeff_m2_low}, floor=floor).scale(
-        _INV_SQRT2
-    )
-    raising = PDOSeries({1: -_P_ONE, 0: x, -1: coeff_m1_up, -2: coeff_m2_up}, floor=floor).scale(
-        _INV_SQRT2
-    )
+    lowering = PDOSeries({1: _P_ONE, 0: x, -1: coeff_m1_low, -2: coeff_m2_low}, floor=-2).scale(_INV_SQRT2)
+    raising = PDOSeries({1: -_P_ONE, 0: x, -1: coeff_m1_up, -2: coeff_m2_up}, floor=-2).scale(_INV_SQRT2)
     return lowering, raising
 
 
@@ -563,6 +544,17 @@ def series_agree_through(a: PDOSeries, b: PDOSeries, lowest_order: int) -> bool:
         if a.coefficient(k) != b.coefficient(k):
             return False
     return True
+
+
+def ladder_reference_checks(low: PDOSeries, high: PDOSeries, w) -> list[tuple[str, bool]]:
+    """The case-ii lowering and raising series against case_ii_reference(w) through
+    d^-2; a symbolic w in them is bound to w first."""
+    checks = []
+    for name, s, ref in zip(("lowering", "raising"), (low, high), case_ii_reference(w=w)):
+        # bind only the compared orders: the deep ones hold most of the terms
+        top = PDOSeries({k: p for k, p in s.terms.items() if k >= -2}, floor=-2).substitute(w)
+        checks.append((f"{name}_reference_through_d-2", series_agree_through(top, ref, -2)))
+    return checks
 
 
 def product_identities(w=None, depth: int = DEFAULT_DEPTH) -> dict:

@@ -20,11 +20,9 @@ from . import coherent, isospectral, ladder, pdo
 from .fock import (
     FOCK,
     StateVector,
-    TruncatedOperator,
     adjoint,
     apply_operator,
     apply_spectral_function,
-    commutator,
     hermitian_eigensystem,
     identity_matrix,
     interior_block,
@@ -140,26 +138,12 @@ def criterion_03_c_coefficients(_: _Context, res: CriterionResult):
         res.add(f"telescoped_identity[{seq.label()}]", rel_t, 1e-12)
 
 
-def _theta_route_commutator(low: TruncatedOperator, high: TruncatedOperator,
-                            u: TruncatedOperator, tag) -> np.ndarray:
-    """[U a1 U^dagger, U a1^dagger U^dagger] as a theta-indexed matrix."""
-    low_t = ladder.transport_to_theta(low, u, tag)
-    high_t = ladder.transport_to_theta(high, u, tag)
-    return ladder.represent_in_theta(commutator(low_t, high_t), u, tag).mat
-
-
 @_criterion("c04_commutator_diagonal")
 def criterion_04_commutator_diag(ctx: _Context, res: CriterionResult):
     u = isospectral.u_matrix(ctx)
     for weights in _case_list():
-        lbl = weights.label()
-        low, high = ladder.ladder_matrices(weights, ctx.N, FOCK)
-        for part, comm, tol in (
-            ("fock_fill_diag", commutator(low, high).mat, 1e-12),
-            ("theta_route_diag", _theta_route_commutator(low, high, u, ctx.tag), 1e-6),
-        ):
-            check = ladder.commutator_diagonal(comm, weights)
-            res.add(f"{part}[{lbl}]", ladder._commutator_deviation(check), tol)
+        for label, _, deviation, bound in ladder.commutator_parts(weights, ctx.N, u, ctx.tag):
+            res.add(label, deviation, bound)
 
 
 @_criterion("c05_closed_form_equivalence")
@@ -186,26 +170,6 @@ def criterion_06_resolvent(_: _Context, res: CriterionResult):
     res.add("resolvent_vs_spectral_N32", dev, 1e-6)
 
 
-def _inv_sqrt_bracket_checks(bracket: PDOSeries) -> list[tuple[str, bool]]:
-    """The (1 + H)^{-1/2} bracket's d^-3 and d^-4 coefficients against (1 + x^2)/2 and -3x/2."""
-    want = {
-        -3: (CoeffPoly.x(2) + CoeffPoly.rational(1)) * Fraction(1, 2),
-        -4: CoeffPoly.x() * Fraction(-3, 2),
-    }
-    return [(f"inv_sqrt_bracket_d{k}", bracket.coefficient(k) == p) for k, p in want.items()]
-
-
-def _ladder_reference_checks(low: PDOSeries, high: PDOSeries, w) -> list[tuple[str, bool]]:
-    """The case-ii lowering and raising series against case_ii_reference(w) through
-    d^-2; a symbolic w in them is bound to w first."""
-    checks = []
-    for name, s, ref in zip(("lowering", "raising"), (low, high), pdo.case_ii_reference(w=w)):
-        # bind only the compared orders: the deep ones hold most of the terms
-        top = PDOSeries({k: p for k, p in s.terms.items() if k >= -2}, floor=-2).substitute(w)
-        checks.append((f"{name}_reference_through_d-2", pdo.series_agree_through(top, ref, -2)))
-    return checks
-
-
 @_criterion("c07_pdo_identities")
 def criterion_07_pdo_golden(_: _Context, res: CriterionResult):
     # inverse-sqrt bracket, its expected coefficients, and its square
@@ -214,29 +178,18 @@ def criterion_07_pdo_golden(_: _Context, res: CriterionResult):
                      floor=-12, exact=True)
     inv = pdo.series_invert(core, -12)
     bracket = pdo.series_sqrt(inv, -10)
-    for label, ok in _inv_sqrt_bracket_checks(bracket):
+    for label, ok in pdo.inv_sqrt_bracket_checks(bracket):
         res.add(label, 0.0 if ok else 1.0, 0.5)
     back = pdo.series_multiply(bracket, bracket) - inv
     res.add("inv_sqrt_bracket_square_back", 0.0 if not back.terms else 1.0, 0.5)
     # the symbolic-w ladder pair, bound at sampled w, against the hand-derived reference
     rep = pdo.product_identities(w=None, depth=6)
     for w in (Fraction(1), Fraction(2), Fraction(7, 2)):
-        checks = _ladder_reference_checks(rep["lowering"], rep["raising"], w)
+        checks = pdo.ladder_reference_checks(rep["lowering"], rep["raising"], w)
         res.add(f"ladder_reference_w={w}", 0.0 if all(ok for _, ok in checks) else 1.0, 0.5)
     # both product identities identically zero (symbolic w)
     res.add("lowering_raising_product_residual", 0.0 if rep["a1_a1dag_ok"] else 1.0, 0.5)
     res.add("raising_lowering_product_residual", 0.0 if rep["a1dag_a1_ok"] else 1.0, 0.5)
-
-
-def _cs_residual(weights: ladder.WeightSequence, zeta: complex, N: int, tag) -> float:
-    """|a1 cs - zeta cs| at truncation N; inf when the tail guard refuses N."""
-    low, _ = ladder.ladder_matrices(weights, N, tag)
-    try:
-        cs = coherent.cs_vector(zeta, weights, N, tag)
-    except coherent.TruncationError:
-        return math.inf
-    moved = apply_operator(low, cs)
-    return float(np.linalg.norm(moved.coeffs - zeta * cs.coeffs))
 
 
 @_criterion("c08_cs_eigen_residual")
@@ -244,11 +197,11 @@ def criterion_08_cs_eigenresidual(ctx: _Context, res: CriterionResult):
     zeta = 1.0 + 0.5j
     tag = ctx.tag
     for weights in _case_list()[:3]:
-        r64 = _cs_residual(weights, zeta, max(ctx.N, 16), tag)
-        res.add(f"residual[{weights.label()}]", r64, 1e-6)
+        r64 = coherent.cs_residual(weights, zeta, max(ctx.N, 16), tag)
+        res.add(f"residual[{weights.label()}]", r64, coherent.CS_RESIDUAL_BOUND)
         if math.isfinite(r64):
-            r48 = _cs_residual(weights, zeta, 48, tag)
-            r96 = _cs_residual(weights, zeta, 96, tag)
+            r48 = coherent.cs_residual(weights, zeta, 48, tag)
+            r96 = coherent.cs_residual(weights, zeta, 96, tag)
             decreasing = r96 < max(r48, RESIDUAL_FLOOR)
             res.add(f"decrease_48_to_96[{weights.label()}]", 0.0 if decreasing else 1.0, 0.5)
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from isoladder import isospectral, numerics, report
+from isoladder import isospectral, ladder, numerics, report
+from isoladder.fock import TruncatedOperator
 from isoladder.cli import _OPTIONS, ConfigError, RunConfig, build_config, main, make_parser, to_csv, to_json
 
 
@@ -179,14 +180,14 @@ class TestCommands:
 
     def test_commutator_fails_on_an_off_diagonal_entry(self, capsys, monkeypatch):
         # the diagonal is untouched, so only the shared verdict's off-diagonal term can fail it
-        route = report._theta_route_commutator
+        route = ladder.represent_in_theta
 
-        def skewed(*args):
-            comm = route(*args).copy()
+        def skewed(x, u, tag):
+            comm = route(x, u, tag).mat.copy()
             comm[2, 3] += 1e-3
-            return comm
+            return TruncatedOperator(comm, tag)
 
-        monkeypatch.setattr(report, "_theta_route_commutator", skewed)
+        monkeypatch.setattr(ladder, "represent_in_theta", skewed)
         code, out, _ = run_cli(["commutator", "--trunc", "16"], capsys)
         doc = json.loads(out)
         assert doc["theta"]["residual"] < 1e-6

@@ -426,6 +426,13 @@ class TestGeneralizedCS:
         with pytest.raises(ValueError):
             generalized_cs(0.5, 60, displacement_operator(0.5, 64, TAG))
 
+    def test_refuses_a_displacement_built_for_another_zeta(self):
+        # D(0.3) with zeta = 0.5: the two routes would differ by 0.279 and nothing would say why
+        d = displacement_operator(0.3, 64, TAG)
+        with pytest.raises(ValueError, match=r"D was built for zeta = 0\.3\+0j, not for zeta = 0\.5\+0j: "
+                                             r"D theta_1 is 0\.199 from cs_vector\(zeta\)"):
+            generalized_cs(0.5, 2, d)
+
 
 class TestHTilde1:
     def test_spectrum_shifted_by_one(self):

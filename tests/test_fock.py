@@ -85,7 +85,7 @@ class TestAlgebra:
 
     def test_tag_mismatch(self):
         a = annihilation_matrix(4)
-        b = annihilation_matrix(4, theta_tag(2.0))
+        b = TruncatedOperator(annihilation_matrix(4).mat, theta_tag(2.0))
         with pytest.raises(BasisMismatchError):
             commutator(a, b)
         with pytest.raises(BasisMismatchError):
@@ -101,15 +101,24 @@ class TestAlgebra:
     def test_array_times_operator_does_not_broadcast(self):
         with pytest.raises(TypeError):
             np.arange(8) * number_matrix(8)
+        with pytest.raises(TypeError):
+            np.arange(8) + number_matrix(8)
+        with pytest.raises(TypeError):
+            np.float64(2.5) * number_matrix(8)
+
+    def test_operator_has_no_scalar_product(self):
+        # a scale goes on the matrix: TruncatedOperator(op.mat * s, op.basis)
+        with pytest.raises(TypeError):
+            number_matrix(8) * 2.5
+        with pytest.raises(TypeError):
+            2.5 * number_matrix(8)
 
     def test_dtype_follows_the_input(self):
         op = number_matrix(8)
         assert op.mat.dtype == np.float64
         assert TruncatedOperator(np.eye(3, dtype=int)).mat.dtype == np.float64
         assert TruncatedOperator(np.eye(3, dtype=np.float32)).mat.dtype == np.float64
-        assert (op * 2.5).mat.dtype == np.float64
-        assert (np.float64(2.5) * op).mat.dtype == np.float64
-        assert (op * (1 + 2j)).mat.dtype == np.complex128
+        assert TruncatedOperator(op.mat * (1 + 2j)).mat.dtype == np.complex128
         assert TruncatedOperator(np.eye(3) + 0j).mat.dtype == np.complex128
         assert StateVector(np.ones(3), FOCK).coeffs.dtype == np.complex128
         assert apply_spectral_function(op, math.sqrt).mat.dtype == np.float64

@@ -351,9 +351,9 @@ class TestTransport:
 
 def dense_closed_form(weights, b):
     """The closed forms as the dense chain s (b+ L(H) a R(H) b), each g(H) an N x N diagonal matrix and a
-    the dense lowering matrix: the oracle closed_form_case must equal bit for bit."""
+    the dense lowering matrix, as an array: the oracle closed_form_case must equal bit for bit."""
     N = b.dim
-    a = annihilation_matrix(N, b.basis)
+    a = annihilation_matrix(N)
     bd = adjoint(b)
 
     def of_h(g):
@@ -362,21 +362,21 @@ def dense_closed_form(weights, b):
     r = of_h(lambda t: (1.0 + t) ** -0.5)
     inv1 = of_h(lambda t: 1.0 / (1.0 + t))
     if weights.kind == "constant":
-        return math.sqrt(weights.w) * (bd @ r @ a @ r @ b)
+        return (bd @ r @ a @ r @ b).mat * math.sqrt(weights.w)
     if weights.kind == "distorted":
         w = weights.w
-        return bd @ of_h(lambda t: ((t + w) / (t + 2.0)) ** 0.5 / (t + 1.0)) @ a @ b
+        return (bd @ of_h(lambda t: ((t + w) / (t + 2.0)) ** 0.5 / (t + 1.0)) @ a @ b).mat
     if weights.kind == "linear":
-        return (1.0 / math.sqrt(2.0)) * (bd @ r @ a @ b)
+        return (bd @ r @ a @ b).mat * (1.0 / math.sqrt(2.0))
     if weights.kind == "single":
-        return math.sqrt(weights.w) * (bd @ inv1 @ a @ r @ b)
+        return (bd @ inv1 @ a @ r @ b).mat * math.sqrt(weights.w)
     assert weights.kind == "geometric"
     q, lq = weights.q, math.log(weights.q)
 
     def g(t):
         return t + 1.0 if abs(q - 1.0) < 1e-14 else math.expm1((t + 1.0) * lq) / math.expm1(lq)
 
-    return math.sqrt(q) * (bd @ inv1 @ of_h(lambda t: math.sqrt(g(t))) @ a @ r @ b)
+    return (bd @ inv1 @ of_h(lambda t: math.sqrt(g(t))) @ a @ r @ b).mat * math.sqrt(q)
 
 
 class TestClosedForms:
@@ -405,7 +405,7 @@ class TestClosedForms:
         u = u_matrix(basis64)
         b = b_matrix(basis64)
         low = closed_form_case(linear_weights(), b)
-        comm = low @ adjoint(low) - adjoint(low) @ low
+        comm = commutator(low, adjoint(low))
         comm_theta = represent_in_theta(comm, u, basis64.tag)
         h_theta = represent_in_theta(adjoint(b) @ b, u, basis64.tag)
         assert interior_max_abs(comm_theta.mat - h_theta.mat) < 1e-6
@@ -445,7 +445,7 @@ class TestClosedForms:
             b = TruncatedOperator(np.random.default_rng(512).standard_normal((512, 512)), FOCK)
         else:
             b = b_matrix(ThetaBasis(IsospectralParams(float(b_source[7:])), grid64, 64))
-        assert np.array_equal(closed_form_case(weights, b).mat, dense_closed_form(weights, b).mat)
+        assert np.array_equal(closed_form_case(weights, b).mat, dense_closed_form(weights, b))
 
     def test_bad_parameters(self, basis64):
         # only the five rules of cases i-v have a closed form; the error names the rule

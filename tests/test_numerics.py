@@ -1,5 +1,6 @@
 import math
 import weakref
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -196,7 +197,8 @@ class TestGridMemo:
 
 
 def unfloored_hermite_table(points, max_index):
-    # the recurrence of hermite_table without its 2^-500 floor
+    # the recurrence of hermite_table without its 2^-500 floor or its scaled start (which no node
+    # takes up to N = 405)
     x = np.asarray(points, dtype=float)
     table = np.zeros((max_index + 1, x.size))
     table[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
@@ -205,6 +207,22 @@ def unfloored_hermite_table(points, max_index):
     for n in range(1, max_index):
         table[n + 1] = x * math.sqrt(2.0 / (n + 1)) * table[n] - math.sqrt(n / (n + 1.0)) * table[n - 1]
     return table
+
+
+def decimal_hermite_columns(points, max_index):
+    """psi_0 .. psi_{max_index} at a few points by the recurrence in 40-digit decimals, whose exponent
+    range holds psi_0 at any node unscaled: an oracle for the nodes hermite_table starts scaled."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        out = np.empty((max_index + 1, len(points)))
+        for j, point in enumerate(points):
+            x = Decimal(float(point))
+            prev, cur = Decimal(0), (-x * x / 2).exp() / Decimal(math.pi).sqrt().sqrt()
+            out[0, j] = float(cur)
+            for n in range(max_index):
+                prev, cur = cur, x * (Decimal(2) / (n + 1)).sqrt() * cur - (Decimal(n) / (n + 1)).sqrt() * prev
+                out[n + 1, j] = float(cur)
+    return out
 
 
 FLOOR = 2.0**-500
@@ -216,12 +234,15 @@ class TestHermiteFloor:
         assert not np.any((table != 0.0) & (np.abs(table) < FLOOR))
 
     def test_kept_entries_are_the_recurrence_bit_for_bit(self):
+        # on the nodes that start unscaled, |x| <= 36.48 (see TestHermiteScaledStart for the others)
         grid = build_grid(512)
-        raw = unfloored_hermite_table(grid.points, 511)
+        plain = np.abs(grid.points) < 36.4
+        raw = unfloored_hermite_table(grid.points[plain], 511)
+        psi = grid.psi[:, plain]
         assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < FLOOR)) > 0  # the floor bites at N = 512
-        kept = grid.psi != 0.0
-        assert np.array_equal(grid.psi[kept], raw[kept])
-        assert np.array_equal(grid.psi, np.where(np.abs(raw) < FLOOR, 0.0, raw))
+        kept = psi != 0.0
+        assert np.array_equal(psi[kept], raw[kept])
+        assert np.array_equal(psi, np.where(np.abs(raw) < FLOOR, 0.0, raw))
 
     @pytest.mark.parametrize("N", [64, 160])
     def test_floor_changes_nothing_up_to_160(self, N):
@@ -229,7 +250,7 @@ class TestHermiteFloor:
         assert np.array_equal(grid.psi, unfloored_hermite_table(grid.points, N - 1))
 
     @pytest.mark.parametrize("lam", [2.0, -3.0, SQRT_PI / 2 + 2e-6])
-    def test_overlaps_match_the_unfloored_table_at_512(self, lam):
+    def test_overlaps_match_the_unfloored_table_at_512(self, lam):  # its scaled-start nodes carry no phi
         grid = build_grid(512)
         unfloored = QuadratureGrid(points=grid.points, weights=grid.weights, half_width=grid.half_width,
                                    node_count=grid.node_count, truncation=512)
@@ -237,3 +258,24 @@ class TestHermiteFloor:
         params = IsospectralParams(lam)
         floored = ThetaBasis(params, grid, 512)._overlaps()
         assert np.array_equal(floored, ThetaBasis(params, unfloored, 512)._overlaps())
+
+
+class TestHermiteScaledStart:
+    def test_no_node_starts_scaled_up_to_405(self):
+        # the default grid's edge sqrt(2N) + 8 reaches |x| = 36.48, where e^{-x^2/2} = 2^-960, at N = 406
+        grid = build_grid(405)
+        raw = unfloored_hermite_table(grid.points, 404)
+        assert np.array_equal(grid.psi, np.where(np.abs(raw) < FLOOR, 0.0, raw))
+
+    def test_scaled_nodes_match_a_decimal_recurrence(self):
+        # at N = 1024 psi_0 underflows to 0 on the outer nodes, where psi_1023 is ~1e-10 and more
+        grid = build_grid(1024)
+        nodes = np.linspace(np.flatnonzero(grid.points > 36.5)[0], grid.node_count - 1, 7).astype(int)
+        ref = decimal_hermite_columns(grid.points[nodes], 1023)
+        assert np.max(np.abs(ref)) > 1e-3  # the scaled start carries entries that are not small
+        assert np.max(np.abs(grid.psi[:, nodes] - np.where(np.abs(ref) < FLOOR, 0.0, ref))) < 1e-12
+
+    @pytest.mark.parametrize("N", [406, 690, 1024])
+    def test_default_grids_carry_psi(self, N):
+        # the overlaps accept a grid whose norm defects are at most 1e-12
+        assert np.max(build_grid(N).norm_defects) <= 1e-12

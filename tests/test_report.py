@@ -36,7 +36,7 @@ DEPENDENCY = {
     "criterion_05_closed_forms": (ladder, "closed_form_case"),
     "criterion_06_resolvent": (ladder, "resolvent_inv_sqrt"),
     "criterion_07_pdo_golden": (pdo, "series_invert"),
-    "criterion_08_cs_eigenresidual": (report, "apply_operator"),
+    "criterion_08_cs_eigenresidual": (coherent, "cs_residual"),
     "criterion_09_perelomov": (coherent, "generalized_cs"),
     "criterion_10_orders": (coherent, "order_estimate"),
     "criterion_11_lambda_limit": (report, "grid_norm"),
