@@ -14,7 +14,7 @@ from isoladder import pdo
 
 # --- the bracket series for (1+H)^{-1/2} -----------------------------------------
 
-prefactor, bracket = pdo.inv_sqrt_one_plus_h()
+prefactor, bracket, _ = pdo.inv_sqrt_one_plus_h()
 print("(1+H)^(-1/2) =", prefactor.render(), "* [")
 print(bracket.render())
 print("]")
@@ -23,7 +23,7 @@ print("note the low-order terms 1/2*(1+x^2) d^-3 and -3/2*x d^-4.\n")
 # --- the distorted-algebra ladder pair, symbolic w --------------------------------
 
 # product_identities expands the pair once and returns it with the residuals
-rep = pdo.product_identities(w=None, depth=6)
+rep = pdo.product_identities(w=None)
 low, high = rep["lowering"], rep["raising"]
 s2 = pdo.CoeffPoly.sqrt2()
 print("sqrt2 * lowering operator (w symbolic), top orders:")
@@ -46,14 +46,14 @@ print(f"(both residuals vanish identically through order d^{rep['valid_floor']})
 # --- binding w to numbers stays exact ----------------------------------------------
 
 for w in (Fraction(1), Fraction(2), Fraction(7, 2)):
-    low_w, high_w = pdo.expand_ladder_case_ii(w=w, depth=5)
+    low_w, high_w = pdo.expand_ladder_case_ii(w=w)
     ref_low_w, ref_high_w = pdo.case_ii_reference(w=w)
     ok = pdo.series_agree_through(low_w, ref_low_w, -2) and pdo.series_agree_through(high_w, ref_high_w, -2)
     print(f"w = {w}: reference coefficients reproduced exactly -> {ok}")
 
 # --- the oscillator limit -----------------------------------------------------------
 
-cl = pdo.classical_limit_check(6)
+cl = pdo.classical_limit_check()
 print("\nphi -> 0 degenerations:")
 print("  b becomes a:", cl["b_phi0_equals_a"])
 print("  b+ b becomes H + 2x*phi + phi^2 (i.e. H - phi'):", cl["bdag_b_equals_h_minus_phiprime"])

@@ -218,13 +218,13 @@ def cmd_order(config: RunConfig) -> int:
 def cmd_pdo(config: RunConfig) -> int:
     ladder.distorted_weights(config.w)  # the rule expanded here, whatever --weights names
     w = Fraction(str(config.w))
-    rep = pdo.product_identities(w=w, depth=6)
+    rep = pdo.product_identities(w=w)
     low, high = rep["lowering"], rep["raising"]
     checks = pdo.ladder_reference_checks(low, high, w)
     checks.append(("lowering_raising_product_identity", rep["a1_a1dag_ok"]))
     checks.append(("raising_lowering_product_identity", rep["a1dag_a1_ok"]))
-    prefactor, bracket = pdo.inv_sqrt_one_plus_h()
-    checks += pdo.inv_sqrt_bracket_checks(bracket)
+    prefactor, bracket, inverse = pdo.inv_sqrt_one_plus_h()
+    checks += pdo.inv_sqrt_bracket_checks(bracket, inverse)
     ok = all(flag for _, flag in checks)
     text = to_json({
         "w": config.w,

@@ -7,10 +7,12 @@ partial-sum products; and, for unit weights, the unitary displacement
 operator and the Perelomov-type generalized coherent states.  The
 displacement and h_tilde_1 build the unit-weight pair themselves, as it is
 the only pair they admit; generalized_cs transports by a D it is given, so
-a caller builds D once, and refuses a D built for another zeta.
+a caller builds D once, and refuses a D that d_theta1_deviation, c09's
+check of D theta_1 against cs_vector, does not pass.
 
-One weighted-shift routine, _shift_eigenvector, builds these states and the
-two coherent-state families of isospectral, all under one tail guard.  All
+One weighted-shift routine, shift_eigenstate, builds these states and the
+two coherent-state families of isospectral, all under one tail guard, from
+log W_1 .. log W_N, through log_d_coefficients, the one home of log d_n.  All
 W products are accumulated as sums of logarithms so q > 1 sequences survive
 out to n = 10^4 without overflow.  The growth questions (bounded? radius?
 order?) read that 10^4-term log W_n once per call, from _growth_window.
@@ -47,6 +49,7 @@ __all__ = [
     "log_d_coefficients",
     "normalization_h",
     "CS_RESIDUAL_BOUND",
+    "shift_eigenstate",
     "cs_vector",
     "cs_residual",
     "bargmann_transform",
@@ -54,6 +57,7 @@ __all__ = [
     "q_factorial",
     "radius_of_convergence",
     "displacement_operator",
+    "d_theta1_deviation",
     "generalized_cs",
     "h_tilde_1",
 ]
@@ -83,23 +87,16 @@ class WeightSequenceTooShort(ValueError):
     """A finite custom list is too short for the requested growth analysis."""
 
 
-def log_d_coefficients(weights: WeightSequence, N: int) -> np.ndarray:
-    """log d_n for n = 0 .. N-1, d_n = (W_1 ... W_n)^{-1}; log-space throughout.
+def log_d_coefficients(log_w: np.ndarray) -> np.ndarray:
+    """log d_0 .. log d_m from log_w = log W_1 .. log W_m, d_n = (W_1 ... W_n)^{-1}; log-space throughout.
 
     When some W_n = 0 the family is finite: the maximal valid prefix is
-    returned (shorter than N).
+    returned (shorter than m + 1).
     """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    if N == 1:
-        return np.zeros(1)
-    logW = weights.log_partial_sum_array(N - 1)
-    finite = np.isfinite(logW)
+    finite = np.isfinite(log_w)
     if not np.all(finite):
-        first_bad = int(np.argmin(finite))
-        logW = logW[:first_bad]
-    out = np.concatenate(([0.0], -np.cumsum(logW)))
-    return out
+        log_w = log_w[: int(np.argmin(finite))]
+    return np.concatenate(([0.0], -np.cumsum(log_w)))
 
 
 def _check_convergence(t: float, weights: WeightSequence) -> None:
@@ -150,18 +147,17 @@ def normalization_h(t: float, weights: WeightSequence) -> float:
                 return total
 
 
-def _shift_eigenvector(log_d: np.ndarray, zeta: complex, start: int) -> np.ndarray:
-    """Normalized eigenvector, eigenvalue zeta, of a one-superdiagonal weighted shift.
+def shift_eigenstate(log_w: np.ndarray, zeta: complex, start: int, tag) -> StateVector:
+    """Unit eigenvector, eigenvalue zeta, of the weighted shift e_{start+n} -> sqrt(W_n) e_{start+n-1}.
 
-    The shift maps basis vector start + n to sqrt(W_n) times vector
-    start + n - 1; log_d[n] = -log(W_1 ... W_n) for n = 0 .. N, and the
-    result has length N with h^{-1/2} d_n^{1/2} zeta^n at index start + n
-    for the kept n = 0 .. N - start - 1.  h is the fsum of the kept terms
-    d_n |zeta|^{2n}, so the vector has unit norm.  Refuses (TruncationError)
-    when the first dropped term, n = N - start, exceeds 1e-24 of h rather
-    than silently truncating.
+    log_w is log W_1 .. log W_N; the vector, of length N, holds h^{-1/2} d_n^{1/2} zeta^n at
+    index start + n for the kept n = 0 .. N - start - 1 (d_n from log_d_coefficients, 0 past
+    a finite family's prefix), h the fsum of the kept d_n |zeta|^{2n}.  Refuses (TruncationError)
+    when the first dropped term, n = N - start, exceeds 1e-24 of h rather than truncating silently.
     """
-    N = len(log_d) - 1
+    N = len(log_w)
+    log_d = log_d_coefficients(log_w)
+    log_d = np.concatenate((log_d, np.full(N + 1 - len(log_d), -math.inf)))
     kept = N - start
     zeta = complex(zeta)
     t = abs(zeta) ** 2
@@ -182,22 +178,19 @@ def _shift_eigenvector(log_d: np.ndarray, zeta: complex, start: int) -> np.ndarr
         mag = math.exp(0.5 * log_d[n] + (n * math.log(abs(zeta)) if n else 0.0))
         phase = (zeta / abs(zeta)) ** n if n else 1.0
         coeffs[start + n] = pref * mag * phase
-    return coeffs
+    return StateVector(coeffs, tag)
 
 
 def cs_vector(zeta: complex, weights: WeightSequence, N: int, tag) -> StateVector:
     """h^{-1/2} sum_n d_n^{1/2} zeta^n theta_{n+1} as a tagged vector of length N >= 4.
 
-    Built by _shift_eigenvector, which refuses a first dropped term beyond
+    Built by shift_eigenstate, which refuses a first dropped term beyond
     1e-24 of h; DivergenceError when |zeta| is at or beyond the radius.
     """
     if N < 4:
         raise ValueError(f"truncation N must be >= 4, got {N}")
     _check_convergence(abs(complex(zeta)) ** 2, weights)
-    logd = log_d_coefficients(weights, N + 1)
-    if len(logd) < N + 1:
-        logd = np.concatenate((logd, np.full(N + 1 - len(logd), -math.inf)))
-    return StateVector(_shift_eigenvector(logd, zeta, 1), tag)
+    return shift_eigenstate(weights.log_partial_sum_array(N), zeta, 1, tag)
 
 
 def cs_residual(weights: WeightSequence, zeta: complex, N: int, tag) -> float:
@@ -217,7 +210,7 @@ def bargmann_transform(psi: StateVector, weights: WeightSequence, samples) -> li
         raise ValueError("Bargmann transform expects a theta-basis state")
     N = psi.dim
     radius = radius_of_convergence(weights)
-    half_d = np.exp(0.5 * log_d_coefficients(weights, N))[: N - 1]
+    half_d = np.exp(0.5 * log_d_coefficients(weights.log_partial_sum_array(N - 1)))[: N - 1]
     inner = psi.coeffs[1 : len(half_d) + 1]  # <theta_{n+1}|Psi> is the stored coefficient
     out = []
     for z in samples:
@@ -290,9 +283,9 @@ def order_estimate(weights: WeightSequence) -> OrderEstimate:
         raise WeightError("order estimate needs w_1 > 0, got 0.0")
     if math.isfinite(radius):
         diag = {"bounded_weight_sums": True}
-        if weights.kind == "geometric" and weights.q < 1:
+        if weights.kind == "geometric" and weights.param < 1:
             # the bare sqrt(q) convention is recorded alongside the ratio-test radius
-            diag["alternative_sqrt_q"] = math.sqrt(weights.q)
+            diag["alternative_sqrt_q"] = math.sqrt(weights.param)
         return OrderEstimate(entire=False, rho=None, radius=radius, diagnostics=diag)
     if len(logW) < _FIT_HI:
         raise WeightSequenceTooShort(
@@ -351,7 +344,7 @@ def q_factorial(q: float, n: int) -> QFactorialCheck:
         down = math.exp(k * lq) if k * lq > -700 else 0.0
         return math.log1p(-down)
 
-    log_product = float(-log_d_coefficients(geometric_weights(q), n + 1)[n])
+    log_product = float(-log_d_coefficients(geometric_weights(q).log_partial_sum_array(n))[n])
     log_closed = n * lq + (1 - n) * math.log(abs(q - 1.0))
     for k in range(2, n + 1):
         log_closed += log_abs_qk_minus_1(k)
@@ -390,27 +383,33 @@ def displacement_operator(zeta: complex, N: int, tag) -> TruncatedOperator:
     return TruncatedOperator(d, tag)
 
 
+def d_theta1_deviation(zeta: complex, d: TruncatedOperator) -> tuple[float, float]:
+    """|D theta_1 - cs_vector(zeta)| for the unit weights, and the bound 1e-6 it must stay below: more
+    means D = displacement_operator(zeta, N, tag) or the state is wrong, or D was built for another zeta."""
+    cs = cs_vector(zeta, constant_weights(1.0), d.dim, d.basis)
+    return float(np.linalg.norm(d.mat[:, 1] - cs.coeffs)), 1e-6
+
+
 def generalized_cs(zeta: complex, n: int, d: TruncatedOperator):
     """|zeta; theta_n> both ways, for d = displacement_operator(zeta, N, tag): repeated
     displaced raising with per-step normalization, and direct displacement of theta_n.
 
-    Returns (ladder_route, displaced_route); they agree up to normalization.  ValueError when d theta_1
-    differs from cs_vector(zeta) by more than 1e-6, c09's bound on the same difference: d was then built for
-    another zeta, read off as the ratio d[2, 1] / d[1, 1] of its first two coefficients.
+    Returns (ladder_route, displaced_route); they agree up to normalization.  ValueError when d fails
+    d_theta1_deviation, naming the zeta d was built for, read off as d[2, 1] / d[1, 1].
     """
     N = d.dim
     if n < 2:
         raise ValueError(f"generalized CS start at n = 2, got {n}")
     if n > N - 10:
         raise ValueError(f"n = {n} too close to the truncation edge N = {N}")
-    _, raising = ladder_matrices(constant_weights(1.0), N, d.basis)
-    base = cs_vector(zeta, constant_weights(1.0), N, d.basis)
-    if not (deviation := float(np.linalg.norm(d.mat[:, 1] - base.coeffs))) <= 1e-6:
+    deviation, bound = d_theta1_deviation(zeta, d)
+    if not deviation < bound:
         built_for = complex(np.round(d.mat[2, 1] / d.mat[1, 1], 6)) + 0  # + 0 turns a -0 part into 0
         raise ValueError(f"D was built for zeta = {built_for:g}, not for zeta = {complex(zeta):g}: "
                          f"D theta_1 is {deviation:.3g} from cs_vector(zeta)")
+    _, raising = ladder_matrices(constant_weights(1.0), N, d.basis)
     transported = d @ raising @ adjoint(d)
-    state = base
+    state = cs_vector(zeta, constant_weights(1.0), N, d.basis)
     for _ in range(n - 1):
         state = apply_operator(transported, state).normalized()
     unit = np.zeros(N, dtype=complex)

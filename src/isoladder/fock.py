@@ -38,6 +38,7 @@ __all__ = [
     "op_norm_inf",
     "interior_block",
     "interior_max_abs",
+    "require_hermitian",
     "hermitian_eigensystem",
     "apply_spectral_function",
     "apply_operator",
@@ -199,7 +200,8 @@ def interior_max_abs(mat: np.ndarray) -> float:
     return float(np.max(np.abs(interior_block(mat))))
 
 
-def _require_hermitian(m: np.ndarray):
+def require_hermitian(m: np.ndarray):
+    """ValueError unless m equals its conjugate transpose to 1e-10 of its largest entry (or of 1)."""
     scale = max(1.0, float(np.max(np.abs(m))))
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > 1e-10 * scale:
@@ -214,7 +216,7 @@ def hermitian_eigensystem(x: TruncatedOperator) -> tuple[np.ndarray, np.ndarray]
     positive, so spectral functions are reproducible.  Each phase is a scalar
     conj(p)/|p|: the array form of that division differs in the last bit.
     """
-    _require_hermitian(x.mat)
+    require_hermitian(x.mat)
     evals, v = np.linalg.eigh(x.mat)
     pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     v *= np.array([np.conj(p) / abs(p) if p != 0 else 1 for p in pivots], dtype=v.dtype)

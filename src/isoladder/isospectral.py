@@ -5,9 +5,9 @@ ladder pair into b = (x + d + phi)/sqrt(2), b^dagger = (x - d + phi)/sqrt(2).
 This module builds the theta eigenbasis of b^dagger b in position space, the
 unitary intertwiner U between the Fock and theta families, the matrices of
 b, b^dagger, b^dagger b and the earlier lowering operator b^dagger a b, and
-the two coherent-state families attached to them.  Both families are built
-by the same weighted-shift eigenvector routine as coherent.cs_vector, with
-the same 1e-24 relative tail guard.
+the two coherent-state families attached to them.  Each family is one call
+to coherent.shift_eigenstate with its weights W_n, as coherent.cs_vector is,
+under the same 1e-24 relative tail guard.
 
 The lambda-free Hermite table psi and its norm defects belong to the grid
 (QuadratureGrid.psi, .norm_defects).  A ThetaBasis holds one lambda's phi and
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import _shift_eigenvector
+from .coherent import shift_eigenstate
 from .fock import (
     FOCK,
     StateVector,
@@ -291,8 +291,7 @@ def b_dagger_a_b_cs(z: complex, basis: ThetaBasis) -> StateVector:
     theta_{n+1}.
     """
     n = np.arange(1.0, basis.N + 1)
-    log_d = np.concatenate(([0.0], -np.cumsum(np.log(n * n * (n + 1.0)))))
-    return StateVector(_shift_eigenvector(log_d, z, 1), basis.tag)
+    return shift_eigenstate(np.log(n * n * (n + 1.0)), z, 1, basis.tag)
 
 
 def unitary_image_cs(alpha: complex, basis: ThetaBasis) -> StateVector:
@@ -300,8 +299,7 @@ def unitary_image_cs(alpha: complex, basis: ThetaBasis) -> StateVector:
 
     On the theta indices U a U^dagger is the weighted shift with W_n = n.
     """
-    log_d = np.concatenate(([0.0], -np.cumsum(np.log(np.arange(1.0, basis.N + 1)))))
-    return StateVector(_shift_eigenvector(log_d, alpha, 0), basis.tag)
+    return shift_eigenstate(np.log(np.arange(1.0, basis.N + 1)), alpha, 0, basis.tag)
 
 
 def theta_curvature_table(basis: ThetaBasis) -> np.ndarray:

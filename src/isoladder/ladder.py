@@ -14,7 +14,7 @@ diagonals: closed_form_case applies them, and a, as column operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +22,10 @@ from .fock import (
     FOCK,
     BasisTag,
     TruncatedOperator,
-    _require_hermitian,
     adjoint,
     commutator,
     interior_block,
+    require_hermitian,
     times_annihilation,
 )
 
@@ -89,11 +89,11 @@ def _root_q_number(q: float):
 # kind -> the closed form a1 = s b+ L(H) a R(H) b of the paper's cases i-v, from the weights: the scale s and
 # the factor lists L and R, each factor a function of H's eigenvalue t, applied left to right.
 _CLOSED_FORMS = {
-    "constant": lambda ws: (math.sqrt(ws.w), [_R], [_R]),  # case i
-    "distorted": lambda ws: (1.0, [lambda t: ((t + ws.w) / (t + 2.0)) ** 0.5 / (t + 1.0)], []),  # case ii
+    "constant": lambda ws: (math.sqrt(ws.param), [_R], [_R]),  # case i
+    "distorted": lambda ws: (1.0, [lambda t: ((t + ws.param) / (t + 2.0)) ** 0.5 / (t + 1.0)], []),  # case ii
     "linear": lambda ws: (1.0 / math.sqrt(2.0), [_R], []),  # case iii
-    "single": lambda ws: (math.sqrt(ws.w), [_INV], [_R]),  # case iv
-    "geometric": lambda ws: (math.sqrt(ws.q), [_INV, _root_q_number(ws.q)], [_R]),  # case v
+    "single": lambda ws: (math.sqrt(ws.param), [_INV], [_R]),  # case iv
+    "geometric": lambda ws: (math.sqrt(ws.param), [_INV, _root_q_number(ws.param)], [_R]),  # case v
 }
 
 
@@ -103,47 +103,44 @@ class WeightSequence:
 
     Variants: constant (w_n = w), distorted (w_1 = w, rest 1), linear
     (w_n = n), single (w_1 = w, rest 0), geometric (w_n = q^n), power
-    (w_n = n^nu) and explicit custom lists.
+    (w_n = n^nu) and explicit custom lists; param is the one the rule reads.
     """
 
     kind: str
-    w: float | None = None
-    q: float | None = None
-    nu: float | None = None
-    values: tuple = field(default_factory=tuple)
+    param: float | tuple | None = None
 
     def __post_init__(self):
         if self.kind not in _RULES:
             raise WeightError(f"unknown weight variant {self.kind!r}")
         name, bound, _ = _RULES[self.kind]
         if name is None:
+            if self.param is not None:
+                raise WeightError(f"{self.kind} weights take no parameter, got {self.param!r}")
             return
-        given = getattr(self, name)
-        values = given if name == "values" else (given,)
+        values = self.param if name == "values" else (self.param,)
         admits = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "": lambda v: True}[bound]
         if not values or not all(v is not None and math.isfinite(v) and admits(v) for v in values):
-            raise WeightError(f"{self.kind} weights need finite {name} {bound}".rstrip() + f", got {given!r}")
+            raise WeightError(f"{self.kind} weights need finite {name} {bound}".rstrip() + f", got {self.param!r}")
 
     @property
     def max_index(self) -> int | None:
         """Largest defined n for finite custom lists, None for rule-based variants."""
-        return len(self.values) if self.kind == "custom" else None
+        return len(self.param) if self.kind == "custom" else None
 
     def label(self) -> str:
         name = _RULES[self.kind][0]
         if name is None:
             return self.kind
         if name == "values":
-            return f"custom[{len(self.values)}]"
-        return f"{self.kind}({name}={getattr(self, name):g})"
+            return f"custom[{len(self.param)}]"
+        return f"{self.kind}({name}={self.param:g})"
 
     def weight_array(self, nmax: int) -> np.ndarray:
         """w_1 .. w_nmax from the rule's formula in _RULES."""
-        name, _, formula = _RULES[self.kind]
-        if self.kind == "custom" and nmax > len(self.values):
-            raise WeightError(f"custom weight index {len(self.values) + 1} out of range "
-                              f"(have {len(self.values)})")
-        return formula(nmax, None if name is None else getattr(self, name))
+        if self.kind == "custom" and nmax > len(self.param):
+            raise WeightError(f"custom weight index {len(self.param) + 1} out of range "
+                              f"(have {len(self.param)})")
+        return _RULES[self.kind][2](nmax, self.param)
 
     def partial_sum_array(self, nmax: int) -> np.ndarray:
         """W_n = w_1 + ... + w_n for n = 1 .. nmax."""
@@ -153,9 +150,9 @@ class WeightSequence:
         """log w_n, stable for large n (geometric/power handled in closed form)."""
         n = np.arange(1, nmax + 1, dtype=float)
         if self.kind == "geometric":
-            return n * math.log(self.q)
+            return n * math.log(self.param)
         if self.kind == "power":
-            return self.nu * np.log(n)
+            return self.param * np.log(n)
         with np.errstate(divide="ignore"):
             return np.log(self.weight_array(nmax))
 
@@ -167,15 +164,15 @@ class WeightSequence:
 def weight_rule(kind: str, **params) -> WeightSequence:
     """The rule `kind` built from the one parameter it reads; params may carry the others too."""
     name = _RULES.get(kind, (None,))[0]  # WeightSequence refuses an unknown kind
-    return WeightSequence(kind, **({} if name is None else {name: params.get(name)}))
+    return WeightSequence(kind, None if name is None else params.get(name))
 
 
 def constant_weights(w: float) -> WeightSequence:
-    return WeightSequence("constant", w=float(w))
+    return WeightSequence("constant", float(w))
 
 
 def distorted_weights(w: float) -> WeightSequence:
-    return WeightSequence("distorted", w=float(w))
+    return WeightSequence("distorted", float(w))
 
 
 def linear_weights() -> WeightSequence:
@@ -183,19 +180,19 @@ def linear_weights() -> WeightSequence:
 
 
 def single_weight(w: float) -> WeightSequence:
-    return WeightSequence("single", w=float(w))
+    return WeightSequence("single", float(w))
 
 
 def geometric_weights(q: float) -> WeightSequence:
-    return WeightSequence("geometric", q=float(q))
+    return WeightSequence("geometric", float(q))
 
 
 def power_law_weights(nu: float) -> WeightSequence:
-    return WeightSequence("power", nu=float(nu))
+    return WeightSequence("power", float(nu))
 
 
 def custom_weights(values) -> WeightSequence:
-    return WeightSequence("custom", values=tuple(float(v) for v in values))
+    return WeightSequence("custom", tuple(float(v) for v in values))
 
 
 def c_coefficients_recursive(weights: WeightSequence, N: int) -> np.ndarray:
@@ -374,7 +371,7 @@ def resolvent_inv_sqrt(x: TruncatedOperator) -> TruncatedOperator:
     independent of the spectral-calculus square root.
     """
     m = x.mat
-    _require_hermitian(m)
+    require_hermitian(m)
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:

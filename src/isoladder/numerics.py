@@ -11,7 +11,8 @@ to every caller that asks for it again, read-only: a lambda sweep at one N
 builds one table.  The table zeroes its entries below 2^-500, the tails that
 would otherwise be subnormal and run on the CPU's slow path, and starts the
 recurrence scaled by 2^k at nodes where psi_0 itself would be subnormal or
-zero, so the default grids carry psi up to N = 1024 at least (see
+zero, scaling such a node down again on the way where its rows would pass
+2^1024, so the default grids carry psi up to N = 1200 at least (see
 hermite_table).
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 
 SQRT_PI = math.sqrt(math.pi)
 _PSI_FLOOR = 2.0**-500  # hermite_table's zero floor
-_SCALED_BELOW = 960  # hermite_table starts a node from psi_0 2^k where e^{-x^2/2} < 2^-960
+_SCALED_BELOW = 960  # hermite_table's scaled start where e^{-x^2/2} < 2^-960, and its step down past 2^960
 
 __all__ = [
     "SQRT_PI",
@@ -131,7 +132,11 @@ def hermite_table(points: np.ndarray, max_index: int) -> np.ndarray:
     406 on the default grid) psi_0 would start subnormal or zero and spoil the
     high rows, which are not small there; so such a node starts from psi_0
     2^k in [2^-960, 2^-959), and as the recurrence is linear the table is
-    scaled back by 2^-k per node after it, exactly and in place.  The floor
+    scaled back by 2^-k per node after it, exactly and in place.  Where k >
+    960 (from N = 951 on) the rows, bounded only by 2^k |psi_n| <= 2^k
+    pi^-1/4 (Cramer), could pass 2^1024 before that, so a row that passes
+    2^960 scales its node's rows so far by 2^-960 and lowers its k by 960,
+    exactly for every entry that ends above the floor.  The floor
     is applied last, so every kept entry of a node that starts unscaled is
     the recurrence's value bit for bit, and no subnormal entry
     reaches what reads the table: the overlaps' P operands (which floor their
@@ -154,8 +159,14 @@ def hermite_table(points: np.ndarray, max_index: int) -> np.ndarray:
     table[0, scaled] = math.pi ** -0.25 * np.exp(shift[scaled] * math.log(2.0) - 0.5 * x[scaled] * x[scaled])
     if max_index >= 1:
         table[1] = math.sqrt(2.0) * x * table[0]
+    watched = np.flatnonzero(shift > _SCALED_BELOW)  # the only nodes whose rows can pass 2^960
     for n in range(1, max_index):
         table[n + 1] = x * math.sqrt(2.0 / (n + 1)) * table[n] - math.sqrt(n / (n + 1.0)) * table[n - 1]
+        if watched.size:
+            over = watched[np.abs(table[n + 1, watched]) > 2.0**_SCALED_BELOW]
+            if over.size:
+                table[: n + 2, over] = np.ldexp(table[: n + 2, over], -_SCALED_BELOW)
+                shift[over] -= _SCALED_BELOW
     if scaled.any():
         np.ldexp(table, -shift, out=table)  # exact, and the identity where shift is 0
     table[np.abs(table) < _PSI_FLOOR] = 0.0

@@ -51,7 +51,8 @@ __all__ = [
     "classical_limit_check",
 ]
 
-DEFAULT_DEPTH = 6
+DEFAULT_DEPTH = 6  # the case-ii pair and its products are valid through d^-DEFAULT_DEPTH
+_CASE_II_FLOOR = -(DEFAULT_DEPTH + 6)  # the floor they are built at
 
 # coefficient keys: (x_deg, phi_deg, i_parity, sqrt2_parity, w_half_exponent)
 _ONE_KEY = (0, 0, 0, 0, 0)
@@ -468,19 +469,24 @@ def h_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:
 def inv_sqrt_one_plus_h():
     """(1 + H)^{-1/2} = -sqrt2 i (d^2 - x^2 - 1)^{-1/2}, through d^-8.
 
-    Returns (prefactor, bracket) with bracket = d^{-1} + (1/2)(1+x^2) d^{-3}
-    - (3/2) x d^{-4} + ...; the product prefactor*bracket is the operator.
+    Returns (prefactor, bracket, inverse): inverse = (d^2 - x^2 - 1)^{-1}, bracket its
+    square root d^{-1} + (1/2)(1+x^2) d^{-3} - (3/2) x d^{-4} + ...; the product
+    prefactor*bracket is the operator.
     """
     core = PDOSeries({2: _P_ONE, 0: -(CoeffPoly.x(2) + _P_ONE)}, floor=-10, exact=True)
-    bracket = series_sqrt(series_invert(core, -9), -8)
+    inverse = series_invert(core, -9)
+    bracket = series_sqrt(inverse, -8)
     prefactor = CoeffPoly({(0, 0, 1, 1, 0): Fraction(-1)})  # -sqrt2 i
-    return prefactor, bracket
+    return prefactor, bracket, inverse
 
 
-def inv_sqrt_bracket_checks(bracket: PDOSeries) -> list[tuple[str, bool]]:
-    """The (1 + H)^{-1/2} bracket's d^-3 and d^-4 coefficients against (1 + x^2)/2 and -3x/2."""
+def inv_sqrt_bracket_checks(bracket: PDOSeries, inverse: PDOSeries) -> list[tuple[str, bool]]:
+    """The (1 + H)^{-1/2} bracket's d^-3 and d^-4 coefficients against (1 + x^2)/2 and -3x/2,
+    and bracket^2 - inverse identically zero through the orders it is valid at."""
     want = {-3: (CoeffPoly.x(2) + _P_ONE) * Fraction(1, 2), -4: CoeffPoly.x() * Fraction(-3, 2)}
-    return [(f"inv_sqrt_bracket_d{k}", bracket.coefficient(k) == p) for k, p in want.items()]
+    back = series_multiply(bracket, bracket) - inverse
+    return ([(f"inv_sqrt_bracket_d{k}", bracket.coefficient(k) == p) for k, p in want.items()]
+            + [("inv_sqrt_bracket_square_back", not back.terms)])
 
 
 def _w_scalar(w):
@@ -489,17 +495,15 @@ def _w_scalar(w):
     return CoeffPoly.rational(Fraction(w))
 
 
-def expand_ladder_case_ii(w=None, depth: int = DEFAULT_DEPTH):
+def expand_ladder_case_ii(w=None):
     """Symbolic expansions of the distorted-algebra ladder pair (w_1 = w, rest 1).
 
     Composes b^dagger f(H) a b and its conjugate with
     f(H) = (H+1)^{-1} ((H+w)(H+2)^{-1})^{1/2}; w may be left symbolic (None)
     or bound to an exact rational.  Returns (lowering, raising) series valid
-    through at least order -depth.
+    through at least order -DEFAULT_DEPTH.
     """
-    if depth < 4:
-        raise ValueError("depth < 4 cannot reach the d^{-2} reference terms")
-    floor = -(abs(depth) + 6)
+    floor = _CASE_II_FLOOR
     h = h_series(floor)
 
     def h_plus(c):
@@ -557,7 +561,7 @@ def ladder_reference_checks(low: PDOSeries, high: PDOSeries, w) -> list[tuple[st
     return checks
 
 
-def product_identities(w=None, depth: int = DEFAULT_DEPTH) -> dict:
+def product_identities(w=None) -> dict:
     """Check a1 a1+ = (1/2)(-d^2 + x^2 + 2w - 3) - phi' and the conjugate-order
     identity with 2w - 5 (the latter holds on the theta_n, n >= 2 subspace).
 
@@ -565,7 +569,7 @@ def product_identities(w=None, depth: int = DEFAULT_DEPTH) -> dict:
     series the products were built from; residuals should vanish through
     every order the products are valid at.
     """
-    lowering, raising = expand_ladder_case_ii(w=w, depth=depth)
+    lowering, raising = expand_ladder_case_ii(w=w)
     ws = _w_scalar(w)
     x2 = CoeffPoly.x(2)
 
@@ -573,7 +577,7 @@ def product_identities(w=None, depth: int = DEFAULT_DEPTH) -> dict:
         const = ws * 2 + _P_ONE * shift
         return PDOSeries(
             {2: -_P_ONE * Fraction(1, 2), 0: (x2 + const) * Fraction(1, 2) - _PHI_PRIME},
-            floor=-(abs(depth) + 6),
+            floor=_CASE_II_FLOOR,
             exact=True,
         )
 
@@ -592,7 +596,7 @@ def product_identities(w=None, depth: int = DEFAULT_DEPTH) -> dict:
     }
 
 
-def classical_limit_check(depth: int = DEFAULT_DEPTH) -> dict:
+def classical_limit_check() -> dict:
     """phi -> 0 degenerations: b becomes a, b+ b becomes H, and the w = 1
     case-ii expansion loses all phi-bearing terms."""
     b = b_series()
@@ -601,7 +605,7 @@ def classical_limit_check(depth: int = DEFAULT_DEPTH) -> dict:
     h_from_b = series_multiply(b_dagger_series(-8), b_series(-8))
     h_target = h_series(-8) + PDOSeries({0: -_PHI_PRIME}, floor=-8, exact=True)
     bb_residual = h_from_b - h_target
-    lowering, _ = expand_ladder_case_ii(w=Fraction(1), depth=depth)
+    lowering, _ = expand_ladder_case_ii(w=Fraction(1))
     osc = lowering.substitute_phi_zero()
     return {
         "b_phi0_equals_a": not b_to_a.terms,

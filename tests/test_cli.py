@@ -279,6 +279,7 @@ class TestCommands:
             "raising_lowering_product_identity",
             "inv_sqrt_bracket_d-3",
             "inv_sqrt_bracket_d-4",
+            "inv_sqrt_bracket_square_back",
         ]
         assert doc["prefactor"] == "-1*i*sqrt2"
         assert doc["w"] == 3.0

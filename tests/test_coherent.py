@@ -9,6 +9,7 @@ from isoladder.coherent import (
     TruncationError,
     bargmann_transform,
     cs_vector,
+    d_theta1_deviation,
     displacement_operator,
     generalized_cs,
     h_tilde_1,
@@ -17,6 +18,7 @@ from isoladder.coherent import (
     order_estimate,
     q_factorial,
     radius_of_convergence,
+    shift_eigenstate,
 )
 from isoladder.fock import (
     StateVector,
@@ -44,29 +46,29 @@ TAG = theta_tag(2.0)
 
 class TestDCoefficients:
     def test_unit_weights_inverse_factorials(self):
-        d = np.exp(log_d_coefficients(constant_weights(1.0), 12))
+        d = np.exp(log_d_coefficients(constant_weights(1.0).log_partial_sum_array(11)))
         expected = [1.0 / math.factorial(n) for n in range(12)]
         assert np.allclose(d, expected, rtol=1e-12)
 
     def test_case_i_scaling(self):
         w = 3.0
-        d = np.exp(log_d_coefficients(constant_weights(w), 10))
+        d = np.exp(log_d_coefficients(constant_weights(w).log_partial_sum_array(9)))
         expected = [1.0 / (w**n * math.factorial(n)) for n in range(10)]
         assert np.allclose(d, expected, rtol=1e-12)
 
     def test_case_iii_closed_form(self):
-        d = np.exp(log_d_coefficients(linear_weights(), 10))
+        d = np.exp(log_d_coefficients(linear_weights().log_partial_sum_array(9)))
         expected = [2.0**n / (math.factorial(n) * math.factorial(n + 1)) for n in range(10)]
         assert np.allclose(d, expected, rtol=1e-12)
 
     def test_zero_weight_sum_truncates_prefix(self):
         from isoladder.ladder import custom_weights
 
-        d = np.exp(log_d_coefficients(custom_weights([0.0, 1.0, 1.0]), 4))
+        d = np.exp(log_d_coefficients(custom_weights([0.0, 1.0, 1.0]).log_partial_sum_array(3)))
         assert list(d) == [1.0]
 
     def test_no_overflow_at_1e4(self):
-        logs = log_d_coefficients(geometric_weights(1.3), 10_001)
+        logs = log_d_coefficients(geometric_weights(1.3).log_partial_sum_array(10_000))
         assert np.all(np.isfinite(logs))
 
 
@@ -168,6 +170,25 @@ class TestCSVector:
         assert res[96] < max(res[48], 1e-12)  # monotone, or both at rounding floor
 
 
+class TestShiftEigenstate:
+    @pytest.mark.parametrize("W, start", [
+        (lambda n: n, 0),  # U a U+ on the theta indices: unitary_image_cs
+        (lambda n: n, 1),  # the unit-weight pair: cs_vector
+        (lambda n: n * n * (n + 1.0), 1),  # b+ a b: b_dagger_a_b_cs
+    ])
+    def test_eigenvector_of_the_weighted_shift(self, W, start):
+        # the shift maps e_{start+n} to sqrt(W_n) e_{start+n-1}; the dense matrix is the oracle
+        N, z = 48, 0.8 + 0.3j
+        n = np.arange(1.0, N + 1)
+        state = shift_eigenstate(np.log(W(n)), z, start, TAG)
+        shift = np.zeros((N, N))
+        for k in range(1, N - start):
+            shift[start + k - 1, start + k] = math.sqrt(W(float(k)))
+        assert state.basis == TAG and state.dim == N
+        assert np.all(state.coeffs[:start] == 0) and abs(state.norm() - 1.0) < 1e-14
+        assert np.linalg.norm(shift @ state.coeffs - z * state.coeffs) < 1e-7
+
+
 class TestBargmann:
     def test_theta1_maps_to_constant_one(self):
         psi = StateVector(np.eye(16)[1], TAG)
@@ -189,7 +210,7 @@ class TestBargmann:
         weights = constant_weights(1.0)
         zeta0 = 0.7 + 0.2j
         cs = cs_vector(zeta0, weights, 48, TAG)
-        d = np.exp(log_d_coefficients(weights, 47))
+        d = np.exp(log_d_coefficients(weights.log_partial_sum_array(46)))
         h0 = normalization_h(abs(zeta0) ** 2, weights)
         samples = [0.0, 0.4, -0.9j, 1.1 + 0.3j, -1.0 - 1.0j]
         vals = bargmann_transform(cs, weights, samples)
@@ -385,6 +406,8 @@ class TestDisplacement:
         moved = d.mat @ np.eye(64)[1]
         cs = cs_vector(zeta, constant_weights(1.0), 64, TAG)
         assert np.linalg.norm(moved - cs.coeffs) < 1e-6
+        # c09's check is this norm bit for bit, with its bound
+        assert d_theta1_deviation(zeta, d) == (float(np.linalg.norm(moved - cs.coeffs)), 1e-6)
 
     def test_unitarity(self):
         d = displacement_operator(1.3 + 0.4j, 64, TAG)

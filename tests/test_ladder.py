@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -28,6 +29,7 @@ from isoladder.isospectral import (
 from isoladder import ladder
 from isoladder.ladder import (
     WeightError,
+    WeightSequence,
     _conjugated_band,
     c_coefficients_closed,
     c_coefficients_recursive,
@@ -92,7 +94,7 @@ class TestWeightSequence:
     ], ids=lambda v: v.label() if hasattr(v, "label") else None)
     def test_weight_array_is_the_per_entry_formula(self, weights, nmax, formula):
         # bit for bit, including the geometric and power entries numpy's pow would round differently
-        formula = formula or (lambda n: weights.values[n - 1])
+        formula = formula or (lambda n: weights.param[n - 1])
         oracle = np.array([formula(n) for n in range(1, nmax + 1)])
         assert np.array_equal(weights.weight_array(nmax), oracle)
 
@@ -126,6 +128,16 @@ class TestWeightSequence:
         ]
         with pytest.raises(WeightError, match="unknown weight variant"):
             weight_rule("foo", **params)
+
+    def test_holds_its_kind_and_one_parameter(self):
+        # a rule carries only the parameter it reads, so equal rules compare equal and print alike
+        assert [f.name for f in dataclasses.fields(WeightSequence)] == ["kind", "param"]
+        assert WeightSequence("constant", 2.0) == constant_weights(2.0)
+        assert weight_rule("constant", w=2.0, q=3.0) == constant_weights(2.0)
+        with pytest.raises(TypeError):
+            WeightSequence("constant", w=2.0, q=3.0)
+        with pytest.raises(WeightError, match="linear weights take no parameter, got 3.0"):
+            WeightSequence("linear", 3.0)
 
 
 class TestGeneralizedDoubleFactorial:
@@ -362,16 +374,16 @@ def dense_closed_form(weights, b):
     r = of_h(lambda t: (1.0 + t) ** -0.5)
     inv1 = of_h(lambda t: 1.0 / (1.0 + t))
     if weights.kind == "constant":
-        return (bd @ r @ a @ r @ b).mat * math.sqrt(weights.w)
+        return (bd @ r @ a @ r @ b).mat * math.sqrt(weights.param)
     if weights.kind == "distorted":
-        w = weights.w
+        w = weights.param
         return (bd @ of_h(lambda t: ((t + w) / (t + 2.0)) ** 0.5 / (t + 1.0)) @ a @ b).mat
     if weights.kind == "linear":
         return (bd @ r @ a @ b).mat * (1.0 / math.sqrt(2.0))
     if weights.kind == "single":
-        return (bd @ inv1 @ a @ r @ b).mat * math.sqrt(weights.w)
+        return (bd @ inv1 @ a @ r @ b).mat * math.sqrt(weights.param)
     assert weights.kind == "geometric"
-    q, lq = weights.q, math.log(weights.q)
+    q, lq = weights.param, math.log(weights.param)
 
     def g(t):
         return t + 1.0 if abs(q - 1.0) < 1e-14 else math.expm1((t + 1.0) * lq) / math.expm1(lq)

@@ -1,4 +1,5 @@
 import math
+import warnings
 import weakref
 from decimal import Decimal, localcontext
 
@@ -228,6 +229,21 @@ def decimal_hermite_columns(points, max_index):
 FLOOR = 2.0**-500
 
 
+def scaled_start_hermite_columns(points, max_index):
+    # hermite_table's scaled start without its rescaling on the way: exact up to N = 1117, where
+    # the outer nodes' rows reach 2^1023, and floored at 2^-500 as hermite_table is
+    x = np.asarray(points, dtype=float)
+    bits = 0.5 * x * x / math.log(2.0)
+    shift = np.where(bits > 960, np.ceil(bits) - 960, 0.0).astype(int)
+    table = unfloored_hermite_table(x, max_index)
+    table[0] = math.pi ** -0.25 * np.exp(shift * math.log(2.0) - 0.5 * x * x)
+    table[1] = math.sqrt(2.0) * x * table[0]
+    for n in range(1, max_index):
+        table[n + 1] = x * math.sqrt(2.0 / (n + 1)) * table[n] - math.sqrt(n / (n + 1.0)) * table[n - 1]
+    table = np.ldexp(table, -shift)
+    return np.where(np.abs(table) < FLOOR, 0.0, table)
+
+
 class TestHermiteFloor:
     def test_no_entry_below_the_floor_but_zero(self):
         table = build_grid(512).psi
@@ -275,7 +291,25 @@ class TestHermiteScaledStart:
         assert np.max(np.abs(ref)) > 1e-3  # the scaled start carries entries that are not small
         assert np.max(np.abs(grid.psi[:, nodes] - np.where(np.abs(ref) < FLOOR, 0.0, ref))) < 1e-12
 
-    @pytest.mark.parametrize("N", [406, 690, 1024])
+    def test_rescaling_leaves_kept_entries_bit_identical_up_to_1117(self):
+        # at N = 1117 every one of the outer 41 nodes passes 2^960 and is scaled down on the way
+        points = build_grid(1117).points[-41:]
+        assert np.array_equal(hermite_table(points, 1116), scaled_start_hermite_columns(points, 1116))
+
+    @pytest.mark.parametrize("N", [1118, 2048])
+    def test_outer_nodes_rescale_without_overflow(self, N):
+        # from N = 1118 the outer nodes' scaled rows would pass 2^1024 unless scaled down on the way
+        points = build_grid(N).points[-41:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = hermite_table(points, N - 1)
+        ref = decimal_hermite_columns(points, N - 1)
+        # every entry is below 1e-60 here, so the comparison is relative, on the > 10^4 kept entries
+        kept = np.abs(ref) >= FLOOR
+        assert np.count_nonzero(kept) > 10_000 and np.array_equal(table != 0.0, kept)
+        assert np.max(np.abs(table[kept] - ref[kept]) / np.abs(ref[kept])) < 1e-12
+
+    @pytest.mark.parametrize("N", [406, 690, 1024, 1200])
     def test_default_grids_carry_psi(self, N):
         # the overlaps accept a grid whose norm defects are at most 1e-12
         assert np.max(build_grid(N).norm_defects) <= 1e-12

@@ -15,6 +15,7 @@ from isoladder.pdo import (
     classical_limit_check,
     expand_ladder_case_ii,
     h_series,
+    inv_sqrt_bracket_checks,
     inv_sqrt_one_plus_h,
     product_identities,
     series_agree_through,
@@ -271,14 +272,14 @@ class TestSeriesArithmetic:
 
 class TestInvSqrtBracket:
     def test_prefactor_and_bracket(self):
-        prefactor, bracket = inv_sqrt_one_plus_h()
+        prefactor, bracket, _ = inv_sqrt_one_plus_h()
         assert prefactor == CoeffPoly.rational(-1) * CoeffPoly.sqrt2() * I_UNIT
         assert bracket.coefficient(-1) == ONE
         assert bracket.coefficient(-3) == (CoeffPoly.x(2) + ONE) * Fraction(1, 2)
         assert bracket.coefficient(-4) == X * Fraction(-3, 2)
 
     def test_squared_prefactor_gives_minus_two(self):
-        prefactor, bracket = inv_sqrt_one_plus_h()
+        prefactor, bracket, _ = inv_sqrt_one_plus_h()
         # (1+H)^{-1} = (prefactor^2) (d^2-x^2-1)^{-1} = -2 (d^2-x^2-1)^{-1}
         sq = prefactor * prefactor
         assert sq == CoeffPoly.rational(-2)
@@ -288,39 +289,56 @@ class TestInvSqrtBracket:
         assert not back.terms
 
 
+    def test_inverse_inverts_the_core(self):
+        # the inverse returned with the bracket: (d^2 - x^2 - 1) times it is 1 through its floor
+        _, _, inverse = inv_sqrt_one_plus_h()
+        core = PDOSeries({2: ONE, 0: -(CoeffPoly.x(2) + ONE)}, -10, True)
+        assert not (series_multiply(core, inverse) - PDOSeries.one(-10)).terms
+
+    def test_checks_pass_and_include_the_square_back(self):
+        _, bracket, inverse = inv_sqrt_one_plus_h()
+        assert inv_sqrt_bracket_checks(bracket, inverse) == [
+            ("inv_sqrt_bracket_d-3", True),
+            ("inv_sqrt_bracket_d-4", True),
+            ("inv_sqrt_bracket_square_back", True),
+        ]
+
+    def test_square_back_fails_against_another_inverse(self):
+        _, bracket, inverse = inv_sqrt_one_plus_h()
+        checks = dict(inv_sqrt_bracket_checks(bracket, inverse.scale(Fraction(2))))
+        assert checks == {"inv_sqrt_bracket_d-3": True, "inv_sqrt_bracket_d-4": True,
+                          "inv_sqrt_bracket_square_back": False}
+
+
 class TestCaseIIExpansion:
     def test_leading_orders_match_reference(self):
-        low, up = expand_ladder_case_ii(w=None, depth=5)
+        low, up = expand_ladder_case_ii(w=None)
         ref_low, ref_up = case_ii_reference(w=None)
         assert series_agree_through(low, ref_low, -2)
         assert series_agree_through(up, ref_up, -2)
 
     @pytest.mark.parametrize("w", [Fraction(1), Fraction(2), Fraction(7, 2)])
     def test_sampled_w(self, w):
-        low, up = expand_ladder_case_ii(w=w, depth=4)
+        low, up = expand_ladder_case_ii(w=w)
         ref_low, ref_up = case_ii_reference(w=w)
         assert series_agree_through(low, ref_low, -2)
         assert series_agree_through(up, ref_up, -2)
 
     def test_symbolic_expansion_substitutes_to_sampled(self):
-        low_sym, _ = expand_ladder_case_ii(w=None, depth=4)
-        low_num, _ = expand_ladder_case_ii(w=Fraction(2), depth=4)
+        low_sym, _ = expand_ladder_case_ii(w=None)
+        low_num, _ = expand_ladder_case_ii(w=Fraction(2))
         assert series_agree_through(low_sym.substitute(w=Fraction(2)), low_num, -4)
-
-    def test_depth_guard(self):
-        with pytest.raises(ValueError):
-            expand_ladder_case_ii(w=Fraction(1), depth=3)
 
 
 class TestProductIdentities:
     def test_both_products_symbolic(self):
-        rep = product_identities(w=None, depth=5)
+        rep = product_identities(w=None)
         assert rep["a1_a1dag_ok"]
         assert rep["a1dag_a1_ok"]
         assert rep["valid_floor"] <= -2
 
     def test_sampled_w(self):
-        rep = product_identities(w=Fraction(7, 2), depth=5)
+        rep = product_identities(w=Fraction(7, 2))
         assert rep["a1_a1dag_ok"] and rep["a1dag_a1_ok"]
 
     def test_products_against_position_space_matrices(self, basis64):
@@ -356,7 +374,7 @@ class TestProductIdentities:
 
 class TestClassicalLimit:
     def test_report(self):
-        rep = classical_limit_check(5)
+        rep = classical_limit_check()
         assert rep["b_phi0_equals_a"]
         assert rep["bdag_b_equals_h_minus_phiprime"]
         osc = rep["case_ii_w1_phi0"].scale(CoeffPoly.sqrt2())
@@ -389,23 +407,23 @@ class TestRendering:
         ]
 
     def test_golden_lowering_text(self):
-        low, _ = expand_ladder_case_ii(w=Fraction(2), depth=4)
+        low, _ = expand_ladder_case_ii(w=Fraction(2))
         top = low.scale(CoeffPoly.sqrt2()).render().splitlines()[:3]
         assert top == ["d^1: 1", "d^0: 1*x", "d^-1: -1*phi^2 + -2*x*phi"]
 
 
 class TestGoldenText:
     def test_case_ii_expansions(self):
-        low, high = expand_ladder_case_ii(w=None, depth=6)
+        low, high = expand_ladder_case_ii(w=None)
         assert tuple(low.render().split("\n")) == GOLDEN_LOWERING_W_SYMBOLIC_DEPTH6
         assert tuple(high.render().split("\n")) == GOLDEN_RAISING_W_SYMBOLIC_DEPTH6
 
     def test_inv_sqrt_bracket(self):
-        _, bracket = inv_sqrt_one_plus_h()
+        _, bracket, _ = inv_sqrt_one_plus_h()
         assert tuple(bracket.render().split("\n")) == GOLDEN_INV_SQRT_BRACKET_DEPTH8
 
     def test_product_identities(self):
-        rep = product_identities(w=None, depth=6)
+        rep = product_identities(w=None)
         assert rep["a1_a1dag_residual"].render() == GOLDEN_PRODUCT_RESIDUAL
         assert rep["a1dag_a1_residual"].render() == GOLDEN_PRODUCT_RESIDUAL
         assert rep["valid_floor"] == GOLDEN_PRODUCT_VALID_FLOOR
@@ -491,9 +509,9 @@ class TestFlatKernelProperties:
 
     def test_symbolic_w_substitutes_to_rational_expansion(self):
         # the w that c07 samples by substituting into the symbolic expansion
-        symbolic = expand_ladder_case_ii(w=None, depth=6)
+        symbolic = expand_ladder_case_ii(w=None)
         for w in (Fraction(1), Fraction(2), Fraction(7, 2)):
-            rational = expand_ladder_case_ii(w=w, depth=6)
+            rational = expand_ladder_case_ii(w=w)
             for sym, rat in zip(symbolic, rational):
                 bound = sym.substitute(w=w)
                 assert (bound.floor, bound.exact) == (rat.floor, rat.exact)

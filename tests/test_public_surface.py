@@ -25,14 +25,9 @@ PACKAGE = ROOT / "src" / "isoladder"
 ENTRY_POINTS = [PACKAGE / "__main__.py", *sorted((ROOT / "demos").glob("*.py"))]
 # reached from no entry point yet; ROADMAP item 1A makes it a battery part
 EXEMPT = {"isospectral.theta_curvature_table"}
-# private names one package module or demo reads from another, today's reads: the report's context
-# (which the benchmark's tracer also reads), fock's Hermitian check and the shift eigenvector.  The
-# list may only shrink.
-PRIVATE_READS = {
-    "cli -> report._Context",
-    "isospectral -> coherent._shift_eigenvector",
-    "ladder -> fock._require_hermitian",
-}
+# private names one package module or demo reads from another, today's read: the report's context,
+# which the benchmark's tracer also reads.  The list may only shrink.
+PRIVATE_READS = {"cli -> report._Context"}
 BENCHMARK_READERS = [ROOT / "perfbench" / "worker.py", ROOT / "perfbench" / "tracing.py"]
 
 

@@ -37,7 +37,7 @@ DEPENDENCY = {
     "criterion_06_resolvent": (ladder, "resolvent_inv_sqrt"),
     "criterion_07_pdo_golden": (pdo, "series_invert"),
     "criterion_08_cs_eigenresidual": (coherent, "cs_residual"),
-    "criterion_09_perelomov": (coherent, "generalized_cs"),
+    "criterion_09_perelomov": (coherent, "d_theta1_deviation"),
     "criterion_10_orders": (coherent, "order_estimate"),
     "criterion_11_lambda_limit": (report, "grid_norm"),
     "criterion_12_composite_lowering": (isospectral, "b_dagger_a_b_cs"),
@@ -66,6 +66,12 @@ def test_raising_dependency_keeps_the_criterion_name(criterion, context, monkeyp
     assert result.name == NAMES[criterion.__name__]
     assert not result.passed
     assert result.parts == [("construction_error: injected failure", float("inf"), 1.0, False)]
+
+
+def test_a_failing_d_theta1_check_fails_c09_alone(monkeypatch):
+    # c09 records the check and generalized_cs refuses by it; no other criterion reads it
+    monkeypatch.setattr(coherent, "d_theta1_deviation", _raise)
+    assert [r.name for r in report.run_all(lam=2.0, trunc=64) if not r.passed] == ["c09_perelomov_equivalence"]
 
 
 def test_run_all_reports_the_normal_name_for_a_raising_criterion(monkeypatch):
@@ -172,9 +178,9 @@ class TestOneExpansionPerCheck:
         calls = []
         expand = pdo.expand_ladder_case_ii
 
-        def counted(w=None, depth=pdo.DEFAULT_DEPTH):
+        def counted(w=None):
             calls.append(w)
-            return expand(w=w, depth=depth)
+            return expand(w=w)
 
         monkeypatch.setattr(pdo, "expand_ladder_case_ii", counted)
         return calls
