@@ -96,7 +96,7 @@ moved = d.mat @ np.eye(N)[1]
 cs = coherent.cs_vector(zeta, ladder.constant_weights(1.0), N, TAG)
 print(f"\nD(zeta) theta_1 vs the eigenstate construction: {below(np.linalg.norm(moved - cs.coeffs), 1e-6)}")
 print(f"unitarity of D on the interior window: "
-      f"{below(np.max(np.abs((d.mat.conj().T @ d.mat - np.eye(N))[:59, :59])), 1e-7)}")
+      f"{below(fock.interior_max_abs(d.mat.conj().T @ d.mat - np.eye(N)), 1e-7)}")
 
 h1 = coherent.h_tilde_1(N, TAG)
 print(f"a1+ a1 diagonal starts {np.round(np.real(np.diag(h1.mat))[:6], 12)} (0, 0, then 1, 2, ...)")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coherent, isospectral, ladder, pdo, report
-from .fock import FOCK, hermitian_eigensystem
+from .fock import FOCK, INTERIOR_MARGIN, hermitian_eigensystem
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -140,7 +140,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     N = config.trunc
     ctx = report._Context(config.lam, N)
     evals, _ = hermitian_eigensystem(isospectral.h_tilde_matrix(ctx))
-    interior = max(N - 5, 1)
+    interior = max(N - INTERIOR_MARGIN, 1)
     count = min(40, interior)
     eye = np.eye(count, interior)
     gram = ctx.theta[:count] @ (ctx.grid.weights[None, :] * ctx.theta).T

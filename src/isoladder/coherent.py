@@ -7,15 +7,15 @@ partial-sum products; and, for unit weights, the unitary displacement
 operator and the Perelomov-type generalized coherent states.  The
 displacement and h_tilde_1 build the unit-weight pair themselves, as it is
 the only pair they admit; generalized_cs transports by a D it is given, so
-a caller builds D once, and refuses a D that d_theta1_deviation, c09's
-check of D theta_1 against cs_vector, does not pass.
+a caller builds D once, and starts from the state d_theta1_deviation, c09's
+check of D theta_1 against cs_vector, built, refusing a D that fails it.
 
-One weighted-shift routine, shift_eigenstate, builds these states and the
-two coherent-state families of isospectral, all under one tail guard, from
-log W_1 .. log W_N, through log_d_coefficients, the one home of log d_n.  All
-W products are accumulated as sums of logarithms so q > 1 sequences survive
-out to n = 10^4 without overflow.  The growth questions (bounded? radius?
-order?) read that 10^4-term log W_n once per call, from _growth_window.
+log_d_coefficients is the one home of log d_n: shift_eigenstate (these states
+and isospectral's two families, under one tail guard), normalization_h, the
+Bargmann map and the order fit read it, from log W_n accumulated as sums of
+logarithms so q > 1 sequences survive out to n = 10^4 without overflow.  The
+growth questions read that 10^4-term log W_n once per call, from
+_growth_window, and one rule, _check_convergence, refuses the radius.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ class WeightSequenceTooShort(ValueError):
 def log_d_coefficients(log_w: np.ndarray) -> np.ndarray:
     """log d_0 .. log d_m from log_w = log W_1 .. log W_m, d_n = (W_1 ... W_n)^{-1}; log-space throughout.
 
-    When some W_n = 0 the family is finite: the maximal valid prefix is
-    returned (shorter than m + 1).
+    The one place log d_n is accumulated.  When some W_n = 0 the family is finite: the
+    maximal valid prefix is returned (shorter than m + 1), so W_1 = 0 leaves d_0 = 1 alone.
     """
     finite = np.isfinite(log_w)
     if not np.all(finite):
@@ -99,52 +99,44 @@ def log_d_coefficients(log_w: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], -np.cumsum(log_w)))
 
 
-def _check_convergence(t: float, weights: WeightSequence) -> None:
-    """DivergenceError when t sits at or beyond the squared radius of convergence."""
-    radius = radius_of_convergence(weights)
+def _check_convergence(t: float, radius: float) -> None:
+    """DivergenceError when t = |zeta|^2 sits at or beyond radius^2 (1 - 1e-12): the one radius rule."""
     if math.isfinite(radius) and t >= radius * radius * (1.0 - 1e-12):
         raise DivergenceError(t, radius)
 
 
 def normalization_h(t: float, weights: WeightSequence) -> float:
-    """h(t) = sum_n d_n t^n with a certified geometric tail bound below 1e-12 relative.
+    """h(t) = sum_n d_n t^n, d_n from log_d_coefficients, with a tail certified below 1e-12 relative.
 
-    Raises DivergenceError when t sits at or beyond the squared radius of
-    convergence for bounded weight sums.
+    It stops at the first n >= 1 where the tail bound d_n t^n r / (1 - r), r = t / W_{n+1} < 1, is
+    below 1e-12 of the partial sum (W_n never decreases); a finite family sums exactly, so W_1 = 0
+    gives h = 1.  The prefix read doubles from 256 terms: WeightSequenceTooShort when a custom list
+    runs out first, RuntimeError past 4M terms; DivergenceError at or beyond the squared radius.
     """
     if t < 0:
         raise ValueError(f"h is defined for t >= 0, got {t}")
-    _check_convergence(t, weights)
+    _check_convergence(t, radius_of_convergence(weights))
     if t == 0.0:
         return 1.0
-    total = 1.0
-    term = 1.0
-    n = 0
-    chunk = 256
     limit = weights.max_index
-    if limit is not None:
-        chunk = min(chunk, limit)
-    W = weights.partial_sum_array(chunk)
+    m = 256 if limit is None else min(256, limit)
     while True:
-        if n + 2 >= len(W):
-            if limit is not None and len(W) >= limit:
-                raise WeightSequenceTooShort(
-                    f"custom list of {limit} weights cannot certify the tail of h at t = {t:g}"
-                )
-            chunk *= 2
-            if chunk > 4_000_000:
-                raise RuntimeError("normalization series failed to certify its tail")
-            if limit is not None:
-                chunk = min(chunk, limit)
-            W = weights.partial_sum_array(chunk)
-        term *= t / W[n]  # term now d_{n+1} t^{n+1}
-        n += 1
-        total += term
-        ratio_next = t / W[n] if W[n] > 0 else math.inf
-        if ratio_next < 1.0:
-            tail_bound = term * ratio_next / (1.0 - ratio_next)
-            if tail_bound < _H_REL_TOL * total:
-                return total
+        log_w = weights.log_partial_sum_array(m)
+        log_d = log_d_coefficients(log_w)
+        terms = np.exp(log_d + np.arange(len(log_d)) * math.log(t))  # d_n t^n
+        total = np.cumsum(terms)
+        if len(log_d) <= m:
+            return float(total[-1])
+        r = np.exp(math.log(t) - log_w)  # t / W_{n+1} at n = 0 .. m - 1
+        certified = np.flatnonzero(terms[1:m] * r[1:] < _H_REL_TOL * total[1:m] * (1.0 - r[1:]))
+        if len(certified):
+            return float(total[certified[0] + 1])
+        if limit is not None and m >= limit:
+            raise WeightSequenceTooShort(f"custom list of {limit} weights cannot certify "
+                                         f"the tail of h at t = {t:g}")
+        m = 2 * m if limit is None else min(2 * m, limit)
+        if m > 4_000_000:
+            raise RuntimeError("normalization series failed to certify its tail")
 
 
 def shift_eigenstate(log_w: np.ndarray, zeta: complex, start: int, tag) -> StateVector:
@@ -189,7 +181,7 @@ def cs_vector(zeta: complex, weights: WeightSequence, N: int, tag) -> StateVecto
     """
     if N < 4:
         raise ValueError(f"truncation N must be >= 4, got {N}")
-    _check_convergence(abs(complex(zeta)) ** 2, weights)
+    _check_convergence(abs(complex(zeta)) ** 2, radius_of_convergence(weights))
     return shift_eigenstate(weights.log_partial_sum_array(N), zeta, 1, tag)
 
 
@@ -205,7 +197,8 @@ def cs_residual(weights: WeightSequence, zeta: complex, N: int, tag) -> float:
 
 
 def bargmann_transform(psi: StateVector, weights: WeightSequence, samples) -> list:
-    """Psi(zeta) = sum_n d_n^{1/2} <theta_{n+1}|Psi> zeta^n at the sample points."""
+    """Psi(zeta) = sum_n d_n^{1/2} <theta_{n+1}|Psi> zeta^n at the sample points; DivergenceError,
+    as for h and cs_vector, when a sample sits at or beyond the radius, read once for all samples."""
     if psi.basis.kind != "theta":
         raise ValueError("Bargmann transform expects a theta-basis state")
     N = psi.dim
@@ -215,8 +208,7 @@ def bargmann_transform(psi: StateVector, weights: WeightSequence, samples) -> li
     out = []
     for z in samples:
         z = complex(z)
-        if math.isfinite(radius) and abs(z) >= radius:
-            raise ValueError(f"sample |zeta| = {abs(z):g} at/beyond radius {radius:g}")
+        _check_convergence(abs(z) ** 2, radius)
         powers = z ** np.arange(len(half_d))
         out.append(complex(np.sum(half_d * inner * powers)))
     return out
@@ -276,7 +268,8 @@ def order_estimate(weights: WeightSequence) -> OrderEstimate:
     least squares of log(W_1...W_n) on {n^2, n log n, n, 1} over
     n in [1e3, 1e4]; a practically significant n^2 term means order 0
     (Gaussian-type coefficient decay), else rho = 2 / (n log n coefficient).
-    WeightError when w_1 = 0: every d_n past d_0 is then infinite.
+    WeightError when w_1 = 0: the family is then finite (log_d_coefficients
+    keeps d_0 alone), with no growth to fit.
     """
     logW, radius = _growth_window(weights)
     if logW[0] == -math.inf:
@@ -291,7 +284,7 @@ def order_estimate(weights: WeightSequence) -> OrderEstimate:
         raise WeightSequenceTooShort(
             f"order fit needs weights out to n = {_FIT_HI}, custom list has {weights.max_index}"
         )
-    L = np.cumsum(logW)[_FIT_LO - 1 : _FIT_HI]
+    L = -log_d_coefficients(logW)[_FIT_LO : _FIT_HI + 1]
     n = np.arange(_FIT_LO, _FIT_HI + 1, dtype=float)
     X = np.column_stack([n * n, n * np.log(n), n, np.ones_like(n)])
     beta, _, _, _ = np.linalg.lstsq(X, L, rcond=None)
@@ -383,33 +376,34 @@ def displacement_operator(zeta: complex, N: int, tag) -> TruncatedOperator:
     return TruncatedOperator(d, tag)
 
 
-def d_theta1_deviation(zeta: complex, d: TruncatedOperator) -> tuple[float, float]:
-    """|D theta_1 - cs_vector(zeta)| for the unit weights, and the bound 1e-6 it must stay below: more
-    means D = displacement_operator(zeta, N, tag) or the state is wrong, or D was built for another zeta."""
+def d_theta1_deviation(zeta: complex, d: TruncatedOperator) -> tuple[float, float, StateVector]:
+    """|D theta_1 - cs_vector(zeta)| for the unit weights, the bound 1e-6 it must stay below, and the
+    cs_vector state it built: more means D = displacement_operator(zeta, N, tag) or the state is
+    wrong, or D was built for another zeta."""
     cs = cs_vector(zeta, constant_weights(1.0), d.dim, d.basis)
-    return float(np.linalg.norm(d.mat[:, 1] - cs.coeffs)), 1e-6
+    return float(np.linalg.norm(d.mat[:, 1] - cs.coeffs)), 1e-6, cs
 
 
 def generalized_cs(zeta: complex, n: int, d: TruncatedOperator):
     """|zeta; theta_n> both ways, for d = displacement_operator(zeta, N, tag): repeated
     displaced raising with per-step normalization, and direct displacement of theta_n.
 
-    Returns (ladder_route, displaced_route); they agree up to normalization.  ValueError when d fails
-    d_theta1_deviation, naming the zeta d was built for, read off as d[2, 1] / d[1, 1].
+    Returns (ladder_route, displaced_route); they agree up to normalization.  The ladder route
+    starts from the state d_theta1_deviation built.  ValueError when d fails that check, naming
+    the zeta d was built for, read off as d[2, 1] / d[1, 1].
     """
     N = d.dim
     if n < 2:
         raise ValueError(f"generalized CS start at n = 2, got {n}")
     if n > N - 10:
         raise ValueError(f"n = {n} too close to the truncation edge N = {N}")
-    deviation, bound = d_theta1_deviation(zeta, d)
+    deviation, bound, state = d_theta1_deviation(zeta, d)
     if not deviation < bound:
         built_for = complex(np.round(d.mat[2, 1] / d.mat[1, 1], 6)) + 0  # + 0 turns a -0 part into 0
         raise ValueError(f"D was built for zeta = {built_for:g}, not for zeta = {complex(zeta):g}: "
                          f"D theta_1 is {deviation:.3g} from cs_vector(zeta)")
     _, raising = ladder_matrices(constant_weights(1.0), N, d.basis)
     transported = d @ raising @ adjoint(d)
-    state = cs_vector(zeta, constant_weights(1.0), N, d.basis)
     for _ in range(n - 1):
         state = apply_operator(transported, state).normalized()
     unit = np.zeros(N, dtype=complex)

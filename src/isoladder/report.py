@@ -19,6 +19,7 @@ import numpy as np
 from . import coherent, isospectral, ladder, pdo
 from .fock import (
     FOCK,
+    INTERIOR_MARGIN,
     adjoint,
     apply_operator,
     apply_spectral_function,
@@ -203,7 +204,7 @@ def criterion_09_perelomov(ctx: _Context, res: CriterionResult):
     N = max(ctx.N, 64)
     zeta = 0.7 - 0.2j
     d = coherent.displacement_operator(zeta, N, ctx.tag)
-    res.add("D_theta1_vs_cs", *coherent.d_theta1_deviation(zeta, d))
+    res.add("D_theta1_vs_cs", *coherent.d_theta1_deviation(zeta, d)[:2])
     unit_dev = interior_max_abs((adjoint(d) @ d).mat - np.eye(N))
     res.add("DdagD_interior_unitarity", unit_dev, 1e-7)
     for n in (2, 3):
@@ -251,7 +252,7 @@ def criterion_11_lambda_limit(ctx: _Context, res: CriterionResult):
     res.add("h_tilde_minus_h_interior_inf_norm", op_norm_inf(m), 1e-4)
     psi = basis.psi
     dev = max(
-        grid_norm(basis.theta[n] - psi[n], ctx.grid) for n in range(N - 5)
+        grid_norm(basis.theta[n] - psi[n], ctx.grid) for n in range(N - INTERIOR_MARGIN)
     )
     res.add("theta_vs_psi_interior", dev, 1e-5)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,16 @@ class TestNormalization:
         with pytest.raises(DivergenceError) as err:
             normalization_h(2.5, single_weight(2.0))
         assert "radius" in str(err.value)
+
+    def test_sums_the_log_d_coefficients(self, monkeypatch):
+        # h reads d_n from log_d_coefficients alone, never the linear partial sums
+        def refused(self, nmax):
+            raise AssertionError("normalization_h read partial_sum_array")
+
+        monkeypatch.setattr(WeightSequence, "partial_sum_array", refused)
+        assert normalization_h(2.0, constant_weights(1.0)) == pytest.approx(math.exp(2.0), rel=1e-12)
+        assert normalization_h(1.5, single_weight(2.0)) == pytest.approx(4.0, rel=1e-11)
+        assert normalization_h(3.0, linear_weights()) > 1.0
 
 
 class TestCSVector:
@@ -224,6 +235,12 @@ class TestBargmann:
         with pytest.raises(ValueError):
             bargmann_transform(psi, weights, [2.0])
 
+    def test_refuses_under_the_radius_rule_of_h(self):
+        # sqrt(2) (1 - 1e-13) sits inside the 1e-12 margin h and cs_vector refuse
+        weights = single_weight(2.0)
+        with pytest.raises(DivergenceError):
+            bargmann_transform(StateVector(np.eye(16)[1], TAG), weights, [0.3, math.sqrt(2.0) * (1 - 1e-13)])
+
     def test_rejects_fock_state(self):
         from isoladder.fock import FOCK
 
@@ -269,12 +286,20 @@ class TestOrderEstimate:
 
 
 class TestZeroFirstWeight:
-    """w_1 = 0: W_n = 0 on a prefix, so every d_n past d_0 is infinite."""
+    """w_1 = 0: W_n = 0 on a prefix, so the family is finite: log_d_coefficients keeps d_0 = 1
+    alone, the coherent state is theta_1 and h = 1."""
 
     def test_cs_is_theta1_and_radius_infinite(self):
         cs = cs_vector(0.5 + 0.2j, single_weight(0.0), 16, TAG)
         assert np.array_equal(cs.coeffs, np.eye(16)[1])
         assert radius_of_convergence(single_weight(0.0)) == math.inf
+
+    @pytest.mark.parametrize("weights", [single_weight(0.0), custom_weights([0.0] + [1.0] * 63)],
+                             ids=["single", "custom"])
+    def test_h_is_one(self, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert normalization_h(1.0, weights) == 1.0
 
     @pytest.mark.parametrize("weights", [
         single_weight(0.0),
@@ -316,6 +341,14 @@ class TestOneGrowthPass:
     def test_cs_vector(self, passes):
         cs_vector(0.5 + 0.2j, single_weight(2.0), 32, TAG)
         assert passes == [10_000, 32]
+
+    def test_bargmann_transform(self, passes):
+        bargmann_transform(StateVector(np.eye(16)[1], TAG), single_weight(2.0), [0.3, 0.5j, -1.0])
+        assert passes == [10_000, 15]
+
+    def test_h_of_a_finite_family_at_once(self, passes):
+        normalization_h(1.0, single_weight(0.0))
+        assert passes == [10_000, 256]
 
 
 class TestQFactorial:
@@ -406,8 +439,10 @@ class TestDisplacement:
         moved = d.mat @ np.eye(64)[1]
         cs = cs_vector(zeta, constant_weights(1.0), 64, TAG)
         assert np.linalg.norm(moved - cs.coeffs) < 1e-6
-        # c09's check is this norm bit for bit, with its bound
-        assert d_theta1_deviation(zeta, d) == (float(np.linalg.norm(moved - cs.coeffs)), 1e-6)
+        # c09's check is this norm bit for bit, with its bound and the state it built
+        deviation, bound, built = d_theta1_deviation(zeta, d)
+        assert (deviation, bound) == (float(np.linalg.norm(moved - cs.coeffs)), 1e-6)
+        assert np.array_equal(built.coeffs, cs.coeffs) and built.basis == TAG
 
     def test_unitarity(self):
         d = displacement_operator(1.3 + 0.4j, 64, TAG)

@@ -118,6 +118,19 @@ def test_run_all_builds_one_displacement(monkeypatch):
     assert len(built) == 1
 
 
+def test_run_all_builds_c09s_state_at_most_three_times(monkeypatch):
+    # the D theta_1 check hands its state to the ladder route of each generalized_cs call
+    built, cs_vector = [], coherent.cs_vector
+
+    def counted(zeta, *args):
+        built.append(zeta)
+        return cs_vector(zeta, *args)
+
+    monkeypatch.setattr(coherent, "cs_vector", counted)
+    report.run_all(2.0, 64)
+    assert 1 <= built.count(0.7 - 0.2j) <= 3
+
+
 READ_U = ["c01_isospectrality", "c04_commutator_diagonal", "c05_closed_form_equivalence",
           "c11_lambda_to_infinity", "c12_composite_lowering"]
 
