@@ -103,7 +103,6 @@ print(f"a1+ a1 diagonal starts {np.round(np.real(np.diag(h1.mat))[:6], 12)} (0, 
 print(f"|zeta> is the displaced ground state: "
       f"{below(np.linalg.norm((d.mat @ h1.mat @ d.mat.conj().T) @ cs.coeffs), 1e-6)}")
 
-for n in (2, 3):
-    ladder_route, displaced_route = coherent.generalized_cs(zeta, n, d)
+for n, (ladder_route, displaced_route) in enumerate(coherent.generalized_cs(zeta, 3, d)[2], 2):
     dev = np.linalg.norm(ladder_route.coeffs - displaced_route.normalized().coeffs)
     print(f"generalized CS n = {n}: two constructions agree to {below(dev, 1e-5)}")

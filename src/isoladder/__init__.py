@@ -3,8 +3,9 @@
 Numerical (truncated-matrix) and symbolic (pseudo-differential series)
 constructions of shift operators, distorted Heisenberg algebras and the
 coherent states they generate, verified against each other throughout.
-"""
 
-from . import numerics, fock, isospectral, ladder, coherent, pdo, report
+Importing the package imports none of its modules; import the one you use,
+`from isoladder import report`, so the exact `pdo` layer runs without numpy.
+"""
 
 __version__ = "0.1.0"

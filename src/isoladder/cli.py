@@ -5,7 +5,8 @@ key = value config file, then command-line flags (flags win); the _OPTIONS
 table declares each option once.  All numeric output is formatted to 17
 significant digits so identical configs produce byte-identical files.
 Exit codes: 0 all checks pass, 1 a check failed or a construction was refused,
-2 invalid configuration (a non-finite number included).
+2 invalid configuration (a non-finite number, an unreadable --config or an unusable --out included), as
+params.Refusal.exit_code says.  Each command imports the modules it runs, so `pdo` imports no numpy.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import coherent, isospectral, ladder, pdo, report
-from .fock import FOCK, INTERIOR_MARGIN, hermitian_eigensystem
+from .params import WEIGHT_RULES, IsospectralParams, ParameterError, Refusal, WeightError, check_weight_rule
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -29,7 +27,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 
 
-class ConfigError(ValueError):
+class ConfigError(Refusal):
     """Invalid run configuration; the message names the violated constraint."""
 
 
@@ -51,14 +49,16 @@ class RunConfig:
     def zeta(self) -> complex:
         return complex(self.zeta_re, self.zeta_im)
 
-    def weights(self) -> ladder.WeightSequence:
+    def weight_rule(self) -> tuple:
+        """The weight rule --weights names and the one parameter it reads."""
         kind = self.weights_kind
         if kind == "linear" and self.nu is not None and self.nu != 1.0:
             kind = "power"  # --weights linear --nu v: w_n = n^v
-        try:
-            return ladder.weight_rule(kind, w=self.w, q=self.q, nu=self.nu, values=self.custom)
-        except ladder.WeightError as exc:
-            raise ConfigError(str(exc)) from exc
+        return kind, {"w": self.w, "q": self.q, "nu": self.nu, "values": self.custom}.get(WEIGHT_RULES[kind][0])
+
+    def weights(self):
+        from .ladder import WeightSequence
+        return WeightSequence(*self.weight_rule())
 
     def validate(self):
         for key, attr, conv, flag in _OPTIONS:
@@ -72,10 +72,10 @@ class RunConfig:
         if self.trunc < 8:
             raise ConfigError(f"truncation must be >= 8, got {self.trunc}")
         try:
-            isospectral.IsospectralParams(self.lam)
-        except isospectral.ParameterError as exc:
+            IsospectralParams(self.lam)
+            check_weight_rule(*self.weight_rule())
+        except (ParameterError, WeightError) as exc:
             raise ConfigError(str(exc)) from exc
-        self.weights()
 
 
 def fmt_float(x) -> str:
@@ -94,18 +94,18 @@ def _json_value(v) -> str:
         return "true" if v else "false"
     if v is None:
         return "null"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if isinstance(v, int):
+        return str(v)
     if isinstance(v, complex):
         return '{"re": %s, "im": %s}' % (_json_value(v.real), _json_value(v.imag))
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float):
         if math.isfinite(v):
             return fmt_float(v)
         return _json_value(fmt_float(v))  # inf/nan as strings: valid JSON stays valid
     if isinstance(v, dict):
         inner = ", ".join(f"{_json_value(str(k))}: {_json_value(val)}" for k, val in v.items())
         return "{" + inner + "}"
-    if isinstance(v, (list, tuple, np.ndarray)):
+    if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_value(item) for item in v) + "]"
     raise TypeError(f"cannot serialize {type(v)}")
 
@@ -116,7 +116,7 @@ def to_json(obj) -> str:
 
 def to_csv(header: list, rows: list) -> str:
     def cell(v):
-        if isinstance(v, (float, np.floating)):
+        if isinstance(v, float):
             return fmt_float(v)
         return str(v)
 
@@ -137,6 +137,9 @@ def _emit(config: RunConfig, filename: str, text: str):
 
 
 def cmd_spectrum(config: RunConfig) -> int:
+    import numpy as np
+    from . import isospectral, report
+    from .fock import INTERIOR_MARGIN, hermitian_eigensystem
     N = config.trunc
     ctx = report._Context(config.lam, N)
     evals, _ = hermitian_eigensystem(isospectral.h_tilde_matrix(ctx))
@@ -167,6 +170,7 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 
 def cmd_commutator(config: RunConfig) -> int:
+    from . import isospectral, ladder, report
     N = config.trunc
     weights = config.weights()
     ctx = report._Context(config.lam, N)
@@ -185,6 +189,8 @@ def cmd_commutator(config: RunConfig) -> int:
 
 
 def cmd_coherent(config: RunConfig) -> int:
+    from . import coherent
+    from .fock import FOCK
     weights = config.weights()
     zeta = config.zeta
     rows = [{"N": N, "residual": coherent.cs_residual(weights, zeta, N, FOCK)}
@@ -202,6 +208,7 @@ def cmd_coherent(config: RunConfig) -> int:
 
 
 def cmd_order(config: RunConfig) -> int:
+    from . import coherent
     weights = config.weights()
     est = coherent.order_estimate(weights)
     text = to_json({
@@ -216,7 +223,8 @@ def cmd_order(config: RunConfig) -> int:
 
 
 def cmd_pdo(config: RunConfig) -> int:
-    ladder.distorted_weights(config.w)  # the rule expanded here, whatever --weights names
+    from . import pdo
+    check_weight_rule("distorted", config.w)  # the rule expanded here, whatever --weights names
     w = Fraction(str(config.w))
     rep = pdo.product_identities(w=w)
     low, high = rep["lowering"], rep["raising"]
@@ -239,6 +247,7 @@ def cmd_pdo(config: RunConfig) -> int:
 
 
 def cmd_report(config: RunConfig) -> int:
+    from . import report
     results = report.run_all(lam=config.lam, trunc=config.trunc)
     entries = []
     for r in results:
@@ -350,19 +359,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        config = build_config(args)
-    except (ConfigError, OSError) as exc:
+        return COMMANDS[args.command](build_config(args))
+    except (Refusal, OSError) as exc:  # OSError: an unreadable --config or an unusable --out
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    try:
-        return COMMANDS[args.command](config)
-    except (ConfigError, isospectral.ParameterError, ladder.WeightError, coherent.DivergenceError,
-            coherent.TruncationError, coherent.WeightSequenceTooShort, isospectral.ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)  # a refused U fails the check, as in the report
-        return EXIT_CHECK_FAILED if isinstance(exc, isospectral.ConstructionError) else EXIT_BAD_CONFIG
+        return exc.exit_code if isinstance(exc, Refusal) else EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ partial-sum products; and, for unit weights, the unitary displacement
 operator and the Perelomov-type generalized coherent states.  The
 displacement and h_tilde_1 build the unit-weight pair themselves, as it is
 the only pair they admit; generalized_cs transports by a D it is given, so
-a caller builds D once, and starts from the state d_theta1_deviation, c09's
-check of D theta_1 against cs_vector, built, refusing a D that fails it.
+a caller builds D once, and runs d_theta1_deviation, c09's check of D theta_1
+against cs_vector, once per call for all of theta_2 .. theta_n, refusing a D
+that fails it and starting from the state the check built.
 
 log_d_coefficients is the one home of log d_n: shift_eigenstate (these states
 and isospectral's two families, under one tail guard), normalization_h, the
@@ -32,13 +33,8 @@ from .fock import (
     apply_operator,
     hermitian_eigensystem,
 )
-from .ladder import (
-    WeightError,
-    WeightSequence,
-    constant_weights,
-    geometric_weights,
-    ladder_matrices,
-)
+from .ladder import WeightSequence, constant_weights, geometric_weights, ladder_matrices
+from .params import Refusal, WeightError
 
 __all__ = [
     "DivergenceError",
@@ -68,7 +64,7 @@ _H_REL_TOL = 1e-12  # relative tail bound normalization_h certifies
 CS_RESIDUAL_BOUND = 1e-6  # the largest cs_residual that passes, in c08 and `isoladder coherent`
 
 
-class DivergenceError(ValueError):
+class DivergenceError(Refusal):
     """|zeta|^2 at or beyond the radius of convergence of h."""
 
     def __init__(self, t, radius):
@@ -79,11 +75,11 @@ class DivergenceError(ValueError):
         )
 
 
-class TruncationError(ValueError):
+class TruncationError(Refusal):
     """The first dropped coefficient term would exceed 1e-24 of h."""
 
 
-class WeightSequenceTooShort(ValueError):
+class WeightSequenceTooShort(Refusal):
     """A finite custom list is too short for the requested growth analysis."""
 
 
@@ -385,12 +381,12 @@ def d_theta1_deviation(zeta: complex, d: TruncatedOperator) -> tuple[float, floa
 
 
 def generalized_cs(zeta: complex, n: int, d: TruncatedOperator):
-    """|zeta; theta_n> both ways, for d = displacement_operator(zeta, N, tag): repeated
-    displaced raising with per-step normalization, and direct displacement of theta_n.
+    """|zeta; theta_k> for k = 2 .. n both ways, for d = displacement_operator(zeta, N, tag): repeated
+    displaced raising with per-step normalization, and direct displacement of theta_k.
 
-    Returns (ladder_route, displaced_route); they agree up to normalization.  The ladder route
-    starts from the state d_theta1_deviation built.  ValueError when d fails that check, naming
-    the zeta d was built for, read off as d[2, 1] / d[1, 1].
+    Returns d_theta1_deviation's deviation and bound, and [(ladder_route, displaced_route)] for k = 2 .. n,
+    which agree up to normalization: one check, whose state starts the ladder route, and one D a1+ D+ serve
+    every k.  ValueError when d fails the check, naming the zeta d was built for, read off as d[2, 1] / d[1, 1].
     """
     N = d.dim
     if n < 2:
@@ -404,12 +400,11 @@ def generalized_cs(zeta: complex, n: int, d: TruncatedOperator):
                          f"D theta_1 is {deviation:.3g} from cs_vector(zeta)")
     _, raising = ladder_matrices(constant_weights(1.0), N, d.basis)
     transported = d @ raising @ adjoint(d)
-    for _ in range(n - 1):
+    routes = []
+    for k in range(2, n + 1):
         state = apply_operator(transported, state).normalized()
-    unit = np.zeros(N, dtype=complex)
-    unit[n] = 1.0
-    displaced = apply_operator(d, StateVector(unit, d.basis))
-    return state, displaced
+        routes.append((state, StateVector(d.mat[:, k].copy(), d.basis)))  # D theta_k
+    return deviation, bound, routes
 
 
 def h_tilde_1(N: int, tag) -> TruncatedOperator:

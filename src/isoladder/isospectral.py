@@ -42,10 +42,10 @@ from .fock import (
     theta_tag,
     times_annihilation,
 )
-from .numerics import SQRT_PI, QuadratureGrid, erf, grid_norm
+from .numerics import QuadratureGrid, erf, grid_norm
+from .params import SQRT_PI, IsospectralParams, ParameterError, Refusal
 
 __all__ = [
-    "LAMBDA_GUARD",
     "ParameterError",
     "ConstructionError",
     "IsospectralParams",
@@ -64,31 +64,15 @@ __all__ = [
     "theta_curvature_table",
 ]
 
-LAMBDA_GUARD = 1e-6
-_LAMBDA_MAX = 2.0**500  # up to here theta_0's squared norm, ~sqrt(pi)/lambda^2, sums normal numbers
 _RICCATI_FD_STEP = 1e-5  # central-difference step of riccati_residual
 _NODE_CUT, _OPERAND_FLOOR = 2.0**-500, 2.0**-511  # ThetaBasis._overlaps' node cut and operand floor
 _GRID_DEFECT_BOUND = 1e-12  # the largest grid.norm_defects entry ThetaBasis._overlaps accepts
 
 
-class ParameterError(ValueError):
-    """Parameter outside the admissible region sqrt(pi)/2 < |lambda| <= 2^500."""
-
-
-class ConstructionError(ValueError):
+class ConstructionError(Refusal):
     """U cannot be built: the grid cannot carry psi, or Newton-Schulz cannot reach the polar factor."""
 
-
-@dataclass(frozen=True)
-class IsospectralParams:
-    """The family parameter; |lambda| must clear sqrt(pi)/2 by a guard band and not exceed 2^500."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not SQRT_PI / 2 + LAMBDA_GUARD < abs(self.lam) <= _LAMBDA_MAX:  # nan fails both
-            raise ParameterError(f"|lambda| must exceed sqrt(pi)/2 + {LAMBDA_GUARD:g} to keep phi regular and "
-                                 f"not exceed 2^500 to keep theta_0's norm normal, got {self.lam!r}")
+    exit_code = 1  # the CLI's failed check, as the report fails the criterion
 
 
 @dataclass(frozen=True)

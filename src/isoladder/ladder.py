@@ -28,6 +28,7 @@ from .fock import (
     require_hermitian,
     times_annihilation,
 )
+from .params import WEIGHT_RULES, WeightError, check_weight_rule
 
 __all__ = [
     "WeightError",
@@ -39,7 +40,6 @@ __all__ = [
     "geometric_weights",
     "power_law_weights",
     "custom_weights",
-    "weight_rule",
     "c_coefficients_recursive",
     "c_coefficients_closed",
     "shift_matrix",
@@ -56,23 +56,16 @@ __all__ = [
 _RESOLVENT_NODES = 200  # Gauss-Legendre nodes of the resolvent integral
 
 
-class WeightError(ValueError):
-    """Inadmissible or inconsistent weight sequence."""
-
-
-# kind -> the one parameter the rule reads (None: none), the bound it must meet
-# besides being finite ("values" is the custom list, bounded entry by entry), and
-# w_1 .. w_m from m and that parameter: the one place each rule's formula lives.
-# Geometric and power take Python's pow entry by entry, because numpy's differs
-# from it in the last bit.
-_RULES = {
-    "constant": ("w", "> 0", lambda m, w: np.full(m, float(w))),
-    "distorted": ("w", "> 0", lambda m, w: np.where(np.arange(m) == 0, float(w), 1.0)),
-    "linear": (None, "", lambda m, _: np.arange(1.0, m + 1)),
-    "single": ("w", ">= 0", lambda m, w: np.where(np.arange(m) == 0, float(w), 0.0)),
-    "geometric": ("q", "> 0", lambda m, q: np.array([float(q) ** n for n in range(1, m + 1)])),
-    "power": ("nu", "", lambda m, nu: np.array([float(n) ** float(nu) for n in range(1, m + 1)])),
-    "custom": ("values", ">= 0", lambda m, values: np.array(values[:m], dtype=float)),
+# kind -> w_1 .. w_m from m and the parameter params.WEIGHT_RULES names: the one place each rule's formula
+# lives.  Geometric and power take Python's pow entry by entry, because numpy's differs in the last bit.
+_FORMULAS = {
+    "constant": lambda m, w: np.full(m, float(w)),
+    "distorted": lambda m, w: np.where(np.arange(m) == 0, float(w), 1.0),
+    "linear": lambda m, _: np.arange(1.0, m + 1),
+    "single": lambda m, w: np.where(np.arange(m) == 0, float(w), 0.0),
+    "geometric": lambda m, q: np.array([float(q) ** n for n in range(1, m + 1)]),
+    "power": lambda m, nu: np.array([float(n) ** float(nu) for n in range(1, m + 1)]),
+    "custom": lambda m, values: np.array(values[:m], dtype=float),
 }
 
 
@@ -110,17 +103,7 @@ class WeightSequence:
     param: float | tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in _RULES:
-            raise WeightError(f"unknown weight variant {self.kind!r}")
-        name, bound, _ = _RULES[self.kind]
-        if name is None:
-            if self.param is not None:
-                raise WeightError(f"{self.kind} weights take no parameter, got {self.param!r}")
-            return
-        values = self.param if name == "values" else (self.param,)
-        admits = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "": lambda v: True}[bound]
-        if not values or not all(v is not None and math.isfinite(v) and admits(v) for v in values):
-            raise WeightError(f"{self.kind} weights need finite {name} {bound}".rstrip() + f", got {self.param!r}")
+        check_weight_rule(self.kind, self.param)
 
     @property
     def max_index(self) -> int | None:
@@ -128,7 +111,7 @@ class WeightSequence:
         return len(self.param) if self.kind == "custom" else None
 
     def label(self) -> str:
-        name = _RULES[self.kind][0]
+        name = WEIGHT_RULES[self.kind][0]
         if name is None:
             return self.kind
         if name == "values":
@@ -136,11 +119,11 @@ class WeightSequence:
         return f"{self.kind}({name}={self.param:g})"
 
     def weight_array(self, nmax: int) -> np.ndarray:
-        """w_1 .. w_nmax from the rule's formula in _RULES."""
+        """w_1 .. w_nmax from the rule's formula in _FORMULAS."""
         if self.kind == "custom" and nmax > len(self.param):
             raise WeightError(f"custom weight index {len(self.param) + 1} out of range "
                               f"(have {len(self.param)})")
-        return _RULES[self.kind][2](nmax, self.param)
+        return _FORMULAS[self.kind](nmax, self.param)
 
     def partial_sum_array(self, nmax: int) -> np.ndarray:
         """W_n = w_1 + ... + w_n for n = 1 .. nmax."""
@@ -159,12 +142,6 @@ class WeightSequence:
     def log_partial_sum_array(self, nmax: int) -> np.ndarray:
         """log W_n accumulated in the log domain, safe out to n = 10^4 for q > 1."""
         return np.logaddexp.accumulate(self.log_weight_array(nmax))
-
-
-def weight_rule(kind: str, **params) -> WeightSequence:
-    """The rule `kind` built from the one parameter it reads; params may carry the others too."""
-    name = _RULES.get(kind, (None,))[0]  # WeightSequence refuses an unknown kind
-    return WeightSequence(kind, None if name is None else params.get(name))
 
 
 def constant_weights(w: float) -> WeightSequence:

@@ -24,12 +24,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-SQRT_PI = math.sqrt(math.pi)
 _PSI_FLOOR = 2.0**-500  # hermite_table's zero floor
 _SCALED_BELOW = 960  # hermite_table's scaled start where e^{-x^2/2} < 2^-960, and its step down past 2^960
 
 __all__ = [
-    "SQRT_PI",
     "QuadratureGrid",
     "erf",
     "build_grid",

@@ -204,11 +204,11 @@ def criterion_09_perelomov(ctx: _Context, res: CriterionResult):
     N = max(ctx.N, 64)
     zeta = 0.7 - 0.2j
     d = coherent.displacement_operator(zeta, N, ctx.tag)
-    res.add("D_theta1_vs_cs", *coherent.d_theta1_deviation(zeta, d)[:2])
+    deviation, bound, routes = coherent.generalized_cs(zeta, 3, d)
+    res.add("D_theta1_vs_cs", deviation, bound)
     unit_dev = interior_max_abs((adjoint(d) @ d).mat - np.eye(N))
     res.add("DdagD_interior_unitarity", unit_dev, 1e-7)
-    for n in (2, 3):
-        ladder_route, displaced_route = coherent.generalized_cs(zeta, n, d)
+    for n, (ladder_route, displaced_route) in enumerate(routes, 2):
         dev = float(np.linalg.norm(ladder_route.coeffs - displaced_route.normalized().coeffs))
         res.add(f"generalized_cs_two_path_n={n}", dev, 1e-5)
 

@@ -1,12 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from isoladder import isospectral, ladder, numerics, report
+from isoladder import coherent, isospectral, ladder, numerics, params, report
 from isoladder.fock import TruncatedOperator
+from isoladder.ladder import constant_weights, custom_weights, geometric_weights, linear_weights, power_law_weights
 from isoladder.cli import _OPTIONS, ConfigError, RunConfig, build_config, main, make_parser, to_csv, to_json
 
 
@@ -49,6 +53,14 @@ class TestConfig:
         parser = make_parser()
         config = build_config(parser.parse_args(["commutator", "--config", str(cfg)]))
         assert config.weights().weight_array(2)[-1] == 0.5
+
+    def test_weight_rule_reads_only_its_parameter(self):
+        # a rule carries only the parameter it reads, whatever the other options hold
+        others = {"w": 2.0, "q": 0.7, "custom": (1.0, 0.5, 2.0)}
+        got = [RunConfig(weights_kind=kind, **others).weights() for kind in ("constant", "geometric", "custom", "linear")]
+        assert got == [constant_weights(2.0), geometric_weights(0.7), custom_weights([1.0, 0.5, 2.0]), linear_weights()]
+        assert RunConfig(weights_kind="linear", nu=2.0, **others).weights() == power_law_weights(2.0)
+        assert RunConfig(weights_kind="linear", nu=1.0, **others).weights() == linear_weights()
 
     def test_invalid_lambda_named(self):
         parser = make_parser()
@@ -299,6 +311,47 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["lowering_series"] == golden["lowering_series"]
         assert doc["raising_series"] == golden["raising_series"]
+
+    @pytest.mark.parametrize("args", [["--lambda", "0.5"], ["--lambda", "1e151"], ["--weights", "custom"],
+                                      ["--weights", "geometric", "--q", "-1"]])
+    def test_pdo_refuses_as_spectrum_does(self, args, capsys):
+        # pdo runs the same admissibility checks as the numeric commands, without their modules
+        pdo_run = run_cli(["pdo", *args], capsys)
+        assert pdo_run == run_cli(["spectrum", *args], capsys)
+        code, out, err = pdo_run
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_every_refusal_derives_from_one_class(self):
+        # main catches params.Refusal alone and exits with its exit_code: 1 for a refused U, else 2
+        refusals = [ConfigError, params.ParameterError, params.WeightError, coherent.DivergenceError,
+                    coherent.TruncationError, coherent.WeightSequenceTooShort, isospectral.ConstructionError]
+        assert all(issubclass(cls, params.Refusal) for cls in refusals)
+        assert [cls.exit_code for cls in refusals] == [2, 2, 2, 2, 2, 2, 1]
+        assert isospectral.ParameterError is params.ParameterError and ladder.WeightError is params.WeightError
+
+    def test_pdo_imports_no_numpy(self):
+        # a fresh interpreter: the exact PDO command loads neither numpy nor a numeric module
+        script = ("import sys\nfrom isoladder import cli\ncode = cli.main(['pdo', '--w', '3'])\n"
+                  "print(code, 'numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('isoladder.')),"
+                  " file=sys.stderr)")
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert run.stderr == "0 False ['isoladder.cli', 'isoladder.params', 'isoladder.pdo']\n"
+        doc = json.loads(run.stdout)
+        assert doc["lowering_series"] == PDO_GOLDEN_SERIES["3.0"]["lowering_series"]
+        assert doc["raising_series"] == PDO_GOLDEN_SERIES["3.0"]["raising_series"]
+
+    @pytest.mark.parametrize("args", [["pdo", "--w", "1"], ["order", "--weights", "linear"]])
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_unusable_out_exit_2(self, args, under_file, tmp_path, capsys):
+        # --out at an existing file, or under one: one error line and exit 2, as an unreadable --config
+        target = tmp_path / "taken"
+        target.write_text("")
+        out_dir = target / "sub" if under_file else target
+        code, out, err = run_cli([*args, "--out", str(out_dir)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno ") and err.endswith(f": '{out_dir}'\n") and err.count("\n") == 1
 
     def test_out_directory(self, tmp_path, capsys):
         # order writes JSON whatever --format asks, so its file is always .json

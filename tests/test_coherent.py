@@ -460,21 +460,22 @@ class TestDisplacement:
 class TestGeneralizedCS:
     def test_zeta_zero_gives_theta_n(self):
         d = displacement_operator(0.0, 64, TAG)
-        for n in (2, 3):
-            ladder_route, displaced = generalized_cs(0.0, n, d)
+        for n, (ladder_route, displaced) in enumerate(generalized_cs(0.0, 3, d)[2], 2):
             assert np.linalg.norm(displaced.coeffs - np.eye(64)[n]) < 1e-12
             assert abs(abs(ladder_route.coeffs[n]) - 1.0) < 1e-12
 
     def test_two_path_agreement(self):
         d = displacement_operator(0.5, 64, TAG)
-        for n in (2, 3):
-            ladder_route, displaced = generalized_cs(0.5, n, d)
+        deviation, bound, routes = generalized_cs(0.5, 3, d)
+        # the D theta_1 check it refuses by, and one pair of routes for each of theta_2 and theta_3
+        assert (deviation, bound) == d_theta1_deviation(0.5, d)[:2] and len(routes) == 2
+        for ladder_route, displaced in routes:
             assert np.linalg.norm(ladder_route.coeffs - displaced.normalized().coeffs) < 1e-5
 
     def test_orthonormal_family(self):
         zeta = 0.4 + 0.3j
         d = displacement_operator(zeta, 64, TAG)
-        states = [generalized_cs(zeta, n, d)[1] for n in (2, 3, 4)]
+        states = [displaced for _, displaced in generalized_cs(zeta, 4, d)[2]]
         for i, si in enumerate(states):
             for j, sj in enumerate(states):
                 overlap = np.vdot(si.coeffs, sj.coeffs)

@@ -30,7 +30,8 @@ from isoladder.isospectral import (
 )
 from isoladder import numerics
 from isoladder.coherent import TruncationError
-from isoladder.numerics import SQRT_PI, QuadratureGrid, build_grid, grid_norm, hermite_table
+from isoladder.numerics import QuadratureGrid, build_grid, grid_norm, hermite_table
+from isoladder.params import SQRT_PI
 
 
 def simpson_integral_0_to_1(f, n=2001):

@@ -47,7 +47,6 @@ from isoladder.ladder import (
     shift_matrix,
     single_weight,
     transport_to_theta,
-    weight_rule,
 )
 
 # one weight rule per closed form (the paper's cases i-v), geometric below and above q = 1
@@ -120,24 +119,16 @@ class TestWeightSequence:
             with pytest.raises(WeightError, match="need finite"):
                 make(value)
 
-    def test_weight_rule_reads_only_its_parameter(self):
-        params = {"w": 2.0, "q": 0.7, "nu": 2.0, "values": (1.0, 0.5, 2.0)}
-        assert [weight_rule(kind, **params) for kind in ("constant", "geometric", "power", "custom", "linear")] == [
-            constant_weights(2.0), geometric_weights(0.7), power_law_weights(2.0),
-            custom_weights([1.0, 0.5, 2.0]), linear_weights(),
-        ]
-        with pytest.raises(WeightError, match="unknown weight variant"):
-            weight_rule("foo", **params)
-
     def test_holds_its_kind_and_one_parameter(self):
         # a rule carries only the parameter it reads, so equal rules compare equal and print alike
         assert [f.name for f in dataclasses.fields(WeightSequence)] == ["kind", "param"]
         assert WeightSequence("constant", 2.0) == constant_weights(2.0)
-        assert weight_rule("constant", w=2.0, q=3.0) == constant_weights(2.0)
         with pytest.raises(TypeError):
             WeightSequence("constant", w=2.0, q=3.0)
         with pytest.raises(WeightError, match="linear weights take no parameter, got 3.0"):
             WeightSequence("linear", 3.0)
+        with pytest.raises(WeightError, match="unknown weight variant 'foo'"):
+            WeightSequence("foo", 2.0)
 
 
 class TestGeneralizedDoubleFactorial:

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from isoladder import numerics
 from isoladder.isospectral import IsospectralParams, ThetaBasis
-from isoladder.numerics import SQRT_PI, QuadratureGrid, build_grid, erf, grid_norm, hermite_table
+from isoladder.numerics import QuadratureGrid, build_grid, erf, grid_norm, hermite_table
+from isoladder.params import SQRT_PI
 
 
 def erf_taylor_oracle(x, terms=30):

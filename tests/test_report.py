@@ -118,17 +118,24 @@ def test_run_all_builds_one_displacement(monkeypatch):
     assert len(built) == 1
 
 
-def test_run_all_builds_c09s_state_at_most_three_times(monkeypatch):
-    # the D theta_1 check hands its state to the ladder route of each generalized_cs call
-    built, cs_vector = [], coherent.cs_vector
+def test_run_all_builds_c09s_state_and_transported_raising_once(monkeypatch):
+    # one generalized_cs call runs the D theta_1 check, whose state starts both ladder routes, and
+    # builds D a1+ D+ (its one adjoint) once for them
+    built, adjoints, cs_vector, adjoint = [], [], coherent.cs_vector, coherent.adjoint
 
     def counted(zeta, *args):
         built.append(zeta)
         return cs_vector(zeta, *args)
 
+    def counted_adjoint(op):
+        adjoints.append(op)
+        return adjoint(op)
+
     monkeypatch.setattr(coherent, "cs_vector", counted)
+    monkeypatch.setattr(coherent, "adjoint", counted_adjoint)
     report.run_all(2.0, 64)
-    assert 1 <= built.count(0.7 - 0.2j) <= 3
+    assert built.count(0.7 - 0.2j) == 1
+    assert len(adjoints) == 1
 
 
 READ_U = ["c01_isospectrality", "c04_commutator_diagonal", "c05_closed_form_equivalence",
