@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,8 +30,9 @@ class ConfigError(Refusal):
     """Invalid run configuration; the message names the violated constraint."""
 
 
-@dataclass
 class RunConfig:
+    """The run's settings: the class-level defaults, overridden per instance by keyword."""
+
     lam: float = 2.0
     trunc: int = 64
     weights_kind: str = "distorted"
@@ -44,6 +44,12 @@ class RunConfig:
     out: str | None = None
     fmt: str = "json"
     custom: tuple = ()
+
+    def __init__(self, **values):
+        for attr, value in values.items():
+            if attr not in RunConfig.__annotations__:
+                raise TypeError(f"RunConfig has no setting {attr!r}")
+            setattr(self, attr, value)
 
     @property
     def zeta(self) -> complex:

@@ -6,7 +6,6 @@ the ValueError each refused input derives from; the CLI prints its message and e
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = ["SQRT_PI", "LAMBDA_GUARD", "Refusal", "ParameterError", "IsospectralParams", "WeightError",
            "WEIGHT_RULES", "check_weight_rule"]
@@ -26,16 +25,16 @@ class ParameterError(Refusal):
     """Parameter outside the admissible region sqrt(pi)/2 < |lambda| <= 2^500."""
 
 
-@dataclass(frozen=True)
 class IsospectralParams:
     """The family parameter; |lambda| must clear sqrt(pi)/2 by a guard band and not exceed 2^500."""
 
-    lam: float
+    __slots__ = ("lam",)
 
-    def __post_init__(self):
-        if not SQRT_PI / 2 + LAMBDA_GUARD < abs(self.lam) <= _LAMBDA_MAX:  # nan fails both
+    def __init__(self, lam: float):
+        if not SQRT_PI / 2 + LAMBDA_GUARD < abs(lam) <= _LAMBDA_MAX:  # nan fails both
             raise ParameterError(f"|lambda| must exceed sqrt(pi)/2 + {LAMBDA_GUARD:g} to keep phi regular and "
-                                 f"not exceed 2^500 to keep theta_0's norm normal, got {self.lam!r}")
+                                 f"not exceed 2^500 to keep theta_0's norm normal, got {lam!r}")
+        self.lam = lam
 
 
 class WeightError(Refusal):

@@ -20,13 +20,14 @@ retained orders" is an honest statement.
 series_multiply applies one Leibniz rule, d^k f = sum_j C(k, j) f^(j) d^(k-j)
 with the generalized binomial C(k, j), for every integer order k.  It scales
 each operand's coefficients to integer numerators over one common
-denominator, so its Leibniz sums run on integers only.
+denominator, so its Leibniz sums run on integers only.  series_invert and
+series_sqrt add one term per step and update their residual by that term's
+product alone, not by recomputing it from the whole series.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 __all__ = [
@@ -58,26 +59,22 @@ _CASE_II_FLOOR = -(DEFAULT_DEPTH + 6)  # the floor they are built at
 _ONE_KEY = (0, 0, 0, 0, 0)
 
 
-def _mul_keys(k1, k2):
-    """Product of two keys: (key, integer factor) with i^2 = -1 and sqrt2^2 = 2."""
-    a, b, i, r, wh = map(operator.add, k1, k2)
-    m = 1
-    if i >= 2:
-        i -= 2
-        m = -1
-    if r >= 2:
-        r -= 2
-        m *= 2
-    return (a, b, i, r, wh), m
-
-
 def _accumulate(acc: dict, p: dict, q: dict, c) -> None:
-    """acc += c * p * q on coefficient term dicts."""
-    for k1, n1 in p.items():
+    """acc += c * p * q on coefficient term dicts: degrees add, i^2 = -1 and sqrt2^2 = 2."""
+    for (a1, b1, i1, r1, w1), n1 in p.items():
         n1 *= c
-        for k2, n2 in q.items():
-            key, m = _mul_keys(k1, k2)
-            acc[key] = acc.get(key, 0) + n1 * n2 * m
+        for (a2, b2, i2, r2, w2), n2 in q.items():
+            n = n1 * n2
+            i = i1 + i2
+            if i == 2:
+                i = 0
+                n = -n
+            r = r1 + r2
+            if r == 2:
+                r = 0
+                n *= 2
+            key = (a1 + a2, b1 + b2, i, r, w1 + w2)
+            acc[key] = acc.get(key, 0) + n
 
 
 class CoeffPoly:
@@ -388,16 +385,17 @@ def _leading_term(series: PDOSeries) -> tuple[int, CoeffPoly]:
     return m, series.terms[m]
 
 
-def _match_orders(residual, x: PDOSeries, shift: int, scale: CoeffPoly,
+def _match_orders(err: PDOSeries, correction, x: PDOSeries, shift: int, scale: CoeffPoly,
                   depth: int, iterations: int, what: str) -> PDOSeries:
-    """Refine x order by order until residual(x) vanishes through order depth.
+    """Refine x order by order until its residual err vanishes through order depth.
 
     Each step puts the top residual coefficient, times scale, on x at that
-    order minus shift (the order at which it cancels the residual).
+    order minus shift (the order at which it cancels the residual) as the
+    one-term series t, and subtracts correction(x, t), the change t makes to
+    the residual's product, from err rather than recomputing err from x.
     """
     last_top = None
     for _ in range(iterations):
-        err = residual(x)
         if not err.terms:
             return x
         e = err.max_order
@@ -406,8 +404,10 @@ def _match_orders(residual, x: PDOSeries, shift: int, scale: CoeffPoly,
         last_top = e
         if e - shift < depth:
             return x
+        step = err.terms[e] * scale
+        err = err - correction(x, PDOSeries({e - shift: step}, floor=depth, exact=False))
         new_terms = dict(x.terms)
-        new_terms[e - shift] = new_terms.get(e - shift, CoeffPoly()) + err.terms[e] * scale
+        new_terms[e - shift] = new_terms.get(e - shift, CoeffPoly()) + step
         x = PDOSeries(new_terms, floor=depth, exact=False)
     raise RuntimeError(f"{what} did not converge")
 
@@ -417,8 +417,8 @@ def series_invert(a: PDOSeries, depth: int) -> PDOSeries:
     m, lead = _leading_term(a)
     inv_lead = lead.inverse()
     b = PDOSeries({-m: inv_lead}, floor=depth, exact=False)
-    one = PDOSeries.one(floor=depth)
-    return _match_orders(lambda x: one - series_multiply(a, x), b, m, inv_lead,
+    err = PDOSeries.one(floor=depth) - series_multiply(a, b)
+    return _match_orders(err, lambda x, t: series_multiply(a, t), b, m, inv_lead,
                          depth, 4 * (abs(m) + abs(depth)) + 16, "inversion")
 
 
@@ -431,8 +431,10 @@ def series_sqrt(a: PDOSeries, depth: int) -> PDOSeries:
     m = m2 // 2
     q0 = lead.sqrt()
     q = PDOSeries({m: q0}, floor=depth, exact=False)
-    return _match_orders(lambda x: a - series_multiply(x, x), q, m, (q0 * 2).inverse(),
-                         depth, 4 * (abs(m2) + abs(depth)) + 16, "square root")
+    # (x + t)(x + t) - x x = x t + t x + t t
+    return _match_orders(a - series_multiply(q, q),
+                         lambda x, t: series_multiply(x, t) + series_multiply(t, x) + series_multiply(t, t),
+                         q, m, (q0 * 2).inverse(), depth, 4 * (abs(m2) + abs(depth)) + 16, "square root")
 
 
 def a_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:

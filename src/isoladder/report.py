@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -122,8 +123,9 @@ def criterion_02_riccati(ctx: _Context, res: CriterionResult):
 
 @_criterion("c03_c_closed_form")
 def criterion_03_c_coefficients(_: _Context, res: CriterionResult):
-    rng = np.random.default_rng(20240811)
-    sequences = _case_list()[:5] + [ladder.custom_weights(rng.uniform(0.1, 3.0, 501)) for _ in range(3)]
+    rng = random.Random(20240811)
+    sequences = _case_list()[:5] + [ladder.custom_weights([rng.uniform(0.1, 3.0) for _ in range(501)])
+                                    for _ in range(3)]
     n_max = 501
     for seq in sequences:
         rec = ladder.c_coefficients_recursive(seq, n_max)

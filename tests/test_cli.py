@@ -330,14 +330,15 @@ class TestCommands:
         assert isospectral.ParameterError is params.ParameterError and ladder.WeightError is params.WeightError
 
     def test_pdo_imports_no_numpy(self):
-        # a fresh interpreter: the exact PDO command loads neither numpy nor a numeric module
+        # a fresh interpreter: the exact PDO command loads neither numpy nor a numeric module,
+        # nor dataclasses and the inspect it imports
         script = ("import sys\nfrom isoladder import cli\ncode = cli.main(['pdo', '--w', '3'])\n"
-                  "print(code, 'numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('isoladder.')),"
-                  " file=sys.stderr)")
+                  "print(code, [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules],"
+                  " sorted(m for m in sys.modules if m.startswith('isoladder.')), file=sys.stderr)")
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": path})
-        assert run.stderr == "0 False ['isoladder.cli', 'isoladder.params', 'isoladder.pdo']\n"
+        assert run.stderr == "0 [] ['isoladder.cli', 'isoladder.params', 'isoladder.pdo']\n"
         doc = json.loads(run.stdout)
         assert doc["lowering_series"] == PDO_GOLDEN_SERIES["3.0"]["lowering_series"]
         assert doc["raising_series"] == PDO_GOLDEN_SERIES["3.0"]["raising_series"]

@@ -122,6 +122,35 @@ class TestSymbolicScalar:
             poly.sqrt()
 
 
+class TestKeyProduct:
+    """CoeffPoly's product on single terms: degrees and w half-powers add, i^2 = -1, sqrt2^2 = 2."""
+
+    @pytest.mark.parametrize("left, right, product", [
+        ((0, 0, 1, 0, 0), (0, 0, 1, 0, 0), {(0, 0, 0, 0, 0): -1}),  # i i = -1
+        ((0, 0, 0, 1, 0), (0, 0, 0, 1, 0), {(0, 0, 0, 0, 0): 2}),  # sqrt2 sqrt2 = 2
+        ((0, 0, 1, 1, 0), (0, 0, 1, 1, 0), {(0, 0, 0, 0, 0): -2}),  # (i sqrt2)(i sqrt2) = -2
+        ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), {(0, 0, 1, 1, 0): 1}),  # i sqrt2
+        ((0, 0, 1, 0, 0), (0, 0, 1, 1, 0), {(0, 0, 0, 1, 0): -1}),  # i (i sqrt2) = -sqrt2
+        ((0, 0, 0, 1, 0), (0, 0, 1, 1, 0), {(0, 0, 1, 0, 0): 2}),  # sqrt2 (i sqrt2) = 2 i
+        ((1, 0, 1, 0, 1), (0, 1, 1, 1, 2), {(1, 1, 0, 1, 3): -1}),  # (x i w^1/2)(phi i sqrt2 w) = -sqrt2 x phi w^3/2
+        ((2, 1, 0, 1, -1), (1, 3, 1, 1, 1), {(3, 4, 1, 0, 0): 2}),  # (x^2 phi sqrt2 w^-1/2)(x phi^3 i sqrt2 w^1/2)
+    ], ids=["i*i", "sqrt2*sqrt2", "isqrt2*isqrt2", "i*sqrt2", "i*isqrt2", "sqrt2*isqrt2", "mixed", "mixed2"])
+    def test_parity_table(self, left, right, product):
+        a, b = CoeffPoly({left: Fraction(3, 2)}), CoeffPoly({right: Fraction(-2, 5)})
+        scale = Fraction(3, 2) * Fraction(-2, 5)
+        want = CoeffPoly({k: v * scale for k, v in product.items()})
+        assert a * b == want
+        assert b * a == want
+
+    def test_terms_that_meet_add_and_cancel(self):
+        # (1 + i)(1 - i) = 1 - i^2 = 2: the i terms cancel and no zero is stored
+        one_plus_i, one_minus_i = ONE + I_UNIT, ONE - I_UNIT
+        assert (one_plus_i * one_minus_i).terms == {(0, 0, 0, 0, 0): 2}
+        # (sqrt2 + i)^2 = 2 + 2 i sqrt2 - 1
+        s = CoeffPoly.sqrt2() + I_UNIT
+        assert (s * s).terms == {(0, 0, 0, 0, 0): 1, (0, 0, 1, 1, 0): 2}
+
+
 class TestCoeffPoly:
     def test_riccati_derivative_of_phi(self):
         # phi' = -2 x phi - phi^2
@@ -268,6 +297,82 @@ class TestSeriesArithmetic:
         q = series_sqrt(inv, -10)
         back = series_multiply(q, q) - inv
         assert not back.terms
+
+
+# The order matching before residual updating: the residual is recomputed in
+# full from x at every step.  series_invert and series_sqrt must agree with it.
+def _full_recompute_match(residual, x, shift, scale, depth, iterations):
+    last_top = None
+    for _ in range(iterations):
+        err = residual(x)
+        if not err.terms:
+            return x
+        e = err.max_order
+        assert last_top is None or e < last_top
+        last_top = e
+        if e - shift < depth:
+            return x
+        new_terms = dict(x.terms)
+        new_terms[e - shift] = new_terms.get(e - shift, CoeffPoly()) + err.terms[e] * scale
+        x = PDOSeries(new_terms, floor=depth, exact=False)
+    raise RuntimeError("did not converge")
+
+
+def full_recompute_invert(a: PDOSeries, depth: int) -> PDOSeries:
+    m = a.max_order
+    inv_lead = a.terms[m].inverse()
+    one = PDOSeries.one(floor=depth)
+    return _full_recompute_match(lambda x: one - series_multiply(a, x),
+                                 PDOSeries({-m: inv_lead}, floor=depth, exact=False), m, inv_lead,
+                                 depth, 4 * (abs(m) + abs(depth)) + 16)
+
+
+def full_recompute_sqrt(a: PDOSeries, depth: int) -> PDOSeries:
+    m = a.max_order // 2
+    q0 = a.terms[2 * m].sqrt()
+    return _full_recompute_match(lambda x: a - series_multiply(x, x),
+                                 PDOSeries({m: q0}, floor=depth, exact=False), m, (q0 * 2).inverse(),
+                                 depth, 4 * (abs(2 * m) + abs(depth)) + 16)
+
+
+CASE_II_FLOOR = -(DEFAULT_DEPTH + 6)  # the floor expand_ladder_case_ii builds at
+
+
+def _h_plus(c):
+    return h_series(CASE_II_FLOOR) + PDOSeries({0: c}, floor=CASE_II_FLOOR, exact=True)
+
+
+class TestResidualUpdating:
+    """series_invert and series_sqrt, which update their residual by each step's
+    one-term correction, against the full-recompute oracle: same text, floor and flag."""
+
+    @staticmethod
+    def _same(got, want):
+        assert got.render() == want.render()
+        assert (got.floor, got.exact) == (want.floor, want.exact)
+        assert got.terms == want.terms
+
+    def test_inv_sqrt_core(self):
+        core = PDOSeries({2: ONE, 0: -(CoeffPoly.x(2) + ONE)}, floor=-10, exact=True)
+        inverse = series_invert(core, -9)
+        self._same(inverse, full_recompute_invert(core, -9))
+        self._same(series_sqrt(inverse, -8), full_recompute_sqrt(inverse, -8))
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_h_plus_c(self, c):
+        a = _h_plus(c)
+        self._same(series_invert(a, CASE_II_FLOOR), full_recompute_invert(a, CASE_II_FLOOR))
+
+    @pytest.mark.parametrize("w", [None, Fraction(7, 4), Fraction(3)], ids=["symbolic", "7/4", "3"])
+    def test_case_ii_ratio(self, w):
+        ws = CoeffPoly.w_power(2) if w is None else CoeffPoly.rational(w)
+        ratio = series_multiply(_h_plus(ws), series_invert(_h_plus(2), CASE_II_FLOOR))
+        self._same(series_sqrt(ratio, CASE_II_FLOOR), full_recompute_sqrt(ratio, CASE_II_FLOOR))
+
+    def test_order_zero_geometric(self):
+        a = PDOSeries({0: ONE, -1: X * Fraction(-1), -3: PHI}, -8, True)
+        self._same(series_invert(a, -8), full_recompute_invert(a, -8))
+        self._same(series_sqrt(a, -8), full_recompute_sqrt(a, -8))
 
 
 class TestInvSqrtBracket:

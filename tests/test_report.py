@@ -3,6 +3,8 @@ the benchmark's tracer reads from the package."""
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -136,6 +138,17 @@ def test_run_all_builds_c09s_state_and_transported_raising_once(monkeypatch):
     report.run_all(2.0, 64)
     assert built.count(0.7 - 0.2j) == 1
     assert len(adjoints) == 1
+
+
+def test_run_all_leaves_numpy_random_unloaded():
+    # a fresh interpreter: c03 draws its custom weights from the standard library's random module
+    script = ("import sys\nfrom isoladder import report\nresults = report.run_all(2, 64)\n"
+              "print(all(r.passed for r in results), 'numpy.random' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.stdout == "True False\n"
 
 
 READ_U = ["c01_isospectrality", "c04_commutator_diagonal", "c05_closed_form_equivalence",
