@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from isoladder import fock, isospectral as iso, numerics
+from isoladder import coherent, fock, isospectral as iso, numerics
 
 LAM = 2.0
 N = 64
@@ -74,8 +74,10 @@ fill = iso.b_dagger_a_b_fill(N, basis.tag)
 residual = np.linalg.norm(fill.mat @ cs.coeffs - z * cs.coeffs)
 print(f"annihilation-eigenstate residual at z = {z}: {below(residual, 1e-7)}")
 
+# the unitary image U|alpha> = exp(-|alpha|^2/2) sum_n alpha^n / sqrt(n!) theta_n: on the theta
+# indices U a U+ is the weighted shift with W_n = n, started at theta_0
 alpha = 1.0 + 0.5j
-img_cs = iso.unitary_image_cs(alpha, basis)
+img_cs = coherent.shift_eigenstate(np.log(np.arange(1.0, N + 1)), alpha, 0, basis.tag)
 a_tilde = u.mat @ a.mat @ u.mat.conj().T
 in_fock = u.mat @ img_cs.coeffs
 print(f"unitary-image CS residual at alpha = {alpha}: "

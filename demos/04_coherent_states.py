@@ -71,10 +71,6 @@ for label, weights in cases:
     else:
         print(f"  {label:18s} NOT entire, |zeta| radius = {est.radius:.4f}")
 
-chk = coherent.q_factorial(2.0, 3)
-print(f"\nq-factorial identity at q=2, n=3: product {chk.product_side:.0f}, "
-      f"telescoped {chk.closed_side:.0f} (both 168)")
-
 # --- Bargmann transform -------------------------------------------------------------
 
 weights = ladder.constant_weights(1.0)
@@ -98,7 +94,8 @@ print(f"\nD(zeta) theta_1 vs the eigenstate construction: {below(np.linalg.norm(
 print(f"unitarity of D on the interior window: "
       f"{below(fock.interior_max_abs(d.mat.conj().T @ d.mat - np.eye(N)), 1e-7)}")
 
-h1 = coherent.h_tilde_1(N, TAG)
+low, high = ladder.ladder_matrices(ladder.constant_weights(1.0), N, TAG)
+h1 = high @ low  # a1+ a1 for unit weights
 print(f"a1+ a1 diagonal starts {np.round(np.real(np.diag(h1.mat))[:6], 12)} (0, 0, then 1, 2, ...)")
 print(f"|zeta> is the displaced ground state: "
       f"{below(np.linalg.norm((d.mat @ h1.mat @ d.mat.conj().T) @ cs.coeffs), 1e-6)}")

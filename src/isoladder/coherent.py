@@ -5,14 +5,14 @@ d_n^{1/2} zeta^n, d_n = (W_1 ... W_n)^{-1}; the Fock-Bargmann map; entire-
 function order / radius-of-convergence estimation from the growth of the
 partial-sum products; and, for unit weights, the unitary displacement
 operator and the Perelomov-type generalized coherent states.  The
-displacement and h_tilde_1 build the unit-weight pair themselves, as it is
-the only pair they admit; generalized_cs transports by a D it is given, so
+displacement builds the unit-weight pair itself, as it is the only pair it
+admits; generalized_cs transports by a D it is given, so
 a caller builds D once, and runs d_theta1_deviation, c09's check of D theta_1
 against cs_vector, once per call for all of theta_2 .. theta_n, refusing a D
 that fails it and starting from the state the check built.
 
 log_d_coefficients is the one home of log d_n: shift_eigenstate (these states
-and isospectral's two families, under one tail guard), normalization_h, the
+and isospectral's b+ a b family, under one tail guard), normalization_h, the
 Bargmann map and the order fit read it, from log W_n accumulated as sums of
 logarithms so q > 1 sequences survive out to n = 10^4 without overflow.  The
 growth questions read that 10^4-term log W_n once per call, from
@@ -33,7 +33,7 @@ from .fock import (
     apply_operator,
     hermitian_eigensystem,
 )
-from .ladder import WeightSequence, constant_weights, geometric_weights, ladder_matrices
+from .ladder import WeightSequence, constant_weights, ladder_matrices
 from .params import Refusal, WeightError
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "TruncationError",
     "WeightSequenceTooShort",
     "OrderEstimate",
-    "QFactorialCheck",
     "log_d_coefficients",
     "normalization_h",
     "CS_RESIDUAL_BOUND",
@@ -50,12 +49,10 @@ __all__ = [
     "cs_residual",
     "bargmann_transform",
     "order_estimate",
-    "q_factorial",
     "radius_of_convergence",
     "displacement_operator",
     "d_theta1_deviation",
     "generalized_cs",
-    "h_tilde_1",
 ]
 
 _FIT_LO = 1_000
@@ -298,50 +295,6 @@ def order_estimate(weights: WeightSequence) -> OrderEstimate:
     return OrderEstimate(entire=True, rho=max(rho, 0.0), radius=math.inf, diagnostics=diag)
 
 
-@dataclass(frozen=True)
-class QFactorialCheck:
-    """Both sides of the q-factorial product identity and their mismatch."""
-
-    product_side: float
-    closed_side: float
-    log_product: float
-    relative_difference: float
-
-
-def q_factorial(q: float, n: int) -> QFactorialCheck:
-    """W_1 ... W_n for W_k = q + ... + q^k, against q^n (q-1)^{1-n} (q^2-1)...(q^n-1).
-
-    Both sides are in log space (q > 1 overflows double precision near
-    n ~ 10^3 otherwise): the product is -log d_n of the geometric weights
-    (log_d_coefficients), the closed side is summed here.  At q = 1 both
-    sides are n!.
-    """
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if q == 1.0:
-        log_fact = math.lgamma(n + 1)
-        val = float(math.factorial(n)) if n <= 170 else math.inf
-        return QFactorialCheck(val, val, log_fact, 0.0)
-    lq = math.log(q)
-
-    def log_abs_qk_minus_1(k):
-        # log |q^k - 1|, stable on both sides of q = 1
-        if q > 1:
-            return k * lq + math.log1p(-math.exp(-k * lq))
-        down = math.exp(k * lq) if k * lq > -700 else 0.0
-        return math.log1p(-down)
-
-    log_product = float(-log_d_coefficients(geometric_weights(q).log_partial_sum_array(n))[n])
-    log_closed = n * lq + (1 - n) * math.log(abs(q - 1.0))
-    for k in range(2, n + 1):
-        log_closed += log_abs_qk_minus_1(k)
-    rel = abs(math.expm1(log_product - log_closed))
-    to_val = lambda lg: math.exp(lg) if lg < 700 else math.inf
-    return QFactorialCheck(to_val(log_product), to_val(log_closed), log_product, rel)
-
-
 def radius_of_convergence(weights: WeightSequence) -> float:
     """Ratio-test radius in |zeta|: sqrt(lim W_n), infinity when unbounded.
 
@@ -405,9 +358,3 @@ def generalized_cs(zeta: complex, n: int, d: TruncatedOperator):
         state = apply_operator(transported, state).normalized()
         routes.append((state, StateVector(d.mat[:, k].copy(), d.basis)))  # D theta_k
     return deviation, bound, routes
-
-
-def h_tilde_1(N: int, tag) -> TruncatedOperator:
-    """a1+ a1 for unit weights: eigenvalues 0, 0, 1, 2, ... in the theta family."""
-    lowering, raising = ladder_matrices(constant_weights(1.0), N, tag)
-    return raising @ lowering

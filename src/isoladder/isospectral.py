@@ -5,9 +5,9 @@ ladder pair into b = (x + d + phi)/sqrt(2), b^dagger = (x - d + phi)/sqrt(2).
 This module builds the theta eigenbasis of b^dagger b in position space, the
 unitary intertwiner U between the Fock and theta families, the matrices of
 b, b^dagger, b^dagger b and the earlier lowering operator b^dagger a b, and
-the two coherent-state families attached to them.  Each family is one call
-to coherent.shift_eigenstate with its weights W_n, as coherent.cs_vector is,
-under the same 1e-24 relative tail guard.
+the coherent states of b^dagger a b: one call to coherent.shift_eigenstate
+with W_n = n^2 (n+1), as coherent.cs_vector is, under the same 1e-24
+relative tail guard.
 
 The lambda-free Hermite table psi and its norm defects belong to the grid
 (QuadratureGrid.psi, .norm_defects).  A ThetaBasis holds one lambda's phi and
@@ -60,7 +60,6 @@ __all__ = [
     "b_dagger_a_b_matrix",
     "b_dagger_a_b_fill",
     "b_dagger_a_b_cs",
-    "unitary_image_cs",
     "theta_curvature_table",
 ]
 
@@ -276,14 +275,6 @@ def b_dagger_a_b_cs(z: complex, basis: ThetaBasis) -> StateVector:
     """
     n = np.arange(1.0, basis.N + 1)
     return shift_eigenstate(np.log(n * n * (n + 1.0)), z, 1, basis.tag)
-
-
-def unitary_image_cs(alpha: complex, basis: ThetaBasis) -> StateVector:
-    """exp(-|alpha|^2/2) sum_n alpha^n / sqrt(n!) theta_n: the unitary image U|alpha>, of the basis' length N.
-
-    On the theta indices U a U^dagger is the weighted shift with W_n = n.
-    """
-    return shift_eigenstate(np.log(np.arange(1.0, basis.N + 1)), alpha, 0, basis.tag)
 
 
 def theta_curvature_table(basis: ThetaBasis) -> np.ndarray:

@@ -126,17 +126,19 @@ def criterion_03_c_coefficients(_: _Context, res: CriterionResult):
     rng = random.Random(20240811)
     sequences = _case_list()[:5] + [ladder.custom_weights([rng.uniform(0.1, 3.0) for _ in range(501)])
                                     for _ in range(3)]
+    # the three random lists share the label custom[501]; their draw order tells them apart
+    labels = [seq.label() for seq in sequences[:5]] + [f"custom[501]#{k}" for k in (1, 2, 3)]
     n_max = 501
-    for seq in sequences:
+    for seq, label in zip(sequences, labels):
         rec = ladder.c_coefficients_recursive(seq, n_max)
         clo = ladder.c_coefficients_closed(seq, n_max)
         rel = float(np.max(np.abs(clo - rec) / np.abs(rec)))
-        res.add(f"closed_vs_recursive[{seq.label()}]", rel, 1e-12)
+        res.add(f"closed_vs_recursive[{label}]", rel, 1e-12)
         n = np.arange(0, n_max - 1)
         telescoped = (n + 1) * rec[:-1] * rec[1:]
         W = seq.partial_sum_array(n_max - 1)
         rel_t = float(np.max(np.abs(telescoped - W) / np.abs(W)))
-        res.add(f"telescoped_identity[{seq.label()}]", rel_t, 1e-12)
+        res.add(f"telescoped_identity[{label}]", rel_t, 1e-12)
 
 
 @_criterion("c04_commutator_diagonal")
@@ -173,9 +175,10 @@ def criterion_06_resolvent(_: _Context, res: CriterionResult):
 
 @_criterion("c07_pdo_identities")
 def criterion_07_pdo_golden(_: _Context, res: CriterionResult):
-    # inverse-sqrt bracket, its expected coefficients, and its square
+    # inverse-sqrt bracket, its expected coefficients, and its square; b -> a at phi = 0,
+    # and b+ b = H - phi', the factorization the ladders are built from
     _, bracket, inverse = pdo.inv_sqrt_one_plus_h()
-    for label, ok in pdo.inv_sqrt_bracket_checks(bracket, inverse):
+    for label, ok in pdo.inv_sqrt_bracket_checks(bracket, inverse) + pdo.classical_limit_check():
         res.add(label, 0.0 if ok else 1.0, 0.5)
     # the symbolic-w ladder pair, bound at sampled w, against the hand-derived reference
     rep = pdo.product_identities(w=None)

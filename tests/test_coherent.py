@@ -13,11 +13,9 @@ from isoladder.coherent import (
     d_theta1_deviation,
     displacement_operator,
     generalized_cs,
-    h_tilde_1,
     log_d_coefficients,
     normalization_h,
     order_estimate,
-    q_factorial,
     radius_of_convergence,
     shift_eigenstate,
 )
@@ -351,43 +349,6 @@ class TestOneGrowthPass:
         assert passes == [10_000, 256]
 
 
-class TestQFactorial:
-    def test_limit_q_one(self):
-        chk = q_factorial(1.0, 5)
-        assert chk.product_side == math.factorial(5)
-        assert chk.relative_difference == 0.0
-
-    def test_n3_q2_both_sides_168(self):
-        chk = q_factorial(2.0, 3)
-        assert chk.product_side == pytest.approx(168.0, rel=1e-12)
-        assert chk.closed_side == pytest.approx(168.0, rel=1e-12)
-
-    def test_q_half_n10(self):
-        chk = q_factorial(0.5, 10)
-        assert chk.relative_difference < 1e-12
-
-    @pytest.mark.parametrize("q,n,tol", [
-        (2.0, 3, 0.0), (1.5, 2000, 0.0),
-        (0.5, 10, 2e-11), (1.3, 500, 2e-11), (0.9, 1000, 2e-11), (1 + 1e-6, 50, 2e-11),
-    ])
-    def test_log_product_matches_the_term_by_term_sum(self, q, n, tol):
-        # reference: the sum over k of log(q |q^k - 1| / |q - 1|), |q^k - 1| stable on both sides
-        # of q = 1; tol bounds the product's relative change
-        lq = math.log(q)
-        log_product = 0.0
-        for k in range(1, n + 1):
-            log_qk_minus_1 = (k * lq + math.log1p(-math.exp(-k * lq)) if q > 1
-                              else math.log1p(-(math.exp(k * lq) if k * lq > -700 else 0.0)))
-            log_product += lq + log_qk_minus_1 - math.log(abs(q - 1.0))
-        assert abs(q_factorial(q, n).log_product - log_product) <= tol
-
-    def test_large_n_log_space(self):
-        chk = q_factorial(1.5, 2000)
-        assert math.isinf(chk.product_side)  # value overflows, logs stay finite
-        assert math.isfinite(chk.log_product)
-        assert chk.relative_difference < 1e-9
-
-
 class TestRadius:
     def test_case_iv(self):
         assert radius_of_convergence(single_weight(2.0)) == pytest.approx(math.sqrt(2.0), abs=1e-3)
@@ -493,9 +454,15 @@ class TestGeneralizedCS:
             generalized_cs(0.5, 2, d)
 
 
+def unit_h_tilde_1(N):
+    """a1+ a1 for unit weights, as demo 04 builds it: eigenvalues 0, 0, 1, 2, ... in the theta family."""
+    low, high = ladder_matrices(constant_weights(1.0), N, TAG)
+    return high @ low
+
+
 class TestHTilde1:
     def test_spectrum_shifted_by_one(self):
-        h1 = h_tilde_1(64, TAG)
+        h1 = unit_h_tilde_1(64)
         diag = np.real(np.diag(h1.mat))
         assert diag[0] == 0.0 and diag[1] == 0.0
         assert np.allclose(diag[2:59], np.arange(1.0, 58.0), atol=1e-12)
@@ -508,7 +475,7 @@ class TestHTilde1:
     def test_cs_is_ground_state_of_displaced_hamiltonian(self):
         zeta = 0.7 - 0.2j
         d = displacement_operator(zeta, 64, TAG)
-        h1 = h_tilde_1(64, TAG)
+        h1 = unit_h_tilde_1(64)
         moved = d.mat @ h1.mat @ d.mat.conj().T
         cs = cs_vector(zeta, constant_weights(1.0), 64, TAG)
         assert np.linalg.norm(moved @ cs.coeffs) < 1e-6

@@ -22,14 +22,13 @@ from isoladder.isospectral import (
     b_dagger_a_b_cs,
     b_dagger_a_b_fill,
     h_tilde_matrix,
-    unitary_image_cs,
     riccati_residual,
     theta_curvature_table,
     u_matrix,
     unitarity_defect,
 )
 from isoladder import numerics
-from isoladder.coherent import TruncationError
+from isoladder.coherent import TruncationError, shift_eigenstate
 from isoladder.numerics import QuadratureGrid, build_grid, grid_norm, hermite_table
 from isoladder.params import SQRT_PI
 
@@ -475,6 +474,11 @@ class TestCompositeLoweringCS:
         with pytest.raises(TruncationError):
             b_dagger_a_b_cs(z, truncated(basis64, N))
         assert b_dagger_a_b_cs(z, truncated(basis64, 12)).norm() == pytest.approx(1.0, abs=1e-14)
+
+
+def unitary_image_cs(alpha, basis):
+    """U|alpha> as demo 01 builds it: on the theta indices U a U+ is the weighted shift W_n = n, from theta_0."""
+    return shift_eigenstate(np.log(np.arange(1.0, basis.N + 1)), alpha, 0, basis.tag)
 
 
 class TestUnitaryImageCS:

@@ -338,8 +338,14 @@ def full_recompute_sqrt(a: PDOSeries, depth: int) -> PDOSeries:
 CASE_II_FLOOR = -(DEFAULT_DEPTH + 6)  # the floor expand_ladder_case_ii builds at
 
 
-def _h_plus(c):
-    return h_series(CASE_II_FLOOR) + PDOSeries({0: c}, floor=CASE_II_FLOOR, exact=True)
+def _h_plus(c, floor=CASE_II_FLOOR):
+    return h_series(floor) + PDOSeries({0: c}, floor=floor, exact=True)
+
+
+def _case_ii_ratio(w, floor=CASE_II_FLOOR):
+    """(H+w)(H+2)^{-1} as expand_ladder_case_ii builds it at floor; w None is symbolic."""
+    ws = CoeffPoly.w_power(2) if w is None else CoeffPoly.rational(w)
+    return series_multiply(_h_plus(ws, floor), series_invert(_h_plus(2, floor), floor))
 
 
 class TestResidualUpdating:
@@ -365,14 +371,32 @@ class TestResidualUpdating:
 
     @pytest.mark.parametrize("w", [None, Fraction(7, 4), Fraction(3)], ids=["symbolic", "7/4", "3"])
     def test_case_ii_ratio(self, w):
-        ws = CoeffPoly.w_power(2) if w is None else CoeffPoly.rational(w)
-        ratio = series_multiply(_h_plus(ws), series_invert(_h_plus(2), CASE_II_FLOOR))
-        self._same(series_sqrt(ratio, CASE_II_FLOOR), full_recompute_sqrt(ratio, CASE_II_FLOOR))
+        ratio = _case_ii_ratio(w)
+        # the ratio is inexact at floor -10 and of order 0, so its root is valid through -10 only:
+        # the oracle is asked for that depth, and series_sqrt raises the -12 asked of it to it
+        assert (ratio.floor, ratio.max_order, ratio.exact) == (-10, 0, False)
+        self._same(series_sqrt(ratio, CASE_II_FLOOR), full_recompute_sqrt(ratio, ratio.floor))
 
     def test_order_zero_geometric(self):
         a = PDOSeries({0: ONE, -1: X * Fraction(-1), -3: PHI}, -8, True)
         self._same(series_invert(a, -8), full_recompute_invert(a, -8))
         self._same(series_sqrt(a, -8), full_recompute_sqrt(a, -8))
+
+
+class TestInexactOperandFloors:
+    """The root and inverse of an inexact operand claim no order its dropped tail reaches: each
+    agrees, through its own floor, with the same operation on the operand built deeper."""
+
+    @pytest.mark.parametrize("w", [None, Fraction(3)], ids=["symbolic", "3"])
+    def test_case_ii_ratio(self, w):
+        ratio, deeper = _case_ii_ratio(w), _case_ii_ratio(w, -16)
+        assert (ratio.floor, deeper.floor) == (-10, -14)
+        for root, deep in ((series_sqrt(ratio, CASE_II_FLOOR), series_sqrt(deeper, -16)),
+                           (series_invert(ratio, -16), series_invert(deeper, -18))):
+            assert (root.floor, deep.floor) == (-10, -14)
+            assert series_agree_through(root, deep, root.floor)
+            # the orders a floor of -12 would claim hold terms that the -10 operand cannot give
+            assert deep.coefficient(-11) and deep.coefficient(-12)
 
 
 class TestInvSqrtBracket:
@@ -479,15 +503,21 @@ class TestProductIdentities:
 
 class TestClassicalLimit:
     def test_report(self):
-        rep = classical_limit_check()
-        assert rep["b_phi0_equals_a"]
-        assert rep["bdag_b_equals_h_minus_phiprime"]
-        osc = rep["case_ii_w1_phi0"].scale(CoeffPoly.sqrt2())
+        assert classical_limit_check() == [("b_phi0_equals_a", True), ("bdag_b_equals_h_minus_phiprime", True)]
+        osc = expand_ladder_case_ii(w=Fraction(1))[0].substitute_phi_zero().scale(CoeffPoly.sqrt2())
         # sqrt2 a1 at phi = 0, w = 1: x + d + d^{-1} + x d^{-2} + ...
         assert osc.coefficient(1) == ONE
         assert osc.coefficient(0) == X
         assert osc.coefficient(-1) == ONE
         assert osc.coefficient(-2) == X
+
+    def test_sign_flipped_phi_fails_the_factorization(self, monkeypatch):
+        # b = (x + d - phi)/sqrt2 still becomes a at phi = 0, but b+ b is no longer H - phi'
+        def flipped(floor=-DEFAULT_DEPTH):
+            return PDOSeries({0: X - PHI, 1: ONE}, floor=floor, exact=True).scale(CoeffPoly.sqrt2().inverse())
+
+        monkeypatch.setattr("isoladder.pdo.b_series", flipped)
+        assert classical_limit_check() == [("b_phi0_equals_a", True), ("bdag_b_equals_h_minus_phiprime", False)]
 
     def test_bdagger_b_symbol(self):
         # b+ b = H + 2 x phi + phi^2 exactly (Riccati-reduced -phi')
@@ -603,7 +633,8 @@ class TestFlatKernelProperties:
         trunc = PDOSeries(kept.terms, floor=-4, exact=False)
         whole = PDOSeries({**tail.terms, **kept.terms}, floor=-10, exact=True)
         b_deep = PDOSeries(b.terms, floor=-10, exact=True)
-        reach = max(b.max_order, 0)
+        # a dropped e d^j (j < -4) times g d^l reaches only orders below -4 + l, also for l < 0
+        reach = b.max_order
         for prod, full in (
             (series_multiply(trunc, b), series_multiply(whole, b_deep)),
             (series_multiply(b, trunc), series_multiply(b_deep, whole)),
@@ -611,6 +642,24 @@ class TestFlatKernelProperties:
             assert prod.floor == max(min(trunc.floor, b.floor), trunc.floor + reach)
             assert not prod.exact
             assert series_agree_through(prod, full, prod.floor)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_exact_series, _series(st.integers(-4, 2), floor=-4, exact=False))
+    def test_subtraction_adds_the_negation(self, a, b):
+        texts = a.render(), b.render()
+        for x, y in ((a, b), (b, a), (a, a)):
+            diff, ref = x - y, x + (-y)
+            assert (diff.render(), diff.terms, diff.floor, diff.exact) == (ref.render(), ref.terms,
+                                                                           ref.floor, ref.exact)
+        assert not (a - a).terms
+        assert (a.render(), b.render()) == texts  # the operands are left as they were
+
+    def test_subtraction_builds_no_negated_copy(self, monkeypatch):
+        a, b = h_series(-8), b_dagger_series(-8) * b_series(-8)
+        want = (a + (-b)).render(), (a.coefficient(0) + (-b.coefficient(0))).render()
+        monkeypatch.setattr(CoeffPoly, "__neg__", None)  # -p is now a TypeError
+        monkeypatch.setattr(PDOSeries, "__neg__", None)
+        assert ((a - b).render(), (a.coefficient(0) - b.coefficient(0)).render()) == want
 
     def test_symbolic_w_substitutes_to_rational_expansion(self):
         # the w that c07 samples by substituting into the symbolic expansion

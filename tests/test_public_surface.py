@@ -14,6 +14,9 @@ Private names that one module reads from another are pinned in a list that
 may only shrink, since `__all__` does not show whether they are reached.
 The benchmark under perfbench/ is an entry point this package does not see:
 every isoladder attribute its worker and tracer read must still resolve.
+Exports that only a demo reaches, and neither the command line nor the
+benchmark, check nothing in the battery; they are pinned in a second list
+that may only shrink.
 """
 
 import ast
@@ -29,6 +32,10 @@ EXEMPT = {"isospectral.theta_curvature_table"}
 # which the benchmark's tracer also reads.  The list may only shrink.
 PRIVATE_READS = {"cli -> report._Context"}
 BENCHMARK_READERS = [ROOT / "perfbench" / "worker.py", ROOT / "perfbench" / "tracing.py"]
+# exports reached from a demo but not from the command line or the benchmark, today's set; each is to
+# earn a battery part or go (ROADMAP item 8).  The list may only shrink.
+DEMO_ONLY = {"coherent.bargmann_transform", "coherent.normalization_h", "fock.annihilation_matrix",
+             "isospectral.unitarity_defect", "ladder.shift_matrix"}
 
 
 def _methods(cls: ast.ClassDef) -> list[ast.FunctionDef]:
@@ -86,9 +93,9 @@ def _surface():
     return exports, definitions
 
 
-def _reached(definitions) -> set[str]:
+def _reached(definitions, entry_points=ENTRY_POINTS) -> set[str]:
     """Identifiers read by the entry points or, transitively, by the definitions they reach."""
-    pending = set().union(*(_reads(ast.parse(p.read_text(encoding="utf-8"))) for p in ENTRY_POINTS))
+    pending = set().union(*(_reads(ast.parse(p.read_text(encoding="utf-8"))) for p in entry_points))
     reached = set()
     while pending:
         name = pending.pop()
@@ -104,6 +111,14 @@ def test_every_export_is_reached_from_an_entry_point():
     unreached = {e for e in exports if e.split(".")[1] not in reached}
     assert unreached - EXEMPT == set(), "exported but reached only from tests"
     assert EXEMPT <= unreached, "an exemption is reached now; drop it"
+
+
+def test_demo_only_exports_are_pinned():
+    exports, definitions = _surface()
+    demo_only = _reached(definitions) - _reached(definitions, [ENTRY_POINTS[0], *BENCHMARK_READERS])
+    found = {e for e in exports if e.split(".")[1] in demo_only}
+    assert found - DEMO_ONLY == set(), "a new export that only a demo reaches"
+    assert DEMO_ONLY - found == set(), "a pinned export is reached from the command line or gone; drop it"
 
 
 def test_every_method_is_reached_from_an_entry_point():

@@ -151,6 +151,16 @@ def test_run_all_leaves_numpy_random_unloaded():
     assert run.stdout == "True False\n"
 
 
+def test_part_names_are_unique_within_each_criterion():
+    # a consumer that keys parts by name sees every part: c03 tells its three random lists apart
+    parts = {r.name: [label for label, *_ in r.parts] for r in report.run_all(2, 64)}
+    for name, labels in parts.items():
+        assert len(labels) == len(set(labels)), name
+    assert [label for label in parts["c03_c_closed_form"] if "custom" in label] == [
+        f"{check}[custom[501]#{k}]" for k in (1, 2, 3) for check in ("closed_vs_recursive", "telescoped_identity")]
+    assert parts["c07_pdo_identities"][3:5] == ["b_phi0_equals_a", "bdag_b_equals_h_minus_phiprime"]
+
+
 READ_U = ["c01_isospectrality", "c04_commutator_diagonal", "c05_closed_form_equivalence",
           "c11_lambda_to_infinity", "c12_composite_lowering"]
 
