@@ -68,8 +68,11 @@ print(f"\nb+ a b in the theta basis kills theta_0 and theta_1: "
       f"{below(np.linalg.norm(a_theta.mat[:, 0]), 1e-10)}, {below(np.linalg.norm(a_theta.mat[:, 1]), 1e-7)}")
 print(f"its superdiagonal starts (n-1) sqrt(n): {np.round(np.real(np.diag(a_theta.mat, 1))[:5], 6)}")
 
+# b+ a b maps theta_{n+1} to n sqrt(n+1) theta_n: its coherent states are the eigenstates of the
+# weighted shift with W_n = n^2 (n+1), started at theta_1
 z = 0.8 + 0.3j
-cs = iso.b_dagger_a_b_cs(z, basis)
+n = np.arange(1.0, N + 1)
+cs = coherent.shift_eigenstate(np.log(n * n * (n + 1.0)), z, 1, basis.tag)
 fill = iso.b_dagger_a_b_fill(N, basis.tag)
 residual = np.linalg.norm(fill.mat @ cs.coeffs - z * cs.coeffs)
 print(f"annihilation-eigenstate residual at z = {z}: {below(residual, 1e-7)}")

@@ -1,9 +1,11 @@
 """Command-line driver: spectrum/commutator/coherent/order/pdo/report.
 
-Configuration comes from the RunConfig defaults, then an optional flat
-key = value config file, then command-line flags (flags win); the _OPTIONS
-table declares each option once.  All numeric output is formatted to 17
-significant digits so identical configs produce byte-identical files.
+Configuration comes from the defaults, then an optional flat key = value
+config file, then command-line flags (flags win); the _OPTIONS table declares
+each option once, its default included.  Each command returns its output's
+file name, text and verdict, and main writes it and turns the verdict into the
+exit code.  All numeric output is formatted to 17 significant digits so
+identical configs produce byte-identical files.
 Exit codes: 0 all checks pass, 1 a check failed or a construction was refused,
 2 invalid configuration (a non-finite number, an unreadable --config or an unusable --out included), as
 params.Refusal.exit_code says.  Each command imports the modules it runs, so `pdo` imports no numpy.
@@ -31,25 +33,13 @@ class ConfigError(Refusal):
 
 
 class RunConfig:
-    """The run's settings: the class-level defaults, overridden per instance by keyword."""
-
-    lam: float = 2.0
-    trunc: int = 64
-    weights_kind: str = "distorted"
-    w: float = 1.0
-    q: float = 0.5
-    nu: float | None = None
-    zeta_re: float = 1.0
-    zeta_im: float = 0.5
-    out: str | None = None
-    fmt: str = "json"
-    custom: tuple = ()
+    """The run's settings: each _OPTIONS row's default, overridden per instance by keyword."""
 
     def __init__(self, **values):
-        for attr, value in values.items():
-            if attr not in RunConfig.__annotations__:
-                raise TypeError(f"RunConfig has no setting {attr!r}")
-            setattr(self, attr, value)
+        for _, attr, _, default, _ in _OPTIONS:
+            setattr(self, attr, values.pop(attr, default))
+        if values:
+            raise TypeError(f"RunConfig has no setting {next(iter(values))!r}")
 
     @property
     def zeta(self) -> complex:
@@ -67,7 +57,7 @@ class RunConfig:
         return WeightSequence(*self.weight_rule())
 
     def validate(self):
-        for key, attr, conv, flag in _OPTIONS:
+        for key, attr, conv, _, flag in _OPTIONS:
             value = getattr(self, attr)
             numbers = value if conv is _floats else (value,) if conv is float else ()
             if not all(v is None or math.isfinite(v) for v in numbers):
@@ -85,12 +75,7 @@ class RunConfig:
 
 
 def fmt_float(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    return format(float(x), ".17g")  # nan, inf and -inf as such
 
 
 def _json_value(v) -> str:
@@ -120,14 +105,9 @@ def to_json(obj) -> str:
     return _json_value(obj) + "\n"
 
 
-def to_csv(header: list, rows: list) -> str:
-    def cell(v):
-        if isinstance(v, float):
-            return fmt_float(v)
-        return str(v)
-
+def to_csv(header, rows: list) -> str:
     lines = [",".join(header)]
-    lines += [",".join(cell(v) for v in row) for row in rows]
+    lines += [",".join(fmt_float(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -142,7 +122,7 @@ def _emit(config: RunConfig, filename: str, text: str):
         sys.stdout.write(text)
 
 
-def cmd_spectrum(config: RunConfig) -> int:
+def cmd_spectrum(config: RunConfig) -> tuple:
     import numpy as np
     from . import isospectral, report
     from .fock import INTERIOR_MARGIN, hermitian_eigensystem
@@ -158,24 +138,16 @@ def cmd_spectrum(config: RunConfig) -> int:
     rows = [[n, float(evals[n]), abs(float(evals[n]) - n), float(orths[n]), float(u_devs[n])]
             for n in range(count)]
     ok = all(deviation < 1e-6 and orth < 1e-8 for _, _, deviation, orth, _ in rows)
+    columns = ("n", "eigenvalue", "deviation", "orthonormality_residual", "u_row_dev")
     if config.fmt == "csv":
-        text = to_csv(["n", "eigenvalue", "deviation", "orthonormality_residual", "u_row_dev"], rows)
+        text = to_csv(columns, rows)
     else:
-        text = to_json({
-            "lambda": config.lam,
-            "trunc": N,
-            "rows": [
-                {"n": r[0], "eigenvalue": r[1], "deviation": r[2],
-                 "orthonormality_residual": r[3], "u_row_dev": r[4]}
-                for r in rows
-            ],
-            "pass": ok,
-        })
-    _emit(config, f"spectrum.{config.fmt}", text)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        text = to_json({"lambda": config.lam, "trunc": N, "rows": [dict(zip(columns, row)) for row in rows],
+                        "pass": ok})
+    return f"spectrum.{config.fmt}", text, ok
 
 
-def cmd_commutator(config: RunConfig) -> int:
+def cmd_commutator(config: RunConfig) -> tuple:
     from . import isospectral, ladder, report
     N = config.trunc
     weights = config.weights()
@@ -190,11 +162,10 @@ def cmd_commutator(config: RunConfig) -> int:
         "theta": theta_part[1],
         "pass": ok,
     })
-    _emit(config, "commutator.json", text)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return "commutator.json", text, ok
 
 
-def cmd_coherent(config: RunConfig) -> int:
+def cmd_coherent(config: RunConfig) -> tuple:
     from . import coherent
     from .fock import FOCK
     weights = config.weights()
@@ -209,26 +180,24 @@ def cmd_coherent(config: RunConfig) -> int:
         "residual_vs_truncation": rows,
         "pass": ok,
     })
-    _emit(config, "coherent.json", text)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return "coherent.json", text, ok
 
 
-def cmd_order(config: RunConfig) -> int:
+def cmd_order(config: RunConfig) -> tuple:
     from . import coherent
     weights = config.weights()
     est = coherent.order_estimate(weights)
     text = to_json({
         "weights": weights.label(),
         "entire": est.entire,
-        "rho": est.rho if est.rho is not None else None,
+        "rho": est.rho,
         "radius": est.radius,
-        "diagnostics": {k: v for k, v in sorted(est.diagnostics.items())},
+        "diagnostics": dict(sorted(est.diagnostics.items())),
     })
-    _emit(config, "order.json", text)
-    return EXIT_OK
+    return "order.json", text, True
 
 
-def cmd_pdo(config: RunConfig) -> int:
+def cmd_pdo(config: RunConfig) -> tuple:
     from . import pdo
     check_weight_rule("distorted", config.w)  # the rule expanded here, whatever --weights names
     w = Fraction(str(config.w))
@@ -248,11 +217,10 @@ def cmd_pdo(config: RunConfig) -> int:
         "raising_series": high.render().split("\n"),
         "pass": ok,
     })
-    _emit(config, "pdo.json", text)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return "pdo.json", text, ok
 
 
-def cmd_report(config: RunConfig) -> int:
+def cmd_report(config: RunConfig) -> tuple:
     from . import report
     results = report.run_all(lam=config.lam, trunc=config.trunc)
     entries = []
@@ -276,8 +244,7 @@ def cmd_report(config: RunConfig) -> int:
         "criteria": entries,
         "all_pass": all_pass,
     })
-    _emit(config, "report.json", text)
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    return "report.json", text, all_pass
 
 
 COMMANDS = {
@@ -308,28 +275,27 @@ def _floats(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
 
 
-# One row per option: its config-file key, its RunConfig attribute, the converter
-# of a file value, and the argparse keywords of its flag, `--` + key with `-` for
-# `_` (None: the option is set only in the config file).
+# One row per option: its config-file key, its RunConfig attribute, the converter of a file value, its
+# default, and the argparse keywords of its flag, `--` + key with `-` for `_` (None: the option is set
+# only in the config file).  --weights offers every rule but power, which --weights linear --nu selects.
 _OPTIONS = (
-    ("lambda", "lam", float, {"help": "family parameter (default 2)"}),
-    ("trunc", "trunc", int, {"help": "truncation size N (default 64)"}),
-    ("weights", "weights_kind", str,
-     {"choices": ["constant", "distorted", "linear", "single", "geometric", "custom"]}),
-    ("w", "w", float, {"help": "weight parameter w"}),
-    ("q", "q", float, {"help": "deformation parameter q"}),
-    ("nu", "nu", float, {"help": "power-law exponent for --weights linear"}),
-    ("zeta_re", "zeta_re", float, {}),
-    ("zeta_im", "zeta_im", float, {}),
-    ("out", "out", str, {"help": "output directory (default: stdout)"}),
-    ("format", "fmt", str, {"choices": ["csv", "json"]}),
-    ("custom", "custom", _floats, None),
+    ("lambda", "lam", float, 2.0, {"help": "family parameter (default 2)"}),
+    ("trunc", "trunc", int, 64, {"help": "truncation size N (default 64)"}),
+    ("weights", "weights_kind", str, "distorted", {"choices": [k for k in WEIGHT_RULES if k != "power"]}),
+    ("w", "w", float, 1.0, {"help": "weight parameter w"}),
+    ("q", "q", float, 0.5, {"help": "deformation parameter q"}),
+    ("nu", "nu", float, None, {"help": "power-law exponent for --weights linear"}),
+    ("zeta_re", "zeta_re", float, 1.0, {}),
+    ("zeta_im", "zeta_im", float, 0.5, {}),
+    ("out", "out", str, None, {"help": "output directory (default: stdout)"}),
+    ("format", "fmt", str, "json", {"choices": ["csv", "json"]}),
+    ("custom", "custom", _floats, (), None),
 )
 
 
 def build_config(args) -> RunConfig:
     config = RunConfig()
-    rows = {key: (attr, conv) for key, attr, conv, _ in _OPTIONS}
+    rows = {key: (attr, conv) for key, attr, conv, _, _ in _OPTIONS}
     for key, value in (read_config_file(args.config) if args.config else {}).items():
         if key not in rows:
             raise ConfigError(f"unknown config key {key!r}")
@@ -338,7 +304,7 @@ def build_config(args) -> RunConfig:
             setattr(config, attr, conv(value))
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-    for _, attr, _, flag in _OPTIONS:
+    for _, attr, _, _, flag in _OPTIONS:
         if flag is not None and getattr(args, attr) is not None:
             setattr(config, attr, getattr(args, attr))
     config.validate()
@@ -347,7 +313,7 @@ def build_config(args) -> RunConfig:
 
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    for key, attr, conv, flag in _OPTIONS:
+    for key, attr, conv, _, flag in _OPTIONS:
         if flag is not None:
             common.add_argument("--" + key.replace("_", "-"), dest=attr, type=conv, default=None, **flag)
     common.add_argument("--config", default=None, help="flat key = value config file")
@@ -367,7 +333,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](build_config(args))
+        config = build_config(args)
+        filename, text, ok = COMMANDS[args.command](config)
+        _emit(config, filename, text)
+        return EXIT_OK if ok else EXIT_CHECK_FAILED
     except (Refusal, OSError) as exc:  # OSError: an unreadable --config or an unusable --out
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, Refusal) else EXIT_BAD_CONFIG

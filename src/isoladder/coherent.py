@@ -73,7 +73,7 @@ class DivergenceError(Refusal):
 
 
 class TruncationError(Refusal):
-    """The first dropped coefficient term would exceed 1e-24 of h."""
+    """The first dropped coefficient term would exceed 1e-24 of h, or h overflows a float."""
 
 
 class WeightSequenceTooShort(Refusal):
@@ -104,7 +104,8 @@ def normalization_h(t: float, weights: WeightSequence) -> float:
     It stops at the first n >= 1 where the tail bound d_n t^n r / (1 - r), r = t / W_{n+1} < 1, is
     below 1e-12 of the partial sum (W_n never decreases); a finite family sums exactly, so W_1 = 0
     gives h = 1.  The prefix read doubles from 256 terms: WeightSequenceTooShort when a custom list
-    runs out first, RuntimeError past 4M terms; DivergenceError at or beyond the squared radius.
+    runs out first, RuntimeError past 4M terms; DivergenceError at or beyond the squared radius, and
+    TruncationError when a term or a partial sum overflows a float.
     """
     if t < 0:
         raise ValueError(f"h is defined for t >= 0, got {t}")
@@ -116,8 +117,12 @@ def normalization_h(t: float, weights: WeightSequence) -> float:
     while True:
         log_w = weights.log_partial_sum_array(m)
         log_d = log_d_coefficients(log_w)
-        terms = np.exp(log_d + np.arange(len(log_d)) * math.log(t))  # d_n t^n
-        total = np.cumsum(terms)
+        with np.errstate(over="raise"):
+            try:
+                terms = np.exp(log_d + np.arange(len(log_d)) * math.log(t))  # d_n t^n
+                total = np.cumsum(terms)
+            except FloatingPointError:
+                raise TruncationError(f"h({t:g}) overflows a float") from None
         if len(log_d) <= m:
             return float(total[-1])
         r = np.exp(math.log(t) - log_w)  # t / W_{n+1} at n = 0 .. m - 1
@@ -138,7 +143,8 @@ def shift_eigenstate(log_w: np.ndarray, zeta: complex, start: int, tag) -> State
     log_w is log W_1 .. log W_N; the vector, of length N, holds h^{-1/2} d_n^{1/2} zeta^n at
     index start + n for the kept n = 0 .. N - start - 1 (d_n from log_d_coefficients, 0 past
     a finite family's prefix), h the fsum of the kept d_n |zeta|^{2n}.  Refuses (TruncationError)
-    when the first dropped term, n = N - start, exceeds 1e-24 of h rather than truncating silently.
+    when the first dropped term, n = N - start, exceeds 1e-24 of h rather than truncating silently,
+    and when h overflows a float.
     """
     N = len(log_w)
     log_d = log_d_coefficients(log_w)
@@ -149,7 +155,10 @@ def shift_eigenstate(log_w: np.ndarray, zeta: complex, start: int, tag) -> State
     h = 1.0
     if t > 0:
         log_terms = log_d[: kept + 1] + np.arange(kept + 1) * math.log(t)
-        h = math.fsum(math.exp(v) for v in log_terms[:kept])
+        try:
+            h = math.fsum(math.exp(v) for v in log_terms[:kept])
+        except OverflowError:
+            raise TruncationError(f"h overflows a float for |zeta| = {abs(zeta):g} at N = {N}") from None
         if log_terms[kept] - math.log(h) >= math.log(1e-24):
             raise TruncationError(
                 f"first dropped term exp({log_terms[kept] - math.log(h):.1f}) of h exceeds 1e-24; "

@@ -4,10 +4,11 @@ For each admissible lambda the Riccati solution phi deforms the oscillator
 ladder pair into b = (x + d + phi)/sqrt(2), b^dagger = (x - d + phi)/sqrt(2).
 This module builds the theta eigenbasis of b^dagger b in position space, the
 unitary intertwiner U between the Fock and theta families, the matrices of
-b, b^dagger, b^dagger b and the earlier lowering operator b^dagger a b, and
-the coherent states of b^dagger a b: one call to coherent.shift_eigenstate
-with W_n = n^2 (n+1), as coherent.cs_vector is, under the same 1e-24
-relative tail guard.
+b, b^dagger, b^dagger b and the earlier lowering operator b^dagger a b.  That
+operator is a weighted shift with W_n = n^2 (n+1) from theta_1, so its
+coherent states are one call to coherent.shift_eigenstate, which c12 and
+demo 01 make, as coherent.cs_vector does, under the same 1e-24 relative tail
+guard.
 
 The lambda-free Hermite table psi and its norm defects belong to the grid
 (QuadratureGrid.psi, .norm_defects).  A ThetaBasis holds one lambda's phi and
@@ -32,10 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import shift_eigenstate
 from .fock import (
     FOCK,
-    StateVector,
     TruncatedOperator,
     adjoint,
     op_norm_inf,
@@ -59,7 +58,6 @@ __all__ = [
     "h_tilde_matrix",
     "b_dagger_a_b_matrix",
     "b_dagger_a_b_fill",
-    "b_dagger_a_b_cs",
     "theta_curvature_table",
 ]
 
@@ -264,17 +262,6 @@ def b_dagger_a_b_fill(N: int, tag) -> TruncatedOperator:
     """Structural matrix of the same operator: (n-1) sqrt(n) at (n-1, n)."""
     n = np.arange(1.0, N)
     return TruncatedOperator(np.diag((n - 1.0) * np.sqrt(n), 1), tag)
-
-
-def b_dagger_a_b_cs(z: complex, basis: ThetaBasis) -> StateVector:
-    """Normalized eigenstate of b^dagger a b built on theta_1, of the basis' length N.
-
-    The operator maps theta_{n+1} to n sqrt(n+1) theta_n, a weighted shift with
-    W_n = n^2 (n+1): coefficients proportional to z^n / (n! sqrt((n+1)!)) on
-    theta_{n+1}.
-    """
-    n = np.arange(1.0, basis.N + 1)
-    return shift_eigenstate(np.log(n * n * (n + 1.0)), z, 1, basis.tag)
 
 
 def theta_curvature_table(basis: ThetaBasis) -> np.ndarray:

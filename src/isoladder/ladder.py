@@ -119,11 +119,15 @@ class WeightSequence:
         return f"{self.kind}({name}={self.param:g})"
 
     def weight_array(self, nmax: int) -> np.ndarray:
-        """w_1 .. w_nmax from the rule's formula in _FORMULAS."""
+        """w_1 .. w_nmax from the rule's formula in _FORMULAS; WeightError when a weight overflows a float
+        (the log route, log_weight_array, reads geometric and power weights without building them)."""
         if self.kind == "custom" and nmax > len(self.param):
             raise WeightError(f"custom weight index {len(self.param) + 1} out of range "
                               f"(have {len(self.param)})")
-        return _FORMULAS[self.kind](nmax, self.param)
+        try:
+            return _FORMULAS[self.kind](nmax, self.param)
+        except OverflowError:
+            raise WeightError(f"{self.label()} weights overflow a float by n = {nmax}") from None
 
     def partial_sum_array(self, nmax: int) -> np.ndarray:
         """W_n = w_1 + ... + w_n for n = 1 .. nmax."""

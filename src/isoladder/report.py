@@ -268,7 +268,9 @@ def criterion_12_composite_lowering(ctx: _Context, res: CriterionResult):
     fill = isospectral.b_dagger_a_b_fill(ctx.N, ctx.tag)
     res.add("theta_matrix_entries", interior_max_abs(a_theta.mat - fill.mat), 1e-6)
     z = 0.8 + 0.3j
-    cs = isospectral.b_dagger_a_b_cs(z, ctx)
+    # b+ a b maps theta_{n+1} to n sqrt(n+1) theta_n: the weighted shift W_n = n^2 (n+1), from theta_1
+    n = np.arange(1.0, ctx.N + 1)
+    cs = coherent.shift_eigenstate(np.log(n * n * (n + 1.0)), z, 1, ctx.tag)
     moved = apply_operator(fill, cs)
     res.add("cs_eigen_residual", float(np.linalg.norm(moved.coeffs - z * cs.coeffs)), 1e-7)
 

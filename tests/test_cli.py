@@ -62,6 +62,13 @@ class TestConfig:
         assert RunConfig(weights_kind="linear", nu=2.0, **others).weights() == power_law_weights(2.0)
         assert RunConfig(weights_kind="linear", nu=1.0, **others).weights() == linear_weights()
 
+    def test_unknown_setting_refused(self):
+        # RunConfig takes the _OPTIONS attributes alone, each defaulting to its row's value
+        with pytest.raises(TypeError, match="RunConfig has no setting 'bogus'"):
+            RunConfig(bogus=1)
+        assert {attr: getattr(RunConfig(), attr) for _, attr, _, _, _ in _OPTIONS} == {
+            attr: default for _, attr, _, default, _ in _OPTIONS}
+
     def test_invalid_lambda_named(self):
         parser = make_parser()
         with pytest.raises(ConfigError) as err:
@@ -82,7 +89,7 @@ class TestConfig:
     }
 
     def test_file_and_flag_give_the_same_value(self, tmp_path):
-        flagged = [(key, attr) for key, attr, _, flag in _OPTIONS if flag is not None]
+        flagged = [(key, attr) for key, attr, _, _, flag in _OPTIONS if flag is not None]
         assert sorted(key for key, _ in flagged) == sorted(self.FLAG_SAMPLES)
         parser = make_parser()
         for key, attr in flagged:
@@ -261,6 +268,32 @@ class TestCommands:
         for row, bound in zip(rows, residuals):
             assert row["residual"] == "inf" if math.isinf(bound) else row["residual"] < bound
 
+    @pytest.mark.parametrize("args, code, refusal", [
+        (["commutator", "--weights", "geometric", "--q", "1e30", "--trunc", "16"], 2,
+         "error: geometric(q=1e+30) weights overflow a float by n = 15\n"),
+        (["coherent", "--weights", "linear", "--nu", "300"], 2,
+         "error: power(nu=300) weights overflow a float by n = 47\n"),
+        (["coherent", "--weights", "constant", "--w", "1e-10"], 1, None),
+    ], ids=["geometric_weights", "power_weights", "h"])
+    def test_overflow_refused_without_a_traceback(self, args, code, refusal):
+        # a weight or an h past the largest float: one error line and exit 2, or (h) inf rows and exit 1
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-m", "isoladder", *args], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert run.returncode == code and "Traceback" not in run.stderr
+        if refusal is not None:
+            assert run.stdout == "" and run.stderr == refusal
+        else:
+            assert run.stderr == ""
+            assert [row["residual"] for row in json.loads(run.stdout)["residual_vs_truncation"]] == ["inf"] * 3
+
+    @pytest.mark.parametrize("args", [["--weights", "geometric", "--q", "1e30"],
+                                      ["--weights", "linear", "--nu", "300"]])
+    def test_order_reads_overflowing_weights_by_their_logs(self, args, capsys):
+        code, out, err = run_cli(["order", *args], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["entire"] is True
+
     def test_order_refuses_zero_first_weight(self, capsys):
         code, out, err = run_cli(["order", "--weights", "single", "--w", "0"], capsys)
         assert code == 2 and out == ""
@@ -395,9 +428,23 @@ class TestReportCommand:
 
 
 class TestDocs:
+    README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+    def test_readme_lists_the_parser_weight_choices(self):
+        listed = re.search(r"`--weights \{([^}]*)\}`", self.README).group(1)
+        order = make_parser()._subparsers._group_actions[0].choices["order"]
+        choices = next(action.choices for action in order._actions if "--weights" in action.option_strings)
+        assert re.sub(r"\s", "", listed).split("|") == choices
+
+    def test_readme_states_the_run_config_defaults(self):
+        sentence = re.search(r"defaults \(`lambda = (\S+)`,\s+`trunc = (\d+)`, (\w+) weights with `w = (\S+)`\)",
+                             self.README)
+        lam, trunc, kind, w = sentence.groups()
+        config = RunConfig()
+        assert (float(lam), int(trunc), kind, float(w)) == (config.lam, config.trunc, config.weights_kind, config.w)
+
     def test_readme_lists_exactly_the_parser_flags(self):
-        readme = (ROOT / "README.md").read_text(encoding="utf-8")
-        paragraph = readme[readme.index("Flags:"):].split("\n\n", 1)[0]
+        paragraph = self.README[self.README.index("Flags:"):].split("\n\n", 1)[0]
         documented = set(re.findall(r"`(--[a-z][a-z-]*)", paragraph))
         commands = make_parser()._subparsers._group_actions[0].choices
         for name, sub in commands.items():

@@ -181,9 +181,9 @@ class TestCSVector:
 
 class TestShiftEigenstate:
     @pytest.mark.parametrize("W, start", [
-        (lambda n: n, 0),  # U a U+ on the theta indices: unitary_image_cs
+        (lambda n: n, 0),  # U a U+ on the theta indices: demo 01's unitary image
         (lambda n: n, 1),  # the unit-weight pair: cs_vector
-        (lambda n: n * n * (n + 1.0), 1),  # b+ a b: b_dagger_a_b_cs
+        (lambda n: n * n * (n + 1.0), 1),  # b+ a b: c12's composite-lowering state
     ])
     def test_eigenvector_of_the_weighted_shift(self, W, start):
         # the shift maps e_{start+n} to sqrt(W_n) e_{start+n-1}; the dense matrix is the oracle
@@ -196,6 +196,25 @@ class TestShiftEigenstate:
         assert state.basis == TAG and state.dim == N
         assert np.all(state.coeffs[:start] == 0) and abs(state.norm() - 1.0) < 1e-14
         assert np.linalg.norm(shift @ state.coeffs - z * state.coeffs) < 1e-7
+
+
+class TestOverflowingH:
+    @pytest.mark.parametrize("build", [
+        lambda: cs_vector(40, constant_weights(1.0), 3000, TAG),
+        lambda: shift_eigenstate(np.log(np.arange(1.0, 3001)), 40.0, 0, TAG),
+        lambda: normalization_h(2000.0, constant_weights(1.0)),
+    ], ids=["cs_vector", "shift_eigenstate", "normalization_h"])
+    def test_refused_by_name(self, build):
+        # h = e^t past e^709.78 is no float: a named refusal, not OverflowError or inf with overflow warnings
+        with pytest.raises(TruncationError, match="overflows a float"):
+            build()
+
+    def test_h_just_below_overflow_is_summed(self):
+        # e^700 is a float, and so is every term and partial sum: summed, not refused.  Its terms come from
+        # log d_n = -(log 1 + ... + log n), ~1e4 in size by n ~ 1400, so they carry ~1e-12 relative rounding
+        assert normalization_h(700.0, constant_weights(1.0)) == pytest.approx(math.exp(700.0), rel=1e-10)
+        state = shift_eigenstate(np.log(np.arange(1.0, 1601)), 26.0, 0, TAG)
+        assert abs(state.norm() - 1.0) < 1e-14
 
 
 class TestBargmann:

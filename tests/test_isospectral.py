@@ -19,7 +19,6 @@ from isoladder.isospectral import (
     b_dagger_a_b_matrix,
     b_dagger_matrix,
     b_matrix,
-    b_dagger_a_b_cs,
     b_dagger_a_b_fill,
     h_tilde_matrix,
     riccati_residual,
@@ -441,29 +440,36 @@ def truncated(basis, N):
     return ThetaBasis(basis.params, basis.grid, N)
 
 
+def composite_lowering_cs(z, basis):
+    """b+ a b's coherent state as c12 builds it: b+ a b maps theta_{n+1} to n sqrt(n+1) theta_n, the weighted
+    shift W_n = n^2 (n+1), so the coefficients are proportional to z^n / (n! sqrt((n+1)!)) on theta_{n+1}."""
+    n = np.arange(1.0, basis.N + 1)
+    return shift_eigenstate(np.log(n * n * (n + 1.0)), z, 1, basis.tag)
+
+
 class TestCompositeLoweringCS:
     def test_zero_is_theta1(self, basis64):
-        cs = b_dagger_a_b_cs(0.0, basis64)
+        cs = composite_lowering_cs(0.0, basis64)
         expected = np.zeros(64)
         expected[1] = 1.0
         assert np.linalg.norm(cs.coeffs - expected) < 1e-14
 
     def test_coefficient_ratio(self, basis64):
         z = 0.9 - 0.4j
-        cs = b_dagger_a_b_cs(z, basis64)
+        cs = composite_lowering_cs(z, basis64)
         ratio = cs.coeffs[3] / cs.coeffs[2]
         assert ratio == pytest.approx(z / (2.0 * math.sqrt(3.0)), abs=1e-12)
 
     def test_eigenstate_residual(self, basis64):
         z = 0.8 + 0.3j
-        cs = b_dagger_a_b_cs(z, basis64)
+        cs = composite_lowering_cs(z, basis64)
         fill = b_dagger_a_b_fill(64, basis64.tag)
         moved = apply_operator(fill, cs)
         assert np.linalg.norm(moved.coeffs - z * cs.coeffs) < 1e-7
 
     def test_tail_guard(self, basis64):
         with pytest.raises(ValueError):
-            b_dagger_a_b_cs(80.0, truncated(basis64, 8))
+            composite_lowering_cs(80.0, truncated(basis64, 8))
 
     def test_tail_guard_is_relative_1e24(self, basis64):
         # the dropped term d_N |z|^{2N} = |z|^16 / ((8!)^2 9!) sits above 1e-24 of
@@ -472,8 +478,8 @@ class TestCompositeLoweringCS:
         tail = abs(z) ** (2 * N) / (math.factorial(N) ** 2 * math.factorial(N + 1))
         assert 2e-24 < tail < 1e-14
         with pytest.raises(TruncationError):
-            b_dagger_a_b_cs(z, truncated(basis64, N))
-        assert b_dagger_a_b_cs(z, truncated(basis64, 12)).norm() == pytest.approx(1.0, abs=1e-14)
+            composite_lowering_cs(z, truncated(basis64, N))
+        assert composite_lowering_cs(z, truncated(basis64, 12)).norm() == pytest.approx(1.0, abs=1e-14)
 
 
 def unitary_image_cs(alpha, basis):

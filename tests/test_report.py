@@ -42,7 +42,7 @@ DEPENDENCY = {
     "criterion_09_perelomov": (coherent, "d_theta1_deviation"),
     "criterion_10_orders": (coherent, "order_estimate"),
     "criterion_11_lambda_limit": (report, "grid_norm"),
-    "criterion_12_composite_lowering": (isospectral, "b_dagger_a_b_cs"),
+    "criterion_12_composite_lowering": (isospectral, "b_dagger_a_b_fill"),
 }
 
 
