@@ -44,7 +44,7 @@ class WeightError(Refusal):
 # kind -> the one parameter the rule reads (None: none) and the bound it must meet besides being finite
 # ("values" is the custom list, bounded entry by entry); ladder keeps each rule's formula.
 WEIGHT_RULES = {"constant": ("w", "> 0"), "distorted": ("w", "> 0"), "linear": (None, ""), "single": ("w", ">= 0"),
-                "geometric": ("q", "> 0"), "power": ("nu", ""), "custom": ("values", ">= 0")}
+                "geometric": ("q", "> 0"), "power": ("nu", "> -1"), "custom": ("values", ">= 0")}
 
 
 def check_weight_rule(kind: str, param) -> None:
@@ -57,6 +57,6 @@ def check_weight_rule(kind: str, param) -> None:
             raise WeightError(f"{kind} weights take no parameter, got {param!r}")
         return
     values = param if name == "values" else (param,)
-    admits = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "": lambda v: True}[bound]
+    admits = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "> -1": lambda v: v > -1}[bound]
     if not values or not all(v is not None and math.isfinite(v) and admits(v) for v in values):
-        raise WeightError(f"{kind} weights need finite {name} {bound}".rstrip() + f", got {param!r}")
+        raise WeightError(f"{kind} weights need finite {name} {bound}, got {param!r}")

@@ -7,10 +7,13 @@ field of rationals extended by i, sqrt2 and half-powers of the symbol w;
 differentiation reduces phi' through the Riccati relation
 phi' = -2 x phi - phi^2, so no symbol beyond {x, phi} ever appears.
 
-One coefficient type, CoeffPoly, holds a flat dict keyed
-(x_deg, phi_deg, i, sqrt2, w_half) of exact rationals; a scalar is a
-CoeffPoly whose terms all have x and phi degree 0.  Products and
-derivatives work on that dict directly.
+One coefficient type, CoeffPoly, holds parity blocks: for each pair of i and
+sqrt2 parities, a dict from packed monomials to integer numerators, all over one
+common denominator.  A monomial x^a phi^b w^(h/2) is one int whose fields add
+when monomials multiply, so a product settles i^2 = -1 and sqrt2^2 = 2 once per
+pair of blocks and then runs on int adds and multiplies alone; a derivative
+steps the packed key.  A scalar is a CoeffPoly whose monomials have x and phi
+degree 0.
 
 Every series carries a floor (orders below it are dropped) and an exactness
 flag; multiplication, inversion and square root compute the floor through
@@ -19,10 +22,10 @@ is identically zero through retained orders" is an honest statement.
 
 series_multiply applies one Leibniz rule, d^k f = sum_j C(k, j) f^(j) d^(k-j)
 with the generalized binomial C(k, j), for every integer order k.  It scales
-each operand's coefficients to integer numerators over one common
-denominator, so its Leibniz sums run on integers only.  series_invert and
-series_sqrt add one term per step and update their residual by that term's
-product alone, not by recomputing it from the whole series.
+each operand's coefficients to one common denominator, so its Leibniz sums
+run on integers only.  series_invert and series_sqrt add one term per step
+and update their residual by that term's product alone, not by recomputing
+it from the whole series.
 """
 
 from __future__ import annotations
@@ -30,73 +33,111 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = [
-    "DEFAULT_DEPTH",
-    "CoeffPoly",
-    "PDOSeries",
-    "series_multiply",
-    "series_invert",
-    "series_sqrt",
-    "a_series",
-    "a_dagger_series",
-    "b_series",
-    "b_dagger_series",
-    "h_series",
-    "inv_sqrt_one_plus_h",
-    "inv_sqrt_bracket_checks",
-    "expand_ladder_case_ii",
-    "case_ii_reference",
-    "series_agree_through",
-    "ladder_reference_checks",
-    "product_identities",
-    "classical_limit_check",
-]
+__all__ = ["DEFAULT_DEPTH", "CoeffPoly", "PDOSeries", "series_multiply", "series_invert", "series_sqrt",
+           "a_series", "a_dagger_series", "b_series", "b_dagger_series", "h_series", "inv_sqrt_one_plus_h",
+           "inv_sqrt_bracket_checks", "expand_ladder_case_ii", "case_ii_reference", "series_agree_through",
+           "ladder_reference_checks", "product_identities", "classical_limit_check"]
 
 DEFAULT_DEPTH = 6  # the case-ii pair and its products are valid through d^-DEFAULT_DEPTH
 _CASE_II_FLOOR = -(DEFAULT_DEPTH + 6)  # the floor they are built at
 
-# coefficient keys: (x_deg, phi_deg, i_parity, sqrt2_parity, w_half_exponent)
-_ONE_KEY = (0, 0, 0, 0, 0)
+# A monomial x^a phi^b w^(h/2) packs into one int: a in bits 0-9, b in bits 10-19, h + 256 in
+# bits 20-29, so monomials multiply by adding their ints less _ONE_KEY, the packed 1.  Every
+# stored field is below 512: a sum of two never carries, and a product or derivative whose
+# field leaves that range sets the field's top bit (_OVER) or makes the int negative.
+_F = 10
+_MASK, _W_BIAS = (1 << _F) - 1, 1 << (_F - 2)
+_ONE_KEY = _W_BIAS << 2 * _F
+_OVER = (1 << (_F - 1)) * (1 + (1 << _F) + (1 << 2 * _F))
+_RANGE = f"x and phi degrees below {1 << (_F - 1)} and w half-powers in [-{_W_BIAS}, {_W_BIAS})"
+
+
+def _checked(blocks: dict) -> dict:
+    """blocks, unless a product or derivative pushed a packed monomial out of its fields."""
+    if any(k < 0 or k & _OVER for blk in blocks.values() for k in blk):
+        raise ValueError(f"a monomial left its packed fields: {_RANGE}")
+    return blocks
+
+
+def _nonzero(blocks: dict) -> dict:
+    return {ir: nz for ir, blk in blocks.items() if (nz := {k: v for k, v in blk.items() if v})}
 
 
 def _accumulate(acc: dict, p: dict, q: dict, c) -> None:
-    """acc += c * p * q on coefficient term dicts: degrees add, i^2 = -1 and sqrt2^2 = 2."""
-    for (a1, b1, i1, r1, w1), n1 in p.items():
-        n1 *= c
-        for (a2, b2, i2, r2, w2), n2 in q.items():
-            n = n1 * n2
-            i = i1 + i2
-            if i == 2:
-                i = 0
-                n = -n
-            r = r1 + r2
-            if r == 2:
-                r = 0
-                n *= 2
-            key = (a1 + a2, b1 + b2, i, r, w1 + w2)
-            acc[key] = acc.get(key, 0) + n
+    """acc += c * p * q on parity blocks: i^2 = -1 and sqrt2^2 = 2 are settled once per
+    block pair, and two packed monomials multiply by one int add."""
+    for (i1, r1), pb in p.items():
+        for (i2, r2), qb in q.items():
+            s = -c if i1 & i2 else c
+            if r1 & r2:
+                s *= 2
+            out = acc.setdefault((i1 ^ i2, r1 ^ r2), {})
+            get = out.get
+            for k1, n1 in pb.items():
+                n1 *= s
+                k1 -= _ONE_KEY
+                for k2, n2 in qb.items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + n1 * n2
+
+
+def _diff(blocks: dict) -> dict:
+    """d/dx of parity blocks, with the Riccati reduction phi' = -2 x phi - phi^2, by stepping the packed keys."""
+    out = {}
+    for ir, blk in blocks.items():
+        o = out[ir] = {}
+        for k, n in blk.items():
+            a, b = k & _MASK, k >> _F & _MASK
+            if a:
+                o[k - 1] = o.get(k - 1, 0) + n * a
+            if b:
+                o[k + 1] = o.get(k + 1, 0) - 2 * b * n
+                k += 1 << _F
+                o[k] = o.get(k, 0) - b * n
+    return _checked(_nonzero(out))
 
 
 class CoeffPoly:
     """Polynomial in x and phi over Q(i, sqrt2, w^(1/2)).
 
-    terms maps (x_deg, phi_deg, i, sqrt2, w_half) to an exact rational (an
-    int or a Fraction); the term is value * x^x_deg * phi^phi_deg * i^i *
-    sqrt2^sqrt2 * w^(w_half/2).  Zero values are never stored.
+    blocks maps the parities (i, sqrt2) to {packed x^a phi^b w^(h/2): integer
+    numerator}, all over the positive integer den and in lowest terms, so equal
+    polynomials store equal fields; zero numerators and empty blocks are never
+    stored.  terms is the same polynomial as {(x_deg, phi_deg, i, sqrt2, w_half):
+    Fraction}, the term value * x^x_deg * phi^phi_deg * i^i * sqrt2^sqrt2 *
+    w^(w_half/2); the constructor reads that form.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("blocks", "den")
 
     def __init__(self, terms=None):
-        self.terms = {
-            key: v if type(v) in (int, Fraction) else Fraction(v)
-            for key, v in (terms or {}).items()
-            if v
-        }
+        terms = {key: Fraction(v) for key, v in (terms or {}).items() if v}
+        self.den, self.blocks = math.lcm(*(v.denominator for v in terms.values())), {}
+        for (a, b, i, r, h), v in terms.items():
+            if not (0 <= a < 1 << (_F - 1) and 0 <= b < 1 << (_F - 1) and -_W_BIAS <= h < _W_BIAS):
+                raise ValueError(f"x^{a} phi^{b} w^({h}/2) does not fit a packed monomial: {_RANGE}")
+            key = a + (b << _F) + ((h + _W_BIAS) << 2 * _F)
+            self.blocks.setdefault((i, r), {})[key] = v.numerator * (self.den // v.denominator)
+
+    @classmethod
+    def _of(cls, blocks: dict, den: int) -> "CoeffPoly":
+        """The polynomial blocks / den, put in lowest terms with zeros and empty blocks dropped."""
+        p = cls.__new__(cls)
+        p.blocks = _nonzero(blocks)
+        g = math.gcd(den, *(v for blk in p.blocks.values() for v in blk.values()))
+        if g > 1:
+            p.blocks = {ir: {k: v // g for k, v in blk.items()} for ir, blk in p.blocks.items()}
+        p.den = den // g
+        return p
+
+    @property
+    def terms(self) -> dict:
+        return {(k & _MASK, k >> _F & _MASK, i, r, (k >> 2 * _F) - _W_BIAS): Fraction(v, self.den)
+                for (i, r), blk in self.blocks.items() for k, v in blk.items()}
 
     @classmethod
     def rational(cls, p, q=1):
-        return cls({_ONE_KEY: Fraction(p, q)})
+        return cls({(0, 0, 0, 0, 0): Fraction(p, q)})
 
     @classmethod
     def sqrt2(cls):
@@ -115,24 +156,28 @@ class CoeffPoly:
         return cls({(0, power, 0, 0, 0): Fraction(1)})
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.blocks)
 
     def __eq__(self, other):
         if not isinstance(other, CoeffPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.blocks == other.blocks
 
     def _plus(self, other, negate=False):
         """self + other, or self - other with negate, without copying other first."""
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v if negate else out.get(k, 0) + v
-        return CoeffPoly(out)
+        den = math.lcm(self.den, other.den)
+        mine, theirs = den // self.den, -(den // other.den) if negate else den // other.den
+        out = {ir: {k: v * mine for k, v in blk.items()} for ir, blk in self.blocks.items()}
+        for ir, blk in other.blocks.items():
+            o = out.setdefault(ir, {})
+            for k, v in blk.items():
+                o[k] = o.get(k, 0) + v * theirs
+        return CoeffPoly._of(out, den)
 
     __add__ = _plus
 
     def __neg__(self):
-        return CoeffPoly({k: -v for k, v in self.terms.items()})
+        return CoeffPoly._of({ir: {k: -v for k, v in blk.items()} for ir, blk in self.blocks.items()}, self.den)
 
     def __sub__(self, other):
         return self._plus(other, negate=True)
@@ -143,37 +188,27 @@ class CoeffPoly:
         elif not isinstance(other, CoeffPoly):
             return NotImplemented
         acc = {}
-        _accumulate(acc, self.terms, other.terms, 1)
-        return CoeffPoly(acc)
+        _accumulate(acc, self.blocks, other.blocks, 1)
+        return CoeffPoly._of(_checked(acc), self.den * other.den)
 
     __rmul__ = __mul__
 
     def diff(self):
         """d/dx with the Riccati reduction phi' = -2 x phi - phi^2."""
-        out = {}
-        for key, n in self.terms.items():
-            a, b, rest = key[0], key[1], key[2:]
-            if a:
-                k = (a - 1, b) + rest
-                out[k] = out.get(k, 0) + n * a
-            if b:
-                k = (a + 1, b) + rest
-                out[k] = out.get(k, 0) - 2 * b * n
-                k = (a, b + 1) + rest
-                out[k] = out.get(k, 0) - b * n
-        return CoeffPoly(out)
+        return CoeffPoly._of(_diff(self.blocks), self.den)
 
     def _single_scalar(self, what: str):
         """(i, sqrt2, w_half, value) of the only term, which must have degree 0."""
-        if len(self.terms) != 1 or next(iter(self.terms))[:2] != (0, 0):
+        terms = self.terms
+        if len(terms) != 1 or next(iter(terms))[:2] != (0, 0):
             raise ValueError(f"can only {what} a single scalar term, got {self.render()}")
-        ((_, _, i, r, wh), f), = self.terms.items()
+        ((_, _, i, r, wh), f), = terms.items()
         return i, r, wh, f
 
     def inverse(self):
         """Inverse of a single scalar term."""
         i, r, wh, f = self._single_scalar("invert")
-        f = 1 / Fraction(f)
+        f = 1 / f
         if i:
             f = -f  # 1/i = -i
         if r:
@@ -188,7 +223,7 @@ class CoeffPoly:
         if wh % 2:
             raise ValueError(f"sqrt of {self.render()} needs quarter-powers of w")
         # |f| or |f|/2 is a rational square, the latter times sqrt2
-        i_out, f = int(f < 0), abs(Fraction(f))
+        i_out, f = int(f < 0), abs(f)
         for r_out, g in ((0, f), (1, f / 2)):
             rn, rd = math.isqrt(g.numerator), math.isqrt(g.denominator)
             if rn * rn == g.numerator and rd * rd == g.denominator:
@@ -196,33 +231,29 @@ class CoeffPoly:
         raise ValueError(f"{self.render()} has no exact square root in the field")
 
     def substitute_phi_zero(self):
-        return CoeffPoly({k: v for k, v in self.terms.items() if k[1] == 0})
+        return CoeffPoly._of({ir: {k: v for k, v in blk.items() if not k & _MASK << _F}
+                              for ir, blk in self.blocks.items()}, self.den)
 
     def substitute(self, w):
         """Bind w to an exact rational (integer powers only)."""
         w = Fraction(w)
-        powers = {wh: w ** (wh // 2) for *_, wh in self.terms if wh and not wh % 2}
         out = {}
         for (a, b, i, r, wh), f in self.terms.items():
             if wh % 2:
                 raise ValueError("cannot bind w rationally at a half-integer power")
-            key = (a, b, i, r, 0)
-            out[key] = out.get(key, 0) + (f * powers[wh] if wh else f)
+            out[a, b, i, r, 0] = out.get((a, b, i, r, 0), 0) + f * w ** (wh // 2)
         return CoeffPoly(out)
 
     def render(self) -> str:
         """Monomials sorted by (x-deg, phi-deg), each with its scalar, bracketed
         when it has more than one term."""
-        if not self.terms:
+        if not self.blocks:
             return "0"
+        terms = self.terms
         groups: dict = {}
-        for key in sorted(self.terms):
+        for key in sorted(terms):
             i, r, wh = key[2:]
-            bits = [str(self.terms[key])]
-            if i:
-                bits.append("i")
-            if r:
-                bits.append("sqrt2")
+            bits = [str(terms[key])] + ["i"] * i + ["sqrt2"] * r
             if wh:
                 bits.append("w" if wh == 2 else f"w^({wh}/2)")
             groups.setdefault(key[:2], []).append("*".join(bits))
@@ -302,9 +333,7 @@ class PDOSeries:
         return series_multiply(self, other)
 
     def substitute_phi_zero(self):
-        return PDOSeries(
-            {k: p.substitute_phi_zero() for k, p in self.terms.items()}, self.floor, self.exact
-        )
+        return PDOSeries({k: p.substitute_phi_zero() for k, p in self.terms.items()}, self.floor, self.exact)
 
     def substitute(self, w):
         return PDOSeries({k: p.substitute(w) for k, p in self.terms.items()}, self.floor, self.exact)
@@ -321,40 +350,31 @@ class PDOSeries:
 
 
 def _combine_add(a: PDOSeries, b: PDOSeries):
+    """A sum's floor and flag: an exact operand's terms are whole, so only inexact floors bind."""
     if a.exact and b.exact:
         return min(a.floor, b.floor), True
-    if a.exact:
-        return b.floor, False
-    if b.exact:
-        return a.floor, False
-    return max(a.floor, b.floor), False
+    return max(s.floor for s in (a, b) if not s.exact), False
 
 
-def _flatten(polys) -> tuple[int, list[CoeffPoly]]:
-    """The coefficients as integer numerators over their least common denominator."""
+def _flatten(polys) -> tuple[int, list[dict]]:
+    """The coefficients' blocks as integer numerators over their least common denominator."""
     polys = list(polys)
-    den = math.lcm(*(f.denominator for p in polys for f in p.terms.values()))
-    return den, [
-        CoeffPoly({k: f.numerator * (den // f.denominator) for k, f in p.terms.items()})
-        for p in polys
-    ]
+    den = math.lcm(*(p.den for p in polys))
+    return den, [p.blocks if p.den == den else
+                 {ir: {k: v * (den // p.den) for k, v in blk.items()} for ir, blk in p.blocks.items()}
+                 for p in polys]
 
 
 def series_multiply(a: PDOSeries, b: PDOSeries) -> PDOSeries:
     """Product with d^n f = sum_j C(n, j) f^(j) d^(n-j), C the generalized binomial."""
-    base = min(a.floor, b.floor)
-    candidates = [base]
     # a dropped term e d^j of a (j < a.floor) times g d^l of b reaches only orders below a.floor + l
-    if not a.exact and b.terms:
-        candidates.append(a.floor + b.max_order)
-    if not b.exact and a.terms:
-        candidates.append(b.floor + a.max_order)
-    out_floor = max(candidates)
+    out_floor = max([min(a.floor, b.floor)]
+                    + [s.floor + t.max_order for s, t in ((a, b), (b, a)) if not s.exact and t.terms])
     exact = a.exact and b.exact
     # every product term is an integer over a_den * b_den
     a_den, a_flats = _flatten(a.terms.values())
     b_den, b_flats = _flatten(b.terms.values())
-    left = [(k, p.terms) for k, p in zip(a.terms, a_flats)]
+    left = list(zip(a.terms, a_flats))
     acc: dict[int, dict] = {}
 
     for l, q_flat in zip(b.terms, b_flats):
@@ -363,10 +383,10 @@ def series_multiply(a: PDOSeries, b: PDOSeries) -> PDOSeries:
 
         def deriv(j):
             while len(derivs) <= j:
-                derivs.append(derivs[-1].diff())
+                derivs.append(_diff(derivs[-1]))
             return derivs[j]
 
-        for k, p_terms in left:
+        for k, p_blocks in left:
             # generalized binomial C(k, j); for k >= 0 it reaches 0 after j = k
             c, j = 1, 0
             while c:
@@ -377,11 +397,11 @@ def series_multiply(a: PDOSeries, b: PDOSeries) -> PDOSeries:
                 if order < out_floor:
                     exact = False  # a nonzero term falls below the floor
                     break
-                _accumulate(acc.setdefault(order, {}), p_terms, dq.terms, c)
+                _accumulate(acc.setdefault(order, {}), p_blocks, dq, c)
                 c = c * (k - j) // (j + 1)
                 j += 1
     den = a_den * b_den
-    out = {k: CoeffPoly({key: Fraction(n, den) for key, n in flat.items()}) for k, flat in acc.items()}
+    out = {k: CoeffPoly._of(_checked(blocks), den) for k, blocks in acc.items()}
     return PDOSeries(out, floor=out_floor, exact=exact)
 
 
@@ -411,11 +431,8 @@ def _match_orders(err: PDOSeries, correction, x: PDOSeries, shift: int, scale: C
         last_top = e
         if e - shift < depth:
             return x
-        step = err.terms[e] * scale
-        err = err - correction(x, PDOSeries({e - shift: step}, floor=depth, exact=False))
-        new_terms = dict(x.terms)
-        new_terms[e - shift] = new_terms.get(e - shift, CoeffPoly()) + step
-        x = PDOSeries(new_terms, floor=depth, exact=False)
+        t = PDOSeries({e - shift: err.terms[e] * scale}, floor=depth, exact=False)
+        err, x = err - correction(x, t), x + t
     raise RuntimeError(f"{what} did not converge")
 
 
@@ -460,23 +477,17 @@ def a_dagger_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:
 
 def b_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:
     """b = (x + d + phi)/sqrt2."""
-    return PDOSeries(
-        {0: CoeffPoly.x() + CoeffPoly.phi(), 1: _P_ONE}, floor=floor, exact=True
-    ).scale(_INV_SQRT2)
+    return PDOSeries({0: CoeffPoly.x() + CoeffPoly.phi(), 1: _P_ONE}, floor=floor, exact=True).scale(_INV_SQRT2)
 
 
 def b_dagger_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:
     """b^dagger = (x - d + phi)/sqrt2."""
-    return PDOSeries(
-        {0: CoeffPoly.x() + CoeffPoly.phi(), 1: -_P_ONE}, floor=floor, exact=True
-    ).scale(_INV_SQRT2)
+    return PDOSeries({0: CoeffPoly.x() + CoeffPoly.phi(), 1: -_P_ONE}, floor=floor, exact=True).scale(_INV_SQRT2)
 
 
 def h_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:
     """H = (x^2 - d^2 - 1)/2."""
-    return PDOSeries(
-        {0: CoeffPoly.x(2) - _P_ONE, 2: -_P_ONE}, floor=floor, exact=True
-    ).scale(Fraction(1, 2))
+    return PDOSeries({0: CoeffPoly.x(2) - _P_ONE, 2: -_P_ONE}, floor=floor, exact=True).scale(Fraction(1, 2))
 
 
 def inv_sqrt_one_plus_h():
@@ -503,9 +514,7 @@ def inv_sqrt_bracket_checks(bracket: PDOSeries, inverse: PDOSeries) -> list[tupl
 
 
 def _w_scalar(w):
-    if w is None:
-        return CoeffPoly.w_power(2)
-    return CoeffPoly.rational(Fraction(w))
+    return CoeffPoly.w_power(2) if w is None else CoeffPoly.rational(Fraction(w))
 
 
 def expand_ladder_case_ii(w=None):
@@ -554,13 +563,8 @@ def case_ii_reference(w=None):
 
 
 def series_agree_through(a: PDOSeries, b: PDOSeries, lowest_order: int) -> bool:
-    for k in range(max(
-        a.max_order if a.terms else lowest_order,
-        b.max_order if b.terms else lowest_order,
-    ), lowest_order - 1, -1):
-        if a.coefficient(k) != b.coefficient(k):
-            return False
-    return True
+    top = max([lowest_order] + [s.max_order for s in (a, b) if s.terms])
+    return all(a.coefficient(k) == b.coefficient(k) for k in range(top, lowest_order - 1, -1))
 
 
 def ladder_reference_checks(low: PDOSeries, high: PDOSeries, w) -> list[tuple[str, bool]]:
@@ -588,16 +592,11 @@ def product_identities(w=None) -> dict:
 
     def target(shift):
         const = ws * 2 + _P_ONE * shift
-        return PDOSeries(
-            {2: -_P_ONE * Fraction(1, 2), 0: (x2 + const) * Fraction(1, 2) - _PHI_PRIME},
-            floor=_CASE_II_FLOOR,
-            exact=True,
-        )
+        return PDOSeries({2: -_P_ONE * Fraction(1, 2), 0: (x2 + const) * Fraction(1, 2) - _PHI_PRIME},
+                         floor=_CASE_II_FLOOR, exact=True)
 
-    lower_upper = series_multiply(lowering, raising)
-    upper_lower = series_multiply(raising, lowering)
-    res1 = lower_upper - target(-3)
-    res2 = upper_lower - target(-5)
+    res1 = series_multiply(lowering, raising) - target(-3)
+    res2 = series_multiply(raising, lowering) - target(-5)
     return {
         "lowering": lowering,
         "raising": raising,

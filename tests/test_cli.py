@@ -287,6 +287,17 @@ class TestCommands:
             assert run.stderr == ""
             assert [row["residual"] for row in json.loads(run.stdout)["residual_vs_truncation"]] == ["inf"] * 3
 
+    @pytest.mark.parametrize("nu", ["-2", "-1"], ids=["summable_weights", "log_growing_weights"])
+    def test_order_refuses_power_weights_at_nu_minus_one_and_below(self, nu, capsys):
+        # at nu = -2 W_n -> zeta(2), a finite radius sqrt(pi^2/6); at nu = -1 W_n ~ ln n, an infinite order;
+        # the growth window's flatness test and c10's target 2/(1 + nu) both read nu > -1
+        code, out, err = run_cli(["order", "--weights", "linear", "--nu", nu], capsys)
+        assert (code, out, err) == (2, "", f"error: power weights need finite nu > -1, got {float(nu)!r}\n")
+
+    def test_order_keeps_power_weights_just_above_nu_minus_one(self, capsys):
+        code, out, _ = run_cli(["order", "--weights", "linear", "--nu", "-0.5"], capsys)
+        assert code == 0 and json.loads(out)["weights"] == "power(nu=-0.5)"
+
     @pytest.mark.parametrize("args", [["--weights", "geometric", "--q", "1e30"],
                                       ["--weights", "linear", "--nu", "300"]])
     def test_order_reads_overflowing_weights_by_their_logs(self, args, capsys):
@@ -375,6 +386,16 @@ class TestCommands:
         doc = json.loads(run.stdout)
         assert doc["lowering_series"] == PDO_GOLDEN_SERIES["3.0"]["lowering_series"]
         assert doc["raising_series"] == PDO_GOLDEN_SERIES["3.0"]["raising_series"]
+
+    def test_report_leaves_numpy_polynomial_unloaded(self):
+        # a fresh interpreter: c06's midpoint rule needs no Gauss-Legendre nodes, so nothing loads numpy.polynomial
+        script = ("import sys\nfrom isoladder import cli\ncode = cli.main(['report', '--trunc', '64'])\n"
+                  "print(code, 'numpy.polynomial' in sys.modules, file=sys.stderr)")
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert run.stderr == "0 False\n"
+        assert json.loads(run.stdout)["all_pass"]
 
     @pytest.mark.parametrize("args", [["pdo", "--w", "1"], ["order", "--weights", "linear"]])
     @pytest.mark.parametrize("under_file", [False, True])

@@ -476,6 +476,39 @@ class TestResolvent:
         via_spectral = apply_spectral_function(x, lambda t: t**-0.5)
         assert np.max(np.abs(via_resolvent.mat - via_spectral.mat)) < 1e-6
 
+    @staticmethod
+    def _deviation(x, nodes, monkeypatch):
+        monkeypatch.setattr(ladder, "_resolvent_nodes", lambda kappa: nodes)
+        via_spectral = apply_spectral_function(x, lambda t: t**-0.5)
+        return float(np.max(np.abs(resolvent_inv_sqrt(x).mat - via_spectral.mat)))
+
+    @pytest.mark.parametrize("nodes", [4, 6, 8])
+    def test_midpoint_error_decays_like_exp_minus_4am(self, nodes, monkeypatch):
+        # diag(1 .. 32): the norm bounds are exact, kappa = 32 and a = artanh(32^(-1/4)); the eigenvalue
+        # nearest a pole leaves 2 e^{-4aM}, so doubling M multiplies the deviation by e^{-4aM}
+        x = number_matrix(32) + identity_matrix(32)
+        rate = math.exp(-4.0 * math.atanh(32.0**-0.25) * nodes)
+        once, twice = self._deviation(x, nodes, monkeypatch), self._deviation(x, 2 * nodes, monkeypatch)
+        assert once == pytest.approx(2.0 * rate, rel=2e-3)
+        assert twice / once == pytest.approx(rate, rel=2e-3)
+
+    @pytest.mark.parametrize("kappa, nodes", [(1.0, 1), (32.0, 23), (512.0, 47), (1e8, 1000)])
+    def test_node_rule(self, kappa, nodes):
+        # ceil(10/a), a = artanh(kappa^(-1/4)): 23 nodes at c06's kappa = 32; at kappa = 1 the integrand is constant
+        assert ladder._resolvent_nodes(kappa) == nodes
+
+    @pytest.mark.parametrize("kappa", [289.0, 1e4])
+    def test_rule_reaches_rounding_on_a_rotated_spectrum(self, kappa):
+        # a dense symmetric matrix, whose infinity norms only bound kappa from above, against its exact root
+        # q diag(mu^(-1/2)) q^T: at the rule's M the quadrature errs near e^-40, so what is left is the
+        # rounding of forming and solving X, 1e-15 of the root's scale at kappa = 289 and 2e-14 at 1e4
+        mu = np.geomspace(1.0, kappa, 40)
+        q, _ = np.linalg.qr(np.random.default_rng(40).standard_normal((40, 40)))
+        m = (q * mu) @ q.T
+        root = (q * mu**-0.5) @ q.T
+        deviation = np.max(np.abs(resolvent_inv_sqrt(TruncatedOperator((m + m.T) / 2.0)).mat - root))
+        assert deviation < 1e-13 * np.max(np.abs(root))
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             resolvent_inv_sqrt(TruncatedOperator(np.diag([1.0, -0.5])))

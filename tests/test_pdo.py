@@ -674,6 +674,150 @@ class TestFlatKernelProperties:
                     assert bound.coefficient(k) == rat.coefficient(k)
 
 
+# The tuple-keyed kernel the packed one replaced, kept as its oracle: terms keyed (x_deg, phi_deg,
+# i, sqrt2, w_half), each term product building and hashing one such 5-tuple, values as Fractions.
+def tuple_accumulate(acc: dict, p: dict, q: dict, c) -> None:
+    """acc += c * p * q on coefficient term dicts: degrees add, i^2 = -1 and sqrt2^2 = 2."""
+    for (a1, b1, i1, r1, w1), n1 in p.items():
+        n1 *= c
+        for (a2, b2, i2, r2, w2), n2 in q.items():
+            n = n1 * n2
+            i = i1 + i2
+            if i == 2:
+                i = 0
+                n = -n
+            r = r1 + r2
+            if r == 2:
+                r = 0
+                n *= 2
+            key = (a1 + a2, b1 + b2, i, r, w1 + w2)
+            acc[key] = acc.get(key, 0) + n
+
+
+def tuple_diff(terms: dict) -> dict:
+    """d/dx with the Riccati reduction phi' = -2 x phi - phi^2."""
+    out = {}
+    for key, n in terms.items():
+        a, b, rest = key[0], key[1], key[2:]
+        if a:
+            k = (a - 1, b) + rest
+            out[k] = out.get(k, 0) + n * a
+        if b:
+            k = (a + 1, b) + rest
+            out[k] = out.get(k, 0) - 2 * b * n
+            k = (a, b + 1) + rest
+            out[k] = out.get(k, 0) - b * n
+    return {k: v for k, v in out.items() if v}
+
+
+def tuple_series_multiply(a: PDOSeries, b: PDOSeries):
+    """({order: terms}, floor, exact) of a b by the Leibniz rule on tuple-keyed terms."""
+    candidates = [min(a.floor, b.floor)]
+    if not a.exact and b.terms:
+        candidates.append(a.floor + b.max_order)
+    if not b.exact and a.terms:
+        candidates.append(b.floor + a.max_order)
+    out_floor, exact, acc = max(candidates), a.exact and b.exact, {}
+    for l, q in b.terms.items():
+        derivs = [q.terms]
+        for k, p in a.terms.items():
+            c, j = 1, 0
+            while c:
+                while len(derivs) <= j:
+                    derivs.append(tuple_diff(derivs[-1]))
+                if not derivs[j]:
+                    break
+                if k - j + l < out_floor:
+                    exact = False
+                    break
+                tuple_accumulate(acc.setdefault(k - j + l, {}), p.terms, derivs[j], c)
+                c = c * (k - j) // (j + 1)
+                j += 1
+    terms = {k: {key: v for key, v in t.items() if v} for k, t in acc.items()}
+    return {k: t for k, t in terms.items() if t}, out_floor, exact
+
+
+# operands for the oracle: x and phi degrees 0-3, both parities, w^(-4/2 .. 4/2), denominators to 6
+_wide_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1), st.integers(0, 1), st.integers(-4, 4)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+    min_size=1,
+    max_size=6,
+).map(CoeffPoly)
+
+
+# series of orders -3..2 over those, at floors -6..-3, exact or not
+_wide_series = st.tuples(st.dictionaries(st.integers(-3, 2), _wide_polys, min_size=1, max_size=3),
+                         st.integers(-6, -3), st.booleans()).map(lambda t: PDOSeries(t[0], floor=t[1], exact=t[2]))
+
+
+class TestPackedKernelAgainstTupleKernel:
+    """The packed parity-block kernel against the tuple-keyed one it replaced, term for term."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_wide_polys, _wide_polys)
+    def test_coefficient_product(self, p, q):
+        acc = {}
+        tuple_accumulate(acc, p.terms, q.terms, 1)
+        assert (p * q).terms == {k: v for k, v in acc.items() if v}
+
+    @settings(max_examples=30, deadline=None)
+    @given(_wide_polys)
+    def test_derivative(self, p):
+        for _ in range(3):
+            assert p.diff().terms == tuple_diff(p.terms)
+            p = p.diff()
+
+    @settings(max_examples=20, deadline=None)
+    @given(_wide_series, _wide_series)
+    def test_series_product(self, a, b):
+        prod = series_multiply(a, b)
+        assert ({k: p.terms for k, p in prod.terms.items()}, prod.floor, prod.exact) == tuple_series_multiply(a, b)
+
+    def test_case_ii_expansion(self):
+        # the products c07 runs: the symbolic-w pair multiplied both ways
+        low, high = expand_ladder_case_ii(w=None)
+        for a, b in ((low, high), (high, low)):
+            prod = series_multiply(a, b)
+            assert ({k: p.terms for k, p in prod.terms.items()}, prod.floor, prod.exact) == tuple_series_multiply(a, b)
+
+
+class TestPackedFields:
+    """x and phi degrees below 512 and w half-powers in [-256, 256) fit a packed monomial; anything else is
+    refused with ValueError rather than carried into a neighbouring field."""
+
+    @pytest.mark.parametrize("key", [(512, 0, 0, 0, 0), (0, 512, 0, 0, 0), (0, 0, 0, 0, 256), (0, 0, 0, 0, -257),
+                                     (-1, 0, 0, 0, 0)], ids=["x^512", "phi^512", "w^(256/2)", "w^(-257/2)", "x^-1"])
+    def test_monomial_outside_its_field(self, key):
+        with pytest.raises(ValueError, match="does not fit a packed monomial"):
+            CoeffPoly({key: Fraction(1)})
+
+    def test_extreme_monomials_fit(self):
+        terms = {(511, 511, 1, 1, 255): Fraction(3, 2), (0, 0, 0, 0, -256): Fraction(-1)}
+        assert CoeffPoly(terms).terms == terms
+
+    @pytest.mark.parametrize("left, right, inside", [
+        ((300, 0, 0, 0, 0), (212, 0, 0, 0, 0), (211, 0, 0, 0, 0)),  # x^512 would read as x^0 phi
+        ((0, 300, 0, 0, 0), (1, 212, 0, 0, 0), (1, 211, 0, 0, 0)),  # phi^512 would read as a w half-power
+        ((0, 0, 0, 0, 200), (0, 0, 0, 0, 56), (0, 0, 0, 0, 55)),  # w^(256/2)
+        ((0, 0, 0, 0, -200), (0, 0, 0, 0, -57), (0, 0, 0, 0, -56)),  # w^(-257/2)
+    ], ids=["x", "phi", "w_up", "w_down"])
+    def test_product_leaving_a_field(self, left, right, inside):
+        p, q = CoeffPoly({left: Fraction(1)}), CoeffPoly({right: Fraction(1)})
+        with pytest.raises(ValueError, match="left its packed fields"):
+            p * q
+        with pytest.raises(ValueError, match="left its packed fields"):
+            series_multiply(PDOSeries({0: p}, exact=True), PDOSeries({0: q}, exact=True))
+        # one step back inside the field, the product is the monomial whose fields are the sums
+        assert (p * CoeffPoly({inside: Fraction(1)})).terms == {tuple(map(sum, zip(left, inside))): 1}
+
+    @pytest.mark.parametrize("poly", [CoeffPoly.phi(511), CoeffPoly.x(511) * PHI], ids=["phi^511", "x^511*phi"])
+    def test_derivative_leaving_a_field(self, poly):
+        # phi' = -2 x phi - phi^2 raises the phi or the x degree by one
+        with pytest.raises(ValueError, match="left its packed fields"):
+            poly.diff()
+
+
 def test_a_series_against_b_series():
     diff = b_series(-6) - a_series(-6)
     # b - a = phi / sqrt2

@@ -70,6 +70,18 @@ def test_raising_dependency_keeps_the_criterion_name(criterion, context, monkeyp
     assert result.parts == [("construction_error: injected failure", float("inf"), 1.0, False)]
 
 
+def test_c06_bites_when_the_midpoint_rule_takes_too_few_nodes(context, monkeypatch):
+    # the rule's 23 nodes at N = 32 reach rounding, below the 1.97e-15 c06 read with 200 Gauss-Legendre nodes;
+    # 6 nodes leave 2 e^{-24a} = 4.3e-5, a = artanh(32^(-1/4)), and c06 fails against its 1e-6
+    (label, value, bound, ok), = report.criterion_06_resolvent(context).parts
+    assert (label, bound, ok) == ("resolvent_vs_spectral_N32", 1e-6, True) and value < 1.97e-15
+    monkeypatch.setattr(ladder, "_resolvent_nodes", lambda kappa: 6)
+    result = report.criterion_06_resolvent(context)
+    (label, value, bound, ok), = result.parts
+    assert not result.passed and not ok
+    assert value == pytest.approx(4.26e-5, rel=1e-2)
+
+
 def test_a_failing_d_theta1_check_fails_c09_alone(monkeypatch):
     # c09 records the check and generalized_cs refuses by it; no other criterion reads it
     monkeypatch.setattr(coherent, "d_theta1_deviation", _raise)
