@@ -3,7 +3,10 @@
 Builds the deformation function phi for one lambda, checks it really solves
 the Riccati equation, constructs the theta eigenbasis and the unitary U that
 maps Fock states onto it, and verifies the deformed Hamiltonian b+ b has the
-oscillator spectrum.  Ends with the two historical coherent-state families.
+oscillator spectrum; then the two historical coherent-state families.  Ends
+with the lambda -> infinity sweep back onto the plain oscillator.  The lines
+the acceptance battery checks (the Riccati residual, c02; the spectrum, c01;
+the b+ a b eigenstate residual, c12) print the battery's own parts.
 
 Run:  python demos/01_isospectral_family.py
 """
@@ -12,7 +15,7 @@ import math
 
 import numpy as np
 
-from isoladder import coherent, fock, isospectral as iso, numerics
+from isoladder import coherent, fock, isospectral as iso, numerics, report
 
 LAM = 2.0
 N = 64
@@ -22,6 +25,10 @@ def below(value, bound):
     # a rounding-level quantity against the bound its check holds it to, so these
     # lines change with a verdict and not with the last bit of U, theta or phi
     return f"< {bound:g}" if value < bound else f"{value:.3e}, NOT below {bound:g}"
+
+
+# the acceptance battery at this lambda and N: {criterion number: {part label: (value, bound)}}
+BATTERY = {r.name[:3]: {label: (value, bound) for label, value, bound, _ in r.parts} for r in report.run_all(LAM, N)}
 
 
 # --- the deformation function ------------------------------------------------
@@ -35,7 +42,7 @@ print(f"Gaussian decay: phi(8) = {phi(8.0):.3e}")
 
 # phi' is finite-differenced independently, so this is a genuine check that
 # phi' + 2 x phi + phi^2 = 0:
-print(f"Riccati residual over the grid: {below(iso.riccati_residual(params, grid), 1e-8)}")
+print(f"Riccati residual over the grid: {below(*BATTERY['c02'][f'lambda={LAM:g}'])}")
 
 # --- the theta basis and the unitary intertwiner ------------------------------
 
@@ -57,9 +64,8 @@ bb_dev = np.max(np.abs(b.mat @ b.mat.conj().T - a.mat @ a.mat.conj().T))
 print(f"\nbb+ - aa+ (should vanish): {below(bb_dev, 1e-7)}")
 print(f"b+ b - a+ a (should NOT vanish): {np.max(np.abs(iso.h_tilde_matrix(basis).mat - np.diag(np.arange(float(N))))):.3f}")
 
-evals, _ = fock.hermitian_eigensystem(iso.h_tilde_matrix(basis))
-print(f"lowest 10 eigenvalues of b+ b: {np.round(evals[:10], 9)}")
-print(f"largest deviation from 0..39:  {below(np.max(np.abs(evals[:40] - np.arange(40.0))), 1e-6)}")
+print(f"lowest 10 eigenvalues of b+ b: {np.round(report.h_tilde_eigenvalues(basis)[:10], 9)}")
+print(f"largest deviation from 0..39:  {below(*BATTERY['c01']['lowest_40_eigenvalues_vs_0..39'])}")
 
 # --- the earlier lowering operator and its coherent states --------------------
 
@@ -69,13 +75,8 @@ print(f"\nb+ a b in the theta basis kills theta_0 and theta_1: "
 print(f"its superdiagonal starts (n-1) sqrt(n): {np.round(np.real(np.diag(a_theta.mat, 1))[:5], 6)}")
 
 # b+ a b maps theta_{n+1} to n sqrt(n+1) theta_n: its coherent states are the eigenstates of the
-# weighted shift with W_n = n^2 (n+1), started at theta_1
-z = 0.8 + 0.3j
-n = np.arange(1.0, N + 1)
-cs = coherent.shift_eigenstate(np.log(n * n * (n + 1.0)), z, 1, basis.tag)
-fill = iso.b_dagger_a_b_fill(N, basis.tag)
-residual = np.linalg.norm(fill.mat @ cs.coeffs - z * cs.coeffs)
-print(f"annihilation-eigenstate residual at z = {z}: {below(residual, 1e-7)}")
+# weighted shift with W_n = n^2 (n+1), started at theta_1; c12 checks one at z = 0.8 + 0.3i
+print(f"annihilation-eigenstate residual at z = (0.8+0.3j): {below(*BATTERY['c12']['cs_eigen_residual'])}")
 
 # the unitary image U|alpha> = exp(-|alpha|^2/2) sum_n alpha^n / sqrt(n!) theta_n: on the theta
 # indices U a U+ is the weighted shift with W_n = n, started at theta_0

@@ -4,14 +4,15 @@ Given weights {w_n}, the shift operator S = sum sqrt(c_n)|n><n+1| solves the
 generalized partial-isometry condition and conjugates the oscillator ladder
 into a pair with [a1, a1+] = diag(0, w_1, w_2, ...).  This script walks the
 coefficient recursion, its closed form, the five special cases with known
-closed forms, and the resolvent-integral square root.
+closed forms, and the resolvent-integral square root; the last two print the
+acceptance battery's own parts (c05 and c06).
 
 Run:  python demos/02_distorted_ladders.py
 """
 
 import numpy as np
 
-from isoladder import fock, isospectral as iso, ladder, numerics
+from isoladder import fock, ladder, report
 
 N = 64
 
@@ -20,6 +21,10 @@ def below(value, bound):
     # a rounding-level quantity against the bound its check holds it to, so these
     # lines change with a verdict and not with the last bit of U or an eigensolve
     return f"< {bound:g}" if value < bound else f"{value:.3e}, NOT below {bound:g}"
+
+
+# the acceptance battery at lambda = 2, N: {criterion number: {part label: (value, bound)}}
+BATTERY = {r.name[:3]: {label: (value, bound) for label, value, bound, _ in r.parts} for r in report.run_all(2.0, N)}
 
 
 # --- the c_n coefficients ------------------------------------------------------
@@ -51,29 +56,15 @@ for weights in (ladder.constant_weights(2.0), ladder.distorted_weights(0.5),
 
 # --- the five closed forms vs the general construction --------------------------
 
-params = iso.IsospectralParams(2.0)
-grid = numerics.build_grid(N)
-basis = iso.ThetaBasis(params, grid, N)
-b = iso.b_matrix(basis)
-u = iso.u_matrix(basis)
-
 print("\nclosed form vs general (transported fill), interior max |difference| against c05's bound:")
-for weights in (ladder.constant_weights(2.0), ladder.distorted_weights(0.5), ladder.linear_weights(),
-                ladder.single_weight(2.0), ladder.geometric_weights(0.7), ladder.geometric_weights(1.3)):
-    closed = ladder.closed_form_case(weights, b)
-    general = ladder.transport_to_theta(ladder.ladder_fill(weights, N), u, basis.tag)
-    dev = fock.interior_max_abs(closed.mat - general.mat)
-    print(f"  {weights.label():20s} -> {below(dev, 1e-7)}")
+for label, part in BATTERY["c05"].items():
+    if label.startswith("closed_vs_general["):
+        print(f"  {label.removeprefix('closed_vs_general[')[:-1]:20s} -> {below(*part)}")
 
-lim = ladder.closed_form_case(ladder.geometric_weights(1.0 + 1e-8), b)
-ref = ladder.closed_form_case(ladder.constant_weights(1.0), b)
-print(f"q -> 1 limit of the q-deformed form matches case i at w = 1: "
-      f"{fock.interior_max_abs(lim.mat - ref.mat):.3e}")
+q_to_1, _ = BATTERY["c05"]["q_to_1_limit_vs_case_i_w1"]
+print(f"q -> 1 limit of the q-deformed form matches case i at w = 1: {q_to_1:.3e}")
 
 # --- resolvent-integral square root ---------------------------------------------
 
-x = fock.number_matrix(32) + fock.identity_matrix(32)
-via_resolvent = ladder.resolvent_inv_sqrt(x)
-via_spectral = fock.apply_spectral_function(x, lambda t: t**-0.5)
 print(f"\n(1+H)^(-1/2) by the resolvent integral vs spectral calculus: "
-      f"{below(np.max(np.abs(via_resolvent.mat - via_spectral.mat)), 1e-6)}")
+      f"{below(*BATTERY['c06']['resolvent_vs_spectral_N32'])}")

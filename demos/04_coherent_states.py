@@ -3,7 +3,9 @@
 Eigenstates of the new lowering operators, the Fock-Bargmann picture, the
 order/radius classification of the induced entire-function families, and
 (for unit weights) the unitary displacement operator with its Perelomov-type
-generalized coherent states.
+generalized coherent states.  The eigen-residuals, D theta_1, the unitarity of
+D and the generalized states print the acceptance battery's own parts (c08
+and c09).
 
 Run:  python demos/04_coherent_states.py
 """
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from isoladder import coherent, fock, ladder
+from isoladder import coherent, fock, ladder, report
 
 TAG = fock.theta_tag(2.0)
 N = 64
@@ -24,16 +26,18 @@ def below(value, bound):
     return f"< {bound:g}" if value < bound else f"{value:.3e}, NOT below {bound:g}"
 
 
+# the acceptance battery at lambda = 2, N: {criterion number: {part label: (value, bound)}}
+BATTERY = {r.name[:3]: {label: (value, bound) for label, value, bound, _ in r.parts} for r in report.run_all(2.0, N)}
+
+
 # --- eigenstates of the lowering operator -------------------------------------
 
 zeta = 1.0 + 0.5j
 print(f"eigen-residual of |zeta> at zeta = {zeta}:")
 for weights in (ladder.constant_weights(2.0), ladder.distorted_weights(0.5), ladder.linear_weights()):
-    low, _ = ladder.ladder_matrices(weights, N, TAG)
     cs = coherent.cs_vector(zeta, weights, N, TAG)
-    moved = low.mat @ cs.coeffs
     print(f"  {weights.label():18s} |norm - 1| {below(abs(cs.norm() - 1.0), 1e-10)}   "
-          f"residual {below(np.linalg.norm(moved - zeta * cs.coeffs), 1e-6)}")
+          f"residual {below(*BATTERY['c08'][f'residual[{weights.label()}]'])}")
 
 # the construction refuses rather than silently truncating:
 try:
@@ -88,11 +92,9 @@ for z in (0.5, 1.2j):
 
 zeta = 0.7 - 0.2j
 d = coherent.displacement_operator(zeta, N, TAG)
-moved = d.mat @ np.eye(N)[1]
 cs = coherent.cs_vector(zeta, ladder.constant_weights(1.0), N, TAG)
-print(f"\nD(zeta) theta_1 vs the eigenstate construction: {below(np.linalg.norm(moved - cs.coeffs), 1e-6)}")
-print(f"unitarity of D on the interior window: "
-      f"{below(fock.interior_max_abs(d.mat.conj().T @ d.mat - np.eye(N)), 1e-7)}")
+print(f"\nD(zeta) theta_1 vs the eigenstate construction: {below(*BATTERY['c09']['D_theta1_vs_cs'])}")
+print(f"unitarity of D on the interior window: {below(*BATTERY['c09']['DdagD_interior_unitarity'])}")
 
 low, high = ladder.ladder_matrices(ladder.constant_weights(1.0), N, TAG)
 h1 = high @ low  # a1+ a1 for unit weights
@@ -100,6 +102,6 @@ print(f"a1+ a1 diagonal starts {np.round(np.real(np.diag(h1.mat))[:6], 12)} (0, 
 print(f"|zeta> is the displaced ground state: "
       f"{below(np.linalg.norm((d.mat @ h1.mat @ d.mat.conj().T) @ cs.coeffs), 1e-6)}")
 
-for n, (ladder_route, displaced_route) in enumerate(coherent.generalized_cs(zeta, 3, d)[2], 2):
-    dev = np.linalg.norm(ladder_route.coeffs - displaced_route.normalized().coeffs)
-    print(f"generalized CS n = {n}: two constructions agree to {below(dev, 1e-5)}")
+for n in (2, 3):
+    print(f"generalized CS n = {n}: two constructions agree to "
+          f"{below(*BATTERY['c09'][f'generalized_cs_two_path_n={n}'])}")

@@ -21,6 +21,7 @@ _growth_window, and one rule, _check_convergence, refuses the radius.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +32,7 @@ from .fock import (
     TruncatedOperator,
     adjoint,
     apply_operator,
-    hermitian_eigensystem,
+    apply_spectral_function,
 )
 from .ladder import WeightSequence, constant_weights, ladder_matrices
 from .params import Refusal, WeightError
@@ -317,9 +318,8 @@ def radius_of_convergence(weights: WeightSequence) -> float:
 def displacement_operator(zeta: complex, N: int, tag) -> TruncatedOperator:
     """D = exp(zeta a1+ - conj(zeta) a1) for the unit-weight pair, built here at truncation N >= 64.
 
-    The anti-Hermitian argument is exponentiated through the eigensystem of
-    the Hermitian matrix i(zeta a1+ - conj(zeta) a1), so D is unitary to
-    solver precision.
+    D = g(K) for the Hermitian K = i(zeta a1+ - conj(zeta) a1) and g(t) = exp(-i t), by the spectral
+    calculus, so D is unitary to solver precision.
     """
     zeta = complex(zeta)
     if abs(zeta) > 2.0:
@@ -328,10 +328,7 @@ def displacement_operator(zeta: complex, N: int, tag) -> TruncatedOperator:
         raise ValueError(f"N >= 64 required for the displacement window, got {N}")
     lowering, raising = ladder_matrices(constant_weights(1.0), N, tag)
     arg = zeta * raising.mat - np.conj(zeta) * lowering.mat
-    k = TruncatedOperator(1j * arg, tag)
-    evals, v = hermitian_eigensystem(k)
-    d = (v * np.exp(-1j * evals)[None, :]) @ v.conj().T
-    return TruncatedOperator(d, tag)
+    return apply_spectral_function(TruncatedOperator(1j * arg, tag), lambda t: cmath.exp(-1j * t))
 
 
 def d_theta1_deviation(zeta: complex, d: TruncatedOperator) -> tuple[float, float, StateVector]:

@@ -223,7 +223,7 @@ def hermitian_eigensystem(x: TruncatedOperator) -> tuple[np.ndarray, np.ndarray]
     return evals, v
 
 
-def apply_spectral_function(x: TruncatedOperator, g: Callable[[float], float]) -> TruncatedOperator:
+def apply_spectral_function(x: TruncatedOperator, g: Callable[[float], complex]) -> TruncatedOperator:
     """g(X) = V diag(g(mu)) V^dagger for Hermitian X."""
     evals, v = hermitian_eigensystem(x)
     gvals = np.array([g(float(mu)) for mu in evals])

@@ -40,6 +40,7 @@ __all__ = ["DEFAULT_DEPTH", "CoeffPoly", "PDOSeries", "series_multiply", "series
 
 DEFAULT_DEPTH = 6  # the case-ii pair and its products are valid through d^-DEFAULT_DEPTH
 _CASE_II_FLOOR = -(DEFAULT_DEPTH + 6)  # the floor they are built at
+_BRACKET_FLOOR = -(DEFAULT_DEPTH + 2)  # the (1 + H)^{-1/2} bracket and b+ b = H - phi' hold through it
 
 # A monomial x^a phi^b w^(h/2) packs into one int: a in bits 0-9, b in bits 10-19, h + 256 in
 # bits 20-29, so monomials multiply by adding their ints less _ONE_KEY, the packed 1.  Every
@@ -192,10 +193,6 @@ class CoeffPoly:
         return CoeffPoly._of(_checked(acc), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def diff(self):
-        """d/dx with the Riccati reduction phi' = -2 x phi - phi^2."""
-        return CoeffPoly._of(_diff(self.blocks), self.den)
 
     def _single_scalar(self, what: str):
         """(i, sqrt2, w_half, value) of the only term, which must have degree 0."""
@@ -491,15 +488,15 @@ def h_series(floor: int = -DEFAULT_DEPTH) -> PDOSeries:
 
 
 def inv_sqrt_one_plus_h():
-    """(1 + H)^{-1/2} = -sqrt2 i (d^2 - x^2 - 1)^{-1/2}, through d^-8.
+    """(1 + H)^{-1/2} = -sqrt2 i (d^2 - x^2 - 1)^{-1/2}, through d^-8 (_BRACKET_FLOOR).
 
     Returns (prefactor, bracket, inverse): inverse = (d^2 - x^2 - 1)^{-1}, bracket its
     square root d^{-1} + (1/2)(1+x^2) d^{-3} - (3/2) x d^{-4} + ...; the product
     prefactor*bracket is the operator.
     """
-    core = PDOSeries({2: _P_ONE, 0: -(CoeffPoly.x(2) + _P_ONE)}, floor=-10, exact=True)
-    inverse = series_invert(core, -9)
-    bracket = series_sqrt(inverse, -8)
+    core = PDOSeries({2: _P_ONE, 0: -(CoeffPoly.x(2) + _P_ONE)}, floor=_BRACKET_FLOOR - 2, exact=True)
+    inverse = series_invert(core, _BRACKET_FLOOR - 1)
+    bracket = series_sqrt(inverse, _BRACKET_FLOOR)
     prefactor = CoeffPoly({(0, 0, 1, 1, 0): Fraction(-1)})  # -sqrt2 i
     return prefactor, bracket, inverse
 
@@ -611,6 +608,6 @@ def product_identities(w=None) -> dict:
 def classical_limit_check() -> list[tuple[str, bool]]:
     """b becomes a at phi = 0, and Mielnik's factorization b+ b = H - phi' holds identically."""
     b_to_a = b_series().substitute_phi_zero() - a_series()
-    bb_residual = (series_multiply(b_dagger_series(-8), b_series(-8))
-                   - h_series(-8) + PDOSeries({0: _PHI_PRIME}, floor=-8, exact=True))
+    bb_residual = (series_multiply(b_dagger_series(_BRACKET_FLOOR), b_series(_BRACKET_FLOOR))
+                   - h_series(_BRACKET_FLOOR) + PDOSeries({0: _PHI_PRIME}, floor=_BRACKET_FLOOR, exact=True))
     return [("b_phi0_equals_a", not b_to_a.terms), ("bdag_b_equals_h_minus_phiprime", not bb_residual.terms)]

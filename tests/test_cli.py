@@ -177,6 +177,25 @@ class TestCommands:
         assert all(float(r[2]) < 1e-6 for r in rows)  # deviations
         assert all(float(r[4]) < 1e-5 for r in rows)  # |U - I| column
 
+    def test_spectrum_and_c01_fail_on_one_eigenvalue(self, capsys, monkeypatch):
+        # both read report.h_tilde_eigenvalues against report.SPECTRUM_BOUND: eigenvalue 7 off by 2e-6 fails both
+        shared = report.h_tilde_eigenvalues
+
+        def shifted(basis):
+            evals = shared(basis).copy()
+            evals[7] += 2e-6
+            return evals
+
+        monkeypatch.setattr(report, "h_tilde_eigenvalues", shifted)
+        result = report.criterion_01_isospectrality(report._Context(2.0, 64))
+        (_, value, bound, ok), = result.parts
+        assert not result.passed and not ok and bound == 1e-6 and value == pytest.approx(2e-6, rel=1e-3)
+        code, out, _ = run_cli(["spectrum", "--trunc", "16", "--format", "csv"], capsys)
+        deviations = [float(line.split(",")[2]) for line in out.strip().split("\n")[1:]]
+        assert code == 1 and len(deviations) == 11
+        assert deviations[7] == pytest.approx(2e-6, rel=1e-3)
+        assert max(deviations[:7] + deviations[8:]) < 1e-6
+
     def test_commutator_json(self, capsys):
         code, out, _ = run_cli(
             ["commutator", "--weights", "distorted", "--w", "0.5", "--trunc", "24"], capsys

@@ -7,8 +7,9 @@ as a bare name or an attribute, in code that is itself reached.  A class
 body counts as read with its class, except its non-dunder methods: each of
 those is a definition of its own name, reached only when that name is read.
 Matching is by identifier across the package, so a same-named read elsewhere
-counts too; type annotations do not count, since nothing reads them at run
-time.
+counts too, but not an attribute read off a numpy or standard-library module
+(np.diff does not reach a method named diff); type annotations do not count,
+since nothing reads them at run time.
 
 Private names that one module reads from another are pinned in a list that
 may only shrink, since `__all__` does not show whether they are reached.
@@ -44,10 +45,30 @@ def _methods(cls: ast.ClassDef) -> list[ast.FunctionDef]:
                                                                             and s.name.endswith("__"))]
 
 
+def _foreign_modules() -> set[str]:
+    """The names `import` binds to numpy and standard-library modules in the package and the entry points."""
+    paths = [*PACKAGE.glob("*.py"), *ENTRY_POINTS]
+    return {alias.asname or alias.name.split(".")[0] for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Import)
+            for alias in node.names if not alias.name.startswith("isoladder")}
+
+
+FOREIGN_MODULES = _foreign_modules()
+
+
 def _reads(node: ast.AST) -> set[str]:
-    """Identifiers the node reads: names and attribute names, outside annotations and non-dunder methods."""
+    """Identifiers the node reads: names and attribute names, outside annotations and non-dunder methods.
+
+    An attribute chain off a numpy or standard-library module (np.diff, np.linalg.norm) reads nothing of
+    the package, so a same-named method does not count as reached by it.
+    """
     if isinstance(node, ast.Name):
         return {node.id}
+    root = node
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    if root is not node and isinstance(root, ast.Name) and root.id in FOREIGN_MODULES:
+        return set()
     names = {node.attr} if isinstance(node, ast.Attribute) else set()
     methods = _methods(node) if isinstance(node, ast.ClassDef) else []
     for field, child in ast.iter_fields(node):
@@ -119,6 +140,10 @@ def test_demo_only_exports_are_pinned():
     found = {e for e in exports if e.split(".")[1] in demo_only}
     assert found - DEMO_ONLY == set(), "a new export that only a demo reaches"
     assert DEMO_ONLY - found == set(), "a pinned export is reached from the command line or gone; drop it"
+
+
+def test_reads_off_numpy_and_stdlib_modules_reach_nothing():
+    assert _reads(ast.parse("np.linalg.norm(np.diff(math.floor(p.diff())))")) == {"p", "diff"}
 
 
 def test_every_method_is_reached_from_an_entry_point():

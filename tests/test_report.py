@@ -31,7 +31,7 @@ NAMES = {
 
 # one dependency per criterion that, made to raise, breaks only that criterion
 DEPENDENCY = {
-    "criterion_01_isospectrality": (report, "hermitian_eigensystem"),
+    "criterion_01_isospectrality": (report, "h_tilde_eigenvalues"),
     "criterion_02_riccati": (isospectral, "riccati_residual"),
     "criterion_03_c_coefficients": (ladder, "c_coefficients_closed"),
     "criterion_04_commutator_diag": (ladder, "represent_in_theta"),
@@ -80,6 +80,23 @@ def test_c06_bites_when_the_midpoint_rule_takes_too_few_nodes(context, monkeypat
     (label, value, bound, ok), = result.parts
     assert not result.passed and not ok
     assert value == pytest.approx(4.26e-5, rel=1e-2)
+
+
+def test_no_two_c10_order_parts_read_the_same_weights(context, monkeypatch):
+    # the order fit reads log W_n for n = 1 .. 10^4 and nothing else, so two rules equal there repeat one part
+    read = {}
+    order_estimate = coherent.order_estimate
+
+    def recording(weights):
+        read[weights.label()] = weights.log_partial_sum_array(coherent._FIT_HI)
+        return order_estimate(weights)
+
+    monkeypatch.setattr(coherent, "order_estimate", recording)
+    labels = [label[4:-1] for label, _, _, _ in report.criterion_10_orders(context).parts if label.startswith("rho[")]
+    for k, first in enumerate(labels):
+        for second in labels[k + 1:]:
+            assert not np.array_equal(read[first], read[second]), f"rho[{first}] and rho[{second}] read one log W_n"
+    assert len(labels) == 5
 
 
 def test_a_failing_d_theta1_check_fails_c09_alone(monkeypatch):
