@@ -30,7 +30,7 @@ __all__ = [
     "TruncatedOperator",
     "StateVector",
     "annihilation_matrix",
-    "times_annihilation",
+    "times_one_diagonal",
     "number_matrix",
     "identity_matrix",
     "adjoint",
@@ -152,14 +152,14 @@ def annihilation_matrix(N: int) -> TruncatedOperator:
     return TruncatedOperator(np.diag(np.sqrt(np.arange(1.0, N)), 1))
 
 
-def times_annihilation(x: np.ndarray) -> np.ndarray:
-    """x a as a column shift: column n + 1 is sqrt(n + 1) times column n of x, and column 0 is zero.
-
-    Each entry of the dense product x @ annihilation_matrix(N) is one such product plus exact zeros, so
-    this is it bit for bit.
-    """
-    out = np.zeros_like(x)
-    out[:, 1:] = x[:, :-1] * np.sqrt(np.arange(1.0, x.shape[1]))
+def times_one_diagonal(x: np.ndarray, band: np.ndarray, k: int) -> np.ndarray:
+    """x @ np.diag(band, k) as a scaled column shift: column j is band[j - lo] times column j - k of x for the
+    columns lo <= j < hi the band reaches, zero elsewhere; each entry of the dense product is that one
+    product plus exact zeros, so this is it bit for bit.  a is the band sqrt(1) .. sqrt(N-1) at k = 1."""
+    lo, hi = max(k, 0), x.shape[1] + min(k, 0)
+    out = np.empty(x.shape, np.result_type(x, band))
+    out[:, :lo], out[:, hi:] = 0.0, 0.0
+    np.multiply(x[:, lo - k:hi - k], band, out=out[:, lo:hi])
     return out
 
 

@@ -39,7 +39,7 @@ from .fock import (
     adjoint,
     op_norm_inf,
     theta_tag,
-    times_annihilation,
+    times_one_diagonal,
 )
 from .numerics import QuadratureGrid, erf, grid_norm
 from .params import SQRT_PI, IsospectralParams, ParameterError, Refusal
@@ -184,12 +184,13 @@ class ThetaBasis:
         a, root = _floored(psi * np.sqrt(np.abs(even[:keep]))), np.sqrt(np.abs(odd))
         p = np.empty((N, N))
         for parity in (0, 1):
-            p[parity::2, parity::2] = math.copysign(1.0, self.params.lam) * (a[parity::2] @ a[parity::2].T)
-        p[0::2, 1::2] = _floored(psi[0::2] * root) @ _floored(psi[1::2] * np.copysign(root, odd)).T
-        p[1::2, 0::2] = p[0::2, 1::2].T
+            np.multiply(a[parity::2] @ a[parity::2].T, math.copysign(1.0, self.params.lam), out=p[parity::2, parity::2])
+        mixed = _floored(psi[0::2] * root) @ _floored(psi[1::2] * np.copysign(root, odd)).T
+        p[0::2, 1::2], p[1::2, 0::2] = mixed, mixed.T
+        p[:, :-1] /= np.sqrt(2.0 * np.arange(1, N))
         overlaps = np.eye(N)
         overlaps[:, 0] = self.psi @ (grid.weights * self.theta0)
-        overlaps[:, 1:] += p[:, :-1] / np.sqrt(2.0 * np.arange(1, N))
+        overlaps[:, 1:] += p[:, :-1]
         return overlaps
 
 
@@ -215,13 +216,15 @@ def u_matrix(basis: ThetaBasis) -> TruncatedOperator:
     """
     x, bound = basis._overlaps(), 1.0
     while True:
-        e = x.T @ x - np.eye(basis.N)
+        e = x.T @ x
+        e.flat[::basis.N + 1] -= 1.0
         defect = op_norm_inf(e)
         if defect <= basis.N * np.finfo(float).eps:
             return TruncatedOperator(x, FOCK)
         if defect >= bound:
             raise ConstructionError(f"polar factor: ||X^T X - I||_inf = {defect:.3e}, Newton-Schulz needs < 1")
-        x, bound = x - 0.5 * (x @ e), defect
+        step = x @ e
+        x, bound = np.subtract(x, np.multiply(step, 0.5, out=step), out=step), defect
 
 
 @_once
@@ -232,18 +235,14 @@ def b_matrix(basis: ThetaBasis) -> TruncatedOperator:
 
 @_once
 def b_dagger_matrix(basis: ThetaBasis) -> TruncatedOperator:
-    """b^dagger = U a^dagger in the Fock basis: column n is sqrt(n+1) times column n+1 of U."""
-    u = u_matrix(basis).mat
-    out = np.zeros_like(u)
-    out[:, :-1] = u[:, 1:] * np.sqrt(np.arange(1.0, basis.N))
-    return TruncatedOperator(out, FOCK)
+    """b^dagger = U a^dagger in the Fock basis: column n is sqrt(n+1) times column n+1 of U (a column shift)."""
+    return TruncatedOperator(times_one_diagonal(u_matrix(basis).mat, np.sqrt(np.arange(1.0, basis.N)), -1), FOCK)
 
 
 @_once
 def h_tilde_matrix(basis: ThetaBasis) -> TruncatedOperator:
     """The deformed Hamiltonian b^dagger b (Fock basis, Hermitian)."""
-    b = b_matrix(basis)
-    return adjoint(b) @ b
+    return b_dagger_matrix(basis) @ b_matrix(basis)
 
 
 def b_dagger_a_b_matrix(basis: ThetaBasis) -> TruncatedOperator:
@@ -251,10 +250,10 @@ def b_dagger_a_b_matrix(basis: ThetaBasis) -> TruncatedOperator:
 
     Its entries reproduce (n-1) sqrt(n) on the superdiagonal: it annihilates
     both theta_0 and theta_1.  b^dagger a is a column shift of b^dagger
-    (fock.times_annihilation), the dense product bit for bit.
+    (fock.times_one_diagonal), the dense product bit for bit.
     """
     u = u_matrix(basis).mat
-    a_fock = times_annihilation(b_dagger_matrix(basis).mat) @ b_matrix(basis).mat
+    a_fock = times_one_diagonal(b_dagger_matrix(basis).mat, np.sqrt(np.arange(1.0, basis.N)), 1) @ b_matrix(basis).mat
     return TruncatedOperator(u.conj().T @ a_fock @ u, basis.tag)
 
 

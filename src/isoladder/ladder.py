@@ -26,7 +26,7 @@ from .fock import (
     commutator,
     interior_block,
     require_hermitian,
-    times_annihilation,
+    times_one_diagonal,
 )
 from .params import WEIGHT_RULES, WeightError, check_weight_rule
 
@@ -305,10 +305,17 @@ def commutator_parts(weights: WeightSequence, N: int, u: TruncatedOperator, tag:
 
 
 def transport_to_theta(x: TruncatedOperator, u: TruncatedOperator, tag: BasisTag) -> TruncatedOperator:
-    """U X U^dagger: the operator carried over to the theta side, retagged."""
+    """U X U^dagger: the operator carried over to the theta side, retagged.  X must have one nonzero diagonal
+    (I, diag(n), a shift, a ladder member), at the offset of its first nonzero entry, else ValueError; then
+    U X is a column shift of U (fock.times_one_diagonal), so one N x N product remains."""
     if x.basis.kind != "fock" or u.basis.kind != "fock":
         raise ValueError("transport expects Fock-basis matrices")
-    return TruncatedOperator(u.mat @ x.mat @ u.mat.conj().T, tag)
+    nonzero = x.mat != 0
+    row, col = divmod(int(np.argmax(nonzero)), x.dim)  # (0, 0) when X is zero
+    band = np.diagonal(x.mat, col - row)
+    if (stray := np.count_nonzero(nonzero) - np.count_nonzero(band)) != 0:
+        raise ValueError(f"transport needs X with one nonzero diagonal: {stray} entries lie off offset {col - row}")
+    return TruncatedOperator(times_one_diagonal(u.mat, band, col - row) @ u.mat.conj().T, tag)
 
 
 def represent_in_theta(x: TruncatedOperator, u: TruncatedOperator, tag: BasisTag) -> TruncatedOperator:
@@ -321,7 +328,7 @@ def closed_form_case(weights: WeightSequence, b: TruncatedOperator) -> Truncated
 
     H = diag(0 .. N-1), so each factor g(H) of L and R is the diagonal g(0) .. g(N-1), each entry a Python
     float (numpy's vectorized ** and expm1 can differ in the last bit).  The factors scale the columns of
-    b+ one after another, a shifts them (fock.times_annihilation), one product with b follows and s scales
+    b+ one after another, a shifts them (fock.times_one_diagonal), one product with b follows and s scales
     last: the dense chain s (b+ L_1 .. a R_1 .. b) in its own left-to-right order, bit for bit, as every
     entry of a product with a diagonal or a one-band matrix is one product plus exact zeros.  Power-law and
     custom weights have no closed form and raise ValueError.
@@ -334,7 +341,7 @@ def closed_form_case(weights: WeightSequence, b: TruncatedOperator) -> Truncated
     x = adjoint(b).mat
     for g in left:
         x = x * np.array([g(t) for t in h])
-    x = times_annihilation(x)
+    x = times_one_diagonal(x, np.sqrt(np.arange(1.0, b.dim)), 1)
     for g in right:
         x = x * np.array([g(t) for t in h])
     return TruncatedOperator(x @ b.mat * scale, b.basis)

@@ -19,6 +19,7 @@ from isoladder.fock import (
     number_matrix,
     op_norm_inf,
     theta_tag,
+    times_one_diagonal,
 )
 
 
@@ -66,6 +67,21 @@ class TestConstructors:
         c = commutator(annihilation_matrix(N), adjoint(annihilation_matrix(N)))
         assert c.mat[N - 1, N - 1] == pytest.approx(oracle)
         assert oracle == pytest.approx(1 - N)  # the dangling sqrt(N-1)^2 row is cut
+
+
+class TestOneDiagonalProduct:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
+    def test_equals_dense_product(self, k, dtype):
+        # each entry of x @ np.diag(band, k) is one product plus exact zeros, so the column shift is it
+        rng = np.random.default_rng(10 + k)
+        x = rng.standard_normal((64, 64)).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.standard_normal((64, 64))
+        band = rng.standard_normal(64 - abs(k))
+        out = times_one_diagonal(x, band, k)
+        assert out.dtype == x.dtype
+        assert np.array_equal(out, x @ np.diag(band, k))
 
 
 class TestAlgebra:

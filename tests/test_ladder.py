@@ -309,7 +309,30 @@ class TestLadderMatrices:
             ladder_matrices(linear_weights(), 16)
 
 
+def dense_transport(x, u):
+    """The dense chain (U X) U^T of a real U: the oracle transport_to_theta must equal bit for bit."""
+    return (u.mat @ x.mat) @ u.mat.T
+
+
 class TestTransport:
+    @pytest.mark.parametrize("lam", [2.0, -3.0])
+    def test_equals_dense_chain(self, grid64, lam):
+        basis = ThetaBasis(IsospectralParams(lam), grid64, 64)
+        u, a = u_matrix(basis), annihilation_matrix(64)
+        low, high = ladder_matrices(geometric_weights(1.1), 64)
+        ops = {"I": identity_matrix(64), "n": number_matrix(64), "a": a, "a+": adjoint(a),
+               "S": shift_matrix(distorted_weights(2.0), 64), "a1": low, "a1+": high,
+               "0": TruncatedOperator(np.zeros((64, 64)), FOCK)}
+        for name, x in ops.items():
+            out = transport_to_theta(x, u, basis.tag)
+            assert out.basis == basis.tag
+            assert np.array_equal(out.mat, dense_transport(x, u)), name
+
+    def test_two_diagonals_refused(self, basis64):
+        a = annihilation_matrix(64)
+        with pytest.raises(ValueError, match="one nonzero diagonal: 63 entries lie off offset 1"):
+            transport_to_theta(a + adjoint(a), u_matrix(basis64), basis64.tag)
+
     def test_identity_transports_to_identity(self, basis64):
         u = u_matrix(basis64)
         out = transport_to_theta(identity_matrix(64), u, basis64.tag)
