@@ -15,7 +15,7 @@ log_d_coefficients is the one home of log d_n: shift_eigenstate (these states
 and isospectral's b+ a b family, under one tail guard), normalization_h, the
 Bargmann map and the order fit read it, from log W_n accumulated as sums of
 logarithms so q > 1 sequences survive out to n = 10^4 without overflow.  The
-growth questions read that 10^4-term log W_n once per call, from
+growth questions read that 10^4-term log W_n once per weights object, from
 _growth_window, and one rule, _check_convergence, refuses the radius.
 """
 
@@ -167,6 +167,7 @@ def shift_eigenstate(log_w: np.ndarray, zeta: complex, start: int, tag) -> State
             )
     coeffs = np.zeros(N, dtype=complex)
     pref = 1.0 / math.sqrt(h)
+    log_d = log_d.tolist()
     for n in range(kept):
         if zeta == 0 and n > 0:
             break
@@ -236,32 +237,38 @@ class OrderEstimate:
 
 
 def _growth_window(weights: WeightSequence) -> tuple[np.ndarray, float]:
-    """log W_1 .. log W_n over the growth window and the radius read from it.
+    """log W_1 .. log W_n over the growth window and the radius read from it, kept read-only on the weights.
 
     n is 10^4, or the length of a custom list (at least 16); the radius is
     the one radius_of_convergence describes.  An all-zero prefix makes the
     growth from n/2 to n NaN, which reads as unbounded.
     """
+    memo = vars(weights)
+    if "_growth_window" in memo:
+        return memo["_growth_window"]
     nmax = weights.max_index if weights.max_index is not None else _FIT_HI
     if nmax < 16:
         raise WeightSequenceTooShort(
             f"need at least 16 weights to classify growth, have {nmax}"
         )
     logW = weights.log_partial_sum_array(min(nmax, _FIT_HI))
+    logW.setflags(write=False)
     n = len(logW)
+    radius = math.inf
     # Python floats: -inf - -inf is NaN without a numpy RuntimeWarning
-    if not float(logW[n - 1]) - float(logW[n // 2 - 1]) < 1e-9:
-        return logW, math.inf
-    w_q = math.exp(logW[n // 4 - 1])
-    w_h = math.exp(logW[n // 2 - 1])
-    w_f = math.exp(logW[n - 1])
-    d1 = w_h - w_q
-    d2 = w_f - w_h
-    limit = w_f
-    if d1 > 0 and 0 < d2 < d1:
-        r = d2 / d1
-        limit = w_f + d2 * r / (1.0 - r)
-    return logW, math.sqrt(limit)
+    if float(logW[n - 1]) - float(logW[n // 2 - 1]) < 1e-9:
+        w_q = math.exp(logW[n // 4 - 1])
+        w_h = math.exp(logW[n // 2 - 1])
+        w_f = math.exp(logW[n - 1])
+        d1 = w_h - w_q
+        d2 = w_f - w_h
+        limit = w_f
+        if d1 > 0 and 0 < d2 < d1:
+            r = d2 / d1
+            limit = w_f + d2 * r / (1.0 - r)
+        radius = math.sqrt(limit)
+    memo["_growth_window"] = logW, radius
+    return logW, radius
 
 
 def order_estimate(weights: WeightSequence) -> OrderEstimate:

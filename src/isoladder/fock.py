@@ -89,15 +89,24 @@ def _check_truncation(N: int):
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense matrix with its basis tag and truncation size: the input's dtype, at least float64."""
+    """Dense matrix with its basis tag and truncation size: the input's dtype, at least float64.
+
+    The matrix never changes after construction.  The input is copied only to widen its dtype, or when it is
+    a view whose memory another array could still write; otherwise (a fresh product, or a view of a read-only
+    array such as a real adjoint) it is kept and marked read-only, so a later write through it raises.
+    """
 
     mat: np.ndarray
     basis: BasisTag = FOCK
     __array_ufunc__ = None  # `array * op` and `array + op` raise TypeError instead of broadcasting
 
     def __post_init__(self):
-        m = np.asarray(self.mat)
-        m = np.array(m, dtype=np.result_type(m, float))
+        m = owner = np.asarray(self.mat)
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        shared = not owner.flags.owndata or (owner is not m and owner.flags.writeable)
+        if shared or m.dtype != np.result_type(m, float):
+            m = np.array(m, dtype=np.result_type(m, float))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
         _check_truncation(m.shape[0])
@@ -180,7 +189,9 @@ def adjoint(x: TruncatedOperator) -> TruncatedOperator:
 
 def commutator(x: TruncatedOperator, y: TruncatedOperator) -> TruncatedOperator:
     _check_compatible(x, y)
-    return TruncatedOperator(x.mat @ y.mat - y.mat @ x.mat, x.basis)
+    out = x.mat @ y.mat
+    out -= y.mat @ x.mat
+    return TruncatedOperator(out, x.basis)
 
 
 def op_norm_inf(mat: np.ndarray) -> float:
@@ -203,7 +214,8 @@ def interior_max_abs(mat: np.ndarray) -> float:
 def require_hermitian(m: np.ndarray):
     """ValueError unless m equals its conjugate transpose to 1e-10 of its largest entry (or of 1)."""
     scale = max(1.0, float(np.max(np.abs(m))))
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    diff = m - m.conj().T
+    dev = float(np.max(np.abs(diff, out=None if np.iscomplexobj(diff) else diff)))
     if dev > 1e-10 * scale:
         raise ValueError(f"matrix is not Hermitian: max |X - X^dagger| = {dev:.3e}")
 
@@ -213,13 +225,17 @@ def hermitian_eigensystem(x: TruncatedOperator) -> tuple[np.ndarray, np.ndarray]
 
     Delegated to the dense symmetric eigensolver (real for a float64 X); each
     column's phase is fixed by making its largest-magnitude component real
-    positive, so spectral functions are reproducible.  Each phase is a scalar
-    conj(p)/|p|: the array form of that division differs in the last bit.
+    positive, so spectral functions are reproducible.  A real pivot p gives
+    conj(p)/|p| = +-1 exactly, its sign; a complex one gives a scalar
+    conj(p)/|p| per column: the array form of that division differs in the last bit.
     """
     require_hermitian(x.mat)
     evals, v = np.linalg.eigh(x.mat)
     pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    v *= np.array([np.conj(p) / abs(p) if p != 0 else 1 for p in pivots], dtype=v.dtype)
+    if np.iscomplexobj(v):
+        v *= np.array([np.conj(p) / abs(p) if p != 0 else 1 for p in pivots], dtype=v.dtype)
+    else:
+        v *= np.where(pivots < 0, -1.0, 1.0)
     return evals, v
 
 

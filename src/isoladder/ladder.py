@@ -177,18 +177,15 @@ def c_coefficients_recursive(weights: WeightSequence, N: int) -> np.ndarray:
     """c_0 .. c_{N-1} from c_0 c_1 = w_1, (n+1) c_n c_{n+1} - n c_n c_{n-1} = w_{n+1}, c_0 = 1."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    w = weights.weight_array(max(N - 1, 1))
+    w = weights.weight_array(max(N - 1, 1)).tolist()  # Python floats: binary64 as numpy's, without scalar boxing
     if w[0] <= 0:
         raise WeightError(f"recursion needs w_1 > 0, got {w[0]}")
-    c = np.zeros(N)
-    c[0] = 1.0
-    if N > 1:
-        c[1] = w[0]
+    c = [1.0, w[0]][:N]
     for n in range(1, N - 1):
         if c[n] == 0.0:
             raise WeightError(f"c_{n} = 0 with w_{n+1} = {w[n]}: inconsistent sequence")
-        c[n + 1] = (w[n] + n * c[n] * c[n - 1]) / ((n + 1) * c[n])
-    return c
+        c.append((w[n] + n * c[n] * c[n - 1]) / ((n + 1) * c[n]))
+    return np.array(c)
 
 
 def c_coefficients_closed(weights: WeightSequence, N: int) -> np.ndarray:

@@ -84,6 +84,40 @@ class TestOneDiagonalProduct:
         assert np.array_equal(out, x @ np.diag(band, k))
 
 
+class TestOwnership:
+    """An operator keeps the array it is given unless another array could still write its memory."""
+
+    def test_fresh_array_is_kept_read_only(self):
+        m = np.random.default_rng(0).standard_normal((8, 8))
+        op = TruncatedOperator(m)
+        assert np.shares_memory(op.mat, m)
+        assert not m.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1.0
+
+    def test_view_of_a_writable_array_is_copied(self):
+        big = np.arange(144.0).reshape(12, 12)
+        op = TruncatedOperator(big[:8, :8])
+        assert not np.shares_memory(op.mat, big)
+        big[:8, :8] = -1.0
+        assert np.array_equal(op.mat, np.arange(144.0).reshape(12, 12)[:8, :8])
+
+    def test_adjoint_of_a_real_operator_is_a_view(self):
+        op = TruncatedOperator(np.random.default_rng(1).standard_normal((6, 6)))
+        ad = adjoint(op)
+        assert np.shares_memory(ad.mat, op.mat)
+        assert np.array_equal(ad.mat, op.mat.T)
+        assert not ad.mat.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_commutator_equals_the_two_products(self, dtype):
+        rng = np.random.default_rng(2)
+        x, y = (rng.standard_normal((64, 64)).astype(dtype) for _ in range(2))
+        if dtype is complex:
+            y += 1j * rng.standard_normal((64, 64))
+        assert np.array_equal(commutator(TruncatedOperator(x), TruncatedOperator(y)).mat, x @ y - y @ x)
+
+
 class TestAlgebra:
     def test_ladder_relation(self):
         N = 10
@@ -136,6 +170,9 @@ class TestAlgebra:
         assert TruncatedOperator(np.eye(3, dtype=np.float32)).mat.dtype == np.float64
         assert TruncatedOperator(op.mat * (1 + 2j)).mat.dtype == np.complex128
         assert TruncatedOperator(np.eye(3) + 0j).mat.dtype == np.complex128
+        ints, cplx = np.eye(3, dtype=int), np.eye(3) + 0j
+        assert not np.shares_memory(TruncatedOperator(ints).mat, ints)  # widened: a float64 copy
+        assert np.shares_memory(TruncatedOperator(cplx).mat, cplx)  # complex128 already: kept
         assert StateVector(np.ones(3), FOCK).coeffs.dtype == np.complex128
         assert apply_spectral_function(op, math.sqrt).mat.dtype == np.float64
 

@@ -212,6 +212,18 @@ class TestCoefficients:
         with pytest.raises(WeightError):
             c_coefficients_recursive(custom_weights([0.0, 1.0, 1.0]), 3)
 
+    @pytest.mark.parametrize("weights", CLOSED_FORM_WEIGHTS[:5] + [custom_weights(
+        np.random.default_rng(501).uniform(0.1, 3.0, 501))], ids=lambda w: w.label())
+    def test_recursion_equals_numpy_scalar_loop(self, weights):
+        # the recursion on np.float64 scalars in a float64 array: the same binary64 arithmetic, so the same bits
+        N = 502 if weights.kind == "custom" else 201
+        w = weights.weight_array(N - 1)
+        c = np.zeros(N)
+        c[0], c[1] = 1.0, w[0]
+        for n in range(1, N - 1):
+            c[n + 1] = (w[n] + n * c[n] * c[n - 1]) / ((n + 1) * c[n])
+        assert np.array_equal(c_coefficients_recursive(weights, N), c)
+
 
 class TestShift:
     def test_exact_partial_isometry_for_unit_weights(self):
