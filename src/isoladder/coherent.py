@@ -325,8 +325,9 @@ def radius_of_convergence(weights: WeightSequence) -> float:
 def displacement_operator(zeta: complex, N: int, tag) -> TruncatedOperator:
     """D = exp(zeta a1+ - conj(zeta) a1) for the unit-weight pair, built here at truncation N >= 64.
 
-    D = g(K) for the Hermitian K = i(zeta a1+ - conj(zeta) a1) and g(t) = exp(-i t), by the spectral
-    calculus, so D is unitary to solver precision.
+    With zeta = |zeta| e^{i alpha}, D = P exp(i |zeta| (a1 + a1+)) P^dagger for P = R J^dagger, R = diag(e^{i alpha n})
+    and J = diag(i^n); the exponential is the spectral calculus on the real tridiagonal |zeta| (a1 + a1+), a Jacobi
+    matrix of the Hermite polynomials (Golub & Welsch), so D is one real eigensolve, unitary to solver precision.
     """
     zeta = complex(zeta)
     if abs(zeta) > 2.0:
@@ -334,8 +335,10 @@ def displacement_operator(zeta: complex, N: int, tag) -> TruncatedOperator:
     if N < 64:
         raise ValueError(f"N >= 64 required for the displacement window, got {N}")
     lowering, raising = ladder_matrices(constant_weights(1.0), N, tag)
-    arg = zeta * raising.mat - np.conj(zeta) * lowering.mat
-    return apply_spectral_function(TruncatedOperator(1j * arg, tag), lambda t: cmath.exp(-1j * t))
+    jacobi = TruncatedOperator(abs(zeta) * (lowering + raising).mat, tag)
+    p = np.exp(1j * cmath.phase(zeta) * np.arange(N)) * np.resize([1, -1j, -1, 1j], N)  # R J^dagger's diagonal
+    d = p[:, None] * apply_spectral_function(jacobi, lambda t: cmath.exp(1j * t)).mat * p.conj()
+    return TruncatedOperator(d, tag)
 
 
 def d_theta1_deviation(zeta: complex, d: TruncatedOperator) -> tuple[float, float, StateVector]:

@@ -212,7 +212,12 @@ def interior_max_abs(mat: np.ndarray) -> float:
 
 
 def require_hermitian(m: np.ndarray):
-    """ValueError unless m equals its conjugate transpose to 1e-10 of its largest entry (or of 1)."""
+    """ValueError unless m is finite and equals its conjugate transpose to 1e-10 of its largest entry (or of 1);
+    an exactly Hermitian m passes on 64-row blocks of its upper triangle, before any scaled deviation."""
+    if (bad := m.size - np.count_nonzero(np.isfinite(m))) != 0:
+        raise ValueError(f"matrix is not finite: {bad} entries are NaN or infinite")
+    if all(np.array_equal(m[i:i + 64, i:], m[i:, i:i + 64].conj().T) for i in range(0, m.shape[0], 64)):
+        return
     scale = max(1.0, float(np.max(np.abs(m))))
     diff = m - m.conj().T
     dev = float(np.max(np.abs(diff, out=None if np.iscomplexobj(diff) else diff)))
@@ -226,16 +231,20 @@ def hermitian_eigensystem(x: TruncatedOperator) -> tuple[np.ndarray, np.ndarray]
     Delegated to the dense symmetric eigensolver (real for a float64 X); each
     column's phase is fixed by making its largest-magnitude component real
     positive, so spectral functions are reproducible.  A real pivot p gives
-    conj(p)/|p| = +-1 exactly, its sign; a complex one gives a scalar
+    conj(p)/|p| = +-1 exactly, its sign, read off the column's max and min
+    (argmax finds p only where max = -min); a complex one gives a scalar
     conj(p)/|p| per column: the array form of that division differs in the last bit.
     """
     require_hermitian(x.mat)
     evals, v = np.linalg.eigh(x.mat)
-    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     if np.iscomplexobj(v):
+        pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
         v *= np.array([np.conj(p) / abs(p) if p != 0 else 1 for p in pivots], dtype=v.dtype)
     else:
-        v *= np.where(pivots < 0, -1.0, 1.0)
+        top, bottom = v.max(axis=0), v.min(axis=0)
+        negative, tied = top < -bottom, np.flatnonzero(top == -bottom)
+        negative[tied] = v[np.argmax(np.abs(v[:, tied]), axis=0), tied] < 0
+        v *= np.where(negative, -1.0, 1.0)
     return evals, v
 
 

@@ -13,8 +13,9 @@ guard.
 The lambda-free Hermite table psi and its norm defects belong to the grid
 (QuadratureGrid.psi, .norm_defects).  A ThetaBasis holds one lambda's phi and
 theta_0; its theta table is built only when something samples it, as the
-overlaps take <psi_m, psi_n> = delta_mn plus phi-weighted psi products.  The
-overlaps, U, b^dagger, b and H~ are built at most once per basis and kept on it.
+overlaps take <psi_m, psi_n> = delta_mn plus phi-weighted psi products.  U,
+b^dagger and b are built at most once per basis and kept on it; the raw
+overlaps (u_matrix's input) and H~ are not kept, as each has one reader.
 
 The overlap matrix <psi_m, theta_n> computed at finite truncation is not
 exactly unitary (theta_n keeps a small psi-tail beyond the truncation), so
@@ -155,7 +156,6 @@ class ThetaBasis:
         theta[1:] += self.psi[1:]
         return theta
 
-    @_once
     def _overlaps(self) -> np.ndarray:
         """<psi_m, theta_n> = delta_mn + P_{m,n-1} / sqrt(2n) for n >= 1; column 0 is one GEMV.
 
@@ -239,9 +239,8 @@ def b_dagger_matrix(basis: ThetaBasis) -> TruncatedOperator:
     return TruncatedOperator(times_one_diagonal(u_matrix(basis).mat, np.sqrt(np.arange(1.0, basis.N)), -1), FOCK)
 
 
-@_once
 def h_tilde_matrix(basis: ThetaBasis) -> TruncatedOperator:
-    """The deformed Hamiltonian b^dagger b (Fock basis, Hermitian)."""
+    """The deformed Hamiltonian b^dagger b (Fock basis, Hermitian), not kept on the basis."""
     return b_dagger_matrix(basis) @ b_matrix(basis)
 
 

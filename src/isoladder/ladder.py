@@ -288,11 +288,13 @@ def commutator_parts(weights: WeightSequence, N: int, u: TruncatedOperator, tag:
     deviation < bound.
 
     fock_fill_diag is [a1, a1^dagger] of the ladder pair, held to 1e-12; theta_route_diag is
-    [U a1 U^dagger, U a1^dagger U^dagger] represented back on the theta indices, held to 1e-6.  check is
+    [U a1 U^dagger, U a1^dagger U^dagger] represented back on the theta indices, held to 1e-6.  a1 is
+    transported once: U a1^dagger U^dagger = (U a1 U^dagger)^dagger for any U.  check is
     commutator_diagonal's dict and deviation is what it is judged by (_commutator_deviation).
     """
     low, high = ladder_matrices(weights, N, FOCK)
-    theta_route = commutator(transport_to_theta(low, u, tag), transport_to_theta(high, u, tag))
+    low_theta = transport_to_theta(low, u, tag)
+    theta_route = commutator(low_theta, adjoint(low_theta))
     parts = []
     for name, comm, bound in (("fock_fill_diag", commutator(low, high).mat, 1e-12),
                               ("theta_route_diag", represent_in_theta(theta_route, u, tag).mat, 1e-6)):

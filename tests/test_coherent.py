@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -21,8 +22,10 @@ from isoladder.coherent import (
 )
 from isoladder.fock import (
     StateVector,
+    TruncatedOperator,
     adjoint,
     apply_operator,
+    apply_spectral_function,
     commutator,
     interior_max_abs,
     theta_tag,
@@ -427,6 +430,17 @@ class TestDisplacement:
     def test_unitarity(self):
         d = displacement_operator(1.3 + 0.4j, 64, TAG)
         assert interior_max_abs((adjoint(d) @ d).mat - np.eye(64)) < 1e-7
+
+    @pytest.mark.parametrize("N", [64, 128])
+    @pytest.mark.parametrize("zeta", [0.7 - 0.2j, 1.3 + 0.4j, -0.5, 2j, -1.2 - 1.6j])
+    def test_real_generator_equals_spectral_route(self, zeta, N):
+        # the spectral calculus on the complex Hermitian i(zeta a1+ - conj(zeta) a1), t -> exp(-i t)
+        low, high = ladder_matrices(constant_weights(1.0), N, TAG)
+        generator = TruncatedOperator(1j * (zeta * high.mat - np.conj(zeta) * low.mat), TAG)
+        spectral = apply_spectral_function(generator, lambda t: cmath.exp(-1j * t))
+        d = displacement_operator(zeta, N, TAG)
+        assert d.mat.dtype == np.complex128 and d.basis == TAG
+        assert np.max(np.abs(d.mat - spectral.mat)) < 1e-12
 
     def test_rejects_large_zeta(self):
         with pytest.raises(ValueError):

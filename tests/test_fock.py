@@ -18,6 +18,7 @@ from isoladder.fock import (
     identity_matrix,
     number_matrix,
     op_norm_inf,
+    require_hermitian,
     theta_tag,
     times_one_diagonal,
 )
@@ -191,6 +192,17 @@ class TestAlgebra:
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def eigenvectors_by_column_loop(m):
+    """eigh's eigenvectors with each column's first largest-magnitude entry made real positive, one column at
+    a time: the phase convention hermitian_eigensystem must equal bit for bit."""
+    _, ref = np.linalg.eigh(m)
+    for j in range(ref.shape[1]):
+        pivot = ref[int(np.argmax(np.abs(ref[:, j]))), j]
+        if pivot != 0:
+            ref[:, j] *= np.conj(pivot) / abs(pivot)
+    return ref
+
+
 class TestEigensystem:
     def test_diagonal(self):
         x = TruncatedOperator(np.diag([0.0, 1.0, 2.0]))
@@ -235,13 +247,53 @@ class TestEigensystem:
             m = m + 1j * rng.normal(size=(40, 40))
         m = m + m.conj().T
         _, v = hermitian_eigensystem(TruncatedOperator(m))
-        _, ref = np.linalg.eigh(m)
-        for j in range(ref.shape[1]):
-            pivot = ref[int(np.argmax(np.abs(ref[:, j]))), j]
-            if pivot != 0:
-                ref[:, j] *= np.conj(pivot) / abs(pivot)
+        ref = eigenvectors_by_column_loop(m)
         assert v.dtype == ref.dtype
         assert np.array_equal(v, ref)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_real_signs_with_tied_pivots_equal_per_column_loop(self, seed):
+        # the swap [[0, 1], [1, 0]] has eigenvectors (1, +-1)/sqrt(2): a column whose max is -min, whose sign
+        # the first largest-magnitude entry decides, as argmax does
+        rng = np.random.default_rng(seed)
+        r = rng.normal(size=(6, 6))
+        m = np.zeros((8, 8))
+        m[:2, :2], m[2:, 2:] = [[0.0, 1.0], [1.0, 0.0]], r + r.T
+        for x in (m, m[::-1, ::-1].copy(), -m):
+            ref = eigenvectors_by_column_loop(x)
+            _, plain = np.linalg.eigh(x)
+            assert np.any(plain.max(axis=0) == -plain.min(axis=0))
+            assert np.array_equal(hermitian_eigensystem(TruncatedOperator(x))[1], ref)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_non_finite_refused(self, bad, kind):
+        # a NaN fails no tolerance comparison and inf - inf is NaN: both are refused by name, without a warning
+        m = np.eye(6, dtype=float if kind == "real" else complex)
+        m[2, 4] = m[4, 2] = bad
+        with pytest.raises(ValueError, match="matrix is not finite: 2 entries are NaN or infinite"):
+            require_hermitian(m)
+        with pytest.raises(ValueError, match="not finite"):
+            hermitian_eigensystem(TruncatedOperator(m))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_exact_and_scaled_symmetry_verdicts(self, kind):
+        # exactly Hermitian passes the block comparison; within 1e-10 of the largest entry passes the scaled
+        # deviation; beyond it, in any 64-row block, fails
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(150, 150)) * 1e3
+        if kind == "complex":
+            m = m + 1j * rng.normal(size=(150, 150))
+        m = m + m.conj().T
+        require_hermitian(m)
+        scale = np.max(np.abs(m))
+        for i, j in ((0, 149), (70, 3), (140, 130)):
+            near, far = m.copy(), m.copy()
+            near[i, j] += 0.5e-10 * scale
+            far[i, j] += 2e-10 * scale
+            require_hermitian(near)
+            with pytest.raises(ValueError, match="matrix is not Hermitian"):
+                require_hermitian(far)
 
 
 class TestSpectralFunction:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isoladder.fock import (
+    TruncatedOperator,
     adjoint,
     annihilation_matrix,
     apply_operator,
@@ -156,10 +157,19 @@ class TestThetaBasis:
     def test_matrices_built_once_per_basis(self, grid64):
         first = ThetaBasis(IsospectralParams(2.0), grid64, 64)
         second = ThetaBasis(IsospectralParams(2.0), grid64, 64)
-        for build in (u_matrix, b_dagger_matrix, b_matrix, h_tilde_matrix):
+        for build in (u_matrix, b_dagger_matrix, b_matrix):
             assert build(first) is build(first)
             assert build(second) is not build(first)
             assert np.array_equal(build(second).mat, build(first).mat)
+
+    def test_overlaps_and_h_tilde_are_not_kept(self, grid64):
+        # each has one reader per basis (u_matrix, the H~ eigensolve), so neither holds memory after it
+        basis = ThetaBasis(IsospectralParams(2.0), grid64, 64)
+        overlaps, h_tilde = basis._overlaps(), h_tilde_matrix(basis)
+        kept = [value for value in vars(basis).values() if isinstance(value, (np.ndarray, TruncatedOperator))]
+        assert not any(value is overlaps or value is h_tilde for value in kept)
+        assert basis._overlaps() is not overlaps and np.array_equal(basis._overlaps(), overlaps)
+        assert h_tilde_matrix(basis) is not h_tilde and np.array_equal(h_tilde_matrix(basis).mat, h_tilde.mat)
 
     def test_negative_lambda_family(self, grid64):
         # the branch lambda < -sqrt(pi)/2 is admissible and behaves identically

@@ -340,6 +340,25 @@ class TestTransport:
             assert out.basis == basis.tag
             assert np.array_equal(out.mat, dense_transport(x, u)), name
 
+    @pytest.mark.parametrize("lam", [2.0, -3.0])
+    @pytest.mark.parametrize("weights", CLOSED_FORM_WEIGHTS, ids=lambda w: w.label())
+    def test_commutator_parts_take_the_adjoint_of_one_transport(self, grid64, lam, weights, monkeypatch):
+        # theta_route_diag is [X, X^dagger] for X = U a1 U^dagger: the two-transport route up to rounding
+        basis = ThetaBasis(IsospectralParams(lam), grid64, 64)
+        u, tag = u_matrix(basis), basis.tag
+        low, high = ladder_matrices(weights, 64)
+        two = represent_in_theta(commutator(transport_to_theta(low, u, tag), transport_to_theta(high, u, tag)), u, tag)
+        seen = []
+
+        def recorded(x, v, t):
+            seen.append(represent_in_theta(x, v, t))
+            return seen[-1]
+
+        monkeypatch.setattr(ladder, "represent_in_theta", recorded)
+        ladder.commutator_parts(weights, 64, u, tag)
+        assert len(seen) == 1 and seen[0].basis == tag
+        assert np.max(np.abs(seen[0].mat - two.mat)) <= 1e-12 * np.max(np.abs(two.mat))
+
     def test_two_diagonals_refused(self, basis64):
         a = annihilation_matrix(64)
         with pytest.raises(ValueError, match="one nonzero diagonal: 63 entries lie off offset 1"):
