@@ -226,30 +226,14 @@ def require_hermitian(m: np.ndarray):
 
 
 def hermitian_eigensystem(x: TruncatedOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues ascending and a unitary eigenvector matrix V, X = V diag(mu) V^dagger.
-
-    Delegated to the dense symmetric eigensolver (real for a float64 X); each
-    column's phase is fixed by making its largest-magnitude component real
-    positive, so spectral functions are reproducible.  A real pivot p gives
-    conj(p)/|p| = +-1 exactly, its sign, read off the column's max and min
-    (argmax finds p only where max = -min); a complex one gives a scalar
-    conj(p)/|p| per column: the array form of that division differs in the last bit.
-    """
+    """Eigenvalues ascending and the dense eigensolver's unitary V (real for a float64 X), X = V diag(mu) V^dagger."""
     require_hermitian(x.mat)
-    evals, v = np.linalg.eigh(x.mat)
-    if np.iscomplexobj(v):
-        pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-        v *= np.array([np.conj(p) / abs(p) if p != 0 else 1 for p in pivots], dtype=v.dtype)
-    else:
-        top, bottom = v.max(axis=0), v.min(axis=0)
-        negative, tied = top < -bottom, np.flatnonzero(top == -bottom)
-        negative[tied] = v[np.argmax(np.abs(v[:, tied]), axis=0), tied] < 0
-        v *= np.where(negative, -1.0, 1.0)
-    return evals, v
+    return np.linalg.eigh(x.mat)
 
 
 def apply_spectral_function(x: TruncatedOperator, g: Callable[[float], complex]) -> TruncatedOperator:
-    """g(X) = V diag(g(mu)) V^dagger for Hermitian X."""
+    """g(X) = (V diag(g(mu))) V^dagger for Hermitian X: each column of V enters once and once conjugated, so
+    any phase the eigensolver gives it cancels, and negating a real column keeps every bit."""
     evals, v = hermitian_eigensystem(x)
     gvals = np.array([g(float(mu)) for mu in evals])
     if not np.all(np.isfinite(gvals)):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -192,17 +193,6 @@ class TestAlgebra:
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def eigenvectors_by_column_loop(m):
-    """eigh's eigenvectors with each column's first largest-magnitude entry made real positive, one column at
-    a time: the phase convention hermitian_eigensystem must equal bit for bit."""
-    _, ref = np.linalg.eigh(m)
-    for j in range(ref.shape[1]):
-        pivot = ref[int(np.argmax(np.abs(ref[:, j]))), j]
-        if pivot != 0:
-            ref[:, j] *= np.conj(pivot) / abs(pivot)
-    return ref
-
-
 class TestEigensystem:
     def test_diagonal(self):
         x = TruncatedOperator(np.diag([0.0, 1.0, 2.0]))
@@ -224,46 +214,42 @@ class TestEigensystem:
         resid = np.max(np.abs(x.mat @ v - v @ np.diag(evals)))
         assert resid < 1e-9 * op_norm_inf(x.mat)
 
-    def test_phase_convention(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        m = m + m.conj().T
-        _, v = hermitian_eigensystem(TruncatedOperator(m))
-        for j in range(6):
-            k = int(np.argmax(np.abs(v[:, j])))
-            assert v[k, j].imag == pytest.approx(0.0, abs=1e-12)
-            assert v[k, j].real > 0
-
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eigensystem(annihilation_matrix(4))
 
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_phase_fix_equals_per_column_loop(self, kind, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(40, 40))
-        if kind == "complex":
-            m = m + 1j * rng.normal(size=(40, 40))
+    @pytest.mark.parametrize("g", [lambda t: (1 + t * t) ** -0.5, lambda t: cmath.exp(1j * t)],
+                             ids=["inv_sqrt", "exp_it"])
+    @pytest.mark.parametrize("kind", ["real", "swap_block", "complex"])
+    def test_spectral_function_independent_of_eigenvector_phases(self, kind, g):
+        # g(X) = (V g) V^dagger takes each column of V once plain and once conjugated: negating a real column
+        # keeps every bit, even where the swap [[0, 1], [1, 0]] gives columns whose max is -min; a complex
+        # unit phase cancels to rounding
+        rng = np.random.default_rng(11)
+        if kind == "swap_block":
+            m = np.zeros((8, 8))
+            m[:2, :2], m[2:, 2:] = [[0.0, 1.0], [1.0, 0.0]], rng.normal(size=(6, 6))
+        else:
+            m = rng.normal(size=(40, 40)) + (1j * rng.normal(size=(40, 40)) if kind == "complex" else 0.0)
         m = m + m.conj().T
-        _, v = hermitian_eigensystem(TruncatedOperator(m))
-        ref = eigenvectors_by_column_loop(m)
-        assert v.dtype == ref.dtype
-        assert np.array_equal(v, ref)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_real_signs_with_tied_pivots_equal_per_column_loop(self, seed):
-        # the swap [[0, 1], [1, 0]] has eigenvectors (1, +-1)/sqrt(2): a column whose max is -min, whose sign
-        # the first largest-magnitude entry decides, as argmax does
-        rng = np.random.default_rng(seed)
-        r = rng.normal(size=(6, 6))
-        m = np.zeros((8, 8))
-        m[:2, :2], m[2:, 2:] = [[0.0, 1.0], [1.0, 0.0]], r + r.T
-        for x in (m, m[::-1, ::-1].copy(), -m):
-            ref = eigenvectors_by_column_loop(x)
-            _, plain = np.linalg.eigh(x)
-            assert np.any(plain.max(axis=0) == -plain.min(axis=0))
-            assert np.array_equal(hermitian_eigensystem(TruncatedOperator(x))[1], ref)
+        evals, v = hermitian_eigensystem(TruncatedOperator(m))
+        assert v.dtype == (np.complex128 if kind == "complex" else np.float64)
+        assert np.linalg.norm(v.conj().T @ v - np.eye(len(m)), 2) < 1e-12
+        assert np.linalg.norm((v * evals) @ v.conj().T - m, 2) < 1e-12 * np.linalg.norm(m, 2)
+        gvals = np.array([g(float(mu)) for mu in evals])
+        spectral = apply_spectral_function(TruncatedOperator(m), g).mat
+        assert np.array_equal((v * gvals) @ v.conj().T, spectral)
+        for _ in range(4):
+            if kind == "complex":
+                phases = np.exp(2j * np.pi * rng.random(len(m)))
+            else:
+                phases = np.where(rng.random(len(m)) < 0.5, -1.0, 1.0)
+            w = v * phases
+            moved = (w * gvals) @ w.conj().T
+            if kind == "complex":
+                assert np.max(np.abs(moved - spectral)) < 1e-13 * np.max(np.abs(spectral))
+            else:
+                assert np.array_equal(moved, spectral)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("kind", ["real", "complex"])
