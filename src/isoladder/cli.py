@@ -1,4 +1,4 @@
-"""Command-line driver: spectrum/commutator/coherent/order/pdo/report.
+"""Command-line driver: one parser reads a command, a key of COMMANDS, and the flags all commands take.
 
 Configuration comes from the defaults, then an optional flat key = value
 config file, then command-line flags (flags win); the _OPTIONS table declares
@@ -223,20 +223,11 @@ def cmd_pdo(config: RunConfig) -> tuple:
 def cmd_report(config: RunConfig) -> tuple:
     from . import report
     results = report.run_all(lam=config.lam, trunc=config.trunc)
-    entries = []
-    for r in results:
-        # wall-clock times stay out of the document: identical configs must
-        # produce byte-identical bytes
-        entries.append({
-            "name": r.name,
-            "measured": r.measured,
-            "threshold": r.threshold,
-            "pass": r.passed,
-            "parts": [
-                {"name": label, "measured": value, "threshold": tol, "pass": ok}
-                for label, value, tol, ok in r.parts
-            ],
-        })
+    # wall-clock times stay out of the document: identical configs must produce byte-identical bytes
+    entries = [{"name": r.name, "measured": r.measured, "threshold": r.threshold, "pass": r.passed,
+                "parts": [{"name": label, "measured": value, "threshold": tol, "pass": ok}
+                          for label, value, tol, ok in r.parts]}
+               for r in results]
     all_pass = all(r.passed for r in results)
     text = to_json({
         "lambda": config.lam,
@@ -312,21 +303,12 @@ def build_config(args) -> RunConfig:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    parser = argparse.ArgumentParser(prog="isoladder", description="isospectral-oscillator ladder toolkit")
+    parser.add_argument("command", choices=COMMANDS, help="report runs the battery; the others one of its checks")
     for key, attr, conv, _, flag in _OPTIONS:
         if flag is not None:
-            common.add_argument("--" + key.replace("_", "-"), dest=attr, type=conv, default=None, **flag)
-    common.add_argument("--config", default=None, help="flat key = value config file")
-
-    parser = argparse.ArgumentParser(prog="isoladder",
-                                     description="isospectral-oscillator ladder toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common], help="theta spectrum and orthonormality report")
-    sub.add_parser("commutator", parents=[common], help="ladder commutator diagnostics")
-    sub.add_parser("coherent", parents=[common], help="coherent-state eigen-residual vs truncation")
-    sub.add_parser("order", parents=[common], help="entire-function order / radius estimate")
-    sub.add_parser("pdo", parents=[common], help="pseudo-differential golden identities")
-    sub.add_parser("report", parents=[common], help="full acceptance battery")
+            parser.add_argument("--" + key.replace("_", "-"), dest=attr, type=conv, default=None, **flag)
+    parser.add_argument("--config", default=None, help="flat key = value config file")
     return parser
 
 

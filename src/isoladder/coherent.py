@@ -93,6 +93,14 @@ def log_d_coefficients(log_w: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], -np.cumsum(log_w)))
 
 
+def _modulus_squared(zeta: complex) -> float:
+    """|zeta|^2, inf where it passes the float range (abs and ** raise OverflowError there)."""
+    try:
+        return abs(complex(zeta)) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _check_convergence(t: float, radius: float) -> None:
     """DivergenceError when t = |zeta|^2 sits at or beyond radius^2 (1 - 1e-12): the one radius rule."""
     if math.isfinite(radius) and t >= radius * radius * (1.0 - 1e-12):
@@ -152,7 +160,9 @@ def shift_eigenstate(log_w: np.ndarray, zeta: complex, start: int, tag) -> State
     log_d = np.concatenate((log_d, np.full(N + 1 - len(log_d), -math.inf)))
     kept = N - start
     zeta = complex(zeta)
-    t = abs(zeta) ** 2
+    t = _modulus_squared(zeta)
+    if t == math.inf:
+        raise TruncationError(f"h overflows a float for |zeta|^2 = inf at N = {N}")
     h = 1.0
     if t > 0:
         log_terms = log_d[: kept + 1] + np.arange(kept + 1) * math.log(t)
@@ -185,7 +195,7 @@ def cs_vector(zeta: complex, weights: WeightSequence, N: int, tag) -> StateVecto
     """
     if N < 4:
         raise ValueError(f"truncation N must be >= 4, got {N}")
-    _check_convergence(abs(complex(zeta)) ** 2, radius_of_convergence(weights))
+    _check_convergence(_modulus_squared(zeta), radius_of_convergence(weights))
     return shift_eigenstate(weights.log_partial_sum_array(N), zeta, 1, tag)
 
 
@@ -212,7 +222,7 @@ def bargmann_transform(psi: StateVector, weights: WeightSequence, samples) -> li
     out = []
     for z in samples:
         z = complex(z)
-        _check_convergence(abs(z) ** 2, radius)
+        _check_convergence(_modulus_squared(z), radius)
         powers = z ** np.arange(len(half_d))
         out.append(complex(np.sum(half_d * inner * powers)))
     return out

@@ -127,8 +127,12 @@ class WeightSequence:
             raise WeightError(f"{self.label()} weights overflow a float by n = {nmax}") from None
 
     def partial_sum_array(self, nmax: int) -> np.ndarray:
-        """W_n = w_1 + ... + w_n for n = 1 .. nmax."""
-        return np.cumsum(self.weight_array(nmax))
+        """W_n = w_1 + ... + w_n for n = 1 .. nmax; WeightError, worded as weight_array's, when one overflows."""
+        with np.errstate(over="raise"):
+            try:
+                return np.cumsum(self.weight_array(nmax))
+            except FloatingPointError:
+                raise WeightError(f"{self.label()} weights' partial sums overflow a float by n = {nmax}") from None
 
     def log_weight_array(self, nmax: int) -> np.ndarray:
         """log w_n, stable for large n (geometric/power handled in closed form)."""
@@ -185,6 +189,8 @@ def c_coefficients_recursive(weights: WeightSequence, N: int) -> np.ndarray:
         if c[n] == 0.0:
             raise WeightError(f"c_{n} = 0 with w_{n+1} = {w[n]}: inconsistent sequence")
         c.append((w[n] + n * c[n] * c[n - 1]) / ((n + 1) * c[n]))
+    if not math.isfinite(c[-1]):  # an inf, then nan from there on
+        raise WeightError(f"{weights.label()} weights overflow a float in c_n by n = {N - 1}")
     return np.array(c)
 
 
@@ -248,8 +254,8 @@ def ladder_matrices(weights: WeightSequence, N: int, basis: BasisTag = FOCK):
     Both are zero off the superdiagonal, so they are compared there.  Both
     members annihilate index 0 structurally.
     """
+    filled = ladder_fill(weights, N, basis)  # first: it refuses partial sums past a float by their name
     conjugated = _conjugated_band(weights, N)
-    filled = ladder_fill(weights, N, basis)
     band = np.diag(filled.mat, 1)
     dev = float(np.max(np.abs(conjugated - band)))
     scale = max(1.0, float(np.max(np.abs(band))))

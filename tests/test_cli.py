@@ -11,7 +11,7 @@ import pytest
 from isoladder import coherent, isospectral, ladder, numerics, params, report
 from isoladder.fock import TruncatedOperator
 from isoladder.ladder import constant_weights, custom_weights, geometric_weights, linear_weights, power_law_weights
-from isoladder.cli import _OPTIONS, ConfigError, RunConfig, build_config, main, make_parser, to_csv, to_json
+from isoladder.cli import _OPTIONS, COMMANDS, ConfigError, RunConfig, build_config, main, make_parser, to_csv, to_json
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,6 +37,21 @@ class TestConfig:
         parser = make_parser()
         config = build_config(parser.parse_args(["order", "--weights", "linear", "--nu", "2.0"]))
         assert config.weights().label() == "power(nu=2)"
+
+    def test_one_grammar_for_every_command(self, capsys):
+        # the battery's form, spaced values and flags before the command read alike
+        forms = [["report", "--lambda=-3.0", "--trunc=64"], ["report", "--lambda", "-3", "--trunc", "64"],
+                 ["--trunc=64", "report", "--lambda=-3"]]
+        configs = [vars(build_config(make_parser().parse_args(argv))) for argv in forms]
+        assert configs[0] == configs[1] == configs[2] and configs[0]["lam"] == -3.0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["nosuch"])
+        error_line = capsys.readouterr().err.splitlines()[-1]
+        assert exit_info.value.code == 2 and error_line.startswith("isoladder: error:")
+        assert all(name in error_line for name in COMMANDS)
+        text = make_parser().format_help()
+        flags = ["--" + key.replace("_", "-") for key, _, _, _, flag in _OPTIONS if flag is not None] + ["--config"]
+        assert all(name in text for name in COMMANDS) and all(flag in text for flag in flags)
 
     def test_file_then_flags_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -293,9 +308,19 @@ class TestCommands:
         (["coherent", "--weights", "linear", "--nu", "300"], 2,
          "error: power(nu=300) weights overflow a float by n = 47\n"),
         (["coherent", "--weights", "constant", "--w", "1e-10"], 1, None),
-    ], ids=["geometric_weights", "power_weights", "h"])
+        (["commutator", "--weights", "constant", "--w", "1e308", "--trunc", "16"], 2,
+         "error: constant(w=1e+308) weights' partial sums overflow a float by n = 15\n"),
+        (["coherent", "--weights", "constant", "--w", "1e308"], 2,
+         "error: constant(w=1e+308) weights' partial sums overflow a float by n = 47\n"),
+        (["coherent", "--zeta-re", "1e200"], 1, None),
+        (["coherent", "--zeta-im", "1e200"], 1, None),
+        (["coherent", "--weights", "single", "--w", "2", "--zeta-re", "1e200"], 2,
+         "error: normalization series diverges: |zeta|^2 = inf vs radius^2 = 2 (|zeta| radius 1.41421)\n"),
+    ], ids=["geometric_weights", "power_weights", "h", "constant_partial_sums", "coherent_partial_sums",
+            "zeta_re_infinite_radius", "zeta_im_infinite_radius", "zeta_finite_radius"])
     def test_overflow_refused_without_a_traceback(self, args, code, refusal):
-        # a weight or an h past the largest float: one error line and exit 2, or (h) inf rows and exit 1
+        # a weight, a partial sum, an h or a |zeta|^2 past the largest float: one error line and exit 2, or
+        # (h, and |zeta|^2 under an infinite radius) inf rows and exit 1
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         run = subprocess.run([sys.executable, "-m", "isoladder", *args], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": path})
@@ -472,8 +497,7 @@ class TestDocs:
 
     def test_readme_lists_the_parser_weight_choices(self):
         listed = re.search(r"`--weights \{([^}]*)\}`", self.README).group(1)
-        order = make_parser()._subparsers._group_actions[0].choices["order"]
-        choices = next(action.choices for action in order._actions if "--weights" in action.option_strings)
+        choices = next(action.choices for action in make_parser()._actions if "--weights" in action.option_strings)
         assert re.sub(r"\s", "", listed).split("|") == choices
 
     def test_readme_states_the_run_config_defaults(self):
@@ -486,7 +510,5 @@ class TestDocs:
     def test_readme_lists_exactly_the_parser_flags(self):
         paragraph = self.README[self.README.index("Flags:"):].split("\n\n", 1)[0]
         documented = set(re.findall(r"`(--[a-z][a-z-]*)", paragraph))
-        commands = make_parser()._subparsers._group_actions[0].choices
-        for name, sub in commands.items():
-            defined = {s for action in sub._actions for s in action.option_strings if s.startswith("--")}
-            assert documented == defined - {"--help"}, name
+        defined = {s for action in make_parser()._actions for s in action.option_strings if s.startswith("--")}
+        assert documented == defined - {"--help"}

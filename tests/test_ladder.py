@@ -212,6 +212,16 @@ class TestCoefficients:
         with pytest.raises(WeightError):
             c_coefficients_recursive(custom_weights([0.0, 1.0, 1.0]), 3)
 
+    def test_rejects_partial_sums_past_a_float(self):
+        # W_2 = 2e308 overflows though each weight is finite: a WeightError, never inf, nan or a RuntimeWarning
+        weights = constant_weights(1e308)
+        rule = re.escape(weights.label())
+        with pytest.raises(WeightError, match=f"^{rule} weights' partial sums overflow a float by n = 4$"):
+            weights.partial_sum_array(4)
+        with pytest.raises(WeightError, match=f"^{rule} weights overflow a float in c_n by n = 4$"):
+            c_coefficients_recursive(weights, 5)
+        assert weights.partial_sum_array(1)[-1] == 1e308
+
     @pytest.mark.parametrize("weights", CLOSED_FORM_WEIGHTS[:5] + [custom_weights(
         np.random.default_rng(501).uniform(0.1, 3.0, 501))], ids=lambda w: w.label())
     def test_recursion_equals_numpy_scalar_loop(self, weights):

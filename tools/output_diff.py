@@ -21,12 +21,18 @@ CLI = [
     *(["report", f"--lambda={lam}", "--trunc=64"] for lam in ("-3", "-1", "0.8963", "2", "10", "50")),
     ["report", "--trunc=8"],
     ["report", "--lambda=2", "--trunc=512"],
-    *(["pdo", f"--w={k}/4"] for k in range(1, 21)),
+    *(["pdo", f"--w={k / 4!r}"] for k in range(1, 21)),
     ["spectrum", "--trunc=256"],
     ["spectrum", "--trunc=24", "--format=csv"],
     *(["commutator", "--weights=geometric", "--q=1.1", f"--trunc={n}"] for n in (128, 512)),
     ["coherent"],
     ["order", "--weights=linear"],
+    ["report", "--lambda=0.5"],
+    ["report", "--trunc=4"],
+    ["pdo", "--w=0"],
+    ["commutator", "--weights=constant", "--w=1e12", "--trunc=16"],
+    ["coherent", "--weights=geometric", "--q=1e30"],
+    ["order", "--weights=linear", "--nu=-0.9"],
 ]
 DEMOS = ["01_isospectral_family.py", "02_distorted_ladders.py", "03_pdo_expansions.py", "04_coherent_states.py"]
 COMMANDS = [["-m", "isoladder", *args] for args in CLI] + [[f"demos/{demo}"] for demo in DEMOS]
