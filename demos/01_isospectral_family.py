@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from isoladder import coherent, fock, isospectral as iso, numerics, report
+from isoladder import coherent, fock, isospectral as iso, ladder, numerics, report
 
 LAM = 2.0
 N = 64
@@ -69,7 +69,7 @@ print(f"largest deviation from 0..39:  {below(*BATTERY['c01']['lowest_40_eigenva
 
 # --- the earlier lowering operator and its coherent states --------------------
 
-a_theta = iso.b_dagger_a_b_matrix(basis)
+a_theta = ladder.represent_in_theta(iso.b_dagger_matrix(basis) @ a @ b, u, basis.tag)
 print(f"\nb+ a b in the theta basis kills theta_0 and theta_1: "
       f"{below(np.linalg.norm(a_theta.mat[:, 0]), 1e-10)}, {below(np.linalg.norm(a_theta.mat[:, 1]), 1e-7)}")
 print(f"its superdiagonal starts (n-1) sqrt(n): {np.round(np.real(np.diag(a_theta.mat, 1))[:5], 6)}")

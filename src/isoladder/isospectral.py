@@ -4,11 +4,11 @@ For each admissible lambda the Riccati solution phi deforms the oscillator
 ladder pair into b = (x + d + phi)/sqrt(2), b^dagger = (x - d + phi)/sqrt(2).
 This module builds the theta eigenbasis of b^dagger b in position space, the
 unitary intertwiner U between the Fock and theta families, the matrices of
-b, b^dagger, b^dagger b and the earlier lowering operator b^dagger a b.  That
-operator is a weighted shift with W_n = n^2 (n+1) from theta_1, so its
-coherent states are one call to coherent.shift_eigenstate, which c12 and
-demo 01 make, as coherent.cs_vector does, under the same 1e-24 relative tail
-guard.
+b, b^dagger, b^dagger b and, on the theta indices, the earlier lowering
+operator b^dagger a b.  That operator is a weighted shift with W_n = n^2 (n+1)
+from theta_1, so its coherent states are one call to coherent.shift_eigenstate,
+which c12 and demo 01 make, as coherent.cs_vector does, under the same 1e-24
+relative tail guard.
 
 The lambda-free Hermite table psi and its norm defects belong to the grid
 (QuadratureGrid.psi, .norm_defects).  A ThetaBasis holds one lambda's phi and
@@ -57,7 +57,6 @@ __all__ = [
     "b_matrix",
     "b_dagger_matrix",
     "h_tilde_matrix",
-    "b_dagger_a_b_matrix",
     "b_dagger_a_b_fill",
     "theta_curvature_table",
 ]
@@ -244,20 +243,8 @@ def h_tilde_matrix(basis: ThetaBasis) -> TruncatedOperator:
     return b_dagger_matrix(basis) @ b_matrix(basis)
 
 
-def b_dagger_a_b_matrix(basis: ThetaBasis) -> TruncatedOperator:
-    """The lowering operator b^dagger a b expressed in the theta basis.
-
-    Its entries reproduce (n-1) sqrt(n) on the superdiagonal: it annihilates
-    both theta_0 and theta_1.  b^dagger a is a column shift of b^dagger
-    (fock.times_one_diagonal), the dense product bit for bit.
-    """
-    u = u_matrix(basis).mat
-    a_fock = times_one_diagonal(b_dagger_matrix(basis).mat, np.sqrt(np.arange(1.0, basis.N)), 1) @ b_matrix(basis).mat
-    return TruncatedOperator(u.conj().T @ a_fock @ u, basis.tag)
-
-
 def b_dagger_a_b_fill(N: int, tag) -> TruncatedOperator:
-    """Structural matrix of the same operator: (n-1) sqrt(n) at (n-1, n)."""
+    """b^dagger a b on the theta indices, from its structure: (n-1) sqrt(n) at (n-1, n)."""
     n = np.arange(1.0, N)
     return TruncatedOperator(np.diag((n - 1.0) * np.sqrt(n), 1), tag)
 

@@ -200,8 +200,10 @@ def c_coefficients_closed(weights: WeightSequence, N: int) -> np.ndarray:
     The generalized double factorial terminates at index >= 1 (empty product
     1), so c_0 = 1, c_1 = W_1, and W_n!!/W_{n-2}!! = W_n gives
     c_n = c_{n-2} (n-1) W_n / (n W_{n-1}): one running product per parity
-    class, from partial sums and integers only.  The recursive table is the
-    oracle this must match to 1e-12 relative.
+    class, from partial sums and integers only.  The ratios read W divided by
+    the power of two of W_{N-1}, which is exact, so no product in them
+    overflows where c_n stays finite.  The recursive table is the oracle
+    this must match to 1e-12 relative.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -209,7 +211,8 @@ def c_coefficients_closed(weights: WeightSequence, N: int) -> np.ndarray:
     if W[0] <= 0:
         raise WeightError(f"closed form needs w_1 > 0, got {W[0]}")
     n = np.arange(2.0, N)
-    ratio = (n - 1.0) * W[1:] / (n * W[:-1])
+    scaled = np.ldexp(W, -math.frexp(W[-1])[1])
+    ratio = (n - 1.0) * scaled[1:] / (n * scaled[:-1])
     c = np.ones(N)
     if N > 1:
         c[1::2] = np.cumprod(np.concatenate(([W[0]], ratio[1::2])))
@@ -289,24 +292,16 @@ def _commutator_deviation(check: dict) -> float:
     return max(check["residual"], check["offdiagonal_max"] / max(1.0, max(map(abs, check["target"]))))
 
 
-def commutator_parts(weights: WeightSequence, N: int, u: TruncatedOperator, tag: BasisTag) -> list:
-    """The two commutator checks of one weight rule, as (label, check, deviation, bound); each passes when
+def commutator_parts(weights: WeightSequence, N: int) -> list:
+    """The commutator checks of one weight rule, as (label, check, deviation, bound); each passes when
     deviation < bound.
 
-    fock_fill_diag is [a1, a1^dagger] of the ladder pair, held to 1e-12; theta_route_diag is
-    [U a1 U^dagger, U a1^dagger U^dagger] represented back on the theta indices, held to 1e-6.  a1 is
-    transported once: U a1^dagger U^dagger = (U a1 U^dagger)^dagger for any U.  check is
-    commutator_diagonal's dict and deviation is what it is judged by (_commutator_deviation).
+    fock_fill_diag is [a1, a1^dagger] of the ladder pair, held to 1e-12.  check is commutator_diagonal's
+    dict and deviation is what it is judged by (_commutator_deviation).
     """
     low, high = ladder_matrices(weights, N, FOCK)
-    low_theta = transport_to_theta(low, u, tag)
-    theta_route = commutator(low_theta, adjoint(low_theta))
-    parts = []
-    for name, comm, bound in (("fock_fill_diag", commutator(low, high).mat, 1e-12),
-                              ("theta_route_diag", represent_in_theta(theta_route, u, tag).mat, 1e-6)):
-        check = commutator_diagonal(comm, weights)
-        parts.append((f"{name}[{weights.label()}]", check, _commutator_deviation(check), bound))
-    return parts
+    check = commutator_diagonal(commutator(low, high).mat, weights)
+    return [(f"fock_fill_diag[{weights.label()}]", check, _commutator_deviation(check), 1e-12)]
 
 
 def transport_to_theta(x: TruncatedOperator, u: TruncatedOperator, tag: BasisTag) -> TruncatedOperator:

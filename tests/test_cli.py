@@ -157,7 +157,7 @@ class TestCommands:
         assert err.startswith("error: |lambda| must exceed sqrt(pi)/2") and "not exceed 2^500" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["spectrum", "commutator"])
+    @pytest.mark.parametrize("command", ["spectrum"])
     def test_refused_grid_exit_1(self, command, capsys, monkeypatch):
         # U cannot be built on 32 nodes: one error line and exit 1, as the report's construction_error
         monkeypatch.setattr(report, "build_grid", lambda N: numerics.build_grid(N, nodes=32))
@@ -217,8 +217,8 @@ class TestCommands:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["fock"]["residual"] < 1e-6
-        assert doc["theta"]["residual"] < 1e-6
+        assert list(doc) == ["weights", "trunc", "fock", "pass"]
+        assert doc["fock"]["residual"] < 1e-12
         assert doc["fock"]["diagonal"][:3] == pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
 
     def test_commutator_q_deformed(self, capsys):
@@ -233,27 +233,35 @@ class TestCommands:
 
     def test_commutator_fails_on_an_off_diagonal_entry(self, capsys, monkeypatch):
         # the diagonal is untouched, so only the shared verdict's off-diagonal term can fail it
-        route = ladder.represent_in_theta
+        exact = ladder.commutator
 
-        def skewed(x, u, tag):
-            comm = route(x, u, tag).mat.copy()
+        def skewed(x, y):
+            comm = exact(x, y).mat.copy()
             comm[2, 3] += 1e-3
-            return TruncatedOperator(comm, tag)
+            return TruncatedOperator(comm, x.basis)
 
-        monkeypatch.setattr(ladder, "represent_in_theta", skewed)
+        monkeypatch.setattr(ladder, "commutator", skewed)
         code, out, _ = run_cli(["commutator", "--trunc", "16"], capsys)
         doc = json.loads(out)
-        assert doc["theta"]["residual"] < 1e-6
+        assert doc["fock"]["residual"] < 1e-12 and doc["fock"]["offdiagonal_max"] == pytest.approx(1e-3)
         assert code == 1 and doc["pass"] is False
 
     def test_commutator_builds_neither_b_nor_h_tilde(self, capsys, monkeypatch):
-        # commutator reads only U and the theta basis; b (and H~ = b+ b) are built on first use
-        def refuse(basis):
-            raise AssertionError("commutator built b")
+        # commutator reads only the ladder pair: no theta basis, U, b or H~ = b+ b is built
+        def refuse(*args):
+            raise AssertionError("commutator built a theta-basis object")
 
-        monkeypatch.setattr(isospectral, "b_matrix", refuse)
+        for module, name in ((isospectral, "ThetaBasis"), (report, "_Context"), (isospectral, "u_matrix"),
+                             (isospectral, "b_matrix")):
+            monkeypatch.setattr(module, name, refuse)
         code, _, _ = run_cli(["commutator", "--trunc", "16"], capsys)
         assert code == 0
+
+    def test_commutator_reads_no_lambda(self, capsys):
+        # no number in the output depends on lambda, so two lambda print the same bytes
+        args = ["commutator", "--weights", "geometric", "--q", "1.1", "--trunc", "24"]
+        first, second = (run_cli([*args, "--lambda", lam], capsys) for lam in ("-3", "2"))
+        assert first == second and first[0] == 0
 
     @pytest.mark.parametrize("args, key", [
         (["order", "--weights", "constant", "--w", "inf"], "w"),

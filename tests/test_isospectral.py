@@ -17,7 +17,6 @@ from isoladder.isospectral import (
     ParameterError,
     PhiFunction,
     ThetaBasis,
-    b_dagger_a_b_matrix,
     b_dagger_matrix,
     b_matrix,
     b_dagger_a_b_fill,
@@ -28,6 +27,7 @@ from isoladder.isospectral import (
     unitarity_defect,
 )
 from isoladder import numerics
+from isoladder.ladder import represent_in_theta
 from isoladder.coherent import TruncationError, shift_eigenstate
 from isoladder.numerics import QuadratureGrid, build_grid, grid_norm, hermite_table
 from isoladder.params import SQRT_PI
@@ -410,8 +410,14 @@ class TestHTilde:
         assert devs[2] < 2.0 * devs[1] / 100.0
 
 
+def theta_b_dagger_a_b(basis):
+    """b^dagger a b on the theta indices as demo 01 forms it: U^dagger ((b^dagger a) b) U."""
+    a_fock = b_dagger_matrix(basis) @ annihilation_matrix(basis.N) @ b_matrix(basis)
+    return represent_in_theta(a_fock, u_matrix(basis), basis.tag)
+
+
 def dense_b_dagger_a_b(basis):
-    """U^dagger (b^dagger a b) U as dense products: the oracle b_dagger_a_b_matrix must equal bit for bit."""
+    """U^dagger (b^dagger a b) U as dense products, b^dagger taken as b's adjoint."""
     u, b = u_matrix(basis), b_matrix(basis)
     a_fock = adjoint(b) @ annihilation_matrix(basis.N) @ b
     return adjoint(u) @ a_fock @ u
@@ -419,30 +425,30 @@ def dense_b_dagger_a_b(basis):
 
 class TestCompositeLoweringOperator:
     def test_kills_theta0_and_theta1(self, basis64):
-        a_theta = b_dagger_a_b_matrix(basis64)
+        a_theta = theta_b_dagger_a_b(basis64)
         assert np.linalg.norm(a_theta.mat[:, 0]) < 1e-10
         assert np.linalg.norm(a_theta.mat[:, 1]) < 1e-7
 
     def test_action_on_theta2(self, basis64):
-        a_theta = b_dagger_a_b_matrix(basis64)
+        a_theta = theta_b_dagger_a_b(basis64)
         lhs = a_theta.mat @ np.eye(64)[2]
         assert np.linalg.norm(lhs - math.sqrt(2.0) * np.eye(64)[1]) < 1e-7
 
     def test_raising_coefficient(self, basis64):
-        a_theta = b_dagger_a_b_matrix(basis64)
+        a_theta = theta_b_dagger_a_b(basis64)
         lhs = a_theta.mat.conj().T @ np.eye(64)[3]
         assert np.linalg.norm(lhs - 6.0 * np.eye(64)[4]) < 1e-7
 
     def test_matrix_entries(self, basis64):
-        a_theta = b_dagger_a_b_matrix(basis64)
+        a_theta = theta_b_dagger_a_b(basis64)
         fill = b_dagger_a_b_fill(64, basis64.tag)
         assert interior_max_abs(a_theta.mat - fill.mat) < 1e-6
 
     @pytest.mark.parametrize("lam", [2.0, -3.0])
     def test_is_the_dense_product(self, grid64, lam):
-        # b^dagger a as a column shift of b^dagger reproduces U^dagger (b^dagger a b) U bit for bit
+        # b^dagger is b's adjoint bit for bit, so demo 01's lines are those of the dense chain
         basis = ThetaBasis(IsospectralParams(lam), grid64, 64)
-        assert np.array_equal(b_dagger_a_b_matrix(basis).mat, dense_b_dagger_a_b(basis).mat)
+        assert np.array_equal(theta_b_dagger_a_b(basis).mat, dense_b_dagger_a_b(basis).mat)
 
 
 def truncated(basis, N):

@@ -34,7 +34,7 @@ DEPENDENCY = {
     "criterion_01_isospectrality": (report, "h_tilde_eigenvalues"),
     "criterion_02_riccati": (isospectral, "riccati_residual"),
     "criterion_03_c_coefficients": (ladder, "c_coefficients_closed"),
-    "criterion_04_commutator_diag": (ladder, "represent_in_theta"),
+    "criterion_04_commutator_diag": (ladder, "commutator_diagonal"),
     "criterion_05_closed_forms": (ladder, "closed_form_case"),
     "criterion_06_resolvent": (ladder, "resolvent_inv_sqrt"),
     "criterion_07_pdo_golden": (pdo, "series_invert"),
@@ -190,8 +190,7 @@ def test_part_names_are_unique_within_each_criterion():
     assert parts["c07_pdo_identities"][3:5] == ["b_phi0_equals_a", "bdag_b_equals_h_minus_phiprime"]
 
 
-READ_U = ["c01_isospectrality", "c04_commutator_diagonal", "c05_closed_form_equivalence",
-          "c11_lambda_to_infinity", "c12_composite_lowering"]
+READ_U = ["c01_isospectrality", "c05_closed_form_equivalence", "c11_lambda_to_infinity"]
 
 
 def _failed_parts(capsys):

@@ -25,6 +25,7 @@ CLI = [
     ["spectrum", "--trunc=256"],
     ["spectrum", "--trunc=24", "--format=csv"],
     *(["commutator", "--weights=geometric", "--q=1.1", f"--trunc={n}"] for n in (128, 512)),
+    ["commutator", "--lambda=-3", "--weights=geometric", "--q=1.1", "--trunc=128"],
     ["coherent"],
     ["order", "--weights=linear"],
     ["report", "--lambda=0.5"],
