@@ -9,11 +9,13 @@ identical configs produce byte-identical files.
 Exit codes: 0 all checks pass, 1 a check failed or a construction was refused,
 2 invalid configuration (a non-finite number, an unreadable --config or an unusable --out included), as
 params.Refusal.exit_code says.  Each command imports the modules it runs, so `pdo` imports no numpy.
+`python -m isoladder` and the `isoladder` script enter through run; main is the in-process API.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from fractions import Fraction
@@ -21,7 +23,7 @@ from pathlib import Path
 
 from .params import WEIGHT_RULES, IsospectralParams, ParameterError, Refusal, WeightError, check_weight_rule
 
-__all__ = ["RunConfig", "ConfigError", "main"]
+__all__ = ["RunConfig", "ConfigError", "main", "run"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -315,5 +317,13 @@ def main(argv=None) -> int:
         return exc.exit_code if isinstance(exc, Refusal) else EXIT_BAD_CONFIG
 
 
+def run():
+    """Exit with main's code; gc.freeze first moves every tracked object to the permanent generation, which
+    the collections at interpreter exit skip (atexit handlers and the flush of stdout and stderr still run)."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

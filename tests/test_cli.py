@@ -1,3 +1,5 @@
+import ast
+import gc
 import json
 import math
 import os
@@ -24,6 +26,12 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports isoladder from this checkout's src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestConfig:
@@ -329,9 +337,8 @@ class TestCommands:
     def test_overflow_refused_without_a_traceback(self, args, code, refusal):
         # a weight, a partial sum, an h or a |zeta|^2 past the largest float: one error line and exit 2, or
         # (h, and |zeta|^2 under an infinite radius) inf rows and exit 1
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         run = subprocess.run([sys.executable, "-m", "isoladder", *args], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": path})
+                             env=fresh_env())
         assert run.returncode == code and "Traceback" not in run.stderr
         if refusal is not None:
             assert run.stdout == "" and run.stderr == refusal
@@ -431,9 +438,8 @@ class TestCommands:
         script = ("import sys\nfrom isoladder import cli\ncode = cli.main(['pdo', '--w', '3'])\n"
                   "print(code, [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules],"
                   " sorted(m for m in sys.modules if m.startswith('isoladder.')), file=sys.stderr)")
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
-                             env={**os.environ, "PYTHONPATH": path})
+                             env=fresh_env())
         assert run.stderr == "0 [] ['isoladder.cli', 'isoladder.params', 'isoladder.pdo']\n"
         doc = json.loads(run.stdout)
         assert doc["lowering_series"] == PDO_GOLDEN_SERIES["3.0"]["lowering_series"]
@@ -443,9 +449,8 @@ class TestCommands:
         # a fresh interpreter: c06's midpoint rule needs no Gauss-Legendre nodes, so nothing loads numpy.polynomial
         script = ("import sys\nfrom isoladder import cli\ncode = cli.main(['report', '--trunc', '64'])\n"
                   "print(code, 'numpy.polynomial' in sys.modules, file=sys.stderr)")
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
-                             env={**os.environ, "PYTHONPATH": path})
+                             env=fresh_env())
         assert run.stderr == "0 False\n"
         assert json.loads(run.stdout)["all_pass"]
 
@@ -498,6 +503,48 @@ class TestReportCommand:
         code, out, _ = run_cli(["report"], capsys)
         assert code == 0
         assert json.loads(out)["all_pass"] is True
+
+
+class TestProcessEntry:
+    # runs `python -m isoladder` with the arguments after -c; an atexit hook prints the freeze count to stderr
+    SCRIPT = ("import atexit, gc, runpy, sys\n"
+              "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+              "runpy.run_module('isoladder', run_name='__main__', alter_sys=True)\n")
+
+    @pytest.mark.parametrize("args", [["pdo", "--w", "0.75"], ["report", "--trunc", "8"]])
+    def test_main_leaves_the_collector_as_it_found_it(self, args, capsys):
+        # only the process entry freezes: the tests and the benchmark's traced loop call main many times
+        before = gc.get_freeze_count(), gc.isenabled()
+        run_cli(args, capsys)
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    @pytest.mark.parametrize("args, code", [(["pdo", "--w", "0.75"], 0), (["report", "--trunc", "8"], 1),
+                                            (["pdo", "--w", "0"], 2)])
+    def test_entry_freezes_before_exit_and_keeps_the_exit_code(self, args, code, capsys):
+        fresh = subprocess.run([sys.executable, "-c", self.SCRIPT, *args], capture_output=True, text=True,
+                               env=fresh_env())
+        *err_lines, freeze_count = fresh.stderr.splitlines()
+        assert int(freeze_count) > 0
+        in_code, in_out, in_err = run_cli(args, capsys)
+        assert fresh.returncode == in_code == code
+        assert (fresh.stdout, err_lines) == (in_out, in_err.splitlines())
+
+    def test_script_and_module_share_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+        tree = ast.parse((ROOT / "src" / "isoladder" / "__main__.py").read_text(encoding="utf-8"))
+        imported = {alias.name: node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        [called] = [node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id in imported]
+        assert scripts["isoladder"] == f"isoladder.{imported[called]}:{called}"
+
+    def test_out_file_survives_the_frozen_exit(self, tmp_path, capsys):
+        fresh = subprocess.run([sys.executable, "-m", "isoladder", "pdo", "--w", "0.75", "--out", str(tmp_path)],
+                               capture_output=True, text=True, check=True, env=fresh_env())
+        target = tmp_path / "pdo.json"
+        assert fresh.stdout == f"{target}\n"
+        assert target.read_bytes() == run_cli(["pdo", "--w", "0.75"], capsys)[1].encode("utf-8")
 
 
 class TestDocs:

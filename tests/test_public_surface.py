@@ -1,9 +1,10 @@
 """Every name in a module's __all__, and every method, is reached from the command line or a demo.
 
-`isoladder.__main__` (and the `isoladder` script, cli.main) runs every
-command, the acceptance report included; the demos are the other entry
-points.  A definition is reached when an identifier it is bound to is read,
-as a bare name or an attribute, in code that is itself reached.  A class
+`isoladder.__main__` (and the `isoladder` script; both call the process
+entry cli.run) runs every command, the acceptance report included; the
+demos are the other entry points.  A definition is reached when an
+identifier it is bound to is read, as a bare name or an attribute, in code
+that is itself reached.  A class
 body counts as read with its class, except its non-dunder methods: each of
 those is a definition of its own name, reached only when that name is read.
 Matching is by identifier across the package, so a same-named read elsewhere
