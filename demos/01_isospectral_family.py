@@ -82,7 +82,7 @@ print(f"annihilation-eigenstate residual at z = (0.8+0.3j): {below(*BATTERY['c12
 # indices U a U+ is the weighted shift with W_n = n, started at theta_0
 alpha = 1.0 + 0.5j
 img_cs = coherent.shift_eigenstate(np.log(np.arange(1.0, N + 1)), alpha, 0, basis.tag)
-a_tilde = u.mat @ a.mat @ u.mat.conj().T
+a_tilde = ladder.transport_to_theta(a, u, basis.tag).mat
 in_fock = u.mat @ img_cs.coeffs
 print(f"unitary-image CS residual at alpha = {alpha}: "
       f"{below(np.linalg.norm(a_tilde @ in_fock - alpha * in_fock), 1e-7)}")

@@ -50,13 +50,13 @@ print(f"\nunit weights: S equals (1+H)^(-1/2) a, max |difference| {below(np.max(
 for weights in (ladder.constant_weights(2.0), ladder.distorted_weights(0.5),
                 ladder.linear_weights(), ladder.single_weight(2.0), ladder.geometric_weights(0.7)):
     low, high = ladder.ladder_matrices(weights, N)
-    comm = (low.mat @ high.mat - high.mat @ low.mat)
+    comm = fock.commutator(low, high).mat
     diag = np.real(np.diag(comm))[:6]
     print(f"{weights.label():20s} commutator diagonal starts {np.round(diag, 6)}")
 
 # --- the five closed forms vs the general construction --------------------------
 
-print("\nclosed form vs general (transported fill), interior max |difference| against c05's bound:")
+print("\nclosed form vs general (the Fock band sqrt(W_n)), interior max |difference| against c05's bound:")
 for label, part in BATTERY["c05"].items():
     if label.startswith("closed_vs_general["):
         print(f"  {label.removeprefix('closed_vs_general[')[:-1]:20s} -> {below(*part)}")

@@ -152,8 +152,8 @@ def cmd_spectrum(config: RunConfig) -> tuple:
 def cmd_commutator(config: RunConfig) -> tuple:
     from . import ladder
     weights = config.weights()
-    (_, check, deviation, bound), = ladder.commutator_parts(weights, config.trunc)
-    ok = deviation < bound
+    _, check, bound = ladder.commutator_part(weights, config.trunc)
+    ok = check["residual"] < bound
     text = to_json({"weights": weights.label(), "trunc": config.trunc, "fock": check, "pass": ok})
     return "commutator.json", text, ok
 

@@ -5,10 +5,13 @@ Given real nonnegative weights {w_n}, the shift operator S = sum sqrt(c_n)
 the oscillator lowering operator by it yields the ladder pair with
 [a1, a1^dagger] = diag(0, w_1, w_2, ...).  The c_n come either from the
 recursion (the oracle) or from the closed form in terms of generalized
-double factorials of the partial sums W_n; the two must always agree.  For
-the paper's five cases the weight rule also picks a row of _CLOSED_FORMS,
-a1 = s b^dagger L(H) a R(H) b with H = diag(0 .. N-1), so L and R are
-diagonals: closed_form_case applies them, and a, as column operations.
+double factorials of the partial sums W_n; the two must always agree.  a1
+has one nonzero band, sqrt(W_n) at (n, n+1) (ladder_band), and so has its
+commutator check: [a1, a1^dagger] is diagonal.  For the paper's five cases
+the weight rule also picks a row of _CLOSED_FORMS, a1 = s b^dagger L(H) a
+R(H) b with H = diag(0 .. N-1), so L and R are diagonals.  With b = a U^T the
+theta-side form is U (s a^dagger L a R a) U^T for any orthogonal U, so
+closed_form_case evaluates the Fock side, b = a, on its one band.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ import numpy as np
 from .fock import (
     FOCK,
     BasisTag,
+    INTERIOR_MARGIN,
     TruncatedOperator,
     adjoint,
-    commutator,
-    interior_block,
     require_hermitian,
     times_one_diagonal,
 )
@@ -43,10 +45,11 @@ __all__ = [
     "c_coefficients_recursive",
     "c_coefficients_closed",
     "shift_matrix",
+    "ladder_band",
     "ladder_fill",
     "ladder_matrices",
     "commutator_diagonal",
-    "commutator_parts",
+    "commutator_part",
     "transport_to_theta",
     "represent_in_theta",
     "closed_form_case",
@@ -233,13 +236,6 @@ def shift_matrix(weights: WeightSequence, N: int) -> TruncatedOperator:
     return TruncatedOperator(np.diag(_root_c(weights, N), 1))
 
 
-def ladder_fill(weights: WeightSequence, N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
-    """Direct construction a1 = sum_{n>=1} sqrt(W_n) |n><n+1|."""
-    W = weights.partial_sum_array(max(N - 1, 1))
-    superdiagonal = np.sqrt(np.concatenate(([0.0], W)))[: N - 1]
-    return TruncatedOperator(np.diag(superdiagonal, 1), basis)
-
-
 def _conjugated_band(weights: WeightSequence, N: int) -> np.ndarray:
     """The superdiagonal of S^dagger a S, its only nonzero band: (sqrt(c_{n-1}) sqrt(n)) sqrt(c_n) at (n, n+1).
 
@@ -249,59 +245,52 @@ def _conjugated_band(weights: WeightSequence, N: int) -> np.ndarray:
     return np.concatenate(([0.0], root_c[:-1] * root_n * root_c[1:]))
 
 
-def ladder_matrices(weights: WeightSequence, N: int, basis: BasisTag = FOCK):
-    """The ladder pair (a1, a1^dagger) for the weights, built two ways.
+def ladder_band(weights: WeightSequence, N: int) -> np.ndarray:
+    """The superdiagonal of a1, its only nonzero band: sqrt(W_n) at (n, n+1) for n = 0 .. N-2, W_0 = 0.
 
-    The conjugation route S^dagger a S and the direct sqrt(W_n) fill must
-    agree entrywise to 1e-12; construction fails loudly if they do not.
-    Both are zero off the superdiagonal, so they are compared there.  Both
-    members annihilate index 0 structurally.
+    The direct sqrt(W_n) fill and the conjugation route S^dagger a S must agree entrywise to 1e-12 of the
+    largest entry; WeightError if they do not.  The fill comes first: it refuses partial sums past a float
+    by their name.
     """
-    filled = ladder_fill(weights, N, basis)  # first: it refuses partial sums past a float by their name
-    conjugated = _conjugated_band(weights, N)
-    band = np.diag(filled.mat, 1)
-    dev = float(np.max(np.abs(conjugated - band)))
-    scale = max(1.0, float(np.max(np.abs(band))))
-    if dev > 1e-12 * scale:
+    band = np.sqrt(np.concatenate(([0.0], weights.partial_sum_array(max(N - 1, 1)))))[: N - 1]
+    dev = float(np.max(np.abs(_conjugated_band(weights, N) - band), initial=0.0))
+    if dev > 1e-12 * max(1.0, float(np.max(band, initial=0.0))):
         raise WeightError(f"conjugation and direct fill disagree by {dev:.3e}")
+    return band
+
+
+def ladder_fill(weights: WeightSequence, N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
+    """a1 = sum_{n>=1} sqrt(W_n) |n><n+1|: ladder_band's checked band as an N x N matrix."""
+    return TruncatedOperator(np.diag(ladder_band(weights, N), 1), basis)
+
+
+def ladder_matrices(weights: WeightSequence, N: int, basis: BasisTag = FOCK):
+    """The ladder pair (a1, a1^dagger) on ladder_band's checked band; both annihilate index 0 structurally."""
+    filled = ladder_fill(weights, N, basis)
     return filled, adjoint(filled)
 
 
-def commutator_diagonal(comm: np.ndarray, weights: WeightSequence) -> dict:
-    """Interior diagonal of a ladder commutator against diag(0, w_1, w_2, ...).
+def commutator_diagonal(band: np.ndarray, weights: WeightSequence) -> dict:
+    """Interior diagonal of [a1, a1^dagger] for the a1 whose superdiagonal is band, against diag(0, w_1, ...).
 
-    residual is max |diagonal - target| / max(1, |target|); offdiagonal_max
-    is the largest off-diagonal modulus, unscaled.
+    a1 has one nonzero band, so the commutator is diagonal with entry n equal to band_n^2 - band_{n-1}^2:
+    each entry of the dense a1 a1^dagger - a1^dagger a1 is that one difference plus exact zeros, so this is
+    its diagonal bit for bit.  residual is max |diagonal - target| / max(1, |target|).
     """
-    n = comm.shape[0]
-    target = np.zeros(n)
-    target[1:] = weights.weight_array(n - 1)
-    inner = interior_block(comm)
-    tgt = target[: inner.shape[0]]
-    diag = np.real(np.diag(inner))
+    inner = len(band) + 1 - INTERIOR_MARGIN
+    diag = np.diff(np.concatenate(([0.0], band * band)))[:inner]
+    tgt = np.concatenate(([0.0], weights.weight_array(len(band))))[:inner]
     return {
         "diagonal": [float(v) for v in diag],
         "target": [float(v) for v in tgt],
         "residual": float(np.max(np.abs(diag - tgt) / np.maximum(1.0, np.abs(tgt)))),
-        "offdiagonal_max": float(np.max(np.abs(inner - np.diag(np.diag(inner))))),
     }
 
 
-def _commutator_deviation(check: dict) -> float:
-    """What a commutator_diagonal check is judged by: max(residual, offdiagonal_max / max(1, max |target|))."""
-    return max(check["residual"], check["offdiagonal_max"] / max(1.0, max(map(abs, check["target"]))))
-
-
-def commutator_parts(weights: WeightSequence, N: int) -> list:
-    """The commutator checks of one weight rule, as (label, check, deviation, bound); each passes when
-    deviation < bound.
-
-    fock_fill_diag is [a1, a1^dagger] of the ladder pair, held to 1e-12.  check is commutator_diagonal's
-    dict and deviation is what it is judged by (_commutator_deviation).
-    """
-    low, high = ladder_matrices(weights, N, FOCK)
-    check = commutator_diagonal(commutator(low, high).mat, weights)
-    return [(f"fock_fill_diag[{weights.label()}]", check, _commutator_deviation(check), 1e-12)]
+def commutator_part(weights: WeightSequence, N: int) -> tuple:
+    """The commutator check of one weight rule, as (label, check, bound): commutator_diagonal's dict on
+    ladder_band's band, which passes when its residual is below the bound, 1e-12."""
+    return f"fock_fill_diag[{weights.label()}]", commutator_diagonal(ladder_band(weights, N), weights), 1e-12
 
 
 def transport_to_theta(x: TruncatedOperator, u: TruncatedOperator, tag: BasisTag) -> TruncatedOperator:
@@ -323,28 +312,28 @@ def represent_in_theta(x: TruncatedOperator, u: TruncatedOperator, tag: BasisTag
     return TruncatedOperator(u.mat.conj().T @ x.mat @ u.mat, tag)
 
 
-def closed_form_case(weights: WeightSequence, b: TruncatedOperator) -> TruncatedOperator:
-    """The closed-form expression s b+ L(H) a R(H) b for a1 (theta side, Fock coordinates), from _CLOSED_FORMS.
+def closed_form_case(weights: WeightSequence, N: int) -> np.ndarray:
+    """The band of the closed form s b+ L(H) a R(H) b for a1 on the Fock side, b = a, from _CLOSED_FORMS:
+    0 at (0, 1) and s sqrt(n) (n-1) R(n-1) L(n-2) at (n-1, n) for n = 2 .. N-1, as ladder_band lays it out.
 
-    H = diag(0 .. N-1), so each factor g(H) of L and R is the diagonal g(0) .. g(N-1), each entry a Python
-    float (numpy's vectorized ** and expm1 can differ in the last bit).  The factors scale the columns of
-    b+ one after another, a shifts them (fock.times_one_diagonal), one product with b follows and s scales
-    last: the dense chain s (b+ L_1 .. a R_1 .. b) in its own left-to-right order, bit for bit, as every
-    entry of a product with a diagonal or a one-band matrix is one product plus exact zeros.  Power-law and
-    custom weights have no closed form and raise ValueError.
+    H = diag(0 .. N-1), so each factor g(H) of L and R is read at H's eigenvalues as Python floats (numpy's
+    vectorized ** and expm1 can differ in the last bit).  The entry is multiplied in the dense chain's order,
+    sqrt(n-1), each L, sqrt(n-1), each R, sqrt(n), then s: each entry of a product with a diagonal or a
+    one-band matrix is one product plus exact zeros, so this is the dense chain's band bit for bit.
+    Power-law and custom weights have no closed form and raise ValueError.
     """
     if weights.kind not in _CLOSED_FORMS:
         raise ValueError(f"no closed form for {weights.label()}: only constant, distorted, linear, "
                          "single and geometric weights have one")
     scale, left, right = _CLOSED_FORMS[weights.kind](weights)
-    h = [float(t) for t in range(b.dim)]
-    x = adjoint(b).mat
+    h, root = [float(t) for t in range(N - 1)], np.sqrt(np.arange(N, dtype=float))
+    x = root[1:-1]
     for g in left:
-        x = x * np.array([g(t) for t in h])
-    x = times_one_diagonal(x, np.sqrt(np.arange(1.0, b.dim)), 1)
+        x = x * np.array([g(t) for t in h[:-1]])
+    x = x * root[1:-1]
     for g in right:
-        x = x * np.array([g(t) for t in h])
-    return TruncatedOperator(x @ b.mat * scale, b.basis)
+        x = x * np.array([g(t) for t in h[1:]])
+    return np.concatenate(([0.0], x * root[2:] * scale))
 
 
 def _resolvent_nodes(kappa: float) -> int:

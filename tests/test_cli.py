@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from isoladder import coherent, isospectral, ladder, numerics, params, report
-from isoladder.fock import TruncatedOperator
 from isoladder.ladder import constant_weights, custom_weights, geometric_weights, linear_weights, power_law_weights
 from isoladder.cli import _OPTIONS, COMMANDS, ConfigError, RunConfig, build_config, main, make_parser, to_csv, to_json
 
@@ -238,21 +237,6 @@ class TestCommands:
         expected = [0.0] + [1.1**n for n in range(1, 4)]
         got = doc["fock"]["diagonal"][:4]
         assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_commutator_fails_on_an_off_diagonal_entry(self, capsys, monkeypatch):
-        # the diagonal is untouched, so only the shared verdict's off-diagonal term can fail it
-        exact = ladder.commutator
-
-        def skewed(x, y):
-            comm = exact(x, y).mat.copy()
-            comm[2, 3] += 1e-3
-            return TruncatedOperator(comm, x.basis)
-
-        monkeypatch.setattr(ladder, "commutator", skewed)
-        code, out, _ = run_cli(["commutator", "--trunc", "16"], capsys)
-        doc = json.loads(out)
-        assert doc["fock"]["residual"] < 1e-12 and doc["fock"]["offdiagonal_max"] == pytest.approx(1e-3)
-        assert code == 1 and doc["pass"] is False
 
     def test_commutator_builds_neither_b_nor_h_tilde(self, capsys, monkeypatch):
         # commutator reads only the ladder pair: no theta basis, U, b or H~ = b+ b is built

@@ -23,6 +23,7 @@ ORIGINALS = {
     (isospectral, "u_matrix"): isospectral.u_matrix,
     (isospectral.PhiFunction, "value"): isospectral.PhiFunction.value,
     (ladder, "c_coefficients_closed"): ladder.c_coefficients_closed,
+    (ladder, "_CLOSED_FORMS"): ladder._CLOSED_FORMS,
     (pdo, "_diff"): pdo._diff,
 }
 
@@ -75,6 +76,11 @@ CATALOGUE = [
              lambda mp: mp.setattr(ladder, "c_coefficients_closed",
                                    lambda w, N: ORIGINALS[ladder, "c_coefficients_closed"](w, N + 1)[1:]),
              {"c03_c_closed_form": C03_CLOSED}),
+    Mutation("closed_form_case_ii_over_t_plus_1",
+             lambda mp: mp.setattr(ladder, "_CLOSED_FORMS", {
+                 **ORIGINALS[ladder, "_CLOSED_FORMS"],
+                 "distorted": lambda ws: (1.0, [lambda t: ((t + ws.param) / (t + 1.0)) ** 0.5 / (t + 1.0)], [])}),
+             {"c05_closed_form_equivalence": ["closed_vs_general[distorted(w=0.5)]"]}),
     Mutation("pdo_diff_riccati_sign_flipped", lambda mp: mp.setattr(pdo, "_diff", riccati_sign_flipped),
              {"c07_pdo_identities": ["bdag_b_equals_h_minus_phiprime", "ladder_reference_w=1",
                                      "ladder_reference_w=2", "ladder_reference_w=7/2",

@@ -190,7 +190,17 @@ def test_part_names_are_unique_within_each_criterion():
     assert parts["c07_pdo_identities"][3:5] == ["b_phi0_equals_a", "bdag_b_equals_h_minus_phiprime"]
 
 
-READ_U = ["c01_isospectrality", "c05_closed_form_equivalence", "c11_lambda_to_infinity"]
+READ_U = ["c01_isospectrality", "c11_lambda_to_infinity"]
+
+
+def test_c05_reads_no_u(context, monkeypatch):
+    # the closed forms and the ladder meet on the Fock band, where U cancels: with no U, b or overlaps to
+    # build, c05 passes with the same parts, bit for bit
+    parts = report.criterion_05_closed_forms(context).parts
+    for owner, name in ((isospectral, "u_matrix"), (isospectral, "b_matrix"), (isospectral.ThetaBasis, "_overlaps")):
+        monkeypatch.setattr(owner, name, _raise)
+    result = report.criterion_05_closed_forms(context)
+    assert result.passed and result.parts == parts
 
 
 def _failed_parts(capsys):
