@@ -160,10 +160,9 @@ def cmd_commutator(config: RunConfig) -> tuple:
 
 def cmd_coherent(config: RunConfig) -> tuple:
     from . import coherent
-    from .fock import FOCK
     weights = config.weights()
     zeta = config.zeta
-    rows = [{"N": N, "residual": coherent.cs_residual(weights, zeta, N, FOCK)}
+    rows = [{"N": N, "residual": coherent.cs_residual(weights, zeta, N)}
             for N in sorted({48, 64, 96, config.trunc})]
     # as c08, at the N asked for
     ok = next(row for row in rows if row["N"] == config.trunc)["residual"] < coherent.CS_RESIDUAL_BOUND

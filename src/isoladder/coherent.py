@@ -4,12 +4,13 @@ Eigenstates of the lowering operator built on theta_1 with coefficients
 d_n^{1/2} zeta^n, d_n = (W_1 ... W_n)^{-1}; the Fock-Bargmann map; entire-
 function order / radius-of-convergence estimation from the growth of the
 partial-sum products; and, for unit weights, the unitary displacement
-operator and the Perelomov-type generalized coherent states.  The
-displacement builds the unit-weight pair itself, as it is the only pair it
-admits; generalized_cs transports by a D it is given, so
-a caller builds D once, and runs d_theta1_deviation, c09's check of D theta_1
-against cs_vector, once per call for all of theta_2 .. theta_n, refusing a D
-that fails it and starting from the state the check built.
+operator and the Perelomov-type generalized coherent states.  Each lowering
+operator is a weighted shift, applied as its one band at (n, n+1); the
+displacement builds the unit-weight band, the only one it admits, itself.
+generalized_cs transports by a D it is given, so a caller builds D once, and
+runs d_theta1_deviation, c09's check of D theta_1 against cs_vector, once per
+call for all of theta_2 .. theta_n, refusing a D that fails it and starting
+from the state the check built.
 
 log_d_coefficients is the one home of log d_n: shift_eigenstate (these states
 and isospectral's b+ a b family, under one tail guard), normalization_h, the
@@ -28,13 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import (
+    FOCK,
     StateVector,
     TruncatedOperator,
     adjoint,
-    apply_operator,
     apply_spectral_function,
+    times_one_diagonal,
 )
-from .ladder import WeightSequence, constant_weights, ladder_matrices
+from .ladder import WeightSequence, constant_weights, ladder_band
 from .params import Refusal, WeightError
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "CS_RESIDUAL_BOUND",
     "shift_eigenstate",
     "cs_vector",
+    "band_residual",
     "cs_residual",
     "bargmann_transform",
     "order_estimate",
@@ -58,6 +61,9 @@ __all__ = [
 
 _FIT_LO = 1_000
 _FIT_HI = 10_000
+# Power weights' W_n = n^{1+nu}/(1+nu) + zeta(-nu) + ..., fitted by the first term: the omitted zeta(-nu) moves rho
+# by about 2 |zeta(-nu)| n^{-(1+nu)}, most at the window's n = 10^3, past c10's 0.05 below nu = -0.4353
+_FIT_NU_MIN = -0.435
 _H_REL_TOL = 1e-12  # relative tail bound normalization_h certifies
 CS_RESIDUAL_BOUND = 1e-6  # the largest cs_residual that passes, in c08 and `isoladder coherent`
 
@@ -199,15 +205,21 @@ def cs_vector(zeta: complex, weights: WeightSequence, N: int, tag) -> StateVecto
     return shift_eigenstate(weights.log_partial_sum_array(N), zeta, 1, tag)
 
 
-def cs_residual(weights: WeightSequence, zeta: complex, N: int, tag) -> float:
-    """|a1 cs - zeta cs| at truncation N; inf when the tail guard refuses N."""
-    low, _ = ladder_matrices(weights, N, tag)
+def band_residual(band: np.ndarray, state: StateVector, zeta: complex) -> float:
+    """|A c - zeta c|, c = state.coeffs, for the A whose one band is band at (n, n+1): A c = (c^T A^T)^T is
+    fock.times_one_diagonal's column shift by A^T's band at (n+1, n), the dense A @ c bit for bit."""
+    moved = times_one_diagonal(state.coeffs[None, :], band, -1)[0]
+    return float(np.linalg.norm(moved - zeta * state.coeffs))
+
+
+def cs_residual(weights: WeightSequence, zeta: complex, N: int) -> float:
+    """|a1 cs - zeta cs| at truncation N, a1 read from ladder_band; inf when the tail guard refuses N."""
+    band = ladder_band(weights, N)
     try:
-        cs = cs_vector(zeta, weights, N, tag)
+        cs = cs_vector(zeta, weights, N, FOCK)
     except TruncationError:
         return math.inf
-    moved = apply_operator(low, cs)
-    return float(np.linalg.norm(moved.coeffs - zeta * cs.coeffs))
+    return band_residual(band, cs, zeta)
 
 
 def bargmann_transform(psi: StateVector, weights: WeightSequence, samples) -> list:
@@ -289,8 +301,12 @@ def order_estimate(weights: WeightSequence) -> OrderEstimate:
     n in [1e3, 1e4]; a practically significant n^2 term means order 0
     (Gaussian-type coefficient decay), else rho = 2 / (n log n coefficient).
     WeightError when w_1 = 0: the family is then finite (log_d_coefficients
-    keeps d_0 alone), with no growth to fit.
+    keeps d_0 alone), with no growth to fit; and for power weights outside
+    the fit's domain, nu >= _FIT_NU_MIN = -0.435.
     """
+    if weights.kind == "power" and weights.param < _FIT_NU_MIN:
+        raise WeightError(f"order fit needs power weights with nu >= {_FIT_NU_MIN}, got {weights.param:g}: "
+                          "W_n's zeta(-nu) term would move rho by more than 0.05")
     logW, radius = _growth_window(weights)
     if logW[0] == -math.inf:
         raise WeightError("order estimate needs w_1 > 0, got 0.0")
@@ -344,8 +360,8 @@ def displacement_operator(zeta: complex, N: int, tag) -> TruncatedOperator:
         raise ValueError(f"|zeta| <= 2 required, got {abs(zeta):g}")
     if N < 64:
         raise ValueError(f"N >= 64 required for the displacement window, got {N}")
-    lowering, raising = ladder_matrices(constant_weights(1.0), N, tag)
-    jacobi = TruncatedOperator(abs(zeta) * (lowering + raising).mat, tag)
+    band = ladder_band(constant_weights(1.0), N)
+    jacobi = TruncatedOperator(abs(zeta) * (np.diag(band, 1) + np.diag(band, -1)), tag)
     p = np.exp(1j * cmath.phase(zeta) * np.arange(N)) * np.resize([1, -1j, -1, 1j], N)  # R J^dagger's diagonal
     d = p[:, None] * apply_spectral_function(jacobi, lambda t: cmath.exp(1j * t)).mat * p.conj()
     return TruncatedOperator(d, tag)
@@ -377,10 +393,9 @@ def generalized_cs(zeta: complex, n: int, d: TruncatedOperator):
         built_for = complex(np.round(d.mat[2, 1] / d.mat[1, 1], 6)) + 0  # + 0 turns a -0 part into 0
         raise ValueError(f"D was built for zeta = {built_for:g}, not for zeta = {complex(zeta):g}: "
                          f"D theta_1 is {deviation:.3g} from cs_vector(zeta)")
-    _, raising = ladder_matrices(constant_weights(1.0), N, d.basis)
-    transported = d @ raising @ adjoint(d)
+    transported = times_one_diagonal(d.mat, ladder_band(constant_weights(1.0), N), -1) @ adjoint(d).mat
     routes = []
     for k in range(2, n + 1):
-        state = apply_operator(transported, state).normalized()
+        state = StateVector(transported @ state.coeffs, d.basis).normalized()
         routes.append((state, StateVector(d.mat[:, k].copy(), d.basis)))  # D theta_k
     return deviation, bound, routes

@@ -41,7 +41,6 @@ __all__ = [
     "require_hermitian",
     "hermitian_eigensystem",
     "apply_spectral_function",
-    "apply_operator",
 ]
 
 INTERIOR_MARGIN = 5
@@ -72,7 +71,7 @@ def theta_tag(lam: float) -> BasisTag:
 
 
 class BasisMismatchError(ValueError):
-    """Raised when operators/states with different tags or dims are combined."""
+    """Raised when operators with different tags or dims are combined."""
 
 
 def _check_compatible(a, b):
@@ -240,8 +239,3 @@ def apply_spectral_function(x: TruncatedOperator, g: Callable[[float], complex])
         bad = evals[~np.isfinite(gvals)]
         raise ValueError(f"spectral function undefined at eigenvalue(s) {bad}")
     return TruncatedOperator((v * gvals[None, :]) @ v.conj().T, x.basis)
-
-
-def apply_operator(x: TruncatedOperator, psi: StateVector) -> StateVector:
-    _check_compatible(x, psi)
-    return StateVector(x.mat @ psi.coeffs, psi.basis)

@@ -3,12 +3,9 @@
 For each admissible lambda the Riccati solution phi deforms the oscillator
 ladder pair into b = (x + d + phi)/sqrt(2), b^dagger = (x - d + phi)/sqrt(2).
 This module builds the theta eigenbasis of b^dagger b in position space, the
-unitary intertwiner U between the Fock and theta families, the matrices of
-b, b^dagger, b^dagger b and, on the theta indices, the earlier lowering
-operator b^dagger a b.  That operator is a weighted shift with W_n = n^2 (n+1)
-from theta_1, so its coherent states are one call to coherent.shift_eigenstate,
-which c12 and demo 01 make, as coherent.cs_vector does, under the same 1e-24
-relative tail guard.
+unitary intertwiner U between the Fock and theta families, and the matrices
+of b, b^dagger and b^dagger b; b^dagger a b, on the theta indices the
+weighted shift W_n = n^2 (n+1) from theta_1, is c12's one band.
 
 The lambda-free Hermite table psi and its norm defects belong to the grid
 (QuadratureGrid.psi, .norm_defects).  A ThetaBasis holds one lambda's phi and
@@ -57,7 +54,6 @@ __all__ = [
     "b_matrix",
     "b_dagger_matrix",
     "h_tilde_matrix",
-    "b_dagger_a_b_fill",
     "theta_curvature_table",
 ]
 
@@ -241,12 +237,6 @@ def b_dagger_matrix(basis: ThetaBasis) -> TruncatedOperator:
 def h_tilde_matrix(basis: ThetaBasis) -> TruncatedOperator:
     """The deformed Hamiltonian b^dagger b (Fock basis, Hermitian), not kept on the basis."""
     return b_dagger_matrix(basis) @ b_matrix(basis)
-
-
-def b_dagger_a_b_fill(N: int, tag) -> TruncatedOperator:
-    """b^dagger a b on the theta indices, from its structure: (n-1) sqrt(n) at (n-1, n)."""
-    n = np.arange(1.0, N)
-    return TruncatedOperator(np.diag((n - 1.0) * np.sqrt(n), 1), tag)
 
 
 def theta_curvature_table(basis: ThetaBasis) -> np.ndarray:

@@ -46,7 +46,6 @@ __all__ = [
     "c_coefficients_closed",
     "shift_matrix",
     "ladder_band",
-    "ladder_fill",
     "ladder_matrices",
     "commutator_diagonal",
     "commutator_part",
@@ -259,14 +258,9 @@ def ladder_band(weights: WeightSequence, N: int) -> np.ndarray:
     return band
 
 
-def ladder_fill(weights: WeightSequence, N: int, basis: BasisTag = FOCK) -> TruncatedOperator:
-    """a1 = sum_{n>=1} sqrt(W_n) |n><n+1|: ladder_band's checked band as an N x N matrix."""
-    return TruncatedOperator(np.diag(ladder_band(weights, N), 1), basis)
-
-
 def ladder_matrices(weights: WeightSequence, N: int, basis: BasisTag = FOCK):
-    """The ladder pair (a1, a1^dagger) on ladder_band's checked band; both annihilate index 0 structurally."""
-    filled = ladder_fill(weights, N, basis)
+    """The ladder pair (a1, a1^dagger), N x N on ladder_band's checked band; both annihilate index 0 structurally."""
+    filled = TruncatedOperator(np.diag(ladder_band(weights, N), 1), basis)
     return filled, adjoint(filled)
 
 

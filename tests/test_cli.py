@@ -337,9 +337,21 @@ class TestCommands:
         code, out, err = run_cli(["order", "--weights", "linear", "--nu", nu], capsys)
         assert (code, out, err) == (2, "", f"error: power weights need finite nu > -1, got {float(nu)!r}\n")
 
-    def test_order_keeps_power_weights_just_above_nu_minus_one(self, capsys):
-        code, out, _ = run_cli(["order", "--weights", "linear", "--nu", "-0.5"], capsys)
-        assert code == 0 and json.loads(out)["weights"] == "power(nu=-0.5)"
+    @pytest.mark.parametrize("nu", ["-0.95", "-0.9", "-0.5"])
+    def test_order_refuses_power_weights_below_the_fit_domain(self, nu, capsys):
+        # the fit's first omitted term, zeta(-nu) in W_n, moves rho by about 2 |zeta(-nu)| 10^{-3(1+nu)} at its
+        # window's n = 10^3: 27.5, 9.5 and 0.092 here, past c10's 0.05 (rho read 0, 11.01 and 3.93 where
+        # 2/(1+nu) is 40, 20 and 4)
+        code, out, err = run_cli(["order", "--weights", "linear", "--nu", nu], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: order fit needs power weights with nu >= -0.435, got {float(nu):g}: "
+                       "W_n's zeta(-nu) term would move rho by more than 0.05\n")
+
+    def test_order_keeps_power_weights_inside_the_fit_domain(self, capsys):
+        code, out, _ = run_cli(["order", "--weights", "linear", "--nu", "-0.4"], capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["weights"] == "power(nu=-0.4)"
+        assert abs(doc["rho"] - 2.0 / 0.6) < 0.05
 
     @pytest.mark.parametrize("args", [["--weights", "geometric", "--q", "1e30"],
                                       ["--weights", "linear", "--nu", "300"]])

@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from isoladder import coherent
 from isoladder.coherent import (
     DivergenceError,
     OrderEstimate,
     TruncationError,
     bargmann_transform,
+    cs_residual,
     cs_vector,
     d_theta1_deviation,
     displacement_operator,
@@ -24,7 +26,6 @@ from isoladder.fock import (
     StateVector,
     TruncatedOperator,
     adjoint,
-    apply_operator,
     apply_spectral_function,
     commutator,
     interior_max_abs,
@@ -136,8 +137,7 @@ class TestCSVector:
         weights = constant_weights(1.0)
         low, _ = ladder_matrices(weights, 64, TAG)
         cs = cs_vector(1.0 + 0.5j, weights, 64, TAG)
-        moved = apply_operator(low, cs)
-        assert np.linalg.norm(moved.coeffs - (1.0 + 0.5j) * cs.coeffs) < 1e-6
+        assert np.linalg.norm(low.mat @ cs.coeffs - (1.0 + 0.5j) * cs.coeffs) < 1e-6
 
     def test_unit_weight_coefficients_are_standard(self):
         zeta = 1.0 + 0.5j
@@ -177,8 +177,7 @@ class TestCSVector:
         for N in (48, 96):
             low, _ = ladder_matrices(weights, N, TAG)
             cs = cs_vector(zeta, weights, N, TAG)
-            moved = apply_operator(low, cs)
-            res[N] = np.linalg.norm(moved.coeffs - zeta * cs.coeffs)
+            res[N] = np.linalg.norm(low.mat @ cs.coeffs - zeta * cs.coeffs)
         assert res[96] < max(res[48], 1e-12)  # monotone, or both at rounding floor
 
 
@@ -279,10 +278,15 @@ class TestOrderEstimate:
         est = order_estimate(linear_weights())
         assert est.rho == pytest.approx(1.0, abs=0.02)
 
-    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("nu", [-0.435, 0.5, 1.0, 2.0, 3.0])
     def test_power_law(self, nu):
+        # nu = -0.435 is the fit domain's edge, where the first omitted term bounds the error by 0.05
         est = order_estimate(power_law_weights(nu))
         assert est.rho == pytest.approx(2.0 / (1.0 + nu), abs=0.05)
+
+    def test_power_law_below_the_fit_domain_is_refused(self):
+        with pytest.raises(WeightError, match=r"order fit needs power weights with nu >= -0\.435, got -0\.436"):
+            order_estimate(power_law_weights(-0.436))
 
     def test_q_above_one_gives_order_zero(self):
         est = order_estimate(geometric_weights(1.2))
@@ -485,6 +489,39 @@ class TestGeneralizedCS:
         with pytest.raises(ValueError, match=r"D was built for zeta = 0\.3\+0j, not for zeta = 0\.5\+0j: "
                                              r"D theta_1 is 0\.199 from cs_vector\(zeta\)"):
             generalized_cs(0.5, 2, d)
+
+
+class TestBandRoutes:
+    """Each one-band operator applied as its band, against the dense product it replaced: equal bit for bit."""
+
+    @pytest.mark.parametrize("N", [48, 64, 512])
+    @pytest.mark.parametrize("weights", [constant_weights(2.0), distorted_weights(0.5), linear_weights()],
+                             ids=lambda w: w.label())
+    def test_cs_residual_is_the_dense_product(self, weights, N):
+        # c08's three rules at c08's smallest size, the battery's and the largest the report is run at
+        zeta = 1.0 + 0.5j
+        cs = cs_vector(zeta, weights, N, TAG)
+        low = ladder_matrices(weights, N)[0]
+        assert cs_residual(weights, zeta, N) == float(np.linalg.norm(low.mat @ cs.coeffs - zeta * cs.coeffs))
+
+    @pytest.mark.parametrize("N", [64, 128])
+    @pytest.mark.parametrize("zeta", [0.7 - 0.2j, 0.5, -1.2 + 0.4j])
+    def test_generalized_cs_transports_by_the_dense_product(self, zeta, N):
+        d = displacement_operator(zeta, N, TAG)
+        transported = d @ ladder_matrices(constant_weights(1.0), N, TAG)[1] @ adjoint(d)
+        state = d_theta1_deviation(zeta, d)[2]
+        for ladder_route, _ in generalized_cs(zeta, 4, d)[2]:
+            state = StateVector(transported.mat @ state.coeffs, TAG).normalized()
+            assert np.array_equal(ladder_route.coeffs, state.coeffs)
+
+    @pytest.mark.parametrize("N", [64, 128])
+    @pytest.mark.parametrize("zeta", [0.7 - 0.2j, -1.2 - 1.6j])
+    def test_displacement_jacobi_matrix_is_the_dense_sum(self, zeta, N, monkeypatch):
+        seen, spectral = [], coherent.apply_spectral_function
+        monkeypatch.setattr(coherent, "apply_spectral_function", lambda x, g: seen.append(x) or spectral(x, g))
+        displacement_operator(zeta, N, TAG)
+        low, high = ladder_matrices(constant_weights(1.0), N, TAG)
+        assert np.array_equal(seen[0].mat, abs(zeta) * (low + high).mat) and seen[0].basis == TAG
 
 
 def unit_h_tilde_1(N):

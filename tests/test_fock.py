@@ -12,7 +12,6 @@ from isoladder.fock import (
     TruncatedOperator,
     adjoint,
     annihilation_matrix,
-    apply_operator,
     apply_spectral_function,
     commutator,
     hermitian_eigensystem,
@@ -140,8 +139,6 @@ class TestAlgebra:
         b = TruncatedOperator(annihilation_matrix(4).mat, theta_tag(2.0))
         with pytest.raises(BasisMismatchError):
             commutator(a, b)
-        with pytest.raises(BasisMismatchError):
-            apply_operator(a, StateVector(np.ones(4), theta_tag(2.0)))
 
     def test_scalar_multiply_refuses_arrays(self):
         op = number_matrix(8)

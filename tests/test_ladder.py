@@ -40,7 +40,6 @@ from isoladder.ladder import (
     distorted_weights,
     geometric_weights,
     ladder_band,
-    ladder_fill,
     ladder_matrices,
     linear_weights,
     power_law_weights,
@@ -384,7 +383,7 @@ class TestTransport:
         s_t = transport_to_theta(s, u, basis64.tag)
         a_t = transport_to_theta(a, u, basis64.tag)
         path_a = adjoint(s_t) @ a_t @ s_t
-        path_b = transport_to_theta(ladder_fill(weights, 64), u, basis64.tag)
+        path_b = transport_to_theta(ladder_matrices(weights, 64)[0], u, basis64.tag)
         assert interior_max_abs(path_a.mat - path_b.mat) < 1e-7
 
     def test_round_trip(self, basis64):
@@ -479,7 +478,7 @@ class TestClosedForms:
             for n in range(N - 1):
                 mid[n, n + 1] = math.sqrt(W[n] / ((n + 1) * (n + 2)))
             sandwich = adjoint(b) @ TruncatedOperator(mid, FOCK) @ b
-            general = transport_to_theta(ladder_fill(weights, N), u, basis64.tag)
+            general = transport_to_theta(ladder_matrices(weights, N)[0], u, basis64.tag)
             assert interior_max_abs(sandwich.mat - general.mat) < 1e-7, weights.label()
 
     def test_eq_321_symmetric_form_case_i(self):

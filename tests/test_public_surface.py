@@ -7,6 +7,9 @@ identifier it is bound to is read, as a bare name or an attribute, in code
 that is itself reached.  A class
 body counts as read with its class, except its non-dunder methods: each of
 those is a definition of its own name, reached only when that name is read.
+A function that its decorator registers, by appending it to a module-level
+list, is a definition of that list's name too: report's criteria are
+reached when ALL_CRITERIA is read.
 Matching is by identifier across the package, so a same-named read elsewhere
 counts too, but not an attribute read off a numpy or standard-library module
 (np.diff does not reach a method named diff); type annotations do not count,
@@ -91,6 +94,16 @@ def _bound_names(stmt: ast.stmt) -> list[str]:
     return []
 
 
+def _registries(stmt: ast.stmt, top_level: dict) -> list[str]:
+    """The module-level lists stmt's decorators append it to: X for each X.append(...) in a decorator defined in
+    the same module (top_level maps the module's top-level names to the statements that bind them)."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(stmt, "decorator_list", ())]
+    return [node.func.value.id for d in decorators if isinstance(d, ast.Name) and d.id in top_level
+            for node in ast.walk(top_level[d.id]) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "append"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in top_level]
+
+
 def _classes():
     """(module name, class definition) for every top-level class of the package."""
     for path in sorted(PACKAGE.glob("*.py")):
@@ -103,8 +116,10 @@ def _surface():
     """({module.name} for every __all__ entry, {identifier: [top-level definitions and methods bound to it]})."""
     exports, definitions = set(), {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            for name in _bound_names(stmt):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        top_level = {name: stmt for stmt in body for name in _bound_names(stmt)}
+        for stmt in body:
+            for name in _bound_names(stmt) + _registries(stmt, top_level):
                 if name == "__all__":
                     exports |= {f"{path.stem}.{elt.value}" for elt in stmt.value.elts}
                 else:
@@ -141,6 +156,12 @@ def test_demo_only_exports_are_pinned():
     found = {e for e in exports if e.split(".")[1] in demo_only}
     assert found - DEMO_ONLY == set(), "a new export that only a demo reaches"
     assert DEMO_ONLY - found == set(), "a pinned export is reached from the command line or gone; drop it"
+
+
+def test_registered_criteria_are_definitions_of_their_list():
+    _, definitions = _surface()
+    registered = [stmt.name for stmt in definitions["ALL_CRITERIA"] if isinstance(stmt, ast.FunctionDef)]
+    assert registered == [fn.__name__ for fn in importlib.import_module("isoladder.report").ALL_CRITERIA]
 
 
 def test_reads_off_numpy_and_stdlib_modules_reach_nothing():

@@ -29,7 +29,8 @@ NAMES = {
     "criterion_12_composite_lowering": "c12_composite_lowering",
 }
 
-# one dependency per criterion that, made to raise, breaks only that criterion
+# one dependency per criterion that, made to raise, breaks only that criterion; c12's, the band residual, breaks
+# c08 too, which applies its ladder band through it
 DEPENDENCY = {
     "criterion_01_isospectrality": (report, "h_tilde_eigenvalues"),
     "criterion_02_riccati": (isospectral, "riccati_residual"),
@@ -42,7 +43,7 @@ DEPENDENCY = {
     "criterion_09_perelomov": (coherent, "d_theta1_deviation"),
     "criterion_10_orders": (coherent, "order_estimate"),
     "criterion_11_lambda_limit": (report, "grid_norm"),
-    "criterion_12_composite_lowering": (isospectral, "b_dagger_a_b_fill"),
+    "criterion_12_composite_lowering": (coherent, "band_residual"),
 }
 
 
@@ -201,6 +202,18 @@ def test_c05_reads_no_u(context, monkeypatch):
         monkeypatch.setattr(owner, name, _raise)
     result = report.criterion_05_closed_forms(context)
     assert result.passed and result.parts == parts
+
+
+@pytest.mark.parametrize("trunc", [16, 64, 512])
+def test_c12_band_is_the_dense_b_dagger_a_b(trunc):
+    # c12 applies b+ a b as its band; the dense (n-1) sqrt(n) at (n-1, n), built here, is the reference
+    ctx = report._Context(2.0, trunc)
+    n = np.arange(1.0, trunc + 1)
+    cs = coherent.shift_eigenstate(np.log(n * n * (n + 1.0)), 0.8 + 0.3j, 1, ctx.tag)
+    dense = np.diag((n[:-1] - 1.0) * np.sqrt(n[:-1]), 1) @ cs.coeffs
+    (label, value, bound, ok), = report.criterion_12_composite_lowering(ctx).parts
+    assert (label, bound, ok) == ("cs_eigen_residual", 1e-7, True)
+    assert value == float(np.linalg.norm(dense - (0.8 + 0.3j) * cs.coeffs))
 
 
 def _failed_parts(capsys):

@@ -34,6 +34,10 @@ CLI = [
     ["commutator", "--weights=constant", "--w=1e12", "--trunc=16"],
     ["coherent", "--weights=geometric", "--q=1e30"],
     ["order", "--weights=linear", "--nu=-0.9"],
+    ["coherent", "--weights=linear", "--trunc=512"],
+    ["coherent", "--weights=constant", "--w=2", "--trunc=8"],
+    ["order", "--weights=linear", "--nu=-0.5"],
+    ["order", "--weights=linear", "--nu=-0.3"],
 ]
 DEMOS = ["01_isospectral_family.py", "02_distorted_ladders.py", "03_pdo_expansions.py", "04_coherent_states.py"]
 COMMANDS = [["-m", "isoladder", *args] for args in CLI] + [[f"demos/{demo}"] for demo in DEMOS]
