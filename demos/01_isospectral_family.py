@@ -48,7 +48,7 @@ print(f"Riccati residual over the grid: {below(*BATTERY['c02'][f'lambda={LAM:g}'
 
 basis = iso.ThetaBasis(params, grid, N)
 gram = basis.theta @ (grid.weights[None, :] * basis.theta).T
-print(f"\ntheta orthonormality residual: {below(fock.interior_max_abs(gram - np.eye(N)), 1e-8)}")
+print(f"\ntheta orthonormality residual: {below(np.max(np.abs(fock.interior_block(gram - np.eye(N)))), 1e-8)}")
 closed = math.sqrt((LAM**2 - math.pi / 4) / math.sqrt(math.pi))
 print(f"theta_0 normalization constant {basis.theta0_norm:.12f} (closed form {closed:.12f})")
 
@@ -91,6 +91,6 @@ print(f"unitary-image CS residual at alpha = {alpha}: "
 
 for lam in (1e2, 1e4, 1e6):
     big = iso.ThetaBasis(iso.IsospectralParams(lam), grid, N)
-    dev = fock.interior_max_abs(iso.u_matrix(big).mat - np.eye(N))
+    dev = np.max(np.abs(fock.interior_block(iso.u_matrix(big).mat - np.eye(N))))
     print(f"lambda = {lam:8.0e}:  max |U - I| interior = {dev:.3e}")
 print("everything collapses onto the plain oscillator, linearly in 1/lambda.")

@@ -128,8 +128,9 @@ def cmd_spectrum(config: RunConfig) -> tuple:
     import numpy as np
     from . import isospectral, report
     from .fock import INTERIOR_MARGIN
+    from .numerics import build_grid
     N = config.trunc
-    ctx = report._Context(config.lam, N)
+    ctx = isospectral.ThetaBasis(IsospectralParams(config.lam), build_grid(N), N)  # the basis c01 reads
     evals = report.h_tilde_eigenvalues(ctx)  # c01's route and bound, over min(40, N - 5) rows
     interior = max(N - INTERIOR_MARGIN, 1)
     count = min(40, interior)

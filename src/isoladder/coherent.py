@@ -4,13 +4,11 @@ Eigenstates of the lowering operator built on theta_1 with coefficients
 d_n^{1/2} zeta^n, d_n = (W_1 ... W_n)^{-1}; the Fock-Bargmann map; entire-
 function order / radius-of-convergence estimation from the growth of the
 partial-sum products; and, for unit weights, the unitary displacement
-operator and the Perelomov-type generalized coherent states.  Each lowering
-operator is a weighted shift, applied as its one band at (n, n+1); the
-displacement builds the unit-weight band, the only one it admits, itself.
-generalized_cs transports by a D it is given, so a caller builds D once, and
-runs d_theta1_deviation, c09's check of D theta_1 against cs_vector, once per
-call for all of theta_2 .. theta_n, refusing a D that fails it and starting
-from the state the check built.
+operator D, whose columns D theta_k are the Perelomov-type generalized
+coherent states.  Each lowering operator is a weighted shift, applied as its
+one band at (n, n+1); the displacement builds the unit-weight band, the only
+one it admits, itself.  d_theta1_deviation, c09's check, holds D theta_1
+against cs_vector.
 
 log_d_coefficients is the one home of log d_n: shift_eigenstate (these states
 and isospectral's b+ a b family, under one tail guard), normalization_h, the
@@ -32,7 +30,6 @@ from .fock import (
     FOCK,
     StateVector,
     TruncatedOperator,
-    adjoint,
     apply_spectral_function,
     times_one_diagonal,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "radius_of_convergence",
     "displacement_operator",
     "d_theta1_deviation",
-    "generalized_cs",
 ]
 
 _FIT_LO = 1_000
@@ -284,8 +280,8 @@ def _growth_window(weights: WeightSequence) -> tuple[np.ndarray, float]:
         w_f = math.exp(logW[n - 1])
         d1 = w_h - w_q
         d2 = w_f - w_h
-        limit = w_f
-        if d1 > 0 and 0 < d2 < d1:
+        limit = math.inf if 0 < d1 <= d2 else w_f  # increments that do not shrink: W_n grows, however flat log W_n
+        if 0 < d2 < d1:
             r = d2 / d1
             limit = w_f + d2 * r / (1.0 - r)
         radius = math.sqrt(limit)
@@ -300,9 +296,9 @@ def order_estimate(weights: WeightSequence) -> OrderEstimate:
     least squares of log(W_1...W_n) on {n^2, n log n, n, 1} over
     n in [1e3, 1e4]; a practically significant n^2 term means order 0
     (Gaussian-type coefficient decay), else rho = 2 / (n log n coefficient).
-    WeightError when w_1 = 0: the family is then finite (log_d_coefficients
-    keeps d_0 alone), with no growth to fit; and for power weights outside
-    the fit's domain, nu >= _FIT_NU_MIN = -0.435.
+    WeightError when w_1 = 0 (a finite family, no growth to fit), and outside
+    the fit's domain: power weights below nu = -0.435, and any slope s of log W_n
+    in log n, over [1e3, 2e3] and [5e3, 1e4], whose drift moves rho = 2/s by over 0.05.
     """
     if weights.kind == "power" and weights.param < _FIT_NU_MIN:
         raise WeightError(f"order fit needs power weights with nu >= {_FIT_NU_MIN}, got {weights.param:g}: "
@@ -320,6 +316,11 @@ def order_estimate(weights: WeightSequence) -> OrderEstimate:
         raise WeightSequenceTooShort(
             f"order fit needs weights out to n = {_FIT_HI}, custom list has {weights.max_index}"
         )
+    s_lo, s_hi = ((logW[2 * k - 1] - logW[k - 1]) / math.log(2) for k in (_FIT_LO, _FIT_HI // 2))
+    drift = 2.0 * abs(s_hi - s_lo) / s_hi**2 if s_hi > 0 else math.inf
+    if not drift <= 0.05:
+        raise WeightError(f"order fit needs a steady slope of log W_n in log n over n in [{_FIT_LO}, {_FIT_HI}], "
+                          f"got {s_lo:.4g} to {s_hi:.4g}: rho would move by about {drift:.3g}, more than 0.05")
     L = -log_d_coefficients(logW)[_FIT_LO : _FIT_HI + 1]
     n = np.arange(_FIT_LO, _FIT_HI + 1, dtype=float)
     X = np.column_stack([n * n, n * np.log(n), n, np.ones_like(n)])
@@ -367,35 +368,8 @@ def displacement_operator(zeta: complex, N: int, tag) -> TruncatedOperator:
     return TruncatedOperator(d, tag)
 
 
-def d_theta1_deviation(zeta: complex, d: TruncatedOperator) -> tuple[float, float, StateVector]:
-    """|D theta_1 - cs_vector(zeta)| for the unit weights, the bound 1e-6 it must stay below, and the
-    cs_vector state it built: more means D = displacement_operator(zeta, N, tag) or the state is
-    wrong, or D was built for another zeta."""
+def d_theta1_deviation(zeta: complex, d: TruncatedOperator) -> tuple[float, float]:
+    """|D theta_1 - cs_vector(zeta)| for the unit weights and the bound 1e-6 it must stay below: more means
+    D = displacement_operator(zeta, N, tag) or the state is wrong, or D was built for another zeta."""
     cs = cs_vector(zeta, constant_weights(1.0), d.dim, d.basis)
-    return float(np.linalg.norm(d.mat[:, 1] - cs.coeffs)), 1e-6, cs
-
-
-def generalized_cs(zeta: complex, n: int, d: TruncatedOperator):
-    """|zeta; theta_k> for k = 2 .. n both ways, for d = displacement_operator(zeta, N, tag): repeated
-    displaced raising with per-step normalization, and direct displacement of theta_k.
-
-    Returns d_theta1_deviation's deviation and bound, and [(ladder_route, displaced_route)] for k = 2 .. n,
-    which agree up to normalization: one check, whose state starts the ladder route, and one D a1+ D+ serve
-    every k.  ValueError when d fails the check, naming the zeta d was built for, read off as d[2, 1] / d[1, 1].
-    """
-    N = d.dim
-    if n < 2:
-        raise ValueError(f"generalized CS start at n = 2, got {n}")
-    if n > N - 10:
-        raise ValueError(f"n = {n} too close to the truncation edge N = {N}")
-    deviation, bound, state = d_theta1_deviation(zeta, d)
-    if not deviation < bound:
-        built_for = complex(np.round(d.mat[2, 1] / d.mat[1, 1], 6)) + 0  # + 0 turns a -0 part into 0
-        raise ValueError(f"D was built for zeta = {built_for:g}, not for zeta = {complex(zeta):g}: "
-                         f"D theta_1 is {deviation:.3g} from cs_vector(zeta)")
-    transported = times_one_diagonal(d.mat, ladder_band(constant_weights(1.0), N), -1) @ adjoint(d).mat
-    routes = []
-    for k in range(2, n + 1):
-        state = StateVector(transported @ state.coeffs, d.basis).normalized()
-        routes.append((state, StateVector(d.mat[:, k].copy(), d.basis)))  # D theta_k
-    return deviation, bound, routes
+    return float(np.linalg.norm(d.mat[:, 1] - cs.coeffs)), 1e-6

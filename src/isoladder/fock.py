@@ -37,7 +37,6 @@ __all__ = [
     "commutator",
     "op_norm_inf",
     "interior_block",
-    "interior_max_abs",
     "require_hermitian",
     "hermitian_eigensystem",
     "apply_spectral_function",
@@ -147,12 +146,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.coeffs / n, self.basis)
-
 
 def annihilation_matrix(N: int) -> TruncatedOperator:
     """Superdiagonal sqrt(1) .. sqrt(N-1): the standard lowering operator."""
@@ -204,10 +197,6 @@ def interior_block(mat: np.ndarray) -> np.ndarray:
     if n < 1:
         raise ValueError(f"margin {INTERIOR_MARGIN} leaves no interior for size {mat.shape[0]}")
     return mat[:n, :n]
-
-
-def interior_max_abs(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(interior_block(mat))))
 
 
 def require_hermitian(m: np.ndarray):

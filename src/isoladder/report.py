@@ -20,12 +20,10 @@ import numpy as np
 from . import coherent, isospectral, ladder, pdo
 from .fock import (
     INTERIOR_MARGIN,
-    adjoint,
     apply_spectral_function,
     hermitian_eigensystem,
     identity_matrix,
     interior_block,
-    interior_max_abs,
     number_matrix,
     op_norm_inf,
 )
@@ -208,16 +206,9 @@ def criterion_08_cs_eigenresidual(ctx: _Context, res: CriterionResult):
 
 @_criterion("c09_perelomov_equivalence")
 def criterion_09_perelomov(ctx: _Context, res: CriterionResult):
-    N = max(ctx.N, 64)
-    zeta = 0.7 - 0.2j
-    d = coherent.displacement_operator(zeta, N, ctx.tag)
-    deviation, bound, routes = coherent.generalized_cs(zeta, 3, d)
-    res.add("D_theta1_vs_cs", deviation, bound)
-    unit_dev = interior_max_abs((adjoint(d) @ d).mat - np.eye(N))
-    res.add("DdagD_interior_unitarity", unit_dev, 1e-7)
-    for n, (ladder_route, displaced_route) in enumerate(routes, 2):
-        dev = float(np.linalg.norm(ladder_route.coeffs - displaced_route.normalized().coeffs))
-        res.add(f"generalized_cs_two_path_n={n}", dev, 1e-5)
+    # D theta_1 against |zeta>; D's unitarity would hold with every other column scrambled, so c09 does not read it
+    d = coherent.displacement_operator(0.7 - 0.2j, max(ctx.N, 64), ctx.tag)
+    res.add("D_theta1_vs_cs", *coherent.d_theta1_deviation(0.7 - 0.2j, d))
 
 
 @_criterion("c10_order_estimates")

@@ -167,7 +167,8 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["spectrum"])
     def test_refused_grid_exit_1(self, command, capsys, monkeypatch):
         # U cannot be built on 32 nodes: one error line and exit 1, as the report's construction_error
-        monkeypatch.setattr(report, "build_grid", lambda N: numerics.build_grid(N, nodes=32))
+        build_grid = numerics.build_grid
+        monkeypatch.setattr(numerics, "build_grid", lambda N: build_grid(N, nodes=32))
         code, out, err = run_cli([command], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: grid of 32 nodes") and "cannot carry psi_0 .. psi_63" in err
@@ -346,6 +347,14 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert err == (f"error: order fit needs power weights with nu >= -0.435, got {float(nu):g}: "
                        "W_n's zeta(-nu) term would move rho by more than 0.05\n")
+
+    @pytest.mark.parametrize("w", ["1000", "1e13"])
+    def test_order_refuses_weights_whose_slope_drifts_over_the_window(self, w, capsys):
+        # W_n = n + w - 1: the fit read order 0 at w = 1000 and, at 1e13, a bounded sum of radius 3.16e6
+        code, out, err = run_cli(["order", "--weights", "distorted", "--w", w], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: order fit needs a steady slope of log W_n in log n over n in [1000, 10000]")
+        assert err.endswith(", more than 0.05\n") and err.count("\n") == 1
 
     def test_order_keeps_power_weights_inside_the_fit_domain(self, capsys):
         code, out, _ = run_cli(["order", "--weights", "linear", "--nu", "-0.4"], capsys)

@@ -13,13 +13,14 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from isoladder import isospectral, ladder, pdo, report
+from isoladder import coherent, isospectral, ladder, pdo, report
 from isoladder.fock import FOCK, TruncatedOperator
 
 BATTERY_LAMBDAS = (-3.0, -1.0, 0.8963, 2.0, 10.0, 50.0)
 
 # every (owner, attribute) a catalogue entry patches, with what it holds unpatched
 ORIGINALS = {
+    (coherent, "displacement_operator"): coherent.displacement_operator,
     (isospectral, "u_matrix"): isospectral.u_matrix,
     (isospectral.PhiFunction, "value"): isospectral.PhiFunction.value,
     (ladder, "c_coefficients_closed"): ladder.c_coefficients_closed,
@@ -85,6 +86,11 @@ CATALOGUE = [
              {"c07_pdo_identities": ["bdag_b_equals_h_minus_phiprime", "ladder_reference_w=1",
                                      "ladder_reference_w=2", "ladder_reference_w=7/2",
                                      "lowering_raising_product_residual", "raising_lowering_product_residual"]}),
+    # D(conj zeta) is unitary and exact, only built for another zeta: its theta_1 column is 0.475 from |zeta>
+    Mutation("displacement_operator_for_conjugate_zeta",
+             lambda mp: mp.setattr(coherent, "displacement_operator", lambda zeta, N, tag: ORIGINALS[
+                 coherent, "displacement_operator"](complex(zeta).conjugate(), N, tag)),
+             {"c09_perelomov_equivalence": ["D_theta1_vs_cs"]}),
 ]
 
 

@@ -31,14 +31,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "isoladder"
 ENTRY_POINTS = [PACKAGE / "__main__.py", *sorted((ROOT / "demos").glob("*.py"))]
-# reached from no entry point yet; ROADMAP item 1A makes it a battery part
+# reached from no entry point yet; it earns ROADMAP direction 1's position-space part or goes (direction 13)
 EXEMPT = {"isospectral.theta_curvature_table"}
-# private names one package module or demo reads from another, today's read: the report's context,
-# which the benchmark's tracer also reads.  The list may only shrink.
-PRIVATE_READS = {"cli -> report._Context"}
+# private names one package module or demo reads from another: none.  The list may only shrink.
+PRIVATE_READS = set()
 BENCHMARK_READERS = [ROOT / "perfbench" / "worker.py", ROOT / "perfbench" / "tracing.py"]
 # exports reached from a demo but not from the command line or the benchmark, today's set; each is to
-# earn a battery part or go (ROADMAP item 8).  The list may only shrink.
+# earn a battery part or go (ROADMAP directions 1, 3 and 13).  The list may only shrink.
 DEMO_ONLY = {"coherent.bargmann_transform", "coherent.normalization_h", "fock.annihilation_matrix",
              "isospectral.unitarity_defect", "ladder.shift_matrix"}
 

@@ -38,6 +38,8 @@ CLI = [
     ["coherent", "--weights=constant", "--w=2", "--trunc=8"],
     ["order", "--weights=linear", "--nu=-0.5"],
     ["order", "--weights=linear", "--nu=-0.3"],
+    *(["order", "--weights=distorted", f"--w={w}"] for w in ("30", "1000", "1e13")),
+    ["spectrum", "--lambda=-3", "--trunc=64"],
 ]
 DEMOS = ["01_isospectral_family.py", "02_distorted_ladders.py", "03_pdo_expansions.py", "04_coherent_states.py"]
 COMMANDS = [["-m", "isoladder", *args] for args in CLI] + [[f"demos/{demo}"] for demo in DEMOS]
